@@ -57,12 +57,17 @@ SETUP_PROBES = 2
 #: the tail is the highest percentile with at least this many tasks beyond it
 TAIL_TASKS = 10
 
+#: the end-to-end metrics of BENCHMARK.json, in the result line
 END_TO_END_UNITS = {
     "setup_s": "s",
     "tasks_per_s": "1/s",
+    "peak_rss_mb": "MB",
+}
+#: printed and recorded but not gated: on a host whose speed drifts by
+#: 20% between minutes, single order statistics spread beyond any bound
+RECORDED_UNITS = {
     "task_p50_ms": "ms",
     "task_tail_ms": "ms",
-    "peak_rss_mb": "MB",
 }
 TRACE_UNITS = {
     "trace.traced_tasks_per_s": "1/s",
@@ -200,6 +205,8 @@ def run(workload, seed, seconds, trace, tiny=False, probes=SETUP_PROBES):
     record = run_record(workload, seed, seconds, trace)
     record.update(extra, setup_samples_s=setup_samples,
                   failed_frac=loop.failed / max(loop.attempted, 1))
+    if not trace:
+        record.update({name: result[name] for name in RECORDED_UNITS})
     out = {"correct": loop.failed == 0, "attempted": loop.attempted,
            "failed": loop.failed, "metrics": metrics}
     return out, record
@@ -285,6 +292,9 @@ def report_lines(out, record):
                      f"{record['timed_tasks']} timed tasks in {record['rounds']} rounds")
     for name, metric in out["metrics"].items():
         lines.append(f"  {name:40s} {metric['value']:.6g} {metric['unit']}")
+    for name, unit in RECORDED_UNITS.items():
+        if name in record:
+            lines.append(f"  {name:40s} {record[name]:.6g} {unit} (recorded, not gated)")
     lines.append("run-record " + json.dumps(record, sort_keys=True))
     return lines
 

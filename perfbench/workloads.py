@@ -22,15 +22,17 @@ from typing import Callable
 
 import numpy as np
 
+# library functions are called through their modules, so that the
+# tracer's wrappers (installed on the module attributes) see every call
 from conelab import barrier as br
 from conelab import bending as bd
 from conelab import cli
+from conelab import cones as cn
 from conelab import covering as cv
+from conelab import fields as fl
+from conelab import grids as gr
 from conelab import perron as pn
 from conelab import spectral as sp
-from conelab.cones import DeformedCone, deformed_metric, make_cone
-from conelab.fields import TrigField, cylinder_metric, flat_metric
-from conelab.grids import Chart, conformal_deform, scal_from_jet, scalar_curvature
 
 
 class OracleMiss(Exception):
@@ -130,7 +132,7 @@ class Radial:
     @staticmethod
     def _task(pq, r_in, lam):
         def run():
-            cone = make_cone(*pq)
+            cone = cn.make_cone(*pq)
             pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0)
             det = pn.perron_minimal_detailed(pp)
             accepted, _ = pn.is_supersolution(pp, det.profile)
@@ -202,12 +204,12 @@ class Geometry:
     @staticmethod
     def _sampled(count, field_seed):
         def run():
-            chart = Chart(tuple((0.0, 1.0, count) for _ in range(3)))
-            u = TrigField.random(3, seed=field_seed)
-            deformed = conformal_deform(flat_metric(chart), u.value(chart.mesh()))
+            chart = gr.Chart(tuple((0.0, 1.0, count) for _ in range(3)))
+            u = fl.TrigField.random(3, seed=field_seed)
+            deformed = gr.conformal_deform(fl.flat_metric(chart), u.value(chart.mesh()))
             p = tuple(c // 2 for c in chart.shape)
             x = chart.node_coords(p)
-            scal = scalar_curvature(deformed, p)
+            scal = gr.scalar_curvature(deformed, p)
             # transformation law on the flat metric: scal = -8 u^-5 Lap u in dimension 3
             law = -8.0 * float(u.laplacian(x)) * float(u.value(x)) ** -5
             h = 1.0 / (count - 1)
@@ -219,8 +221,8 @@ class Geometry:
     @staticmethod
     def _cylinder(n, span, center):
         def run():
-            m = cylinder_metric(n, span=span, center=center)
-            scal = scalar_curvature(m, tuple(c // 2 for c in m.chart.shape))
+            m = fl.cylinder_metric(n, span=span, center=center)
+            scal = gr.scalar_curvature(m, tuple(c // 2 for c in m.chart.shape))
             if not abs(scal - (n - 1) * (n - 2)) < 1e-8:
                 raise OracleMiss("grids", f"cylinder {n}: scal {scal}")
             return {}
@@ -229,14 +231,14 @@ class Geometry:
     @staticmethod
     def _deformed(pq, alpha, nodes):
         def run():
-            cone = make_cone(*pq)
+            cone = cn.make_cone(*pq)
             n = cone.n
-            m = deformed_metric(DeformedCone(cone, alpha=alpha))
+            m = cn.deformed_metric(cn.DeformedCone(cone, alpha=alpha))
             slope = 1.0 + 2.0 * alpha / (n - 2.0)
             link_scal = pq[0] * (pq[0] - 1) / cone.a**2 + pq[1] * (pq[1] - 1) / cone.b**2
             for node in nodes:
                 x = m.chart.node_coords(tuple(node))
-                scal = scal_from_jet(m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x))
+                scal = gr.scal_from_jet(m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x))
                 exact = (link_scal / slope**2 - (n - 1.0) * (n - 2.0)) / x[0] ** 2
                 if not abs(scal - exact) < 1e-8 * abs(exact):
                     raise OracleMiss("grids", f"deformed {pq}: scal {scal} vs {exact}")
@@ -259,8 +261,8 @@ class Geometry:
         cutoff = self.cutoff
 
         def run():
-            cone = make_cone(*pq)
-            spec = br.BarrierSpec(deformed=DeformedCone(cone, alpha=alpha), mu=mu, cutoff=cutoff)
+            cone = cn.make_cone(*pq)
+            spec = br.BarrierSpec(deformed=cn.DeformedCone(cone, alpha=alpha), mu=mu, cutoff=cutoff)
             theta = br.deflection_radius(spec)
             exact = mu ** (1.0 / (cone.n - 2.0))
             if not abs(theta - exact) < 1e-8 * exact:
