@@ -1,12 +1,17 @@
 """conelab benchmark: run one workload as a closed loop in this process.
 
-    python3 perfbench/run.py --workload radial --seed 7 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload covering --seed 7 --seconds 35 --trace 0
 
 One caller runs the workload's tasks back to back, each starting when the
 previous one has returned and been checked against its oracle.  Rounds of
-tasks are drawn from the seed; the run measures whole rounds until
-`--seconds` of task time has passed.  BLAS threads are pinned to 1, since
-every kernel here is small banded, tridiagonal or pointwise work.
+tasks are drawn from the seed, each with the same strata in the same
+order; the run repeats rounds until `--seconds` of task time has passed
+and times each position of the round by its median over the rounds, so
+that a burst of load from outside the process moves few of the times it
+uses.  The host-speed probe of hostspeed.py runs between tasks and after
+set-up, and the gated times are scaled by it to the reference host speed.
+BLAS threads are pinned to 1, since every kernel here is small banded,
+tridiagonal or pointwise work.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 alternates untraced
 and traced rounds of the first round's inputs and prints the per-layer
@@ -42,30 +47,35 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import hostspeed  # noqa: E402
 import tracing  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 SPAN_DIR = ROOT / ".perfbench-out"
-WORKLOAD_NAMES = ("suite", "radial", "geometry", "covering")
+WORKLOAD_NAMES = ("suite", "geometry", "covering")
 
 #: a run stops starting tasks after this much wall time, so it ends in 180 s
 HARD_LIMIT_S = 150.0
 #: set-up is measured in this process and in this many fresh processes
 SETUP_PROBES = 2
+#: host-speed probes right after each set-up, to scale it to the reference host
+SETUP_HOST_PROBES = 7
 #: the tail is the highest percentile with at least this many tasks beyond it
 TAIL_TASKS = 10
 
 #: the end-to-end metrics of BENCHMARK.json, in the result line
 END_TO_END_UNITS = {
     "setup_s": "s",
-    "tasks_per_s": "1/s",
+    "tasks_per_ref_s": "1/s",
     "peak_rss_mb": "MB",
 }
-#: printed and recorded but not gated: on a host whose speed drifts by
-#: 20% between minutes, single order statistics spread beyond any bound
+#: printed and recorded but not gated: they are not scaled to the
+#: reference host speed, and on a host whose speed drifts by 20-30%
+#: between runs they spread beyond any bound
 RECORDED_UNITS = {
+    "tasks_per_s": "1/s",
     "task_p50_ms": "ms",
     "task_tail_ms": "ms",
 }
@@ -138,14 +148,21 @@ def set_up(workload, seed, tiny, workdir):
     return wl, first
 
 
+def setup_sample(elapsed):
+    """(set-up seconds, the same scaled to the reference host speed by the
+    median of host-speed probes run right after the set-up)."""
+    host_s = statistics.median(hostspeed.probe() for _ in range(SETUP_HOST_PROBES))
+    return elapsed, elapsed * hostspeed.REFERENCE_S / host_s
+
+
 def probe_setup(workload, seed):
-    """Set-up time of a fresh process (the interpreter start excluded)."""
+    """setup_sample of a fresh process (the interpreter start excluded)."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload,
            "--seed", str(seed), "--probe-setup"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
     if done.returncode != 0:
         raise RuntimeError(f"set-up probe failed:\n{done.stderr}")
-    return float(json.loads(done.stdout.strip().splitlines()[-1])["setup_s"])
+    return tuple(json.loads(done.stdout.strip().splitlines()[-1]))
 
 
 def tail(times):
@@ -191,19 +208,21 @@ def run(workload, seed, seconds, trace, tiny=False, probes=SETUP_PROBES):
         wl, first = set_up(workload, seed, tiny, workdir)
         loop = Loop(tracing.Tracer() if trace else None)
         loop.attempt(first[0])
-        setup_samples = [time.perf_counter() - _START]
+        elapsed = time.perf_counter() - _START
         if trace:
+            setup = [(elapsed, None)]
             result, extra = _traced_phase(loop, first, workload, seed, seconds)
         else:
-            setup_samples += [probe_setup(workload, seed) for _ in range(probes)]
+            setup = [setup_sample(elapsed)] + [probe_setup(workload, seed) for _ in range(probes)]
             result, extra = _timed_phase(loop, wl, first, seed, seconds)
-            result["setup_s"] = statistics.median(setup_samples)
+            result["setup_s"] = statistics.median(ref for _, ref in setup)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     units = per_layer_units() if trace else END_TO_END_UNITS
     metrics = {name: {"value": result[name], "unit": unit} for name, unit in units.items()}
     record = run_record(workload, seed, seconds, trace)
-    record.update(extra, setup_samples_s=setup_samples,
+    record.update(extra, setup_samples_s=[raw for raw, _ in setup],
+                  setup_ref_samples_s=[ref for _, ref in setup],
                   failed_frac=loop.failed / max(loop.attempted, 1))
     if not trace:
         record.update({name: result[name] for name in RECORDED_UNITS})
@@ -217,28 +236,40 @@ def _out_of_time():
 
 
 def _timed_phase(loop, wl, first, seed, seconds):
-    times, round_s, by_label = [], [], {}
-    while not _out_of_time():
-        tasks = first if not round_s else wl.round(round_rng(seed, len(round_s)))
-        start = len(times)
-        for task in tasks:
+    """Run rounds until `seconds` of task time and one whole round are done.
+
+    tasks_per_s is the round's task count over the sum, across positions
+    of the round, of each position's median time.  tasks_per_ref_s does
+    the same with each task's time scaled to the reference host speed by
+    the host-speed probes run just before and just after it."""
+    times, by_label = [], {task.label: [] for task in first}
+    ref_by_label, probes = {task.label: [] for task in first}, [hostspeed.probe()]
+    rounds, done = 0, False
+    while not done:
+        tasks = first if rounds == 0 else wl.round(round_rng(seed, rounds))
+        rounds += 1
+        for position, task in enumerate(tasks, 1):
             times.append(loop.attempt(task))
-            by_label.setdefault(task.label, []).append(times[-1])
-            if _out_of_time():
+            probes.append(hostspeed.probe())
+            by_label[task.label].append(times[-1])
+            host_s = (probes[-2] + probes[-1]) / 2.0
+            ref_by_label[task.label].append(times[-1] * hostspeed.REFERENCE_S / host_s)
+            whole_round = rounds > 1 or position == len(tasks)
+            done = _out_of_time() or (whole_round and sum(times) >= seconds)
+            if done:
                 break
-        round_s.append(sum(times[start:]))
-        if sum(times) >= seconds:
-            break
+    position_s = {label: statistics.median(ts) for label, ts in by_label.items()}
     value, percentile = tail(times)
     result = {
-        "tasks_per_s": len(times) / sum(times),
+        "tasks_per_ref_s": len(first) / sum(statistics.median(ts) for ts in ref_by_label.values()),
+        "tasks_per_s": len(first) / sum(position_s.values()),
         "task_p50_ms": 1e3 * statistics.median(times),
         "task_tail_ms": 1e3 * value,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    extra = {"rounds": len(round_s), "round_s": round_s, "timed_tasks": len(times),
-             "tail_percentile": percentile,
-             "task_median_s": {label: statistics.median(ts) for label, ts in by_label.items()}}
+    extra = {"rounds": rounds, "timed_tasks": len(times), "timed_s": sum(times),
+             "tail_percentile": percentile, "task_median_s": position_s,
+             "host_probe_median_s": statistics.median(probes)}
     return result, extra
 
 
@@ -303,7 +334,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=14.0)
+    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--probe-setup", action="store_true",
                         help="internal: measure set-up in this process and exit")
@@ -314,7 +345,7 @@ def main(argv=None):
             try:
                 _, first = set_up(args.workload, args.seed, False, workdir)
                 Loop().attempt(first[0])
-                print(json.dumps({"setup_s": time.perf_counter() - _START}))
+                print(json.dumps(setup_sample(time.perf_counter() - _START)))
             finally:
                 shutil.rmtree(workdir, ignore_errors=True)
             return 0

@@ -10,8 +10,8 @@ For each workload, in this process and at tiny input sizes, it checks:
 - a deliberately corrupted library result makes tasks fail, and the
   failure is counted against the layer that produced it.
 
-Last, one radial input from the upper band, where the Perron sweep hits
-its 400-sweep cap (about 12 s), must be counted as a failed task, a perron
+Last, one Perron problem from the upper lam band, where the sweep hits its
+400-sweep cap (about 12 s), must be counted as a failed task, a perron
 error and a `perron.sweep_cap_hits`.  Exits 0 when every check holds.
 """
 
@@ -46,11 +46,6 @@ def corrupted(module, name, transform):
             setattr(m, attr, original)
 
 
-def _perturbed_profile(result):
-    profile = dataclasses.replace(result.profile, values=result.profile.values * 1.001)
-    return dataclasses.replace(result, profile=profile)
-
-
 def _one_family(fa):
     return dataclasses.replace(fa, families={ball: 1 for ball in fa.families})
 
@@ -58,7 +53,6 @@ def _one_family(fa):
 #: workload -> (module, function, transform, layer whose errors must count)
 CORRUPTIONS = {
     "suite": ("cones", "cone_scal", lambda scal: scal * 1.01, "cli"),
-    "radial": ("perron", "perron_minimal_detailed", _perturbed_profile, "perron"),
     "geometry": ("grids", "scal_from_jet", lambda scal: scal + 1.0, "grids"),
     "covering": ("covering", "assign_families", _one_family, "covering"),
 }
@@ -102,8 +96,18 @@ def check_workload(workload):
 def check_sweep_cap():
     import tracing
     import workloads
-    lam = 0.125 + 0.8 * (workloads.lambda0_oracle(3, 3) - 0.125)
-    task = workloads.Task("cap", workloads.Radial._task((3, 3), 0.01, lam))
+    from conelab import cones, perron
+
+    n = 3 + 3 + 1
+    lambda0 = (n - 2.0) * (n - 3.0) / (4.0 * (n - 1.0))
+    problem = perron.PerronProblem(cone=cones.make_cone(3, 3), lam=0.125 + 0.8 * (lambda0 - 0.125),
+                                   domain=(0.01, 1.0), boundary_value=1.0)
+
+    def cap():
+        perron.perron_minimal_detailed(problem)
+        return {}
+
+    task = workloads.Task("cap", cap)
     loop = run.Loop(tracing.Tracer())
     loop.tracer.install()
     try:
@@ -115,7 +119,7 @@ def check_sweep_cap():
     expect(metrics["perron.sweep_cap_hits"] == 1 and metrics["perron.errors"] == 1,
            f"sweep cap not counted: {metrics['perron.sweep_cap_hits']}, {metrics['perron.errors']}")
     expect(metrics["perron.sweeps"] == 400, f"sweeps {metrics['perron.sweeps']}")
-    print("radial sweep cap: ok (counted as failed, perron.errors and perron.sweep_cap_hits)")
+    print("perron sweep cap: ok (counted as failed, perron.errors and perron.sweep_cap_hits)")
 
 
 def main():

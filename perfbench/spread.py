@@ -1,6 +1,6 @@
 """Run the benchmark over several seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workloads radial covering --seeds 1-10 \
+    python3 perfbench/spread.py --workloads suite covering --seeds 1-10 \
         [--seconds 20] [--trace 0] [--out perfbench/results.json]
 
 For every workload and end-to-end metric this prints the median of the
@@ -15,6 +15,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -31,12 +32,15 @@ def seed_list(text):
 def run_once(workload, seed, seconds, trace):
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    start = time.perf_counter()
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=900, cwd=ROOT)
+    wall_s = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} seed {seed} exited {done.returncode}:\n{done.stderr}")
     record = next(json.loads(line[len("run-record "):]) for line in lines
                   if line.startswith("run-record "))
+    record["wall_s"] = wall_s
     return json.loads(lines[-1]), record
 
 
@@ -64,7 +68,7 @@ def main(argv=None):
             results.append(result)
             runs.append({"result": result, "record": record})
             print(f"{workload} seed {seed}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} " + " ".join(
+                  f"failed={result['failed']}/{result['attempted']} wall={record['wall_s']:.1f}s " + " ".join(
                       f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()
                       if not args.trace or not k.endswith(".self_s")), flush=True)
         if len(results) >= 2:

@@ -48,7 +48,6 @@ CALL_COUNTS = ("grids.scal_from_jet", "bending.BendProfile.jet", "barrier.sphere
 HOOK_COUNTS = (
     "perron.sweeps",
     "perron.sweep_cap_hits",
-    "perron.is_supersolution.rejects",
     "grids.metric_bytes",
     "covering.kept",
     "covering.default_bound_exceeded",

@@ -6,9 +6,11 @@ the seed.  A task makes its library calls, checks the result against an
 oracle that does not come from the call under test, and returns a dict of
 counts.  It raises `OracleMiss`, naming the layer, when the result is
 wrong.  Every round of a workload has the same strata (cones, sizes,
-dimensions); the seed draws the values inside each stratum, so runs with
-different seeds do comparable work.  The suite is the exception: it runs
-the shipped scenarios as they are.
+dimensions) in the same order, one task each, with a unique label; the
+seed draws the values inside each stratum, so runs with different seeds
+do comparable work and each position of a round can be timed over many
+rounds.  The suite is the exception: it runs the shipped scenarios as
+they are.
 
 Why each workload exists is written down in README.md next to this file.
 """
@@ -16,7 +18,6 @@ Why each workload exists is written down in README.md next to this file.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +33,6 @@ from conelab import covering as cv
 from conelab import fields as fl
 from conelab import grids as gr
 from conelab import perron as pn
-from conelab import spectral as sp
 
 
 class OracleMiss(Exception):
@@ -53,18 +53,6 @@ def _seed(rng):
     return int(rng.integers(0, 2**31 - 1))
 
 
-def indicial_alpha(p, q, lam):
-    """Decaying indicial root of alpha^2 + (n-2) alpha + (kappa+lam)(p+q) = 0."""
-    n = p + q + 1
-    kappa = (n - 2.0) / (4.0 * (n - 1.0))
-    return -(n - 2.0) / 2.0 + math.sqrt((n - 2.0) ** 2 / 4.0 - (kappa + lam) * (p + q))
-
-
-def lambda0_oracle(p, q):
-    n = p + q + 1
-    return (n - 2.0) * (n - 3.0) / (4.0 * (n - 1.0))
-
-
 # ---------------------------------------------------------------------------
 # suite: the user's `conelab run` path over every bundled scenario
 # ---------------------------------------------------------------------------
@@ -80,7 +68,6 @@ class Suite:
     must not fail."""
 
     TINY = ("cone-catalog", "covering", "green-truncation", "lambda0-simons", "superposition")
-    PASSES = 6
 
     def __init__(self, workdir, tiny=False):
         self.workdir = workdir
@@ -88,7 +75,7 @@ class Suite:
                           if not tiny or name in self.TINY]
 
     def round(self, rng):
-        return [Task(data["name"], self._task(data)) for _ in range(self.PASSES) for data in self.scenarios]
+        return [Task(data["name"], self._task(data)) for data in self.scenarios]
 
     def _task(self, data):
         def run():
@@ -102,60 +89,15 @@ class Suite:
 
 
 # ---------------------------------------------------------------------------
-# radial: Perron minimal supersolutions and the limit eigenvalue
-# ---------------------------------------------------------------------------
-
-class Radial:
-    """One task: `perron_minimal_detailed`, then `is_supersolution` on its
-    result, then `lambda0_detailed`, for one catalog cone.
-
-    lam is drawn from the lower half of the band [1/8, lambda0): above it a
-    task needs up to 400 sweeps and 14 s, at r_in = 0.01 it hits the
-    400-sweep cap from about 0.8 of the band on, and a workload must not
-    fail."""
-
-    CONES = ((5, 4), (4, 4), (4, 3), (3, 3))
-    R_IN = (0.05, 0.05, 0.05, 0.01)  # an r_in = 0.01 solve costs about two at 0.05
-    BAND_SHARE = 0.5
-
-    def __init__(self, workdir=None, tiny=False):
-        self.strata = [((5, 4), 0.05)] if tiny else [(pq, r) for r in self.R_IN for pq in self.CONES]
-        self.band_share = 0.05 if tiny else self.BAND_SHARE
-
-    def round(self, rng):
-        tasks = []
-        for pq, r_in in self.strata:
-            lam = 0.125 + self.band_share * rng.random() * (lambda0_oracle(*pq) - 0.125)
-            tasks.append(Task(f"radial{pq}@{r_in}", self._task(pq, r_in, lam)))
-        return tasks
-
-    @staticmethod
-    def _task(pq, r_in, lam):
-        def run():
-            cone = cn.make_cone(*pq)
-            pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0)
-            det = pn.perron_minimal_detailed(pp)
-            accepted, _ = pn.is_supersolution(pp, det.profile)
-            lam0 = sp.lambda0_detailed(cone).lambda0
-            # the minimal solution with u(1) = 1 is the pure power law r^alpha
-            grid = pp.grid
-            exact = grid ** indicial_alpha(*pq, lam)
-            dev = float(np.max(np.abs(det.profile(grid) - exact)) / np.max(exact))
-            if not (dev < 1e-4 and det.residual < 1e-8):
-                raise OracleMiss("perron", f"power-law deviation {dev}, residual {det.residual}")
-            if not abs(lam0 - lambda0_oracle(*pq)) < 1e-3:
-                raise OracleMiss("spectral", f"lambda0 {lam0} vs {lambda0_oracle(*pq)}")
-            return {"perron.is_supersolution.rejects": int(not accepted)}
-        return run
-
-
-# ---------------------------------------------------------------------------
 # geometry: pointwise curvature on sampled grids and analytic callbacks
 # ---------------------------------------------------------------------------
 
-#: calibration, not a derived constant: |scal error| / h^2 for seeded
-#: TrigFields on the unit cube stays below 1.2 (40 seeds, 17 and 49 nodes)
-SAMPLED_ERROR_CONSTANT = 5.0
+#: the sampled path is second order: |scal - law| = c h^2 to four digits
+#: from 13 to 97 nodes.  c scales with the field's fourth derivatives,
+#: bounded by sum_j amp_j |k_j|^4 for u = base + sum_j amp_j cos(k_j . x);
+#: c / that sum stayed below 1.2 over 12000 seeded TrigFields (c itself
+#: reached 17), so the oracle allows this multiple of h^2 times the sum
+SAMPLED_ERROR_CONSTANT = 3.0
 
 
 class Geometry:
@@ -166,13 +108,14 @@ class Geometry:
     checked against the transformation law.  Callback path: cylinders
     R x S^{n-1} and deformed cones, checked against closed-form curvature.
     deformed_metric samples count^n nodes, so only the n = 7, 8 cones fit
-    in memory; cylinder_metric(7) alone peaks near 1 GB."""
+    in memory; cylinder_metric(7) alone peaks near 1 GB.  A round has one
+    task of each kind and size, about 5 s."""
 
-    SAMPLED = (17, 25, 33, 41, 49) * 2
-    CYLINDERS = (5, 6, 7) * 2
-    DEFORMED = ((3, 3), (4, 3)) * 3
-    THETA0 = ((0.9, 1.15), (1.3, 1.4)) * 9  # stiffness k* = 1 and k* = 4
-    DEFLECTIONS = 35
+    SAMPLED = (17, 25, 33, 41, 49)
+    CYLINDERS = (5, 6, 7)
+    DEFORMED = ((3, 3), (4, 3))
+    THETA0 = ((0.9, 1.15), (1.3, 1.4))  # stiffness k* = 1 and k* = 4
+    DEFLECTION_CONES = ((5, 4), (4, 4), (4, 3), (3, 3))
     DELTA = 0.2
 
     def __init__(self, workdir=None, tiny=False):
@@ -180,7 +123,7 @@ class Geometry:
         self.cylinders = (5,) if tiny else self.CYLINDERS
         self.deformed = ((3, 3),) if tiny else self.DEFORMED
         self.theta0 = self.THETA0[:1] if tiny else self.THETA0
-        self.deflections = 1 if tiny else self.DEFLECTIONS
+        self.deflection_cones = self.DEFLECTION_CONES[:1] if tiny else self.DEFLECTION_CONES
         self.cutoff = pn.make_cutoff(4.0, 1.0)
 
     def round(self, rng):
@@ -195,8 +138,7 @@ class Geometry:
             tasks.append(Task(f"deformed{pq}", self._deformed(pq, alpha, nodes)))
         for lo, hi in self.theta0:
             tasks.append(Task(f"bending{lo}", self._bending(rng.uniform(lo, hi))))
-        for _ in range(self.deflections):
-            pq = Radial.CONES[int(rng.integers(len(Radial.CONES)))]
+        for pq in self.deflection_cones:
             alpha = -(sum(pq) - 1) / 2.0 * rng.uniform(0.1, 0.9)
             tasks.append(Task(f"deflection{pq}", self._deflection(pq, alpha, 10.0 ** rng.uniform(-6, -3))))
         return tasks
@@ -213,7 +155,8 @@ class Geometry:
             # transformation law on the flat metric: scal = -8 u^-5 Lap u in dimension 3
             law = -8.0 * float(u.laplacian(x)) * float(u.value(x)) ** -5
             h = 1.0 / (count - 1)
-            if not abs(scal - law) <= SAMPLED_ERROR_CONSTANT * h**2:
+            fourth = float(u.amps @ np.einsum("mi,mi->m", u.waves, u.waves) ** 2)
+            if not abs(scal - law) <= SAMPLED_ERROR_CONSTANT * fourth * h**2:
                 raise OracleMiss("grids", f"scal {scal} vs law {law} at {count} nodes")
             return {}
         return run
@@ -280,10 +223,10 @@ class Covering:
     `verify_families`, then a `double_balls`/`center_shift` round trip.
 
     Radii are 10^U over [-4, -1].  In dimension 3 almost every ball is
-    kept, so the greedy loop costs O(N^2) and N stops at 1000."""
+    kept, so the greedy loop costs O(N^2) and N stops at 1000.  A round
+    takes about 4 s."""
 
-    SIZES = ((2, 300), (2, 600), (2, 800), (2, 1000), (2, 1200), (2, 1500), (2, 2000), (2, 2000),
-             (3, 300), (3, 400), (3, 500), (3, 600), (3, 800), (3, 900), (3, 1000)) * 2
+    SIZES = ((2, 300), (2, 1000), (2, 2000), (3, 300), (3, 600), (3, 1000))
     LOG_RADII = (-4.0, -1.0)
     TARGETS = 10
     ROUND_TRIP = 40
@@ -328,4 +271,4 @@ class Covering:
         return run
 
 
-WORKLOADS = {"suite": Suite, "radial": Radial, "geometry": Geometry, "covering": Covering}
+WORKLOADS = {"suite": Suite, "geometry": Geometry, "covering": Covering}
