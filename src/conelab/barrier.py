@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -21,13 +20,14 @@ from scipy.special import gamma as gamma_fn
 from .cones import DeformedCone, RadialProfile
 from .errors import (
     DomainError,
+    IterationLimitError,
     NoBarrierError,
     ParameterError,
     ResampleError,
     SingularPointError,
 )
-from .grids import conformal_shape_shift
-from .jets import Jet, jet_power
+from .grids import central_jet, conformal_coupling, conformal_shape_shift
+from .jets import Jet, jet_power, radial_laplacian
 from .perron import CutoffSpec
 
 #: default sample band for scal and residual checks (deformed distance)
@@ -57,13 +57,11 @@ def green_laplacian_residual(d: DeformedCone, step=None, samples=200):
     rho = np.geomspace(0.1, 10.0, samples)
     if step is None:
         j = jet_power(rho, -(n - 2.0))
-        d1, d2 = j.d1, j.d2
     else:
         h = float(step)
-        f = lambda x: x ** -(n - 2.0)
-        d1 = (f(rho + h) - f(rho - h)) / (2 * h)
-        d2 = (f(rho + h) - 2 * f(rho) + f(rho - h)) / h**2
-    lap = d2 + (n - 1.0) / rho * d1
+        f, d1, d2 = central_jet(lambda offset: (rho + offset[0] * h) ** -(n - 2.0), [h])
+        j = Jet(f, d1[0], d2[0, 0])
+    lap = radial_laplacian(j, rho, n)
     scale = (n - 1.0) * (n - 2.0) * rho ** -float(n)  # size of either term
     return float(np.max(np.abs(lap) / scale))
 
@@ -121,9 +119,9 @@ def truncate(b: BarrierSpec, rho_range=(1e-3, 10.0), nodes=4000):
 
     shell = np.linspace(1.0 + 1e-9, 2.0 - 1e-9, 2000)
     js = b.jet(shell)
-    lap = js.d2 + (n - 1.0) / shell * js.d1
+    lap = radial_laplacian(js, shell, n)
     sup_pen = float(np.max(np.abs(lap)))
-    coupling = 4.0 * (n - 1.0) / (n - 2.0)
+    coupling = float(1 / conformal_coupling(n))
     deficit = float(np.max(coupling * shell**2 * np.abs(lap) / js.f))
     report = {
         "sup_penalty": sup_pen,
@@ -142,9 +140,8 @@ def scal_quantity(b: BarrierSpec, rho):
     (scal - coupling * Delta u / u) * rho^2 with everything computed in the
     undeformed gauge; positivity thresholds compare against iota_H/2."""
     j = b.jet(rho)
-    n = b.n
-    lap = j.d2 + (n - 1.0) / np.asarray(rho, dtype=float) * j.d1
-    coupling = 4.0 * (n - 1.0) / (n - 2.0)
+    lap = radial_laplacian(j, np.asarray(rho, dtype=float), b.n)
+    coupling = float(1 / conformal_coupling(b.n))
     return b.deformed.scal_rho2() - coupling * np.asarray(rho) ** 2 * lap / j.f
 
 
@@ -169,7 +166,9 @@ def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND, samples=2000, tol=1e-1
         hi *= 2.0
         tries += 1
         if tries > 60:
-            return hi
+            raise IterationLimitError(
+                f"every mu up to {hi} keeps the threshold on {band}: no finite mu_h"
+            )
     lo = 0.0
     while hi - lo > tol * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
@@ -430,7 +429,7 @@ def tube_barrier_check(
     basis = _orthonormal_complement(p)
     a0, b0 = superposition.segment
     t_vals = a0 + (np.arange(axial_samples) + 0.5) / axial_samples * (b0 - a0)
-    coupling_half = 2.0 * (n - 1.0) / (n - 2.0)
+    coupling_half = float(1 / (2 * conformal_coupling(n)))
 
     margin = np.inf
     for _ in range(transverse_samples):
@@ -475,15 +474,11 @@ def _orthonormal_complement(p):
 # dimension-shift margin
 # ---------------------------------------------------------------------------
 
-def conformal_coupling_fraction(n):
-    return Fraction(n - 2, 4 * (n - 1))
-
-
 def dimshift_margin_exact(n):
     """kappa_n - kappa_{n-1} as an exact rational; equals 1/(4(n-1)(n-2))."""
     if n < 4:
         raise DomainError("need n >= 4 for the dimension shift")
-    return conformal_coupling_fraction(n) - conformal_coupling_fraction(n - 1)
+    return conformal_coupling(n) - conformal_coupling(n - 1)
 
 
 def dimshift_scal_sign(c_value, n, a=1.0):
@@ -498,8 +493,8 @@ def dimshift_scal_sign(c_value, n, a=1.0):
     margin = float(gap) * a**2 * float(c_value)
     return {
         "n": n,
-        "kappa_n": conformal_coupling_fraction(n),
-        "kappa_prev": conformal_coupling_fraction(n - 1),
+        "kappa_n": conformal_coupling(n),
+        "kappa_prev": conformal_coupling(n - 1),
         "margin_coefficient": gap,
         "margin": margin,
         "residual_shift": -margin,

@@ -16,6 +16,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from . import bending as bd
 from . import covering as cv
 from . import perron as pn
 from . import spectral as sp
-from .cones import ConeSpec, DeformedCone, RadialProfile, cone_scal, link_diameter, make_cone, second_form_norm2
+from .cones import DeformedCone, RadialProfile, cone_scal, link_diameter, make_cone, second_form_norm2
 from .cones import catalog_cones, deformed_distance, deformed_metric, distortion_bounds
 from .errors import ConfigError
 from .fields import TrigField, flat_metric
@@ -46,6 +47,8 @@ from .jets import jet_power
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV = "CONELAB_OUTPUT"
+#: scenario names become artifact file stems inside the output root
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 #: every public operation, per module; the bundled scenario suite must
 #: exercise each of these at least once (see scenario_coverage)
@@ -557,9 +560,11 @@ def load_scenario(source):
         raise ConfigError("scenario must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {data.get('schema_version')!r}")
-    if not isinstance(data.get("name"), str) or not data["name"]:
-        raise ConfigError("scenario needs a nonempty string name")
-    if not isinstance(data.get("seed"), int):
+    if not isinstance(data.get("name"), str) or not _NAME.fullmatch(data["name"]):
+        raise ConfigError(
+            f"scenario name {data.get('name')!r} must be a file stem matching {_NAME.pattern}"
+        )
+    if not isinstance(data.get("seed"), int) or isinstance(data["seed"], bool):
         raise ConfigError("scenario seed is mandatory and must be an integer")
     checks = data.get("checks")
     if not isinstance(checks, list):

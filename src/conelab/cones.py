@@ -9,7 +9,6 @@ independent oracles for the other modules.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import Chart, MetricField
+from .grids import Chart, MetricField, central_jet, conformal_coupling
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,7 @@ class ConeSpec:
     @property
     def kappa(self):
         """Conformal coupling (n-2)/(4(n-1))."""
-        n = self.n
-        return (n - 2) / (4.0 * (n - 1))
+        return float(conformal_coupling(self.n))
 
     @property
     def link_scal(self):
@@ -250,10 +248,6 @@ def catalog_dump():
     return out
 
 
-def catalog_dump_json():
-    return json.dumps(catalog_dump(), indent=2)
-
-
 # ---------------------------------------------------------------------------
 # embedding-based numeric oracle for the link geometry
 # ---------------------------------------------------------------------------
@@ -303,28 +297,7 @@ def _link_shape_fd(c: ConeSpec, r, angles, step):
     if angles is None:
         angles = 0.7 + 0.1 * np.arange(dim - 1)
     x0 = np.concatenate(([r], angles))
-
-    def shifted(i, s):
-        x = x0.copy()
-        x[i] += s * step
-        return immerse(x)
-
-    f0 = immerse(x0)
-    jac = np.stack([(shifted(i, +1) - shifted(i, -1)) / (2 * step) for i in range(dim)])
-    hess = np.empty((dim, dim, dim + 1))
-    for i in range(dim):
-        hess[i, i] = (shifted(i, +1) - 2 * f0 + shifted(i, -1)) / step**2
-        for j in range(i + 1, dim):
-            xpp, xpm, xmp, xmm = (x0.copy() for _ in range(4))
-            xpp[[i, j]] += step
-            xmm[[i, j]] -= step
-            xpm[i] += step
-            xpm[j] -= step
-            xmp[i] -= step
-            xmp[j] += step
-            hess[i, j] = hess[j, i] = (
-                immerse(xpp) - immerse(xpm) - immerse(xmp) + immerse(xmm)
-            ) / (4 * step**2)
+    _, jac, hess = central_jet(lambda offset: immerse(x0 + np.multiply(offset, step)), np.full(dim, step))
 
     gram = jac @ jac.T
     # unit normal: null direction of the Jacobian

@@ -37,10 +37,6 @@ class ComplexIndicialError(ValueError):
         self.lambda_max = lambda_max
 
 
-class NoSolutionError(ValueError):
-    """No admissible solution exists for the requested parameters."""
-
-
 class BallTooLargeError(ValueError):
     """Sub-annulus fails the first-eigenvalue admissibility margin."""
 

@@ -13,7 +13,9 @@ Index conventions for derivative arrays:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -204,37 +206,51 @@ def scal_from_jet(g, dg, d2g):
 # derivative extraction at a node
 # ---------------------------------------------------------------------------
 
-def _shift(p, axis, step):
-    q = list(p)
-    q[axis] += step
-    return tuple(q)
+def central_jet(sample, h):
+    """(f, df, d2f) at the origin from 2nd-order central differences.
+
+    ``sample(offset)`` returns the value (scalar or array) at the integer
+    step tuple ``offset``; ``h[c]`` is the step along axis c.  Derivative
+    arrays follow the index conventions above: df[c] = d f / d x_c and
+    d2f[c, d] = d^2 f / (d x_c d x_d).
+    """
+    n = len(h)
+
+    def at(*moves):
+        offset = [0] * n
+        for axis, sign in moves:
+            offset[axis] += sign
+        return sample(tuple(offset))
+
+    f = np.asarray(at(), dtype=float)
+    df = np.empty((n,) + f.shape)
+    d2f = np.empty((n, n) + f.shape)
+    for c in range(n):
+        fp, fm = at((c, 1)), at((c, -1))
+        df[c] = (fp - fm) / (2.0 * h[c])
+        d2f[c, c] = (fp - 2.0 * f + fm) / h[c] ** 2
+        for d in range(c + 1, n):
+            fpp, fpm = at((c, 1), (d, 1)), at((c, 1), (d, -1))
+            fmp, fmm = at((c, -1), (d, 1)), at((c, -1), (d, -1))
+            d2f[c, d] = d2f[d, c] = (fpp - fpm - fmp + fmm) / (4.0 * h[c] * h[d])
+    return f, df, d2f
+
+
+def _node_sampler(values, p):
+    """offset -> values at grid node p + offset."""
+    return lambda offset: values[tuple(map(operator.add, p, offset))]
 
 
 def metric_jet(m: MetricField, p):
     """(g, dg, d2g, method) of the metric at node p."""
     p = tuple(int(i) for i in p)
-    n = m.chart.dim
     if m.has_callbacks:
         x = m.chart.node_coords(p)
         g = np.asarray(m.metric_fn(x), dtype=float) if m.metric_fn else m.g[p]
         dg = np.asarray(m.dmetric_fn(x), dtype=float)
         d2g = np.asarray(m.d2metric_fn(x), dtype=float)
         return g, dg, d2g, "analytic"
-
-    h = m.chart.spacings
-    g = m.g[p]
-    dg = np.empty((n, n, n))
-    d2g = np.empty((n, n, n, n))
-    for c in range(n):
-        gp, gm = m.g[_shift(p, c, +1)], m.g[_shift(p, c, -1)]
-        dg[c] = (gp - gm) / (2.0 * h[c])
-        d2g[c, c] = (gp - 2.0 * g + gm) / h[c] ** 2
-        for d in range(c + 1, n):
-            gpp = m.g[_shift(_shift(p, c, +1), d, +1)]
-            gpm = m.g[_shift(_shift(p, c, +1), d, -1)]
-            gmp = m.g[_shift(_shift(p, c, -1), d, +1)]
-            gmm = m.g[_shift(_shift(p, c, -1), d, -1)]
-            d2g[c, d] = d2g[d, c] = (gpp - gpm - gmp + gmm) / (4.0 * h[c] * h[d])
+    g, dg, d2g = central_jet(_node_sampler(m.g, p), m.chart.spacings)
     return g, dg, d2g, "stencil-order-2"
 
 
@@ -268,8 +284,12 @@ def curvature_sample(m: MetricField, p):
 # ---------------------------------------------------------------------------
 
 def conformal_coupling(n):
-    """kappa(n) = (n-2)/(4(n-1))."""
-    return (n - 2) / (4.0 * (n - 1))
+    """kappa(n) = (n-2)/(4(n-1)) as an exact fraction.
+
+    The float of kappa, of 1/kappa and of 1/(2 kappa) are the correctly
+    rounded values of the three ratios, so every float coupling in the
+    package derives from this one definition without changing a bit."""
+    return Fraction(n - 2, 4 * (n - 1))
 
 
 def conformal_scal(scal_g, u, lap_u, n):
@@ -278,7 +298,7 @@ def conformal_scal(scal_g, u, lap_u, n):
         raise DomainError("transformation law needs n >= 3")
     if u <= 0:
         raise DomainError("conformal factor must be positive")
-    c = 4.0 * (n - 1) / (n - 2)
+    c = float(1 / conformal_coupling(n))
     return u ** (-(n + 2.0) / (n - 2.0)) * (-c * lap_u + scal_g * u)
 
 
@@ -308,24 +328,10 @@ def conformal_deform(m: MetricField, u, n=None):
 
 def _scalar_jet(m: MetricField, f, p):
     """(df, d2f) of a level function at node p (stencil or analytic)."""
-    n = m.chart.dim
     if hasattr(f, "grad") and hasattr(f, "hess"):
         x = m.chart.node_coords(p)
         return np.asarray(f.grad(x), dtype=float), np.asarray(f.hess(x), dtype=float)
-    f = np.asarray(f, dtype=float)
-    h = m.chart.spacings
-    df = np.empty(n)
-    d2f = np.empty((n, n))
-    for c in range(n):
-        fp, fm = f[_shift(p, c, +1)], f[_shift(p, c, -1)]
-        df[c] = (fp - fm) / (2.0 * h[c])
-        d2f[c, c] = (fp - 2.0 * f[p] + fm) / h[c] ** 2
-        for d in range(c + 1, n):
-            fpp = f[_shift(_shift(p, c, +1), d, +1)]
-            fpm = f[_shift(_shift(p, c, +1), d, -1)]
-            fmp = f[_shift(_shift(p, c, -1), d, +1)]
-            fmm = f[_shift(_shift(p, c, -1), d, -1)]
-            d2f[c, d] = d2f[d, c] = (fpp - fpm - fmp + fmm) / (4.0 * h[c] * h[d])
+    _, df, d2f = central_jet(_node_sampler(np.asarray(f, dtype=float), p), m.chart.spacings)
     return df, d2f
 
 

@@ -59,38 +59,11 @@ class Jet:
         return Jet(inv, -self.d1 * inv**2, (2.0 * self.d1**2 / self.f - self.d2) * inv**2)
 
 
-def jet_var(x):
-    """The identity jet of the evaluation variable."""
-    x = np.asarray(x, dtype=float)
-    return Jet(x, np.ones_like(x), np.zeros_like(x))
-
-
-def jet_const(c, like=None):
-    shape = np.shape(like.f) if isinstance(like, Jet) else np.shape(c)
-    z = np.zeros(shape)
-    return Jet(np.broadcast_to(np.asarray(c, dtype=float), shape).copy(), z.copy(), z.copy())
-
-
 def jet_power(x, alpha):
     """Jet of r^alpha at r = x (x > 0)."""
     x = np.asarray(x, dtype=float)
     f = x**alpha
     return Jet(f, alpha * x ** (alpha - 1.0), alpha * (alpha - 1.0) * x ** (alpha - 2.0))
-
-
-def jet_exp(j: Jet) -> Jet:
-    e = np.exp(j.f)
-    return Jet(e, e * j.d1, e * (j.d2 + j.d1**2))
-
-
-def jet_sin(j: Jet) -> Jet:
-    s, c = np.sin(j.f), np.cos(j.f)
-    return Jet(s, c * j.d1, c * j.d2 - s * j.d1**2)
-
-
-def jet_cos(j: Jet) -> Jet:
-    s, c = np.sin(j.f), np.cos(j.f)
-    return Jet(c, -s * j.d1, -s * j.d2 - c * j.d1**2)
 
 
 def jet_compose(outer, inner: Jet) -> Jet:
@@ -102,3 +75,8 @@ def jet_compose(outer, inner: Jet) -> Jet:
         o.d1 * inner.d1,
         o.d2 * inner.d1**2 + o.d1 * inner.d2,
     )
+
+
+def radial_laplacian(j: Jet, r, n):
+    """Laplacian f'' + (n-1)/r f' of a radial function in dimension n."""
+    return j.d2 + (n - 1.0) / r * j.d1

@@ -33,8 +33,8 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
-from .jets import Jet, jet_compose, jet_power
-from .spectral import lambda0_closed_form, radial_operator_residual
+from .jets import Jet, jet_compose, jet_power, radial_laplacian
+from .spectral import lambda0_closed_form, log_tridiagonal, radial_operator_residual
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +142,11 @@ _MARGIN_FACTOR = 1.1
 
 def laplace_first_eigen(c: ConeSpec, r0, r1, nodes=400):
     """First Dirichlet eigenvalue of -Delta (radial part) on [r0, r1]."""
-    n = c.n
-    s = np.linspace(np.log(r0), np.log(r1), nodes)
-    h = s[1] - s[0]
     # -v'' + ((n-2)^2/4) v = mu e^{2s} v after u = r^{-(n-2)/2} v
-    diag = 2.0 / h**2 + (n - 2.0) ** 2 / 4.0
-    b = np.exp(2.0 * s[1:-1])
-    scale = 1.0 / np.sqrt(b)
-    d = np.full(nodes - 2, diag) * scale**2
-    e = -1.0 / h**2 * scale[:-1] * scale[1:]
+    s, diag, off = log_tridiagonal(r0, r1, nodes, (c.n - 2.0) ** 2 / 4.0)
+    scale = 1.0 / np.sqrt(np.exp(2.0 * s[1:-1]))
+    d = diag * scale**2
+    e = off * scale[:-1] * scale[1:]
     vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
     return float(vals[0])
 
@@ -172,44 +168,35 @@ def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=1001):
     condition r u'/u = alpha; bc_outer is ("dirichlet", value).
     Returns (r_nodes, values) on the coarse grid.
     """
+    kind, val = bc_inner
+    if kind not in ("dirichlet", "robin"):
+        raise DomainError(f"unknown boundary condition {kind}")
+    # unknowns are u_first..u_{npts-2}: a Dirichlet inner value is data,
+    # a Robin inner value is solved for
+    first = 1 if kind == "dirichlet" else 0
 
     def solve(npts):
         s = np.linspace(np.log(r0), np.log(r1), npts)
         h = s[1] - s[0]
-        a = pp.coupling
         lower = 1.0 / h**2 - (pp.cone.n - 2.0) / (2.0 * h)
         upper = 1.0 / h**2 + (pp.cone.n - 2.0) / (2.0 * h)
-        center = -2.0 / h**2 + a
-        kind, val = bc_inner
-        if kind == "dirichlet":
-            ns = npts - 2
-            ab = np.zeros((3, ns))
-            ab[0, 1:] = upper
-            ab[1, :] = center
-            ab[2, :-1] = lower
-            rhs = np.zeros(ns)
-            rhs[0] -= lower * val
-            rhs[-1] -= upper * bc_outer[1]
-            u = np.empty(npts)
-            u[0], u[-1] = val, bc_outer[1]
-            u[1:-1] = solve_banded((1, 1), ab, rhs)
-        elif kind == "robin":
-            alpha = val
-            ns = npts - 1  # unknowns u_0..u_{npts-2}
-            ab = np.zeros((3, ns))
-            ab[1, :] = center
-            ab[0, 1:] = upper
-            ab[2, :-1] = lower
+        center = -2.0 / h**2 + pp.coupling
+        ns = npts - 1 - first
+        ab = np.zeros((3, ns))
+        ab[0, 1:] = upper
+        ab[1, :] = center
+        ab[2, :-1] = lower
+        rhs = np.zeros(ns)
+        if kind == "robin":
             # ghost elimination at i = 0: u_{-1} = u_1 - 2 h alpha u_0
-            ab[1, 0] = center - 2.0 * h * alpha * lower
+            ab[1, 0] = center - 2.0 * h * val * lower
             ab[0, 1] = upper + lower
-            rhs = np.zeros(ns)
-            rhs[-1] -= upper * bc_outer[1]
-            u = np.empty(npts)
-            u[-1] = bc_outer[1]
-            u[:-1] = solve_banded((1, 1), ab, rhs)
         else:
-            raise DomainError(f"unknown boundary condition {kind}")
+            rhs[0] -= lower * val
+        rhs[-1] -= upper * bc_outer[1]
+        u = np.empty(npts)
+        u[0], u[-1] = val, bc_outer[1]
+        u[first:-1] = solve_banded((1, 1), ab, rhs)
         return u
 
     coarse = solve(nodes)
@@ -361,6 +348,8 @@ def perron_minimal_detailed(
     (they must agree; the polish removes interface kinks that would
     pollute the high-order residual check).
     """
+    if max_sweeps < 1:
+        raise ParameterError("max_sweeps must be >= 1")
     alpha, _ = indicial_exponent(pp.cone, pp.lam)
     sset = SupersolutionSet(pp, [])
     for f in seeds if seeds is not None else [default_seed(pp)]:
@@ -512,11 +501,9 @@ def _quintic_step_jet(y):
     return Jet(f, np.where(inside, d1, zero), np.where(inside, d2, zero))
 
 
-def operator_value_jet(c: ConeSpec, lam_unused, j: Jet, r):
+def operator_value_jet(c: ConeSpec, j: Jet, r):
     """-Delta f + kappa scal f evaluated from an analytic radial 2-jet."""
-    n = c.n
-    lap = j.d2 + (n - 1.0) / r * j.d1
-    return -lap + c.kappa * (-(c.p + c.q) / r**2) * j.f
+    return -radial_laplacian(j, r, c.n) + c.kappa * (-(c.p + c.q) / r**2) * j.f
 
 
 def crease_smooth(
@@ -598,7 +585,7 @@ def crease_smooth(
     jout = blend_jet(grid)
     if np.any(jout.f <= 0):
         raise ParameterError("blend lost positivity; reduce eta")
-    op_vals = operator_value_jet(cone, None, jout, grid)
+    op_vals = operator_value_jet(cone, jout, grid)
     margin = float(op_vals.min())
     if margin <= 0:
         raise ParameterError(

@@ -24,7 +24,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
-from .errors import ConvergenceError, DomainError, OutOfBandError, SolverError
+from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError, SolverError
+from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
 _NODES = 2000
@@ -100,18 +101,21 @@ def exhaustion_annulus(w: WeightedProblem, m):
     return (r_out * 4.0 ** (-m), r_out)
 
 
+def log_tridiagonal(r0, r1, nodes, c):
+    """Log grid s on [ln r0, ln r1] and the interior (diagonal, off-diagonal)
+    of -d^2/ds^2 + c with Dirichlet ends, at second order."""
+    s = np.linspace(np.log(r0), np.log(r1), nodes)
+    h = s[1] - s[0]
+    return s, np.full(nodes - 2, 2.0 / h**2 + c), np.full(nodes - 3, -1.0 / h**2)
+
+
 def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
     """Smallest Dirichlet eigenvalue/eigenfunction via the log-variable FD."""
     n = w.cone.n
-    s = np.linspace(np.log(r_in), np.log(r_out), nodes)
-    h = s[1] - s[0]
     pot = (n - 2.0) ** 2 / 4.0 - w.kappa * (w.cone.p + w.cone.q)
     wgt = w.eps**2 + w.cone.p + w.cone.q
-    diag = 2.0 / h**2 + pot
-    off = -np.ones(nodes - 3) / h**2
-    vals, vecs = eigh_tridiagonal(
-        np.full(nodes - 2, diag), off, select="i", select_range=(0, 0)
-    )
+    s, diag, off = log_tridiagonal(r_in, r_out, nodes, pot)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     lam = vals[0] / wgt
     v = np.zeros(nodes)
     v[1:-1] = vecs[:, 0]
@@ -206,6 +210,8 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
     geometric schedule, so pairwise extrapolants converge fast; the error
     estimate is the gap between the last two.
     """
+    if m_max < 3:
+        raise ParameterError("m_max must be >= 3: the error estimate needs two extrapolants")
     w = WeightedProblem(cone=c, eps=eps, annulus=(r_out * 4.0 ** (-m_max), r_out))
     ms = list(range(1, m_max + 1))
     lams = [dirichlet_eigen(w, m).lam for m in ms]
@@ -246,9 +252,6 @@ def eigenfunction_below(c: ConeSpec, lam, annulus=(0.01, 1.0), nodes=2000):
 
     alpha, _ = indicial_exponent(c, lam)
     r = np.geomspace(annulus[0], annulus[1], nodes)
-
-    from .jets import jet_power
-
     return RadialProfile(
         r, r**alpha, tag="eigenfunction", jet_fn=lambda x: jet_power(x, alpha)
     )
@@ -262,10 +265,8 @@ def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
     not the probe.
     """
     r = profile.grid
-    n = c.n
     if profile.jet_fn is not None:
         j = profile.jet_fn(r)
-        u, du, d2u = j.f, j.d1, j.d2
     else:
         s = np.log(r)
         h = np.diff(s)
@@ -279,11 +280,13 @@ def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
         d2v[2:-2] = (
             -v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]
         ) / (12 * h**2)
-        u = v
-        du = dv / r
-        d2u = (d2v - dv) / r**2
-    lap = d2u + (n - 1.0) / r * du
-    res = -lap + c.kappa * cone_scal(c, r) * u - lam * second_form_norm2(c, r) * u
+        j = Jet(v, dv / r, (d2v - dv) / r**2)
+    u = j.f
+    res = (
+        -radial_laplacian(j, r, c.n)
+        + c.kappa * cone_scal(c, r) * u
+        - lam * second_form_norm2(c, r) * u
+    )
     scale = np.abs(u) + 1e-300
     vals = np.abs(res) * r**2 / scale
     return float(np.nanmax(vals))

@@ -113,7 +113,7 @@ def test_crease_smoothing_margin_and_locality():
     out, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=c,
                                 return_report=True)
     assert rep["margin"] > 0
-    op_vals = pn.operator_value_jet(c, None, out.jet_fn(g), g)
+    op_vals = pn.operator_value_jet(c, out.jet_fn(g), g)
     assert op_vals.min() > 0  # strict at every sample
     r_lo, r_hi = rep["window"]
     left, right = g < r_lo * 0.999, g > r_hi * 1.001

@@ -7,6 +7,7 @@ from conelab import barrier as br
 from conelab.cones import DeformedCone, make_cone
 from conelab.errors import (
     DomainError,
+    IterationLimitError,
     NoBarrierError,
     ParameterError,
     SingularPointError,
@@ -127,6 +128,14 @@ class TestScalPositivity:
         plain = DeformedCone(make_cone(3, 3), alpha=0.0)  # scal < 0
         with pytest.raises(NoBarrierError):
             br.mu_h(plain, cutoff)
+
+    def test_default_band_value(self, deformed, cutoff):
+        assert round(br.mu_h(deformed, cutoff), 6) == 0.029110
+
+    def test_band_inside_harmonic_ball_has_no_finite_threshold(self, deformed, cutoff):
+        # inside B_1 green is harmonic, so every mu passes and doubling never stops
+        with pytest.raises(IterationLimitError):
+            br.mu_h(deformed, cutoff, band=(1e-3, 0.5))
 
 
 class TestAreaProfile:

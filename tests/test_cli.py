@@ -30,6 +30,8 @@ class TestScenarioSchema:
             {"seed": "42"},
             {"name": ""},
             {"checks": "dimshift"},
+            {"name": "../../evil"},
+            {"seed": True},
         ],
     )
     def test_malformed_scenarios_rejected(self, mutation):
@@ -158,6 +160,13 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert cli.main(["run", str(bad), "--output", str(tmp_path)]) == 2
+
+    def test_run_traversal_name_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(_scenario(name="../../evil")))
+        out = tmp_path / "root" / "artifacts"
+        assert cli.main(["run", str(scen), "--output", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
 
     def test_report_command(self, tmp_path, capsys):
         cli.run_scenario(_scenario(), output_root=tmp_path)

@@ -175,6 +175,45 @@ class TestScalarCurvature:
 
 
 # ---------------------------------------------------------------------------
+# shared central stencil
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+    value_shape=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_central_jet_exact_on_quadratics(steps, value_shape, seed):
+    """Central differences reproduce a quadratic's gradient and Hessian up
+    to rounding, for scalar, vector and matrix values and unequal steps."""
+    n = len(steps)
+    h = np.array(steps)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    a = rng.uniform(-1.0, 1.0, value_shape)
+    b = rng.uniform(-1.0, 1.0, (n,) + value_shape)
+    c = rng.uniform(-1.0, 1.0, (n, n) + value_shape)
+    c = 0.5 * (c + np.swapaxes(c, 0, 1))  # Hessian of x^T c x / 2 is c
+
+    def quadratic(x):
+        return a + np.tensordot(x, b, 1) + 0.5 * np.tensordot(x, np.tensordot(x, c, 1), 1)
+
+    seen = []
+
+    def sample(offset):
+        val = quadratic(x0 + np.multiply(offset, h))
+        seen.append(np.max(np.abs(val)))
+        return val
+
+    f, df, d2f = grids.central_jet(sample, h)
+    tol = 64 * np.finfo(float).eps * max(seen) / h.min() ** 2
+    np.testing.assert_array_equal(f, quadratic(x0))
+    np.testing.assert_allclose(df, b + np.tensordot(x0, c, 1), rtol=0, atol=tol)
+    np.testing.assert_allclose(d2f, c, rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
 # conformal transformation law
 # ---------------------------------------------------------------------------
 
@@ -207,6 +246,15 @@ class TestConformalScal:
         a = conformal_scal(s, u, lap, n)
         b = conformal_scal(2 * s, u, 2 * lap, n)
         assert np.isclose(b, 2 * a, rtol=1e-12, atol=1e-12)
+
+
+class TestConformalCoupling:
+    @given(n=st.integers(3, 200))
+    def test_floats_match_the_literal_ratios_bit_for_bit(self, n):
+        kappa = grids.conformal_coupling(n)
+        assert float(kappa) == (n - 2) / (4.0 * (n - 1))
+        assert float(1 / kappa) == 4.0 * (n - 1) / (n - 2)
+        assert float(1 / (2 * kappa)) == 2.0 * (n - 1) / (n - 2)
 
 
 class TestConformalDeform:

@@ -261,6 +261,10 @@ class TestPerronMinimal:
         d = pn.perron_minimal_detailed(problem).to_dict()
         assert set(d) == {"alpha", "c", "iterations", "residual", "minimality_checks"}
 
+    def test_zero_sweep_budget_rejected(self, problem):
+        with pytest.raises(ParameterError):
+            pn.perron_minimal_detailed(problem, max_sweeps=0)
+
 
 # ---------------------------------------------------------------------------
 # cutoffs

@@ -5,7 +5,7 @@ import pytest
 
 from conelab import spectral as sp
 from conelab.cones import RadialProfile, catalog_cones, make_cone
-from conelab.errors import ConvergenceError, DomainError, OutOfBandError
+from conelab.errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
 
 
 @pytest.fixture
@@ -135,6 +135,12 @@ class TestLambda0:
         assert d["cone"] == [3, 3]
         assert len(d["lambda_sequence"]) == len(d["schedule"])
         assert d["error_estimate"] >= 0
+
+    @pytest.mark.parametrize("m_max", [1, 2])
+    def test_too_short_exhaustion_rejected(self, simons, m_max):
+        # the error estimate compares two Richardson extrapolants
+        with pytest.raises(ParameterError):
+            sp.lambda0_detailed(simons, m_max=m_max)
 
 
 class TestEigenfunctionBelow:
