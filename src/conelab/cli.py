@@ -539,6 +539,44 @@ CHECKS = {
 }
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < float("inf")
+
+
+def _is_odd_counts(v):
+    return (
+        isinstance(v, (list, tuple))
+        and len(v) >= 2
+        and all(_is_int(c) and c >= 5 and c % 2 == 1 for c in v)
+        and all(a < b for a, b in zip(v, v[1:]))
+    )
+
+
+#: check name -> {param: (predicate, requirement)}; a check not listed
+#: takes no params
+PARAMS = {
+    "conformal-consistency": {
+        "factors": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        "counts": (_is_odd_counts, "a list of at least two increasing odd integers >= 5"),
+        "order_tolerance": (_is_positive, "a number > 0"),
+    },
+    "theta-scaling": {"n": (lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
+    "covering-random": {
+        "instances": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        # each instance draws 10 target centres from its balls
+        "balls": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
+    },
+    "bending-sphere": {
+        "theta0": (_is_positive, "a number > 0"),
+        "delta": (_is_positive, "a number > 0"),
+    },
+}
+
+
 # ---------------------------------------------------------------------------
 # scenarios and reports
 # ---------------------------------------------------------------------------
@@ -574,8 +612,18 @@ def load_scenario(source):
             raise ConfigError(f"malformed check entry {entry!r}")
         if entry["check"] not in CHECKS:
             raise ConfigError(f"unknown check {entry['check']!r}")
-        if not isinstance(entry.get("params", {}), dict):
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
             raise ConfigError("check params must be an object")
+        schema = PARAMS.get(entry["check"], {})
+        for key, value in params.items():
+            if key not in schema:
+                raise ConfigError(f"unknown param {key!r} for check {entry['check']!r}")
+            accepts, requirement = schema[key]
+            if not accepts(value):
+                raise ConfigError(
+                    f"param {key!r} of check {entry['check']!r} must be {requirement}, got {value!r}"
+                )
     return data
 
 

@@ -14,6 +14,7 @@ extrapolated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,6 +88,8 @@ class PerronProblem:
     domain: tuple
     boundary_value: float
     nodes: int = 2000
+    #: results of the ``_per_problem`` functions, computed once per problem
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r_in, r_out = self.domain
@@ -228,6 +231,21 @@ def local_solve(pp: PerronProblem, sub, boundary, nodes=1001, enforce_margin=Tru
 # supersolutions, lifts, minimal solution
 # ---------------------------------------------------------------------------
 
+def _per_problem(fn):
+    """Memoize ``fn(pp, *args)`` on the problem; callers share the result,
+    so it must not be mutated."""
+
+    @functools.wraps(fn)
+    def memoized(pp: PerronProblem, *args):
+        key = (fn.__name__,) + args
+        if key not in pp._memo:
+            pp._memo[key] = fn(pp, *args)
+        return pp._memo[key]
+
+    return memoized
+
+
+@_per_problem
 def _admissible_windows(pp: PerronProblem, levels=2):
     """Deterministic dyadic family of margin-admissible sub-annuli.
 
@@ -251,7 +269,49 @@ def _admissible_windows(pp: PerronProblem, levels=2):
             if b - a > 0.2 * w:
                 windows.append((snap(a), snap(b)))
             a += step
-    return [win for win in windows if margin_ratio(pp, win) >= _MARGIN_FACTOR]
+    return tuple(win for win in windows if margin_ratio(pp, win) >= _MARGIN_FACTOR)
+
+
+def _project(pp: PerronProblem, sub, grid, spline, robin=False):
+    """Window solutions for unit end data on the nodes of ``grid`` in ``sub``.
+
+    Every window solve is linear in its end data, and so are both
+    projections, so the solve with data (a, b) restricted to ``grid[sl]``
+    is ``a * rows[0] + b * rows[1]``; the Robin tip window has the single
+    row ``rows[0]`` (outer value 1).  ``spline`` selects the lift's
+    projection (not-a-knot cubic in ln r, window ends widened by 1e-12
+    relative); otherwise the comparison test's (linear in r, as
+    ``RadialProfile.__call__``).  Returns ``(sl, rows)``."""
+    r0, r1 = sub
+    if robin:
+        alpha, _ = indicial_exponent(pp.cone, pp.lam)
+        r, u = _solve_window(pp, r0, r1, ("robin", alpha), ("dirichlet", 1.0))
+        u = u[None, :]
+    else:
+        r, u0 = _solve_window(pp, r0, r1, ("dirichlet", 1.0), ("dirichlet", 0.0))
+        _, u1 = _solve_window(pp, r0, r1, ("dirichlet", 0.0), ("dirichlet", 1.0))
+        u = np.stack([u0, u1])
+    lo, hi = (r0 * (1 - 1e-12), r1 * (1 + 1e-12)) if spline else (r0, r1)
+    sl = slice(int(np.searchsorted(grid, lo, "left")), int(np.searchsorted(grid, hi, "right")))
+    if spline:
+        rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid[sl]))
+    else:
+        rows = np.array([np.interp(grid[sl], r, row) for row in u])
+    rows.setflags(write=False)
+    return sl, rows
+
+
+@_per_problem
+def _window_basis(pp: PerronProblem, sub, spline, robin):
+    """``_project`` onto the problem grid, once per problem and window."""
+    return _project(pp, sub, pp.grid, spline, robin)
+
+
+def _basis(pp: PerronProblem, sub, grid, spline):
+    """Dirichlet window basis on ``grid``: cached when it is the problem grid."""
+    if grid.shape == (pp.nodes,) and np.array_equal(grid, pp.grid):
+        return _window_basis(pp, tuple(sub), spline, False)
+    return _project(pp, sub, grid, spline)
 
 
 def is_supersolution(pp: PerronProblem, f: RadialProfile, rtol=1e-7):
@@ -264,12 +324,14 @@ def is_supersolution(pp: PerronProblem, f: RadialProfile, rtol=1e-7):
         bad = int(np.argmin(f.values))
         return False, {"window": None, "reason": "not positive", "index": bad}
     scale = float(np.abs(f.values).max())
-    for r0, r1 in _admissible_windows(pp):
-        sol = local_solve(pp, (r0, r1), (f(r0), f(r1)), enforce_margin=False)
-        mask = (f.grid >= r0) & (f.grid <= r1)
-        excess = np.max(sol(f.grid[mask]) - f.values[mask]) if mask.any() else -np.inf
+    for win in _admissible_windows(pp):
+        sl, rows = _basis(pp, win, f.grid, spline=False)
+        if sl.start == sl.stop:
+            continue
+        a, b = f(win)
+        excess = np.max(a * rows[0] + b * rows[1] - f.values[sl])
         if excess > rtol * scale:
-            return False, {"window": (r0, r1), "excess": float(excess)}
+            return False, {"window": win, "excess": float(excess)}
     return True, None
 
 
@@ -284,17 +346,10 @@ def lift(pp: PerronProblem, f: RadialProfile, sub, check=True):
         ratio = margin_ratio(pp, sub)
         if ratio < _MARGIN_FACTOR:
             raise BallTooLargeError(f"margin {ratio:.3f} < {_MARGIN_FACTOR}")
-    return _lift_raw(pp, f, sub)
-
-
-def _lift_raw(pp: PerronProblem, f: RadialProfile, sub, inner_bc=None):
-    r0, r1 = sub
-    sol_bc_inner = inner_bc if inner_bc is not None else ("dirichlet", float(f(r0)))
-    r, u = _solve_window(pp, r0, r1, sol_bc_inner, ("dirichlet", float(f(r1))))
+    sl, rows = _basis(pp, sub, f.grid, spline=True)
+    a, b = f(sub)
     vals = f.values.copy()
-    mask = (f.grid >= r0 * (1 - 1e-12)) & (f.grid <= r1 * (1 + 1e-12))
-    local = CubicSpline(np.log(r), u)(np.log(f.grid[mask]))
-    vals[mask] = np.minimum(vals[mask], local)
+    vals[sl] = np.minimum(vals[sl], a * rows[0] + b * rows[1])
     return RadialProfile(f.grid, vals, tag=f.tag)
 
 
@@ -322,6 +377,8 @@ class PerronResult:
     iterations: int
     residual: float
     minimality_checks: tuple
+    windows: int
+    last_decrement: float
 
     def to_dict(self):
         return {
@@ -330,6 +387,8 @@ class PerronResult:
             "iterations": self.iterations,
             "residual": self.residual,
             "minimality_checks": list(self.minimality_checks),
+            "windows": self.windows,
+            "last_decrement": self.last_decrement,
         }
 
 
@@ -344,9 +403,10 @@ def perron_minimal_detailed(
 
     The innermost window carries the indicial Robin condition (the tip
     surrogate); sweeps stop when the sup-norm decrement drops below the
-    tolerance.  A final global Robin--Dirichlet solve polishes the iterate
-    (they must agree; the polish removes interface kinks that would
-    pollute the high-order residual check).
+    tolerance.  Each lift is ``min(w, a phi0 + b phi1)`` over the window's
+    cached basis (see ``_project``).  A final global Robin--Dirichlet solve
+    polishes the iterate (they must agree; the polish removes interface
+    kinks that would pollute the high-order residual check).
     """
     if max_sweeps < 1:
         raise ParameterError("max_sweeps must be >= 1")
@@ -359,17 +419,21 @@ def perron_minimal_detailed(
     windows = sorted(_admissible_windows(pp), key=lambda ab: ab[0])
     if not windows:
         raise DomainError("no admissible sweep windows; domain too small")
+    lifts = []
+    for win in windows:
+        robin = abs(win[0] - pp.domain[0]) < 1e-14 * pp.domain[0]
+        lifts.append((win, robin) + _window_basis(pp, win, True, robin))
 
+    grid, vals = w.grid, w.values.copy()
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
-        prev = w.values.copy()
-        for i, win in enumerate(windows):
-            inner_bc = None
-            if abs(win[0] - pp.domain[0]) < 1e-14 * pp.domain[0]:
-                inner_bc = ("robin", alpha)
-            w = _lift_raw(pp, w, win, inner_bc=inner_bc)
-        dec = float(np.max(np.abs(prev - w.values)))
+        prev = vals.copy()
+        for win, robin, sl, rows in lifts:
+            a, b = np.interp(win, grid, vals)
+            local = b * rows[0] if robin else a * rows[0] + b * rows[1]
+            np.minimum(vals[sl], local, out=vals[sl])
+        dec = float(np.max(np.abs(prev - vals)))
         if dec < decrement_tol:
             break
     else:
@@ -386,7 +450,7 @@ def perron_minimal_detailed(
         nodes=pp.nodes,
     )
     polish = RadialProfile(r, u, tag="solution")
-    gap = float(np.max(np.abs(polish(w.grid) - w.values)))
+    gap = float(np.max(np.abs(polish(grid) - vals)))
     if gap > 1e-6 * pp.boundary_value * (pp.domain[0] / pp.domain[1]) ** alpha:
         raise IterationLimitError(f"sweep iterate and global solve disagree by {gap}")
 
@@ -403,6 +467,8 @@ def perron_minimal_detailed(
         iterations=sweeps,
         residual=residual,
         minimality_checks=checks,
+        windows=len(windows),
+        last_decrement=dec,
     )
 
 

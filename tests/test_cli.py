@@ -40,6 +40,18 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError):
             cli.load_scenario(data)
 
+    @pytest.mark.parametrize(
+        "check, params",
+        [
+            ("theta-scaling", {"n": 8}),
+            ("conformal-consistency", {"factors": 2, "counts": [9, 17, 33], "order_tolerance": 0.25}),
+            ("covering-random", {"instances": 1, "balls": 10}),
+            ("bending-sphere", {"theta0": 1, "delta": 0.15}),
+        ],
+    )
+    def test_declared_params_accepted(self, check, params):
+        cli.load_scenario(_scenario(checks=(check,), params=params))
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigError):
             cli.load_scenario(_scenario(checks=("no-such-check",)))
@@ -75,12 +87,13 @@ class TestRun:
         assert all(c["wall_time"] >= 0 for c in rep.checks)
 
     def test_module_error_recorded_as_failure(self, tmp_path):
-        # n = 9 has no cone substrate: the KeyError becomes a failed check,
-        # not a crash, and artifacts are still written
-        scen = _scenario(name="boom", checks=("theta-scaling",), params={"n": 9})
+        # a core radius inside the tube depth is valid input the library
+        # rejects: the DomainError becomes a failed check, not a crash, and
+        # artifacts are still written
+        scen = _scenario(name="boom", checks=("bending-sphere",), params={"theta0": 0.3})
         rep = cli.run_scenario(scen, output_root=tmp_path)
         assert rep.status == "fail"
-        assert "KeyError" in rep.checks[0]["details"]
+        assert "DomainError" in rep.checks[0]["details"]
         assert (tmp_path / "boom.report.json").exists()
 
     def test_empty_checks_is_skip(self, tmp_path):
@@ -178,5 +191,33 @@ class TestMain:
 
     def test_run_failure_exits_1(self, tmp_path):
         scen = tmp_path / "boom.json"
-        scen.write_text(json.dumps(_scenario(name="boom", checks=("theta-scaling",), params={"n": 9})))
+        scen.write_text(json.dumps(_scenario(name="boom", checks=("bending-sphere",), params={"theta0": 0.3})))
         assert cli.main(["run", str(scen), "--output", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "check, params",
+        [
+            ("theta-scaling", {"n": 9}),
+            ("theta-scaling", {"n": True}),
+            ("conformal-consistency", {"counts": [17]}),
+            ("conformal-consistency", {"counts": [33, 17]}),
+            ("conformal-consistency", {"counts": [17, 32]}),
+            ("conformal-consistency", {"counts": [3, 5]}),
+            ("conformal-consistency", {"factors": 0}),
+            ("conformal-consistency", {"factors": "5"}),
+            ("conformal-consistency", {"order_tolerance": 0}),
+            ("covering-random", {"instances": 0}),
+            ("covering-random", {"balls": 9}),
+            ("bending-sphere", {"theta0": 0.0}),
+            ("bending-sphere", {"delta": -0.2}),
+            ("theta-scaling", {"m": 7}),
+            ("dimshift", {"n": 7}),
+        ],
+    )
+    def test_run_bad_params_exit_2_and_write_nothing(self, tmp_path, capsys, check, params):
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(_scenario(name="bad", checks=(check,), params=params)))
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", str(scen), "--output", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]

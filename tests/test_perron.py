@@ -3,6 +3,9 @@ solutions, indicial exponents, cutoffs and crease smoothing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from conelab import perron as pn
 from conelab import spectral as sp
@@ -200,6 +203,114 @@ class TestLift:
             pn.lift(problem, pn.default_seed(problem), (0.01, 1.0))
 
 
+# ---------------------------------------------------------------------------
+# cached window basis against direct window solves
+# ---------------------------------------------------------------------------
+
+def _reference_local(pp, sub, grid, inner_bc, outer):
+    """Direct window solve with its spline projection onto the grid nodes
+    inside the window (the per-lift path that the basis replaces)."""
+    r0, r1 = sub
+    r, u = pn._solve_window(pp, r0, r1, inner_bc, ("dirichlet", outer))
+    mask = (grid >= r0 * (1 - 1e-12)) & (grid <= r1 * (1 + 1e-12))
+    return mask, CubicSpline(np.log(r), u)(np.log(grid[mask]))
+
+
+def _reference_is_supersolution(pp, f, rtol=1e-7):
+    """Comparison test by direct local solves: (verdict, violating window)."""
+    scale = float(np.abs(f.values).max())
+    for r0, r1 in pn._admissible_windows(pp):
+        sol = pn.local_solve(pp, (r0, r1), (f(r0), f(r1)), enforce_margin=False)
+        mask = (f.grid >= r0) & (f.grid <= r1)
+        excess = np.max(sol(f.grid[mask]) - f.values[mask]) if mask.any() else -np.inf
+        if excess > rtol * scale:
+            return False, (r0, r1)
+    return True, None
+
+
+@st.composite
+def _window_problems(draw):
+    """(problem, window) with lam in the lower half of [1/8, lambda0), a
+    (3,3) or (4,3) cone and a window from the admissible family."""
+    cone = make_cone(*draw(st.sampled_from([(3, 3), (4, 3)])))
+    lam0 = sp.lambda0_closed_form(cone)
+    lam = 0.125 + draw(st.floats(0.0, 0.5, exclude_max=True)) * (lam0 - 0.125)
+    r_in = draw(st.floats(0.005, 0.1))
+    pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=400)
+    windows = pn._admissible_windows(pp)
+    return pp, windows[draw(st.integers(0, len(windows) - 1))]
+
+
+_end_value = st.floats(1e-3, 1e3)
+
+
+class TestWindowBasis:
+    @settings(max_examples=30, deadline=None)
+    @given(case=_window_problems(), a=_end_value, b=_end_value)
+    def test_lift_matches_direct_solve(self, case, a, b):
+        pp, win = case
+        grid = pp.grid
+        # f is far above any local solution inside the window, so the lift
+        # returns the local solution there
+        vals = np.full_like(grid, 1e9)
+        vals[np.searchsorted(grid, win)] = a, b
+        f = RadialProfile(grid, vals, tag="supersolution")
+        lifted = pn.lift(pp, f, win, check=False)
+        mask, local = _reference_local(pp, win, grid, ("dirichlet", a), b)
+        np.testing.assert_allclose(lifted.values[mask], local, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(lifted.values[~mask], vals[~mask])
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_window_problems(), b=_end_value)
+    def test_robin_tip_window_matches_direct_solve(self, case, b):
+        pp, _ = case
+        tip = min(pn._admissible_windows(pp))
+        assert tip[0] == pp.domain[0]
+        alpha, _ = pn.indicial_exponent(pp.cone, pp.lam)
+        sl, rows = pn._window_basis(pp, tip, True, True)
+        mask, local = _reference_local(pp, tip, pp.grid, ("robin", alpha), b)
+        assert np.array_equal(np.flatnonzero(mask), np.arange(sl.start, sl.stop))
+        np.testing.assert_allclose(b * rows[0], local, rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=_window_problems(),
+        t=st.floats(-0.25, 1.25),
+        wiggle=st.floats(0.0, 0.02),
+    )
+    def test_supersolution_verdicts_match_direct_solves(self, case, t, wiggle):
+        pp, win = case
+        grid = pp.grid
+        # r^beta is a supersolution iff beta lies between the indicial roots;
+        # t outside [0, 1] and the ripple give both verdicts
+        alpha_p, alpha_m = pn.indicial_exponent(pp.cone, pp.lam)
+        beta = alpha_m + t * (alpha_p - alpha_m)
+        seed = RadialProfile(grid, grid**beta * (1.0 + wiggle * np.sin(7.0 * np.log(grid))),
+                             tag="supersolution")
+        for f in (seed, pn.lift(pp, seed, win, check=False)):
+            ok, witness = pn.is_supersolution(pp, f)
+            assert (ok, witness and witness["window"]) == _reference_is_supersolution(pp, f)
+
+    def test_profile_off_the_problem_grid(self):
+        # profiles may carry their own grid: the basis is projected onto it
+        pp = pn.PerronProblem(cone=make_cone(3, 3), lam=0.2, domain=(0.02, 1.0),
+                              boundary_value=1.0, nodes=400)
+        grid = np.geomspace(0.02, 1.0, 777)
+        hardy = RadialProfile(grid, grid ** (-(pp.cone.n - 2.0) / 2.0), tag="supersolution")
+        constant = RadialProfile(grid, np.ones_like(grid), tag="supersolution")
+        for f, verdict in ((hardy, True), (constant, False)):
+            ok, witness = pn.is_supersolution(pp, f)
+            assert (ok, witness and witness["window"]) == _reference_is_supersolution(pp, f)
+            assert ok is verdict
+        win = (0.1, 0.2)
+        lifted = pn.lift(pp, hardy, win, check=False)
+        mask, local = _reference_local(pp, win, grid, ("dirichlet", hardy(win[0])), hardy(win[1]))
+        assert np.any(local < hardy.values[mask])
+        np.testing.assert_allclose(lifted.values[mask], np.minimum(hardy.values[mask], local),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(lifted.values[~mask], hardy.values[~mask])
+
+
 class TestSupersolutionSet:
     def test_minimum_of_members(self, problem, simons):
         alpha, _ = pn.indicial_exponent(simons, problem.lam)
@@ -259,7 +370,10 @@ class TestPerronMinimal:
 
     def test_report_dict(self, problem):
         d = pn.perron_minimal_detailed(problem).to_dict()
-        assert set(d) == {"alpha", "c", "iterations", "residual", "minimality_checks"}
+        assert set(d) == {"alpha", "c", "iterations", "residual", "minimality_checks",
+                          "windows", "last_decrement"}
+        assert d["windows"] == len(pn._admissible_windows(problem))
+        assert 0 <= d["last_decrement"] < 1e-10
 
     def test_zero_sweep_budget_rejected(self, problem):
         with pytest.raises(ParameterError):
