@@ -49,31 +49,8 @@ SCHEMA_VERSION = 1
 OUTPUT_ENV = "CONELAB_OUTPUT"
 #: scenario names become artifact file stems inside the output root
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
-
-#: every public operation, per module; the bundled scenario suite must
-#: exercise each of these at least once (see scenario_coverage)
-OP_INVENTORY = {
-    "metric-core": {
-        "christoffel", "scalar_curvature", "conformal_scal",
-        "conformal_deform", "level_set_shape", "conformal_shape_shift",
-    },
-    "cone-catalog": {
-        "make_cone", "second_form_norm2", "cone_scal", "deformed_metric",
-        "deformed_distance", "distortion_bounds", "link_diameter",
-    },
-    "spectral": {"weight", "rayleigh", "dirichlet_eigen", "lambda0", "eigenfunction_below"},
-    "perron": {
-        "local_solve", "is_supersolution", "lift", "perron_minimal",
-        "indicial_exponent", "make_cutoff", "crease_smooth",
-    },
-    "barrier": {
-        "green", "green_laplacian_residual", "truncate", "area_profile",
-        "deflection_radius", "line_barrier", "stieltjes_superpose",
-        "tube_barrier_check", "dimshift_scal_sign",
-    },
-    "covering": {"assign_families", "verify_families", "center_shift"},
-    "bending": {"build_h", "bend_metric", "scal_compare", "dominant_decomposition"},
-}
+#: largest conformal-consistency grid count: the grid holds count^3 nodes
+MAX_COUNT = 97
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +67,15 @@ def _center(chart):
 
 def check_conformal_consistency(params, seed):
     """Finite-difference scal of the deformed flat metric reproduces the
-    transformation law at second order under grid halving."""
+    transformation law at second order under grid refinement; the order of
+    each consecutive pair of counts is taken from its actual step ratio."""
     factors = int(params.get("factors", 5))
     counts = tuple(params.get("counts", (17, 33)))
-    tol = float(params.get("order_tolerance", 0.3))
+    tol = {"order": 2.0, "order_band": float(params.get("order_tolerance", 0.2)),
+           "flat_christoffel": 1e-12}
     n = 3
+    # the unit cube with `count` nodes per axis has step 1/(count-1)
+    step_ratios = [np.log2((c1 - 1) / (c0 - 1)) for c0, c1 in zip(counts, counts[1:])]
     orders = []
     for i in range(factors):
         u = TrigField.random(n, seed=seed + i)
@@ -107,10 +88,11 @@ def check_conformal_consistency(params, seed):
             out = conformal_deform(m, u.value(chart.mesh()))
             expected = conformal_scal(0.0, float(u.value(x)), float(u.laplacian(x)), n)
             errs.append(abs(scalar_curvature(out, p) - expected))
-        orders.append(np.log2(errs[0] / errs[1]))
+        orders += [np.log2(e0 / e1) / r for e0, e1, r in zip(errs, errs[1:], step_ratios)]
     chart = _cube_chart(n, 0.0, 1.0, counts[0])
     gam_flat = float(np.abs(christoffel(flat_metric(chart), _center(chart))).max())
-    passed = all(abs(o - 2.0) <= tol for o in orders) and gam_flat < 1e-12
+    passed = (all(abs(o - tol["order"]) <= tol["order_band"] for o in orders)
+              and gam_flat < tol["flat_christoffel"])
     return {
         "passed": passed,
         "measured": {
@@ -118,7 +100,7 @@ def check_conformal_consistency(params, seed):
             "order_max": float(max(orders)),
             "flat_christoffel": gam_flat,
         },
-        "tolerance": {"order": 2.0, "order_band": tol},
+        "tolerance": tol,
         "details": f"{factors} random conformal factors, grids {counts}",
     }
 
@@ -244,24 +226,27 @@ def check_perron_minimal(params, seed):
     seed; window solves reproduce power solutions on their own nodes."""
     c = make_cone(3, 3)
     pp = pn.PerronProblem(cone=c, lam=0.125, domain=(0.01, 1.0), boundary_value=1.0)
+    tol = {"deviation": 1e-4, "residual": 1e-8, "local_solve": 1e-8,
+           "below_seed_rtol": 1e-9, "lift_rtol": 1e-12}
     det = pn.perron_minimal_detailed(pp)
     exact = det.c * pp.grid**det.alpha
     dev = float(np.max(np.abs(det.profile(pp.grid) - exact)) / np.max(exact))
     seed_prof = pn.default_seed(pp)
     ok_super, _ = pn.is_supersolution(pp, seed_prof)
-    below = bool(np.all(det.profile(seed_prof.grid) <= seed_prof.values * (1 + 1e-9)))
+    below = bool(np.all(det.profile(seed_prof.grid) <= seed_prof.values * (1 + tol["below_seed_rtol"])))
     win = (0.2, 0.4)
     alpha = det.alpha
     loc = pn.local_solve(pp, win, (win[0] ** alpha, win[1] ** alpha))
     loc_err = float(np.max(np.abs(loc.values - loc.grid**alpha)))
     lifted = pn.lift(pp, seed_prof, win)
-    lowered = bool(np.all(lifted.values <= seed_prof.values * (1 + 1e-12)))
-    passed = dev < 1e-4 and det.residual < 1e-8 and ok_super and below and loc_err < 1e-8 and lowered
+    lowered = bool(np.all(lifted.values <= seed_prof.values * (1 + tol["lift_rtol"])))
+    passed = (dev < tol["deviation"] and det.residual < tol["residual"] and ok_super and below
+              and all(det.minimality_checks) and loc_err < tol["local_solve"] and lowered)
     return {
         "passed": bool(passed),
         "measured": {"power_law_deviation": dev, "residual": float(det.residual),
                      "local_solve_error": loc_err},
-        "tolerance": {"deviation": 1e-4, "residual": 1e-8},
+        "tolerance": tol,
         "details": f"alpha = {det.alpha}, {det.iterations} sweeps",
     }
 
@@ -278,7 +263,10 @@ def check_crease(params, seed):
     f1 = RadialProfile(g, g**a_fast, tag="supersolution", jet_fn=lambda x: jet_power(x, a_fast))
     f2 = RadialProfile(g, scale * g**a_slow, tag="supersolution",
                        jet_fn=lambda x: jet_power(x, a_slow) * scale)
+    tol = {"margin_floor": 0.0, "locality": 1e-12, "cutoff_margin_floor": 0.0}
     out, rep = pn.crease_smooth(f1, f2, rstar, eta=0.05, K=10.0, cone=c, return_report=True)
+    # the strict operator inequality must hold at every sample, not only at the reported minimum
+    sample_min = float(pn.operator_value_jet(c, out.jet_fn(g), g).min())
     r_lo, r_hi = rep["window"]
     left, right = g < r_lo * 0.999, g > r_hi * 1.001
     local = float(
@@ -288,12 +276,14 @@ def check_crease(params, seed):
         )
     )
     cut = pn.make_cutoff(10.0, 1.0)
-    passed = rep["margin"] > 0 and local < 1e-12 and min(cut.margins.values()) > 0
+    cut_margin = float(min(cut.margins.values()))
+    passed = (min(rep["margin"], sample_min) > tol["margin_floor"] and local < tol["locality"]
+              and cut_margin > tol["cutoff_margin_floor"])
     return {
         "passed": bool(passed),
         "measured": {"operator_margin": float(rep["margin"]), "locality_error": local,
-                     "cutoff_margin": float(min(cut.margins.values()))},
-        "tolerance": {"margin_floor": 0.0, "locality": 1e-12},
+                     "cutoff_margin": cut_margin},
+        "tolerance": tol,
         "details": f"window {rep['window']}, delta = {rep['delta']}",
     }
 
@@ -307,17 +297,20 @@ def _standard_deformed():
 def check_green_identity(params, seed):
     """Green profile is exactly harmonic on the analytic path; the stencil
     path residual shrinks at second order."""
+    # halving the step shrinks a second-order residual 4x
+    tol = {"analytic": 1e-12, "ratio_band": (3.5, 4.5)}
     d = _standard_deformed()
     analytic = br.green_laplacian_residual(d)
     r1 = br.green_laplacian_residual(d, step=1e-3)
     r2 = br.green_laplacian_residual(d, step=5e-4)
     ratio = r1 / r2
+    lo, hi = tol["ratio_band"]
     value_ok = br.green(7, 2.0) == 2.0**-5
-    passed = analytic < 1e-12 and 3.0 < ratio < 5.0 and value_ok
+    passed = analytic < tol["analytic"] and lo < ratio < hi and value_ok
     return {
         "passed": bool(passed),
         "measured": {"analytic_residual": float(analytic), "stencil_ratio": float(ratio)},
-        "tolerance": {"analytic": 1e-12, "ratio_band": (3.0, 5.0)},
+        "tolerance": tol,
         "details": "harmonicity of the deformed-distance power profile",
     }
 
@@ -384,6 +377,7 @@ def check_theta_scaling(params, seed):
 def check_line_superposition(params, seed):
     """Discretized axis superposition converges to the closed-form line
     barrier at first order; tube margins positive for one and two anchors."""
+    tol = {"ratio_band": (1.8, 2.2), "line_value_floor": 1.0, "margin_floor": 0.0}
     n = 7
     e0 = np.zeros(n)
     e0[0] = 1.0
@@ -401,34 +395,33 @@ def check_line_superposition(params, seed):
     p2 = br.LinePoint(direction=tuple(far), weight=0.5)
     single = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=32))
     double = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt, p2), level=32))
-    ok1, m1 = br.tube_barrier_check(single, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
-    ok2, m2 = br.tube_barrier_check(double, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
-    passed = 1.5 < ratio < 2.5 and val > 1.0 and ok1 and ok2
+    _, m1 = br.tube_barrier_check(single, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
+    _, m2 = br.tube_barrier_check(double, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
+    lo, hi = tol["ratio_band"]
+    passed = lo < ratio < hi and val > tol["line_value_floor"] and min(m1, m2) > tol["margin_floor"]
     return {
         "passed": bool(passed),
         "measured": {"convergence_ratio": float(ratio), "single_margin": float(m1),
                      "double_margin": float(m2)},
-        "tolerance": {"ratio_band": (1.5, 2.5), "margin_floor": 0.0},
+        "tolerance": tol,
         "details": "first-order level refinement 32 -> 64",
     }
 
 
 def check_dimshift(params, seed):
     """Coupling-constant margin table matches exact fraction arithmetic."""
-    worst = 0.0
+    tol = {"table": 0.0, "scaled_floor": 0.25}
     rows = br.dimshift_table(range(5, 13))
-    for row in rows:
-        n = row["n"]
-        rep = br.dimshift_scal_sign(1.0, n)
-        exact = br.dimshift_margin_exact(n)
-        worst = max(worst, abs(rep["margin_coefficient"] - float(exact)))
+    # both sides are Fractions, so a zero error is exact equality
+    worst = max(abs(br.dimshift_scal_sign(1.0, row["n"])["margin_coefficient"]
+                    - br.dimshift_margin_exact(row["n"])) for row in rows)
     scaled = [row["n2_scaled"] for row in rows]
-    monotone = bool(np.all(np.diff(scaled) < 0)) and min(scaled) > 0.25
-    passed = worst == 0.0 and monotone
+    monotone = bool(np.all(np.diff(scaled) < 0)) and min(scaled) > tol["scaled_floor"]
+    passed = worst == tol["table"] and monotone
     return {
         "passed": bool(passed),
-        "measured": {"max_table_error": worst, "smallest_scaled_margin": float(min(scaled))},
-        "tolerance": {"table": 0.0, "scaled_floor": 0.25},
+        "measured": {"max_table_error": float(worst), "smallest_scaled_margin": float(min(scaled))},
+        "tolerance": tol,
         "details": "n = 5..12",
     }
 
@@ -452,7 +445,10 @@ def check_covering_random(params, seed):
         if not rep["all_passed"]:
             return {"passed": False, "measured": {"trial": float(trial)},
                     "tolerance": {}, "details": f"verification failed: {rep}"}
-    bs, _ = _fixed_instance(seed)
+    fixed = np.random.default_rng(seed)
+    centers = fixed.random((80, 2))
+    radii = 10.0 ** fixed.uniform(-2, 0, 80)
+    bs = cv.make_ball_set(centers, radii, target=centers[:5], seed=seed)
     fa1 = cv.assign_families(bs, c_bound=100)
     fa2 = cv.assign_families(bs, c_bound=100)
     deterministic = cv.ball_set_to_json(bs, fa1) == cv.ball_set_to_json(bs, fa2)
@@ -470,18 +466,12 @@ def check_covering_random(params, seed):
     }
 
 
-def _fixed_instance(seed):
-    rng = np.random.default_rng(seed)
-    centers = rng.random((80, 2))
-    radii = 10.0 ** rng.uniform(-2, 0, 80)
-    return cv.make_ball_set(centers, radii, target=centers[:5], seed=seed), 2
-
-
 def check_bending_sphere(params, seed):
     """Bending a mean-convex sphere-core tube: finite certified stiffness,
     totally geodesic core, exact bucket decomposition, strict locality."""
     theta0 = float(params.get("theta0", 1.2))
     delta = float(params.get("delta", 0.2))
+    tol = {"scal_diff_floor": 0.0, "tg": 1e-8, "bucket": 1e-12, "locality": 0.0}
     tm = bd.sphere_tube(4, theta0=theta0, sigma=0.45)
     k_star, rep = bd.stiffness_search(tm, delta=delta, samples=61)
     bp = bd.build_h(k_star, delta)
@@ -492,12 +482,13 @@ def check_bending_sphere(params, seed):
     bent = bd.bend_metric(tm, bp)
     x = np.array([0.3, 1.5, 1.6, 1.7])
     local = float(np.abs(bent.metric_fn(x) - base.metric_fn(x)).max())
-    passed = rep["min_diff"] >= 0 and tg < 1e-8 and bucket_err < 1e-10 and local == 0.0
+    passed = (rep["min_diff"] >= tol["scal_diff_floor"] and tg < tol["tg"]
+              and bucket_err < tol["bucket"] and local == tol["locality"])
     return {
         "passed": bool(passed),
         "measured": {"k_star": float(k_star), "min_scal_diff": float(rep["min_diff"]),
                      "totally_geodesic_residual": float(tg), "bucket_residual": float(bucket_err)},
-        "tolerance": {"tg": 1e-8, "bucket": 1e-10},
+        "tolerance": tol,
         "details": f"sphere core theta0 = {theta0}, transition width {delta}",
     }
 
@@ -538,6 +529,11 @@ CHECKS = {
         "bending.dominant_decomposition"}),
 }
 
+#: module -> operations, derived from the CHECKS labels; the bundled
+#: scenario suite must exercise each at least once (see scenario_coverage)
+_LABELS = [label.split(".", 1) for _, labels in CHECKS.values() for label in labels]
+OP_INVENTORY = {module: {op for m, op in _LABELS if m == module} for module, _ in _LABELS}
+
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
@@ -551,7 +547,7 @@ def _is_odd_counts(v):
     return (
         isinstance(v, (list, tuple))
         and len(v) >= 2
-        and all(_is_int(c) and c >= 5 and c % 2 == 1 for c in v)
+        and all(_is_int(c) and 5 <= c <= MAX_COUNT and c % 2 == 1 for c in v)
         and all(a < b for a, b in zip(v, v[1:]))
     )
 
@@ -561,7 +557,7 @@ def _is_odd_counts(v):
 PARAMS = {
     "conformal-consistency": {
         "factors": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        "counts": (_is_odd_counts, "a list of at least two increasing odd integers >= 5"),
+        "counts": (_is_odd_counts, f"a list of at least two increasing odd integers in [5, {MAX_COUNT}]"),
         "order_tolerance": (_is_positive, "a number > 0"),
     },
     "theta-scaling": {"n": (lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
@@ -762,7 +758,7 @@ def scenario_coverage(sources):
     """Union of declared ops over the scenarios, keyed by module."""
     seen = set()
     for src in sources:
-        data = load_scenario(Path(src).read_text() if not isinstance(src, dict) else src)
+        data = load_scenario(src)
         for entry in data["checks"]:
             seen |= CHECKS[entry["check"]][1]
     cov = {}

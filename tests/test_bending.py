@@ -146,13 +146,16 @@ class TestBendMetric:
     def test_locality_bitwise(self):
         # outside the transition width the bent metric is the base metric,
         # bit for bit
-        tm = bd.sphere_tube(4, theta0=0.9, sigma=0.45)
-        bp = bd.build_h(2.0, 0.2)
-        base = tm.field()
-        bent = bd.bend_metric(tm, bp)
-        for t in (0.2, 0.25, 0.4, 0.44):
-            x = np.array([t, 1.5, 1.6, 1.7])
-            np.testing.assert_array_equal(bent.metric_fn(x), base.metric_fn(x))
+        cases = [
+            (bd.sphere_tube(4, theta0=0.9, sigma=0.45), bd.build_h(2.0, 0.2), [1.5, 1.6, 1.7]),
+            (bd.cross_section_tube(1.3, 0.45, count=81), bd.build_h(1.5, 0.2), [np.pi / 2]),
+        ]
+        for tm, bp, angles in cases:
+            base = tm.field()
+            bent = bd.bend_metric(tm, bp)
+            for t in (0.2, 0.25, 0.3, 0.4, 0.44):
+                x = np.array([t, *angles])
+                np.testing.assert_array_equal(bent.metric_fn(x), base.metric_fn(x))
 
     def test_core_turns_totally_geodesic(self):
         tm = bd.sphere_tube(4, theta0=0.9, sigma=0.45)
@@ -208,10 +211,10 @@ class TestScalCompare:
 
 class TestStiffnessSearch:
     def test_doubling_search_values(self):
-        cases = [(1.4, 4.0), (1.2, 2.0), (0.9, 1.0)]
-        for theta0, expect in cases:
+        cases = [(1.4, 61, 4.0), (1.2, 61, 2.0), (0.9, 61, 1.0), (1.2, 101, 2.0)]
+        for theta0, samples, expect in cases:
             tm = bd.sphere_tube(4, theta0=theta0, sigma=0.45)
-            k, rep = bd.stiffness_search(tm, delta=0.2, samples=61)
+            k, rep = bd.stiffness_search(tm, delta=0.2, samples=samples)
             assert k == expect
             assert rep["min_diff"] >= 0.0
 
@@ -287,6 +290,14 @@ class TestDominantDecomposition:
         assert b["i2"] == 0.0
         assert b["i4"] == 0.0
         assert b["i1"] + b["i3"] == pytest.approx(b["difference"] - b["i5"], abs=1e-13)
+        # inside the transition the buckets still sum to the closed form
+        # scal(bent) = 2 h''/(r0 - h) of the flat tube
+        t = 0.09
+        b = bd.dominant_decomposition(tm, bp, t)
+        h, _, hpp = (float(v[0]) for v in bp.jet(np.array([t])))
+        total = sum(b[k] for k in ("i1", "i2", "i3", "i4", "i5"))
+        assert total == pytest.approx(2.0 * hpp / (1.3 - h), rel=1e-12)
+        assert abs(b["i6_offdiagonal"]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

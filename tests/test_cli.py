@@ -212,6 +212,9 @@ class TestMain:
             ("bending-sphere", {"delta": -0.2}),
             ("theta-scaling", {"m": 7}),
             ("dimshift", {"n": 7}),
+            # the grid holds count^3 nodes: an oversized count is refused
+            # before anything is allocated
+            ("conformal-consistency", {"counts": [17, 1025]}),
         ],
     )
     def test_run_bad_params_exit_2_and_write_nothing(self, tmp_path, capsys, check, params):

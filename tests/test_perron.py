@@ -69,15 +69,23 @@ class TestIndicial:
         alphas = [pn.indicial_exponent(simons, l)[0] for l in lams]
         assert np.all(np.diff(alphas) < 0)
 
-    @pytest.mark.parametrize("lam", [0.125, 0.25, 0.5])
-    def test_shooting_oracle(self, simons, lam):
+    @pytest.mark.parametrize("c, lam", [
+        *(pytest.param(make_cone(3, 3), lam, id=str(lam)) for lam in (0.125, 0.25, 0.5)),
+        # every catalog cone across its admissible band, up to the upper end
+        *(pytest.param(c, float(lam), id=f"{c.p}x{c.q}-{i}") for c in catalog_cones()
+          for i, lam in enumerate(np.linspace(0.125, sp.lambda0_closed_form(c) - 1e-6, 9))),
+    ])
+    def test_shooting_oracle(self, c, lam):
         # integrate the radial ODE from r=1 with the r^alpha jet; the solution
         # must remain r^alpha to high accuracy
         from scipy.integrate import solve_ivp
 
-        alpha, _ = pn.indicial_exponent(simons, lam)
-        coupling = (simons.kappa + lam) * 6
-        n = simons.n
+        alpha, alpha_minus = pn.indicial_exponent(c, lam)
+        half = (c.n - 2.0) / 2.0
+        assert -half < alpha < 0.0  # exactly one root in the band
+        assert alpha_minus <= -half  # the other sits outside
+        coupling = (c.kappa + lam) * (c.p + c.q)
+        n = c.n
 
         def rhs(s, y):  # log-radius form: u'' + (n-2) u' + coupling u = 0
             return [y[1], -(n - 2) * y[1] - coupling * y[0]]
