@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DomainError, IterationLimitError, ParameterError, ResolutionError
 from .fields import round_sphere_factors, warped_product_metric
 from .grids import Chart, MetricField, scal_from_jet
+from .jets import Jet, jet_compose
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
 
@@ -149,14 +150,11 @@ class TubeMetric:
 
     def jets(self, t, angles):
         """(g, dg, d2g) at the point (t, angles) from the exact callbacks."""
-        m = _metric_callbacks(self.chart, self.warp, self.core_factors)
-        x = np.concatenate(([float(t)], np.asarray(angles, dtype=float)))
-        return m[0](x), m[1](x), m[2](x)
+        return _jet_at(self.field(), np.concatenate(([float(t)], np.asarray(angles, dtype=float))))
 
 
-def _metric_callbacks(chart, warp, core_factors):
-    m = warped_product_metric(chart, warp, list(core_factors))
-    return m.metric_fn, m.dmetric_fn, m.d2metric_fn
+def _jet_at(m: MetricField, x):
+    return m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x)
 
 
 def sphere_tube(n, theta0, sigma, count=5) -> TubeMetric:
@@ -210,19 +208,10 @@ def bent_warp(tm: TubeMetric, bp: BendProfile):
     """Warp of the bent metric: F(t) = f(h(t)) with exact chain-rule jets."""
     f, df, d2f = tm.warp
 
-    def fb(t):
-        h, _, _ = bp.jet(t)
-        return f(h)
+    def jet(t):
+        return jet_compose(lambda h: Jet(f(h), df(h), d2f(h)), Jet(*bp.jet(t)))
 
-    def dfb(t):
-        h, hp, _ = bp.jet(t)
-        return df(h) * hp
-
-    def d2fb(t):
-        h, hp, hpp = bp.jet(t)
-        return d2f(h) * hp**2 + df(h) * hpp
-
-    return fb, dfb, d2fb
+    return (lambda t: jet(t).f), (lambda t: jet(t).d1), (lambda t: jet(t).d2)
 
 
 def bend_metric(tm: TubeMetric, bp: BendProfile) -> MetricField:
@@ -240,28 +229,18 @@ def _center_angles(tm: TubeMetric):
     return np.array([0.5 * (a[0] + a[1]) for a in tm.chart.axes[1:]])
 
 
-def _scal_at(callbacks, x):
-    g, dg, d2g = callbacks[0](x), callbacks[1](x), callbacks[2](x)
-    return scal_from_jet(g, dg, d2g)
-
-
 def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
     """scal(bent)(t) - scal(base)(h(t)) on the one-sided range [0, sigma).
 
     The identification t <-> h(t) matches the leaves N_t of the two tubes;
     beyond the transition width the difference vanishes identically."""
-    if bp.delta >= tm.sigma:
-        raise DomainError("tube too shallow for the bend transition width")
+    bent = bend_metric(tm, bp)
     angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
-    base_cb = _metric_callbacks(tm.chart, tm.warp, tm.core_factors)
-    bent_cb = _metric_callbacks(tm.chart, bent_warp(tm, bp), tm.core_factors)
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)
-    h = bp.jet(ts)[0]
-    diff = np.empty(samples)
-    for i, t in enumerate(ts):
-        x_bent = np.concatenate(([t], angles))
-        x_base = np.concatenate(([h[i]], angles))
-        diff[i] = _scal_at(bent_cb, x_bent) - _scal_at(base_cb, x_base)
+    rest = np.broadcast_to(angles, (samples, len(angles)))
+    # every sample in one batched evaluation per metric
+    diff = (scal_from_jet(*_jet_at(bent, np.column_stack((ts, rest))))
+            - scal_from_jet(*_jet_at(tm.field(), np.column_stack((bp.jet(ts)[0], rest)))))
     idx = int(np.argmin(diff))
     return {
         "t": ts,
@@ -288,9 +267,9 @@ def totally_geodesic_residual(tm: TubeMetric, bp: BendProfile, angles=None):
     """Sup over the core of |second fundamental form| of {t = 0} in the bent
     metric: A_ab = 1/2 d(g_h)_ab/dt = h'(0) f f' (...) = 0 since h'(0) = 0."""
     angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
-    bent_cb = _metric_callbacks(tm.chart, bent_warp(tm, bp), tm.core_factors)
+    bent = bend_metric(tm, bp)
     x = np.concatenate(([0.0], angles))
-    g, dg = bent_cb[0](x), bent_cb[1](x)
+    g, dg = bent.metric_fn(x), bent.dmetric_fn(x)
     a_form = 0.5 * dg[0][1:, 1:]
     ginv_core = np.linalg.inv(g[1:, 1:])
     return float(np.max(np.abs(ginv_core @ a_form)))
@@ -322,13 +301,7 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
     curvature expansion identity."""
     angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
     h, hp, hpp = (float(v[0]) for v in bp.jet(np.array([float(t)])))
-    base_cb = _metric_callbacks(tm.chart, tm.warp, tm.core_factors)
-    bent_cb = _metric_callbacks(tm.chart, bent_warp(tm, bp), tm.core_factors)
-    x_base = np.concatenate(([h], angles))
-    x_bent = np.concatenate(([float(t)], angles))
-
-    g, dg, d2g = base_cb[0](x_base), base_cb[1](x_base), base_cb[2](x_base)
-    n = g.shape[0]
+    g, dg, d2g = tm.jets(h, angles)
     a = dg[0]
     e_first = np.zeros_like(dg)
     e_first[0] = a
@@ -348,7 +321,8 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
     i4 = (hp - 1.0) * _linear_part(g, p_mixed)
     i5 = hpp * _linear_part(g, e_gain)
 
-    diff = _scal_at(bent_cb, x_bent) - scal_from_jet(g, dg, d2g)
+    x_bent = np.concatenate(([float(t)], angles))
+    diff = scal_from_jet(*_jet_at(bend_metric(tm, bp), x_bent)) - scal_from_jet(g, dg, d2g)
     buckets = {"i1": i1, "i2": i2, "i3": i3, "i4": i4, "i5": i5}
     total = sum(buckets.values())
     ginv = np.linalg.inv(g)

@@ -71,8 +71,7 @@ def check_conformal_consistency(params, seed):
     each consecutive pair of counts is taken from its actual step ratio."""
     factors = int(params.get("factors", 5))
     counts = tuple(params.get("counts", (17, 33)))
-    tol = {"order": 2.0, "order_band": float(params.get("order_tolerance", 0.2)),
-           "flat_christoffel": 1e-12}
+    tol = {"order": 2.0, "order_band": 0.2, "flat_christoffel": 1e-12}
     n = 3
     # the unit cube with `count` nodes per axis has step 1/(count-1)
     step_ratios = [np.log2((c1 - 1) / (c0 - 1)) for c0, c1 in zip(counts, counts[1:])]
@@ -118,6 +117,7 @@ def check_shape_shift(params, seed):
     f = np.linalg.norm(mesh, axis=-1)
     form, trace = level_set_shape(m, f, p)
     h = chart.spacings.max()
+    tol = {"trace": 50.0 * h**2, "shift": 0.0}
     trace_err = abs(trace - (dim - 1.0) / r)
     # the shift with normal-direction slope s subtracts (2/(n-2)) s g exactly
     rng = np.random.default_rng(seed)
@@ -125,17 +125,18 @@ def check_shape_shift(params, seed):
     shifted = conformal_shape_shift(form, np.eye(dim - 1), 1.0, s * np.array([1.0, 0, 0]),
                                     np.array([1.0, 0, 0]), dim)
     shift_err = float(np.abs(shifted - (form - 2.0 / (dim - 2.0) * s * np.eye(dim - 1))).max())
-    passed = trace_err < 50.0 * h**2 and shift_err == 0.0
+    passed = trace_err < tol["trace"] and shift_err == tol["shift"]
     return {
         "passed": passed,
         "measured": {"trace_error": float(trace_err), "shift_error": shift_err},
-        "tolerance": {"trace": 50.0 * h**2, "shift": 0.0},
+        "tolerance": tol,
         "details": "sphere level set in flat 3-space",
     }
 
 
 def check_cone_catalog(params, seed):
     """Closed-form identities across the cone catalog."""
+    tol = {"identity": 1e-12, "radius": 1e-15}
     worst = 0.0
     for c in catalog_cones():
         r = np.geomspace(0.1, 10.0, 7)
@@ -143,11 +144,11 @@ def check_cone_catalog(params, seed):
         worst = max(worst, float(np.abs(second_form_norm2(c, r) * r**2 - (c.p + c.q)).max()))
         worst = max(worst, abs(link_diameter(c) - np.pi))
     extra = make_cone(3, 3)
-    ok = extra.n == 7 and abs(extra.a - np.sqrt(0.5)) < 1e-15
+    ok = extra.n == 7 and abs(extra.a - np.sqrt(0.5)) < tol["radius"]
     return {
-        "passed": worst < 1e-12 and ok,
+        "passed": worst < tol["identity"] and ok,
         "measured": {"max_identity_error": worst},
-        "tolerance": {"identity": 1e-12},
+        "tolerance": tol,
         "details": "scal r^2 and |A|^2 r^2 identities on all catalog cones",
     }
 
@@ -155,6 +156,7 @@ def check_cone_catalog(params, seed):
 def check_deformed_cone(params, seed):
     """Deformed-cone metric curvature matches the warped closed form, and
     the distance/distortion bookkeeping is consistent."""
+    tol = {"scal": 1e-8, "distance": 1e-13}
     c = make_cone(3, 3)
     alpha, _ = pn.indicial_exponent(c, 5.0 / 12.0)
     d = DeformedCone(c, alpha=alpha)
@@ -169,11 +171,11 @@ def check_deformed_cone(params, seed):
     r = 1.7
     dist_err = abs(deformed_distance(c, alpha, r) - d.rho_of_r(r))
     lo, hi = distortion_bounds(1.0, 0.1, 0.2, 0.5, 2.0)
-    passed = scal_err < 1e-8 and dist_err < 1e-13 and lo <= hi
+    passed = scal_err < tol["scal"] and dist_err < tol["distance"] and lo <= hi
     return {
         "passed": bool(passed),
         "measured": {"scal_error": float(scal_err), "distance_error": float(dist_err)},
-        "tolerance": {"scal": 1e-8, "distance": 1e-13},
+        "tolerance": tol,
         "details": f"alpha = {alpha}",
     }
 
@@ -181,23 +183,25 @@ def check_deformed_cone(params, seed):
 def check_lambda0_simons(params, seed):
     """Limit eigenvalue on the minimal (3,3) cone: 5/6 within 1e-3, above
     the Hardy threshold 1/4, exhaustion sequence non-increasing."""
+    tol = {"oracle": 5.0 / 6.0, "band": 1e-3, "hardy_floor": 0.25, "monotone_slack": 1e-12}
     c = make_cone(3, 3)
     res = sp.lambda0_detailed(c)
     seq = np.array(res.lambda_sequence)
     w = sp.WeightedProblem(cone=c, eps=0.0, annulus=(0.01, 1.0))
     eig = sp.dirichlet_eigen(w, 2)
     wt = sp.weight(c, 0.0, 2.0)
+    gap = abs(res.lambda0 - tol["oracle"])
     passed = (
-        abs(res.lambda0 - 5.0 / 6.0) < 1e-3
-        and res.lambda0 > 0.25
-        and bool(np.all(np.diff(seq) <= 1e-12))
+        gap < tol["band"]
+        and res.lambda0 > tol["hardy_floor"]
+        and bool(np.all(np.diff(seq) <= tol["monotone_slack"]))
         and eig.lam > 0
         and wt == 6.0 / 4.0
     )
     return {
         "passed": bool(passed),
-        "measured": {"lambda0": float(res.lambda0), "gap_to_oracle": float(abs(res.lambda0 - 5.0 / 6.0))},
-        "tolerance": {"oracle": 5.0 / 6.0, "band": 1e-3, "hardy_floor": 0.25},
+        "measured": {"lambda0": float(res.lambda0), "gap_to_oracle": float(gap)},
+        "tolerance": tol,
         "details": f"exhaustion sequence {list(np.round(seq, 6))}",
     }
 
@@ -212,11 +216,12 @@ def check_spectral_band(params, seed):
     quot = sp.rayleigh(c, RadialProfile(r, hat * r ** (-(c.n - 2) / 2.0)), eps=0.0)
     prof = sp.eigenfunction_below(c, 0.4)
     res = sp.radial_operator_residual(c, 0.4, prof)
-    passed = quot >= lam0 - 1e-9 and res < 1e-10
+    tol = {"rayleigh_floor": float(lam0), "rayleigh_slack": 1e-9, "residual": 1e-10}
+    passed = quot >= tol["rayleigh_floor"] - tol["rayleigh_slack"] and res < tol["residual"]
     return {
         "passed": bool(passed),
         "measured": {"rayleigh_gap": float(quot - lam0), "residual": float(res)},
-        "tolerance": {"rayleigh_floor": float(lam0), "residual": 1e-10},
+        "tolerance": tol,
         "details": "hat test profile and closed-form eigenfunction at lambda = 0.4",
     }
 
@@ -318,6 +323,7 @@ def check_green_identity(params, seed):
 def check_truncation_penalty(params, seed):
     """sup|Laplacian phi+| is linear in mu; the curvature condition holds
     with margin below the bisected threshold weight."""
+    tol = {"slope": 1.0, "slope_band": 0.05, "margin_floor": 0.0}
     d = _standard_deformed()
     cut = pn.make_cutoff(4.0, 1.0)
     mus = np.array([1e-4, 1e-3, 1e-2])
@@ -333,11 +339,11 @@ def check_truncation_penalty(params, seed):
         np.min(br.scal_quantity(br.BarrierSpec(deformed=d, mu=0.5 * muh, cutoff=cut), rho))
         - iota / 2.0
     )
-    passed = abs(slope - 1.0) < 0.05 and muh > 0 and margin >= 0
+    passed = abs(slope - tol["slope"]) < tol["slope_band"] and muh > 0 and margin >= tol["margin_floor"]
     return {
         "passed": bool(passed),
         "measured": {"penalty_slope": slope, "mu_h": float(muh), "half_height_margin": margin},
-        "tolerance": {"slope": 1.0, "slope_band": 0.05},
+        "tolerance": tol,
         "details": f"mu grid {mus.tolist()}, iota = {iota}",
     }
 
@@ -360,16 +366,18 @@ def check_theta_scaling(params, seed):
     thetas = [br.deflection_radius(br.BarrierSpec(deformed=d, mu=float(m), cutoff=cut)) for m in mus]
     slope = float(np.polyfit(np.log(mus), np.log(thetas), 1)[0])
     target = 1.0 / (c.n - 2.0)
+    tol = {"exact": 1e-8, "slope": target, "slope_band": 0.01 * target, "stationary": 1e-7}
     # area profile is stationary exactly at the deflection radius
     ob = br.ObstacleProblem(inner=1e-4, outer=0.9,
                             area=lambda r: br.area_profile(br.BarrierSpec(deformed=d, mu=1e-5, cutoff=cut), r))
     stat_err = abs(ob.minimizer_radius() - 1e-5 ** (1.0 / (c.n - 2.0)))
-    passed = exact_err < 1e-8 and abs(slope - target) < 0.01 * target and stat_err < 1e-7
+    passed = (exact_err < tol["exact"] and abs(slope - tol["slope"]) < tol["slope_band"]
+              and stat_err < tol["stationary"])
     return {
         "passed": bool(passed),
         "measured": {"max_exact_error": float(exact_err), "loglog_slope": slope,
                      "area_stationary_error": float(stat_err)},
-        "tolerance": {"exact": 1e-8, "slope": target, "slope_band": 0.01 * target},
+        "tolerance": tol,
         "details": f"n = {c.n}, cone {pq}",
     }
 
@@ -558,7 +566,6 @@ PARAMS = {
     "conformal-consistency": {
         "factors": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
         "counts": (_is_odd_counts, f"a list of at least two increasing odd integers in [5, {MAX_COUNT}]"),
-        "order_tolerance": (_is_positive, "a number > 0"),
     },
     "theta-scaling": {"n": (lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
     "covering-random": {

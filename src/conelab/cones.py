@@ -173,10 +173,6 @@ class DeformedCone:
         n = self.base.n
         return self.base.link_scal / self.slope**2 - (n - 1.0) * (n - 2.0)
 
-    def iota(self):
-        """Empirical scal * rho^2 infimum (exact here: the value is constant)."""
-        return self.scal_rho2()
-
 
 def deformed_metric(d: DeformedCone, rho_range=(0.5, 2.0), count=5) -> MetricField:
     """Grid metric d rho^2 + (m rho)^2 (g_{S^p(a)} + g_{S^q(b)}).

@@ -8,6 +8,7 @@ tubes) carrying exact derivative callbacks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,60 +138,42 @@ def diagonal_metric_field(chart: Chart, factors) -> MetricField:
     """Build a MetricField for g = diag(prod_j f_{ij}(x_j)) with exact jets.
 
     ``factors[i]`` is a dict {axis: (f, f', f'')}; absent axes contribute
-    the constant factor 1.
+    the constant factor 1.  The three callbacks are one product-rule
+    kernel at orders 0, 1 and 2, vectorized over leading axes of x.
     """
     n = chart.dim
+    rows = [sorted(row.items()) for row in factors]
 
-    def _entry_jets(x, i):
-        vals = []
-        for j in range(n):
-            trip = factors[i].get(j)
-            if trip is None:
-                vals.append((1.0, 0.0, 0.0))
-            else:
-                f, d1, d2 = trip
-                vals.append((float(f(x[j])), float(d1(x[j])), float(d2(x[j]))))
-        return vals
+    def _jet(x, order):
+        """d^order g_ii along axes (c, d, ...) = prod_j f_ij^(m_j)(x_j),
+        where m_j counts how often axis j is differentiated; each factor
+        derivative is evaluated once per call, c <= d filled and mirrored.
+        Factors see 1-D arrays even at one point, so a point's value does
+        not depend on the batch it is evaluated in."""
+        x = np.asarray(x, dtype=float)
+        pts = x.reshape(-1, n)
+        out = np.zeros((len(pts),) + (n,) * (order + 2))
+        values = {}
+        for i, row in enumerate(rows):
+            for axes in itertools.combinations_with_replacement([j for j, _ in row], order):
+                prod = 1.0
+                for j, trip in row:
+                    fn = trip[axes.count(j)]
+                    if (fn, j) not in values:
+                        values[fn, j] = fn(pts[:, j])
+                    prod = prod * values[fn, j]
+                for perm in set(itertools.permutations(axes)):
+                    out[(slice(None),) + perm + (i, i)] = prod
+        return out.reshape(x.shape[:-1] + out.shape[1:])
 
     def metric_fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (n, n))
-        for i in range(n):
-            gi = np.ones(x.shape[:-1])
-            for j, trip in factors[i].items():
-                gi = gi * trip[0](x[..., j])
-            out[..., i, i] = gi
-        return out
+        return _jet(x, 0)
 
     def dmetric_fn(x):
-        x = np.asarray(x, dtype=float)
-        dg = np.zeros((n, n, n))
-        for i in range(n):
-            jets = _entry_jets(x, i)
-            for c in range(n):
-                prod = 1.0
-                for j, (f, d1, _) in enumerate(jets):
-                    prod *= d1 if j == c else f
-                dg[c, i, i] = prod
-        return dg
+        return _jet(x, 1)
 
     def d2metric_fn(x):
-        x = np.asarray(x, dtype=float)
-        d2g = np.zeros((n, n, n, n))
-        for i in range(n):
-            jets = _entry_jets(x, i)
-            for c in range(n):
-                for d in range(c, n):
-                    prod = 1.0
-                    for j, (f, d1, d2) in enumerate(jets):
-                        if j == c == d:
-                            prod *= d2
-                        elif j == c or j == d:
-                            prod *= d1
-                        else:
-                            prod *= f
-                    d2g[c, d, i, i] = d2g[d, c, i, i] = prod
-        return d2g
+        return _jet(x, 2)
 
     return MetricField.from_function(chart, metric_fn, dmetric_fn, d2metric_fn)
 

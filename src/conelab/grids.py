@@ -162,44 +162,49 @@ class CurvatureSample:
 # ---------------------------------------------------------------------------
 
 def _inverse(g):
-    if abs(np.linalg.det(g)) < 1e-300:
+    if np.any(np.abs(np.linalg.det(g)) < 1e-300):
         raise SingularMetricError("metric not invertible")
     return np.linalg.inv(g)
 
 
+def _lowered(dg):
+    """d_a g_br + d_b g_ar - d_r g_ab at [..., a, b, r] (d_d of it for d2g)."""
+    return np.swapaxes(dg, -3, -2) + dg - np.moveaxis(dg, -3, -1)
+
+
 def christoffel_from_jet(g, dg):
-    """Gamma^gamma_{alpha beta} from the metric and its first derivatives."""
-    ginv = _inverse(g)
-    t = dg.transpose(1, 0, 2) + dg - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("gr,abr->gab", ginv, t)
+    """Gamma^gamma_{alpha beta} from the metric and its first derivatives.
+
+    Leading axes of g (..., n, n) and dg (..., n, n, n) are batch axes."""
+    return 0.5 * np.einsum("...gr,...abr->...gab", _inverse(g), _lowered(dg))
 
 
 def scal_from_jet(g, dg, d2g):
-    """Scalar curvature assembled from the metric 2-jet at one point.
+    """Scalar curvature assembled from the metric 2-jet.
 
     scal = g^{ij}(d_k Gam^k_ij - d_j Gam^k_ik
                   + Gam^l_ij Gam^k_kl - Gam^l_ik Gam^k_jl)
+
+    Leading axes of g, dg and d2g are batch axes; a single point returns
+    a Python float.
     """
     ginv = _inverse(g)
-    t = dg.transpose(1, 0, 2) + dg - dg.transpose(1, 2, 0)
-    gam = 0.5 * np.einsum("gr,abr->gab", ginv, t)
+    t = _lowered(dg)
+    gam = 0.5 * np.einsum("...gr,...abr->...gab", ginv, t)
 
-    dginv = -np.einsum("ga,dab,br->dgr", ginv, dg, ginv)
-    dt = (
-        d2g.transpose(0, 2, 1, 3)
-        + d2g
-        - d2g.transpose(0, 2, 3, 1)
-    )
+    dginv = -np.einsum("...ga,...dab,...br->...dgr", ginv, dg, ginv)
     dgam = 0.5 * (
-        np.einsum("dgr,abr->dgab", dginv, t) + np.einsum("gr,dabr->dgab", ginv, dt)
+        np.einsum("...dgr,...abr->...dgab", dginv, t)
+        + np.einsum("...gr,...dabr->...dgab", ginv, _lowered(d2g))
     )
 
-    contracted = np.einsum("kkl->l", gam)
-    t1 = np.einsum("ij,kkij->", ginv, dgam)
-    t2 = np.einsum("ij,jkik->", ginv, dgam)
-    t3 = np.einsum("ij,lij,l->", ginv, gam, contracted)
-    t4 = np.einsum("ij,lik,kjl->", ginv, gam, gam)
-    return float(t1 - t2 + t3 - t4)
+    contracted = np.einsum("...kkl->...l", gam)
+    t1 = np.einsum("...ij,...kkij->...", ginv, dgam)
+    t2 = np.einsum("...ij,...jkik->...", ginv, dgam)
+    t3 = np.einsum("...ij,...lij,...l->...", ginv, gam, contracted)
+    t4 = np.einsum("...ij,...lik,...kjl->...", ginv, gam, gam)
+    scal = t1 - t2 + t3 - t4
+    return float(scal) if np.ndim(scal) == 0 else scal
 
 
 # ---------------------------------------------------------------------------

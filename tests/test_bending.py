@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conelab import bending as bd
+from conelab import grids
 from conelab.errors import (
     DomainError,
     IterationLimitError,
@@ -207,6 +210,65 @@ class TestScalCompare:
         tm = bd.sphere_tube(7, theta0=1.0, sigma=0.45)
         rep = bd.scal_compare(tm, bd.build_h(2.0, 0.2), samples=31)
         assert rep["min_diff"] >= 0.0
+
+
+def _pointwise_scal_compare(tm, bp, samples):
+    """Reference for scal_compare: one single-point scal evaluation per
+    sample and metric."""
+    base, bent = tm.field(), bd.bend_metric(tm, bp)
+    angles = [0.5 * (lo + hi) for lo, hi, _ in tm.chart.axes[1:]]
+    ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)
+    h = bp.jet(ts)[0]
+
+    def scal(m, x):
+        return grids.scal_from_jet(m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x))
+
+    return np.array([scal(bent, np.array([t, *angles])) - scal(base, np.array([hi, *angles]))
+                     for t, hi in zip(ts, h)])
+
+
+class TestBatchedScalCompare:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        theta0=st.floats(0.6, 1.45),
+        k=st.floats(0.25, 16.0),
+        delta=st.floats(0.1, 0.3),
+        samples=st.integers(2, 61),
+    )
+    def test_matches_pointwise_reference(self, n, theta0, k, delta, samples):
+        tm = bd.sphere_tube(n, theta0=theta0, sigma=0.45)
+        bp = bd.build_h(k, delta)
+        rep = bd.scal_compare(tm, bp, samples=samples)
+        ref = _pointwise_scal_compare(tm, bp, samples)
+        np.testing.assert_allclose(rep["diff"], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        if np.any(rep["t"] >= delta):
+            assert rep["tail_max_abs"] == 0.0
+
+    def test_cross_section_matches_pointwise_reference(self):
+        tm = bd.cross_section_tube(1.3, 0.45)
+        bp = bd.build_h(1.5, 0.2)
+        rep = bd.scal_compare(tm, bp, samples=101)
+        np.testing.assert_allclose(rep["diff"], _pointwise_scal_compare(tm, bp, 101), rtol=1e-12)
+        assert rep["tail_max_abs"] == 0.0
+
+    def test_profile_evaluations_do_not_grow_with_samples(self, monkeypatch):
+        calls = []
+        jet = bd.BendProfile.jet
+
+        def counted(self, t):
+            calls.append(np.shape(t))
+            return jet(self, t)
+
+        monkeypatch.setattr(bd.BendProfile, "jet", counted)
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        bp = bd.build_h(2.0, 0.2)
+        counts = []
+        for samples in (11, 201):
+            calls.clear()
+            bd.scal_compare(tm, bp, samples=samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 16
 
 
 class TestStiffnessSearch:

@@ -44,7 +44,7 @@ class TestScenarioSchema:
         "check, params",
         [
             ("theta-scaling", {"n": 8}),
-            ("conformal-consistency", {"factors": 2, "counts": [9, 17, 33], "order_tolerance": 0.25}),
+            ("conformal-consistency", {"factors": 2, "counts": [9, 17, 33]}),
             ("covering-random", {"instances": 1, "balls": 10}),
             ("bending-sphere", {"theta0": 1, "delta": 0.15}),
         ],
@@ -215,6 +215,8 @@ class TestMain:
             # the grid holds count^3 nodes: an oversized count is refused
             # before anything is allocated
             ("conformal-consistency", {"counts": [17, 1025]}),
+            # the order band is the check's own bound, not a param
+            ("conformal-consistency", {"order_tolerance": 1e9}),
         ],
     )
     def test_run_bad_params_exit_2_and_write_nothing(self, tmp_path, capsys, check, params):

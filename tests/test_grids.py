@@ -16,9 +16,14 @@ from conelab.fields import (
     CoordinateField,
     RadiusField,
     TrigField,
+    const_factor,
     cylinder_metric,
+    diagonal_metric_field,
     flat_metric,
+    func2_factor,
     polar_metric,
+    power2_factor,
+    sin2_factor,
     sphere_metric,
 )
 from conelab.grids import (
@@ -211,6 +216,99 @@ def test_central_jet_exact_on_quadratics(steps, value_shape, seed):
     np.testing.assert_array_equal(f, quadratic(x0))
     np.testing.assert_allclose(df, b + np.tensordot(x0, c, 1), rtol=0, atol=tol)
     np.testing.assert_allclose(d2f, c, rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# product-rule kernel of diagonal analytic metrics, and batched assembly
+# ---------------------------------------------------------------------------
+
+_FACTOR_KINDS = (
+    lambda rng: const_factor(rng.uniform(0.5, 2.0)),
+    lambda rng: power2_factor(rng.uniform(0.5, 2.0)),
+    lambda rng: sin2_factor(),
+    lambda rng: func2_factor(lambda t: 1.5 + np.cos(t), lambda t: -np.sin(t), lambda t: -np.cos(t)),
+)
+
+
+def _random_diagonal_metric(dim, seed):
+    """diagonal_metric_field with const, power2, sin2 and square factors on
+    random axes of a chart over [0.5, 1.5]^dim, where every factor is
+    positive.  Factors come from a small shared pool, so one factor often
+    sits on several rows and axes."""
+    rng = np.random.default_rng(seed)
+    pool = [kind(rng) for kind in _FACTOR_KINDS for _ in range(2)]
+    factors = []
+    for _ in range(dim):
+        axes = rng.choice(dim, size=rng.integers(0, dim + 1), replace=False)
+        factors.append({int(j): pool[rng.integers(len(pool))] for j in axes})
+    chart = Chart(tuple((0.5, 1.5, 5) for _ in range(dim)))
+    return diagonal_metric_field(chart, factors), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 5),
+    lead=st.sampled_from([(1,), (4,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_callbacks_batched_equal_pointwise_bitwise(dim, lead, seed):
+    """Each callback on a stack of points is the stack of its pointwise
+    values, bit for bit, with the documented output shapes."""
+    m, rng = _random_diagonal_metric(dim, seed)
+    x = rng.uniform(0.6, 1.4, lead + (dim,))
+    for order, fn in enumerate((m.metric_fn, m.dmetric_fn, m.d2metric_fn)):
+        batch = fn(x)
+        assert batch.shape == lead + (dim,) * (order + 2)
+        pointwise = np.stack([fn(p) for p in x.reshape(-1, dim)]).reshape(batch.shape)
+        np.testing.assert_array_equal(batch, pointwise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_callbacks_match_central_differences(dim, seed):
+    """dg and d2g agree with central differences of metric_fn to O(h^2)."""
+    m, rng = _random_diagonal_metric(dim, seed)
+    x0 = rng.uniform(0.6, 1.4, dim)
+    h = np.full(dim, 1e-3)
+    g, dg, d2g = grids.central_jet(lambda offset: m.metric_fn(x0 + np.multiply(offset, h)), h)
+    np.testing.assert_array_equal(g, m.metric_fn(x0))
+    tol = 100.0 * h[0] ** 2
+    np.testing.assert_allclose(m.dmetric_fn(x0), dg, rtol=tol, atol=tol)
+    np.testing.assert_allclose(m.d2metric_fn(x0), d2g, rtol=tol, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    batch=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_assembly_matches_pointwise(dim, batch, seed):
+    """scal_from_jet and christoffel_from_jet over a leading batch axis agree
+    with pointwise calls on random SPD jets.  Not bitwise: einsum sums a
+    batch in a different order."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (batch, dim, dim))
+    g = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
+    dg = rng.uniform(-1.0, 1.0, (batch, dim, dim, dim))
+    dg = dg + np.swapaxes(dg, -1, -2)
+    d2g = rng.uniform(-1.0, 1.0, (batch, dim, dim, dim, dim))
+    d2g = d2g + np.swapaxes(d2g, -1, -2)
+    d2g = d2g + np.swapaxes(d2g, 1, 2)
+    scal = grids.scal_from_jet(g, dg, d2g)
+    pointwise = [grids.scal_from_jet(*jet) for jet in zip(g, dg, d2g)]
+    assert scal.shape == (batch,)
+    assert all(type(s) is float for s in pointwise)
+    np.testing.assert_allclose(scal, pointwise, rtol=1e-12, atol=0.0)
+    gam = grids.christoffel_from_jet(g, dg)
+    np.testing.assert_allclose(gam, [grids.christoffel_from_jet(*jet) for jet in zip(g, dg)],
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_batched_assembly_rejects_any_singular_metric():
+    g = np.stack([np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(SingularMetricError):
+        grids.scal_from_jet(g, np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
