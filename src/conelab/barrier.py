@@ -306,10 +306,6 @@ class LineBarrierSpec:
                 f"total weight {total} exceeds the cap {self.weight_cap}"
             )
 
-    @property
-    def total_weight(self):
-        return sum(p.weight for p in self.points)
-
 
 def sphere_distance(omega, p):
     """Geodesic distance on the round unit sphere between unit vectors."""

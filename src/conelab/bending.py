@@ -234,6 +234,8 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
 
     The identification t <-> h(t) matches the leaves N_t of the two tubes;
     beyond the transition width the difference vanishes identically."""
+    if samples < 2:
+        raise ParameterError("scal_compare needs at least 2 samples")
     bent = bend_metric(tm, bp)
     angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)

@@ -4,14 +4,17 @@ Balls are processed in decreasing radius order (the finite surrogate of a
 well-ordering of the radii).  A ball whose center already lies in a kept
 larger ball is ruled out; otherwise it joins the smallest family whose kept
 members stay separation-fold disjoint from it, opening a fresh family when
-necessary.  The verification pass checks the three derived properties —
+necessary.  Each ball is compared with all kept balls in one array
+operation.  The verification pass checks the three derived properties —
 intra-family 6-rho disjointness, mutual center exclusion, and 3-rho cover
-of the target points — by brute force over all pairs.
+of the target points — on the kept-by-kept distance matrix, with boolean
+masks over its upper triangle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,9 @@ DISJOINT = 6.0
 #: cover enlargement factor
 COVER = 3.0
 
+#: target-ball distances per block of the coverability check
+_BLOCK = 1 << 18
+
 #: empirically calibrated family-count bounds per dimension
 C_BOUND_DEFAULTS = {2: 12, 3: 24}
 
@@ -36,8 +42,29 @@ class Ball:
     ball_id: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and all(map(math.isfinite, self.center))):
+            raise DomainError("ball center and radius must be finite")
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
+
+
+def _norms(diff):
+    """Euclidean norms over the last axis of ``diff``.
+
+    Each norm is one BLAS dot of a row with itself, as in ``np.linalg.norm``
+    of a single vector, so the two agree bit for bit; an axis reduction
+    rounds differently in about one case in ten."""
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+
+
+def _pair_distances(centers):
+    """Distances between all pairs of rows of ``centers``, rounded as
+    ``np.linalg.norm`` over the last axis, squaring in place so the only
+    (m, m, d) scratch array is the difference itself."""
+    sq = centers[:, None, :] - centers[None, :, :]
+    sq *= sq
+    dist = sq.sum(axis=-1)
+    return np.sqrt(dist, out=dist)
 
 
 @dataclass(frozen=True)
@@ -65,13 +92,19 @@ class BallSet:
                 raise DomainError("all centers must share one dimension")
             # coverability precondition: every target point is reachable by
             # the cover enlargement of some input ball
-            for q in np.atleast_2d(self.target):
-                if len(q) != d:
-                    raise DomainError("target dimension mismatch")
-                if not any(
-                    np.linalg.norm(np.asarray(b.center) - q) <= COVER * b.radius
-                    for b in self.balls
-                ):
+            target = np.atleast_2d(self.target)
+            if len(target) and target.shape[1] != d:
+                raise DomainError("target dimension mismatch")
+            centers = np.array([b.center for b in self.balls], dtype=float)
+            reach = COVER * np.asarray(radii)
+            # targets in blocks of at most _BLOCK target-ball distances, so
+            # that a set whose every center is a target stays linear in memory
+            step = max(1, _BLOCK // len(centers))
+            for start in range(0, len(target), step):
+                block = target[start:start + step]
+                covered = np.any(_norms(centers - block[:, None, :]) <= reach, axis=1)
+                if not covered.all():
+                    q = block[np.argmin(covered)]
                     raise DomainError(f"target point {q} not coverable by any ball")
         elif np.asarray(self.target).size:
             raise DomainError("nonempty target with empty ball set is not coverable")
@@ -95,12 +128,16 @@ def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
     if len(radii) != len(centers):
         raise DomainError("need one radius per center")
     rng = np.random.default_rng(seed)
-    while len(set(radii.tolist())) != len(radii):
+    while True:
+        # the balls are built before each tie check: a radius the
+        # perturbation cannot separate (0, inf) is rejected, not looped on
+        balls = tuple(
+            Ball(center=tuple(c), radius=float(r), ball_id=i)
+            for i, (c, r) in enumerate(zip(centers, radii))
+        )
+        if len(set(radii.tolist())) == len(radii):
+            break
         radii = radii * (1.0 + 1e-9 * rng.random(len(radii)))
-    balls = tuple(
-        Ball(center=tuple(c), radius=float(r), ball_id=i)
-        for i, (c, r) in enumerate(zip(centers, radii))
-    )
     target = np.atleast_2d(np.asarray(target, dtype=float)) if len(target) else np.zeros((0, centers.shape[1]))
     return BallSet(balls=balls, target=target, sources=sources)
 
@@ -132,39 +169,43 @@ def assign_families(bs: BallSet, c_bound=None, separation=SEPARATION) -> FamilyA
             raise DomainError(f"no default family bound for dimension {bs.dim}")
     order = sorted(bs.balls, key=lambda b: -b.radius)
     families = {}
-    kept = []  # (center array, radius, family)
+    # kept balls, filled up to k in processing order, so all have larger
+    # radius than the ball at hand
+    C = np.empty((len(order), bs.dim))
+    R = np.empty(len(order))
+    F = np.empty(len(order), dtype=int)
+    k = 0
     for b in order:
-        x = np.asarray(b.center)
-        ruled_out = any(
-            np.linalg.norm(x - c) < r for c, r, _ in kept
-        )  # kept balls all have larger radius (processing order)
-        if ruled_out:
+        dist = _norms(C[:k] - np.asarray(b.center))
+        if np.any(dist < R[:k]):
             families[b.ball_id] = 0
             continue
-        blocked = {}
-        for c, r, fam in kept:
-            if np.linalg.norm(x - c) <= separation * (b.radius + r):
-                blocked.setdefault(fam, (c, r))
+        blocking = dist <= separation * (b.radius + R[:k])
+        blocked = set(F[:k][blocking].tolist())
         fam = 1
         while fam in blocked:
             fam += 1
         if fam > c_bound:
+            blockers = {}  # the first kept blocker of each blocking family
+            for j in np.nonzero(blocking)[0]:
+                blockers.setdefault(int(F[j]), (tuple(C[j]), float(R[j])))
             raise BoundExceededError(
                 f"ball {b.ball_id} needs family {fam} > bound {c_bound}",
-                witness={
-                    "ball": b,
-                    "blockers": {f: (tuple(c), r) for f, (c, r) in blocked.items()},
-                },
+                witness={"ball": b, "blockers": blockers},
             )
         families[b.ball_id] = fam
-        kept.append((x, b.radius, fam))
+        C[k], R[k], F[k] = b.center, b.radius, fam
+        k += 1
     return FamilyAssignment(families=families, c_bound=int(c_bound))
 
 
 def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=COVER):
-    """Brute-force O(N^2) verification of the three derived properties.
+    """Verification of the three derived properties on the kept-by-kept
+    distance matrix.
 
-    Returns a report dict with pass/fail and witnesses per property."""
+    Returns a report dict with pass/fail and witnesses per property; pair
+    witnesses are (ball_id_i, ball_id_j) with i < j in input order, row by
+    row."""
     kept = [b for b in bs.balls if fa.families.get(b.ball_id, 0) > 0]
     centers = np.array([b.center for b in kept]) if kept else np.zeros((0, max(bs.dim, 1)))
     radii = np.array([b.radius for b in kept])
@@ -175,19 +216,21 @@ def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=
         "target_cover": {"passed": True, "witnesses": []},
     }
     if kept:
-        dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-        for i in range(len(kept)):
-            for j in range(i + 1, len(kept)):
-                if fams[i] == fams[j] and dist[i, j] <= disjoint * (radii[i] + radii[j]):
-                    report["intra_family_disjoint"]["passed"] = False
-                    report["intra_family_disjoint"]["witnesses"].append(
-                        (kept[i].ball_id, kept[j].ball_id)
-                    )
-                if dist[i, j] < max(radii[i], radii[j]):
-                    report["center_exclusion"]["passed"] = False
-                    report["center_exclusion"]["witnesses"].append(
-                        (kept[i].ball_id, kept[j].ball_id)
-                    )
+        dist = _pair_distances(centers)
+        ids = np.array([b.ball_id for b in kept])
+        # the two thresholds share one (kept, kept) float buffer, so the
+        # masks add no float scratch beyond it and the distances
+        thresh = radii[:, None] + radii[None, :]
+        thresh *= disjoint
+        intra = dist <= thresh
+        intra &= fams[:, None] == fams[None, :]
+        np.maximum(radii[:, None], radii[None, :], out=thresh)
+        for key, bad in (("intra_family_disjoint", intra), ("center_exclusion", dist < thresh)):
+            i, j = np.nonzero(np.triu(bad, 1))
+            report[key] = {
+                "passed": not len(i),
+                "witnesses": list(zip(ids[i].tolist(), ids[j].tolist())),
+            }
     for q in np.atleast_2d(bs.target):
         if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= cover * radii):
             report["target_cover"]["passed"] = False

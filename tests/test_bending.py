@@ -211,6 +211,12 @@ class TestScalCompare:
         rep = bd.scal_compare(tm, bd.build_h(2.0, 0.2), samples=31)
         assert rep["min_diff"] >= 0.0
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        with pytest.raises(ParameterError):
+            bd.scal_compare(tm, bd.build_h(2.0, 0.2), samples=samples)
+
 
 def _pointwise_scal_compare(tm, bp, samples):
     """Reference for scal_compare: one single-point scal evaluation per
@@ -293,6 +299,12 @@ class TestStiffnessSearch:
         tm = bd.sphere_tube(4, theta0=1.4, sigma=0.45)
         with pytest.raises(IterationLimitError):
             bd.stiffness_search(tm, delta=0.2, cap=2.0, samples=61)
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        with pytest.raises(ParameterError):
+            bd.stiffness_search(tm, delta=0.2, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import covering as cv
 from conelab.errors import BoundExceededError, DataIntegrityError, DomainError
@@ -42,12 +44,48 @@ class TestBallSet:
         with pytest.raises(DomainError):
             cv.make_ball_set([[0, 0]], [-1.0])
         with pytest.raises(DomainError):
+            cv.make_ball_set([[0.0, 0.0]], [1.0], target=[[0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError):
             cv.BallSet(
                 balls=(cv.Ball((0.0, 0.0), 1.0, 0), cv.Ball((1.0, 0.0), 1.0, 1)),
                 target=np.zeros((0, 2)),
             )
         with pytest.raises(DomainError):
             cv.BallSet(balls=(), target=np.array([[0.0, 0.0]]))
+
+    def test_uncoverable_error_names_first_uncovered_target(self):
+        with pytest.raises(DomainError, match=r"target point \[ 7\. -1\.\] not coverable"):
+            cv.make_ball_set([[0.0, 0.0], [5.0, 0.0]], [1.0, 0.5],
+                             target=[[1.0, 0.0], [7.0, -1.0], [20.0, 0.0]])
+
+    def test_uncoverable_target_found_past_the_first_block(self):
+        n = 1024  # 256 targets per block; targets 700 and 900 fall in later blocks
+        centers = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+        targets = np.repeat(centers[:3], 400, axis=0)
+        targets[700] = [-50.0, 3.0]
+        targets[900] = [-60.0, 0.0]
+        with pytest.raises(DomainError, match=r"target point \[-50\. +3\.\] not coverable"):
+            cv.make_ball_set(centers, np.linspace(0.5, 0.6, n), target=targets)
+
+    @pytest.mark.parametrize("radii", [[np.inf, np.inf], [0.0, 0.0]])
+    def test_radii_the_perturbation_cannot_separate_rejected(self, radii):
+        # tied infinite or zero radii are fixed points of the tie-breaking
+        # multiplication; they must be rejected, not perturbed forever
+        with pytest.raises(DomainError):
+            cv.make_ball_set([[0.0, 0.0], [1.0, 1.0]], radii)
+
+    @pytest.mark.parametrize("centers, radii", [
+        ([[0.0, 0.0], [1.0, 1.0]], [np.nan, 1.0]),
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, np.inf]),
+        ([[0.0, np.nan], [1.0, 1.0]], [1.0, 2.0]),
+        ([[0.0, 0.0], [-np.inf, 1.0]], [1.0, 2.0]),
+    ])
+    def test_non_finite_input_rejected(self, centers, radii):
+        with pytest.raises(DomainError):
+            cv.make_ball_set(centers, radii)
+        with pytest.raises(DomainError):
+            for i, (c, r) in enumerate(zip(centers, radii)):
+                cv.Ball(center=tuple(c), radius=r, ball_id=i)
 
 
 class TestAssignFamilies:
@@ -96,6 +134,31 @@ class TestAssignFamilies:
         witness = err.value.witness
         assert witness["ball"].ball_id == 0
         assert set(witness["blockers"]) == {1, 2}
+
+    def test_witness_names_first_kept_blocker_of_each_family(self):
+        # balls 0 and 1 share family 1 and both block ball 2
+        bs = cv.make_ball_set([[0.0], [25.0], [12.5]], [1.0, 0.9, 0.8])
+        assert cv.assign_families(bs, c_bound=2).families == {0: 1, 1: 1, 2: 2}
+        with pytest.raises(BoundExceededError) as err:
+            cv.assign_families(bs, c_bound=1)
+        assert err.value.witness["blockers"] == {1: ((0.0,), 1.0)}
+
+    def test_blocking_distance_is_inclusive(self):
+        # centres exactly separation * (r + r') apart still block
+        bs = cv.make_ball_set([[0.0], [20.0]], [1.5, 0.5])
+        assert cv.assign_families(bs, c_bound=2).families == {0: 1, 1: 2}
+
+    def test_distances_round_like_scalar_norm(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3, 4):
+            diff = rng.normal(size=(500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+            scalar = [np.linalg.norm(v) for v in diff]
+            assert cv._norms(diff).tolist() == scalar
+        for dim in (1, 2, 3, 4, 8, 9):
+            centers = rng.random((60, dim)) * 10.0 ** rng.uniform(-3, 3)
+            np.testing.assert_array_equal(
+                cv._pair_distances(centers),
+                np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1))
 
     def test_determinism(self):
         bs1, _ = _random_instance(17)
@@ -152,6 +215,10 @@ class TestVerifyFamilies:
         fa = cv.FamilyAssignment(families={0: 1, 1: 1}, c_bound=12)
         report = cv.verify_families(bs, fa)
         assert not report["intra_family_disjoint"]["passed"]
+        assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]
+        # centres exactly disjoint * (r + r') apart still violate
+        bs = cv.make_ball_set([[0.0], [9.0]], [1.0, 0.5])
+        report = cv.verify_families(bs, fa)
         assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]
 
     def test_empty_vacuous_pass(self):
@@ -236,3 +303,149 @@ class TestJson:
         assert [b.radius for b in again.balls] == [b.radius for b in bs.balls]
         data = json.loads(text)
         assert data["balls"][0]["family"] == fa.families[bs.balls[0].ball_id]
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-pair loops they replaced
+# ---------------------------------------------------------------------------
+
+def _assign_reference(bs, c_bound, separation=cv.SEPARATION):
+    """The per-pair greedy loop, one scalar norm per (ball, kept) pair."""
+    families = {}
+    kept = []
+    for b in sorted(bs.balls, key=lambda b: -b.radius):
+        x = np.asarray(b.center)
+        if any(np.linalg.norm(x - c) < r for c, r, _ in kept):
+            families[b.ball_id] = 0
+            continue
+        blocked = {}
+        for c, r, fam in kept:
+            if np.linalg.norm(x - c) <= separation * (b.radius + r):
+                blocked.setdefault(fam, (c, r))
+        fam = 1
+        while fam in blocked:
+            fam += 1
+        if fam > c_bound:
+            raise BoundExceededError(
+                f"ball {b.ball_id} needs family {fam} > bound {c_bound}",
+                witness={"ball": b,
+                         "blockers": {f: (tuple(c), r) for f, (c, r) in blocked.items()}},
+            )
+        families[b.ball_id] = fam
+        kept.append((x, b.radius, fam))
+    return cv.FamilyAssignment(families=families, c_bound=int(c_bound))
+
+
+def _verify_reference(bs, fa, disjoint=cv.DISJOINT, cover=cv.COVER):
+    """The double Python loop over kept pairs."""
+    kept = [b for b in bs.balls if fa.families.get(b.ball_id, 0) > 0]
+    centers = np.array([b.center for b in kept]) if kept else np.zeros((0, max(bs.dim, 1)))
+    radii = np.array([b.radius for b in kept])
+    fams = np.array([fa.families[b.ball_id] for b in kept])
+    report = {key: {"passed": True, "witnesses": []}
+              for key in ("intra_family_disjoint", "center_exclusion", "target_cover")}
+    if kept:
+        dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
+        for i in range(len(kept)):
+            for j in range(i + 1, len(kept)):
+                if fams[i] == fams[j] and dist[i, j] <= disjoint * (radii[i] + radii[j]):
+                    report["intra_family_disjoint"]["passed"] = False
+                    report["intra_family_disjoint"]["witnesses"].append(
+                        (kept[i].ball_id, kept[j].ball_id))
+                if dist[i, j] < max(radii[i], radii[j]):
+                    report["center_exclusion"]["passed"] = False
+                    report["center_exclusion"]["witnesses"].append(
+                        (kept[i].ball_id, kept[j].ball_id))
+    for q in np.atleast_2d(bs.target):
+        if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= cover * radii):
+            report["target_cover"]["passed"] = False
+            report["target_cover"]["witnesses"].append(tuple(q))
+    report["all_passed"] = all(
+        report[key]["passed"]
+        for key in ("intra_family_disjoint", "center_exclusion", "target_cover"))
+    return report
+
+
+def _instance(seed, dim, n_max, lattice):
+    """Up to ``n_max`` balls in a box whose side the seed draws: either
+    random centres with radii 10^U[-6, 0], or integer lattice centres with
+    distinct quarter-integer radii, where distances meet the rule-out,
+    blocking and verification thresholds exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, n_max + 1))
+    if lattice:
+        n = min(n, 48)
+        centers = rng.integers(0, rng.integers(2, 40), (n, dim)).astype(float)
+        radii = rng.choice(np.arange(1, 49) / 4.0, n, replace=False)
+    else:
+        centers = rng.random((n, dim)) * 10.0 ** rng.uniform(0, 3)
+        radii = 10.0 ** rng.uniform(-6, 0, n)
+    targets = centers[rng.choice(n, min(n, 5), replace=False)]
+    return cv.make_ball_set(centers, radii, target=targets, seed=seed)
+
+
+def _corrupt(fa, seed):
+    """Move a random share of the balls, ruled-out ones included, into
+    families 1..3, so that both pair properties fail with witnesses."""
+    rng = np.random.default_rng(seed)
+    families = dict(fa.families)
+    for ball_id in families:
+        if rng.random() < 0.4:
+            families[ball_id] = int(rng.integers(1, 4))
+    return cv.FamilyAssignment(families=families, c_bound=fa.c_bound)
+
+
+def _assign_outcome(assign, bs, c_bound):
+    try:
+        return assign(bs, c_bound=c_bound).families
+    except BoundExceededError as err:
+        return str(err), err.witness
+
+
+class TestArrayKernels:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           lattice=st.booleans(), c_bound=st.integers(1, 12))
+    def test_match_per_pair_loops(self, seed, dim, lattice, c_bound):
+        # small bounds bind on crowded sets, large ones never do
+        bs = _instance(seed, dim, 300, lattice)
+        assert (_assign_outcome(cv.assign_families, bs, c_bound)
+                == _assign_outcome(_assign_reference, bs, c_bound))
+        fa = cv.assign_families(bs, c_bound=len(bs.balls))
+        assert fa.families == _assign_reference(bs, c_bound=len(bs.balls)).families
+        for assignment in (fa, _corrupt(fa, seed)):
+            assert cv.verify_families(bs, assignment) == _verify_reference(bs, assignment)
+
+    def test_instances_bind_and_corruptions_leave_witnesses(self):
+        # the property test's inputs reach the paths it compares
+        raised = witnessed = 0
+        for seed in range(40):
+            bs = _instance(seed, 1 + seed % 4, 300, lattice=seed % 2 == 0)
+            try:
+                cv.assign_families(bs, c_bound=3)
+            except BoundExceededError:
+                raised += 1
+            fa = cv.assign_families(bs, c_bound=len(bs.balls))
+            report = cv.verify_families(bs, _corrupt(fa, seed))
+            witnessed += bool(report["intra_family_disjoint"]["witnesses"]
+                              and report["center_exclusion"]["witnesses"])
+        assert raised >= 10
+        assert witnessed >= 20
+
+    @pytest.mark.parametrize("K", [4, 8, 12])
+    def test_collinear_construction_needs_one_family_per_ball(self, K):
+        # balls at 2^k e1 with radius 2^k/10 and a tiny ball at 0: every
+        # kept ball blocks all later ones, so no bound depending on the
+        # dimension alone holds for the greedy rule
+        k = np.arange(1, K + 1)
+        centers = np.zeros((K + 1, 2))
+        centers[1:, 0] = 2.0 ** k
+        radii = np.concatenate(([1e-3], 2.0 ** k / 10))
+        bs = cv.make_ball_set(centers, radii)
+        fa = cv.assign_families(bs, c_bound=K + 1)
+        assert sorted(fa.families.values()) == list(range(1, K + 2))
+        assert cv.verify_families(bs, fa)["all_passed"]
+        with pytest.raises(BoundExceededError) as err:
+            cv.assign_families(bs, c_bound=K)
+        assert err.value.witness["ball"].ball_id == 0
+        assert sorted(err.value.witness["blockers"]) == list(range(1, K + 1))
