@@ -12,16 +12,13 @@ expansion.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, IterationLimitError, ParameterError, ResolutionError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import Chart, MetricField, scal_from_jet
+from .grids import AnalyticMetric, Chart, scal_from_jet
 from .jets import Jet, jet_compose
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -145,16 +142,8 @@ class TubeMetric:
         f, df, _ = self.warp
         return -(self.dim - 1) * df(0.0) / f(0.0)
 
-    def field(self) -> MetricField:
+    def field(self) -> AnalyticMetric:
         return warped_product_metric(self.chart, self.warp, list(self.core_factors))
-
-    def jets(self, t, angles):
-        """(g, dg, d2g) at the point (t, angles) from the exact callbacks."""
-        return _jet_at(self.field(), np.concatenate(([float(t)], np.asarray(angles, dtype=float))))
-
-
-def _jet_at(m: MetricField, x):
-    return m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x)
 
 
 def sphere_tube(n, theta0, sigma, count=5) -> TubeMetric:
@@ -214,8 +203,8 @@ def bent_warp(tm: TubeMetric, bp: BendProfile):
     return (lambda t: jet(t).f), (lambda t: jet(t).d1), (lambda t: jet(t).d2)
 
 
-def bend_metric(tm: TubeMetric, bp: BendProfile) -> MetricField:
-    """Substituted metric dt^2 + f(h(t))^2 g_core as a MetricField."""
+def bend_metric(tm: TubeMetric, bp: BendProfile) -> AnalyticMetric:
+    """Substituted metric dt^2 + f(h(t))^2 g_core as an AnalyticMetric."""
     if bp.delta >= tm.sigma:
         raise DomainError("tube too shallow for the bend transition width")
     return warped_product_metric(tm.chart, bent_warp(tm, bp), list(tm.core_factors))
@@ -241,8 +230,8 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)
     rest = np.broadcast_to(angles, (samples, len(angles)))
     # every sample in one batched evaluation per metric
-    diff = (scal_from_jet(*_jet_at(bent, np.column_stack((ts, rest))))
-            - scal_from_jet(*_jet_at(tm.field(), np.column_stack((bp.jet(ts)[0], rest)))))
+    diff = (scal_from_jet(*bent.jet(np.column_stack((ts, rest))))
+            - scal_from_jet(*tm.field().jet(np.column_stack((bp.jet(ts)[0], rest)))))
     idx = int(np.argmin(diff))
     return {
         "t": ts,
@@ -303,7 +292,7 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
     curvature expansion identity."""
     angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
     h, hp, hpp = (float(v[0]) for v in bp.jet(np.array([float(t)])))
-    g, dg, d2g = tm.jets(h, angles)
+    g, dg, d2g = tm.field().jet(np.concatenate(([h], angles)))
     a = dg[0]
     e_first = np.zeros_like(dg)
     e_first[0] = a
@@ -324,7 +313,7 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
     i5 = hpp * _linear_part(g, e_gain)
 
     x_bent = np.concatenate(([float(t)], angles))
-    diff = scal_from_jet(*_jet_at(bend_metric(tm, bp), x_bent)) - scal_from_jet(g, dg, d2g)
+    diff = scal_from_jet(*bend_metric(tm, bp).jet(x_bent)) - scal_from_jet(g, dg, d2g)
     buckets = {"i1": i1, "i2": i2, "i3": i3, "i4": i4, "i5": i5}
     total = sum(buckets.values())
     ginv = np.linalg.inv(g)
@@ -339,32 +328,3 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
         }
     )
     return buckets
-
-
-# ---------------------------------------------------------------------------
-# artifact serialization (deterministic, no timestamps)
-# ---------------------------------------------------------------------------
-
-def scal_compare_csv(rows):
-    """CSV rows (k, min_scal_diff, argmin_t, totally_geodesic_residual)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "min_scal_diff", "argmin_t", "totally_geodesic_residual"])
-    for row in rows:
-        writer.writerow(
-            [
-                repr(float(row["k"])),
-                repr(float(row["min_scal_diff"])),
-                repr(float(row["argmin_t"])),
-                repr(float(row["totally_geodesic_residual"])),
-            ]
-        )
-    return buf.getvalue()
-
-
-def term_table_json(buckets):
-    clean = {
-        key: (float(val) if isinstance(val, (int, float, np.floating)) else val)
-        for key, val in buckets.items()
-    }
-    return json.dumps(clean, sort_keys=True, indent=2) + "\n"

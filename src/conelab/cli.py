@@ -166,7 +166,7 @@ def check_deformed_cone(params, seed):
     rho = float(x[0])
     # evaluate via the exact metric callbacks (the chart is too coarse for
     # the interior stencil margin in dimension 7)
-    scal = scal_from_jet(m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x))
+    scal = scal_from_jet(*m.jet(x))
     scal_err = abs(scal - d.scal_rho2() / rho**2)
     r = 1.7
     dist_err = abs(deformed_distance(c, alpha, r) - d.rho_of_r(r))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import Chart, MetricField, central_jet, conformal_coupling
+from .grids import AnalyticMetric, Chart, central_jet, conformal_coupling
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,11 @@ class DeformedCone:
         return self.base.link_scal / self.slope**2 - (n - 1.0) * (n - 2.0)
 
 
-def deformed_metric(d: DeformedCone, rho_range=(0.5, 2.0), count=5) -> MetricField:
-    """Grid metric d rho^2 + (m rho)^2 (g_{S^p(a)} + g_{S^q(b)}).
+def deformed_metric(d: DeformedCone, rho_range=(0.5, 2.0), count=5) -> AnalyticMetric:
+    """Analytic metric d rho^2 + (m rho)^2 (g_{S^p(a)} + g_{S^q(b)}).
 
-    Chart axes: rho, then spherical angles of the two link factors.  The
-    field carries exact derivative callbacks.  The chart dimension equals
-    n = p+q+1, so keep ``count`` small for large catalog cones.
+    Chart axes: rho, then spherical angles of the two link factors; the
+    chart dimension is n = p+q+1.
     """
     c = d.base
     m = d.slope
@@ -223,25 +222,6 @@ def link_diameter(c: ConeSpec):
     cone (antipodal pairs in both factors realize it).
     """
     return math.sqrt((math.pi * c.a) ** 2 + (math.pi * c.b) ** 2)
-
-
-def catalog_dump():
-    """JSON-serializable catalog summary."""
-    out = []
-    for cone in catalog_cones():
-        out.append(
-            {
-                "p": cone.p,
-                "q": cone.q,
-                "n": cone.n,
-                "a": cone.a,
-                "b": cone.b,
-                "A_norm2_at_1": float(second_form_norm2(cone, 1.0)),
-                "scal_at_1": float(cone_scal(cone, 1.0)),
-                "link_diameter": link_diameter(cone),
-            }
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

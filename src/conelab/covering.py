@@ -281,7 +281,7 @@ def center_shift(bs: BallSet, fa: FamilyAssignment) -> BallSet:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange (deterministic)
+# JSON serialization (deterministic)
 # ---------------------------------------------------------------------------
 
 def ball_set_to_json(bs: BallSet, fa: FamilyAssignment = None):
@@ -298,12 +298,3 @@ def ball_set_to_json(bs: BallSet, fa: FamilyAssignment = None):
         "target": np.atleast_2d(bs.target).tolist(),
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def ball_set_from_json(text) -> BallSet:
-    data = json.loads(text)
-    balls = tuple(
-        Ball(center=tuple(rec["center"]), radius=float(rec["radius"]), ball_id=int(rec["id"]))
-        for rec in data["balls"]
-    )
-    return BallSet(balls=balls, target=np.asarray(data["target"], dtype=float))

@@ -1,9 +1,9 @@
 """Analytic scalar fields and catalog test metrics.
 
 Provides randomized smooth positive conformal factors with exact
-derivatives (for transformation-law consistency tests) and builders for
-diagonal analytic metrics (polar plane, round spheres, cylinders, warped
-tubes) carrying exact derivative callbacks.
+derivatives (for transformation-law consistency tests) and builders of
+diagonal AnalyticMetrics (polar plane, round spheres, cylinders, warped
+tubes), which hold exact derivative callbacks and no samples.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Chart, MetricField
+from .grids import AnalyticMetric, Chart, MetricField
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,8 @@ def func2_factor(f, d1, d2):
     )
 
 
-def diagonal_metric_field(chart: Chart, factors) -> MetricField:
-    """Build a MetricField for g = diag(prod_j f_{ij}(x_j)) with exact jets.
+def diagonal_metric_field(chart: Chart, factors) -> AnalyticMetric:
+    """The AnalyticMetric g = diag(prod_j f_{ij}(x_j)) with exact jets.
 
     ``factors[i]`` is a dict {axis: (f, f', f'')}; absent axes contribute
     the constant factor 1.  The three callbacks are one product-rule
@@ -175,7 +175,7 @@ def diagonal_metric_field(chart: Chart, factors) -> MetricField:
     def d2metric_fn(x):
         return _jet(x, 2)
 
-    return MetricField.from_function(chart, metric_fn, dmetric_fn, d2metric_fn)
+    return AnalyticMetric(chart, metric_fn, dmetric_fn, d2metric_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +188,12 @@ def flat_metric(chart: Chart) -> MetricField:
     return MetricField(chart, g)
 
 
-def polar_metric(chart: Chart) -> MetricField:
+def polar_metric(chart: Chart) -> AnalyticMetric:
     """g = diag(1, r^2) on a 2-D (r, theta) chart."""
     return diagonal_metric_field(chart, [{}, {0: power2_factor()}])
 
 
-def sphere_metric(chart: Chart, radius=1.0) -> MetricField:
+def sphere_metric(chart: Chart, radius=1.0) -> AnalyticMetric:
     """Round 2-sphere of given radius in (theta, phi) coordinates."""
     r2 = radius * radius
     return diagonal_metric_field(
@@ -220,7 +220,7 @@ def round_sphere_factors(dim_sphere, radius=1.0, axis_offset=0):
     return rows
 
 
-def cylinder_metric(n, span=0.4, center=np.pi / 2, count=7) -> MetricField:
+def cylinder_metric(n, span=0.4, center=np.pi / 2, count=7) -> AnalyticMetric:
     """Product metric on R x S^{n-1}(1): g = ds^2 + g_{S^{n-1}}.
 
     Chart axes: s, theta_1..theta_{n-1}, centered away from coordinate
@@ -233,7 +233,7 @@ def cylinder_metric(n, span=0.4, center=np.pi / 2, count=7) -> MetricField:
     return diagonal_metric_field(chart, factors)
 
 
-def warped_product_metric(chart: Chart, profile, core_factors) -> MetricField:
+def warped_product_metric(chart: Chart, profile, core_factors) -> AnalyticMetric:
     """g = dt^2 + F(t)^2 g_core on a chart whose axis 0 is t.
 
     ``profile`` is (F, F', F'') callables; ``core_factors`` are diagonal

@@ -1,9 +1,12 @@
 """Finite-difference Riemannian calculus on structured grids.
 
-Metric components are sampled on uniform rectangular charts.  Christoffel
-symbols and scalar curvature are assembled pointwise from the metric and
-its first/second coordinate derivatives; derivatives come from 2nd-order
-central stencils unless the field carries analytic derivative callbacks.
+A metric on a uniform rectangular chart has one of two representations:
+a MetricField holds the components sampled at every node, validated on
+construction; an AnalyticMetric holds exact callbacks for g and its first
+and second derivatives, validated at each point it is evaluated.
+Christoffel symbols and scalar curvature are assembled pointwise from the
+metric 2-jet, which comes from 2nd-order central stencils of the samples
+or from the callbacks.
 
 Index conventions for derivative arrays:
     dg[c, a, b]      = d g_ab / d x_c
@@ -12,7 +15,6 @@ Index conventions for derivative arrays:
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,76 +87,68 @@ class Chart:
                 )
 
 
+def _check_metric(g):
+    """Every (n, n) block of g is symmetric to 1e-12 and positive definite
+    with Cholesky pivots above 1e-12."""
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    if not np.allclose(flat, np.swapaxes(flat, -1, -2), atol=1e-12, rtol=0.0):
+        raise DomainError("metric not symmetric at every node")
+    try:
+        chol = np.linalg.cholesky(flat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError("metric not positive definite") from exc
+    pivots = np.einsum("...ii->...i", chol)
+    if pivots.min() <= _PIVOT_TOL:
+        raise SingularMetricError("metric pivot below tolerance 1e-12")
+
+
 @dataclass(frozen=True)
 class MetricField:
-    """Metric components sampled on a chart, with optional analytic jets.
-
-    g has shape chart.shape + (n, n).  When the derivative callbacks are
-    present they are used instead of stencils; each maps a coordinate
-    point x (length-n array) to arrays with the index conventions above.
-    """
+    """Metric components sampled on a chart; g has shape chart.shape + (n, n)
+    and is validated at every node on construction."""
 
     chart: Chart
     g: np.ndarray
-    metric_fn: object = None
-    dmetric_fn: object = None
-    d2metric_fn: object = None
+
+    # no callbacks: a sampled field's jets come from its samples (the
+    # perfbench tracer reads these names on every field it wraps)
+    metric_fn = dmetric_fn = d2metric_fn = None
 
     def __post_init__(self):
         n = self.chart.dim
         expected = self.chart.shape + (n, n)
         if self.g.shape != expected:
             raise DomainError(f"g has shape {self.g.shape}, expected {expected}")
-        flat = self.g.reshape(-1, n, n)
-        if not np.allclose(flat, np.swapaxes(flat, -1, -2), atol=1e-12, rtol=0.0):
-            raise DomainError("metric not symmetric at every node")
-        try:
-            chol = np.linalg.cholesky(flat)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetricError("metric not positive definite") from exc
-        pivots = np.einsum("...ii->...i", chol)
-        if pivots.min() <= _PIVOT_TOL:
-            raise SingularMetricError("metric pivot below tolerance 1e-12")
-
-    @property
-    def has_callbacks(self):
-        return self.dmetric_fn is not None and self.d2metric_fn is not None
+        _check_metric(self.g)
 
     @classmethod
-    def from_function(cls, chart, fn, dfn=None, d2fn=None):
+    def from_function(cls, chart, fn):
         """Sample a vectorized metric function fn: (..., n) -> (..., n, n)."""
-        g = np.asarray(fn(chart.mesh()), dtype=float)
-        return cls(chart, g, metric_fn=fn, dmetric_fn=dfn, d2metric_fn=d2fn)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "chart": [list(ax) for ax in self.chart.axes],
-                "components": self.g.reshape(-1).tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        chart = Chart(tuple(tuple(ax) for ax in doc["chart"]))
-        n = chart.dim
-        g = np.array(doc["components"], dtype=float).reshape(chart.shape + (n, n))
-        return cls(chart, g)
+        return cls(chart, np.asarray(fn(chart.mesh()), dtype=float))
 
 
 @dataclass(frozen=True)
-class CurvatureSample:
-    point: tuple
-    christoffel: np.ndarray
-    scal: float
-    method: str = "stencil-order-2"
+class AnalyticMetric:
+    """Metric given by exact callbacks on a chart; nothing is sampled.
 
-    def __post_init__(self):
-        if not np.allclose(self.christoffel, np.swapaxes(self.christoffel, 1, 2)):
-            raise DomainError("christoffel not symmetric in lower indices")
+    Each callback maps points x of shape (..., n) to g, dg and d2g with the
+    index conventions above.  The chart fixes node coordinates and
+    boundary margins.
+    """
+
+    chart: Chart
+    metric_fn: object
+    dmetric_fn: object
+    d2metric_fn: object
+
+    def jet(self, x):
+        """(g, dg, d2g) at points x of shape (..., n); g is validated at
+        every point."""
+        g = np.asarray(self.metric_fn(x), dtype=float)
+        _check_metric(g)
+        dg = np.asarray(self.dmetric_fn(x), dtype=float)
+        return g, dg, np.asarray(self.d2metric_fn(x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -246,42 +240,26 @@ def _node_sampler(values, p):
     return lambda offset: values[tuple(map(operator.add, p, offset))]
 
 
-def metric_jet(m: MetricField, p):
-    """(g, dg, d2g, method) of the metric at node p."""
+def metric_jet(m, p):
+    """(g, dg, d2g) of the metric at node p: exact for an AnalyticMetric,
+    central stencils of the samples for a MetricField."""
     p = tuple(int(i) for i in p)
-    if m.has_callbacks:
-        x = m.chart.node_coords(p)
-        g = np.asarray(m.metric_fn(x), dtype=float) if m.metric_fn else m.g[p]
-        dg = np.asarray(m.dmetric_fn(x), dtype=float)
-        d2g = np.asarray(m.d2metric_fn(x), dtype=float)
-        return g, dg, d2g, "analytic"
-    g, dg, d2g = central_jet(_node_sampler(m.g, p), m.chart.spacings)
-    return g, dg, d2g, "stencil-order-2"
+    if isinstance(m, AnalyticMetric):
+        return m.jet(m.chart.node_coords(p))
+    return central_jet(_node_sampler(m.g, p), m.chart.spacings)
 
 
-def christoffel(m: MetricField, p):
+def christoffel(m, p):
     """Christoffel symbols Gamma^gamma_{alpha beta} at grid node p."""
     m.chart.check_margin(p, 2)
-    g, dg, _, _ = metric_jet(m, p)
+    g, dg, _ = metric_jet(m, p)
     return christoffel_from_jet(g, dg)
 
 
-def scalar_curvature(m: MetricField, p):
+def scalar_curvature(m, p):
     """Scalar curvature at grid node p."""
     m.chart.check_margin(p, 3)
-    g, dg, d2g, _ = metric_jet(m, p)
-    return scal_from_jet(g, dg, d2g)
-
-
-def curvature_sample(m: MetricField, p):
-    m.chart.check_margin(p, 3)
-    g, dg, d2g, method = metric_jet(m, p)
-    return CurvatureSample(
-        point=tuple(int(i) for i in p),
-        christoffel=christoffel_from_jet(g, dg),
-        scal=scal_from_jet(g, dg, d2g),
-        method=method,
-    )
+    return scal_from_jet(*metric_jet(m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +285,14 @@ def conformal_scal(scal_g, u, lap_u, n):
     return u ** (-(n + 2.0) / (n - 2.0)) * (-c * lap_u + scal_g * u)
 
 
-def conformal_deform(m: MetricField, u, n=None):
+def conformal_deform(m, u, n=None):
     """Componentwise g -> u^{4/(n-2)} g for a positive scalar field u.
 
-    u may be a scalar or an array over the grid nodes.  The output field
-    is sampled-only (stencil path); the input's analytic callbacks do not
-    transfer because u is given by samples.  ``n`` defaults to the chart
-    dimension; pass it explicitly on dimensionally reduced grids (radial
-    sections of higher-dimensional metrics).
+    u may be a scalar or an array over the grid nodes.  The output is a
+    sampled MetricField (stencil path), since u is given by samples; an
+    AnalyticMetric input is first sampled over its whole chart.  ``n``
+    defaults to the chart dimension; pass it explicitly on dimensionally
+    reduced grids (radial sections of higher-dimensional metrics).
     """
     n = m.chart.dim if n is None else n
     if n < 3:
@@ -322,6 +300,8 @@ def conformal_deform(m: MetricField, u, n=None):
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("conformal factor must be positive at every node")
+    if isinstance(m, AnalyticMetric):
+        m = MetricField.from_function(m.chart, m.metric_fn)
     factor = u ** (4.0 / (n - 2.0))
     g = m.g * factor[..., None, None] if factor.ndim else m.g * factor
     return MetricField(m.chart, g)
@@ -331,7 +311,7 @@ def conformal_deform(m: MetricField, u, n=None):
 # level sets
 # ---------------------------------------------------------------------------
 
-def _scalar_jet(m: MetricField, f, p):
+def _scalar_jet(m, f, p):
     """(df, d2f) of a level function at node p (stencil or analytic)."""
     if hasattr(f, "grad") and hasattr(f, "hess"):
         x = m.chart.node_coords(p)
@@ -340,7 +320,7 @@ def _scalar_jet(m: MetricField, f, p):
     return df, d2f
 
 
-def level_set_shape(m: MetricField, f, p):
+def level_set_shape(m, f, p):
     """Second fundamental form and mean curvature of {f = f(p)} at node p.
 
     Orientation is fixed so that distance spheres (f = |x| in flat space)
@@ -353,7 +333,7 @@ def level_set_shape(m: MetricField, f, p):
     m.chart.check_margin(p, 2)
     p = tuple(int(i) for i in p)
     n = m.chart.dim
-    g, dg, _, _ = metric_jet(m, p)
+    g, dg, _ = metric_jet(m, p)
     gam = christoffel_from_jet(g, dg)
     ginv = _inverse(g)
 

@@ -1,7 +1,5 @@
 """Tests for the tube-bending module."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from conelab.errors import (
     ParameterError,
     ResolutionError,
 )
-from conelab.grids import MetricField, scalar_curvature
+from conelab.grids import AnalyticMetric, MetricField, scalar_curvature
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ class TestTubeMetric:
 
     def test_fermi_form(self):
         tm = bd.sphere_tube(5, theta0=1.1, sigma=0.4)
-        g, dg, _ = tm.jets(0.17, [1.3, 1.6, 1.5, 1.8])
+        g, dg, _ = tm.field().jet(np.array([0.17, 1.3, 1.6, 1.5, 1.8]))
         assert g[0, 0] == 1.0
         np.testing.assert_array_equal(g[0, 1:], np.zeros(4))
         # normal derivative of the core block is negative definite (shrinking)
@@ -121,8 +119,9 @@ class TestTubeMetric:
     def test_field_builds_metric(self):
         tm = bd.cross_section_tube(1.5, 0.4)
         m = tm.field()
-        assert isinstance(m, MetricField)
-        assert m.has_callbacks
+        assert isinstance(m, AnalyticMetric)
+        g, dg, d2g = m.jet(np.array([0.1, np.pi / 2]))
+        assert (g.shape, dg.shape, d2g.shape) == ((2, 2), (2, 2, 2), (2, 2, 2, 2))
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -375,18 +374,18 @@ class TestDominantDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# stencil cross-check and artifacts
+# stencil cross-check
 # ---------------------------------------------------------------------------
 
 class TestStencilCrossCheck:
     def test_bent_scal_matches_grid_stencils(self):
-        # sample the bent metric on a fine 2-D chart, drop the analytic
-        # callbacks, and compare stencil scalar curvature to the exact value
+        # sample the bent metric on a fine 2-D chart and compare stencil
+        # scalar curvature to the exact value
         r0, delta = 1.3, 0.2
         tm = bd.cross_section_tube(r0, 0.45, count=41)
         bp = bd.build_h(1.5, delta)
         bent = bd.bend_metric(tm, bp)
-        sampled = MetricField(bent.chart, bent.g)
+        sampled = MetricField.from_function(bent.chart, bent.metric_fn)
         ts = bent.chart.coords_1d(0)
         h, _, hpp = bp.jet(ts)
         # outside the transition the metric is polynomial in t and the
@@ -407,31 +406,8 @@ class TestStencilCrossCheck:
             bentc = bd.bend_metric(tmc, bp)
             mid = (count - 1) // 2
             vals.append(
-                scalar_curvature(MetricField(bentc.chart, bentc.g), (mid, mid))
+                scalar_curvature(MetricField.from_function(bentc.chart, bentc.metric_fn), (mid, mid))
             )
         exact0 = 2.0 * bp.jet(np.array([0.0]))[2][0] / (r0 - bp(np.array([0.0]))[0])
         ratio = abs(vals[0] - exact0) / abs(vals[1] - exact0)
         assert 1.7 < ratio < 2.5
-
-
-class TestArtifacts:
-    def test_csv_deterministic(self):
-        rows = [
-            {"k": 2.0, "min_scal_diff": 0.0, "argmin_t": 0.3, "totally_geodesic_residual": 0.0},
-            {"k": 4.0, "min_scal_diff": 1e-3, "argmin_t": 0.1, "totally_geodesic_residual": 0.0},
-        ]
-        out1 = bd.scal_compare_csv(rows)
-        out2 = bd.scal_compare_csv(rows)
-        assert out1 == out2
-        lines = out1.splitlines()
-        assert lines[0] == "k,min_scal_diff,argmin_t,totally_geodesic_residual"
-        assert len(lines) == 3
-
-    def test_term_table_json_roundtrip(self):
-        tm = bd.cross_section_tube(1.3, 0.45)
-        bp = bd.build_h(1.5, 0.2)
-        b = bd.dominant_decomposition(tm, bp, 0.1)
-        text = bd.term_table_json(b)
-        again = json.loads(text)
-        assert again["i5"] == b["i5"]
-        assert bd.term_table_json(b) == text

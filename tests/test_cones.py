@@ -10,7 +10,6 @@ from conelab.cones import (
     DeformedCone,
     RadialProfile,
     catalog_cones,
-    catalog_dump,
     cone_scal,
     deformed_distance,
     deformed_metric,
@@ -21,7 +20,7 @@ from conelab.cones import (
     second_form_norm2,
 )
 from conelab.errors import DivergentDistanceError, DomainError
-from conelab.grids import scalar_curvature
+from conelab.grids import MetricField, scalar_curvature
 
 
 class TestMakeCone:
@@ -86,11 +85,12 @@ class TestDeformedCone:
         d = DeformedCone(c, alpha=0.0, c0=1.0)
         assert d.slope == 1.0
         m = deformed_metric(d, rho_range=(0.8, 1.2), count=5)
+        g = MetricField.from_function(m.chart, m.metric_fn).g
         # plain cone: g_rhorho = 1, g_link scaled by rho^2
         rho = m.chart.coords_1d(0)
-        np.testing.assert_allclose(m.g[..., 0, 0], 1.0)
+        np.testing.assert_allclose(g[..., 0, 0], 1.0)
         np.testing.assert_allclose(
-            m.g[:, 2, 2, 1, 1], c.a**2 * rho**2, rtol=1e-12
+            g[:, 2, 2, 1, 1], c.a**2 * rho**2, rtol=1e-12
         )
         # undeformed scal matches cone_scal at rho
         assert np.isclose(d.scal_rho2(), cone_scal(c, 1.0))
@@ -120,8 +120,11 @@ class TestDeformedCone:
             c = make_cone(1, 1)
         d = DeformedCone(c, alpha=-0.2)
         for s in (0.5, 3.0):
-            m1 = deformed_metric(d, rho_range=(1.0, 2.0), count=5)
-            m2 = deformed_metric(d, rho_range=(s * 1.0, s * 2.0), count=5)
+            m1, m2 = (
+                MetricField.from_function(m.chart, m.metric_fn)
+                for m in (deformed_metric(d, rho_range=(1.0, 2.0), count=5),
+                          deformed_metric(d, rho_range=(s * 1.0, s * 2.0), count=5))
+            )
             # scaling rho by s multiplies the sampled metric by s^2 (the
             # rho-rho entry is scale free, link block scales)
             np.testing.assert_allclose(
@@ -232,13 +235,3 @@ class TestRadialProfile:
     def test_interpolation(self):
         prof = RadialProfile.from_function(np.linspace(1, 2, 11), lambda r: 2 * r)
         assert np.isclose(prof(1.55), 3.1)
-
-
-def test_catalog_dump_schema():
-    dump = catalog_dump()
-    assert len(dump) == len(CATALOG)
-    for row in dump:
-        assert set(row) == {
-            "p", "q", "n", "a", "b", "A_norm2_at_1", "scal_at_1", "link_diameter",
-        }
-        assert row["scal_at_1"] == -row["A_norm2_at_1"]

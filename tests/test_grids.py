@@ -1,5 +1,7 @@
 """Tests for the finite-difference Riemannian calculus core."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,13 +29,13 @@ from conelab.fields import (
     sphere_metric,
 )
 from conelab.grids import (
+    AnalyticMetric,
     Chart,
     MetricField,
     christoffel,
     conformal_deform,
     conformal_scal,
     conformal_shape_shift,
-    curvature_sample,
     level_set_shape,
     scalar_curvature,
 )
@@ -75,12 +77,55 @@ class TestConstruction:
         with pytest.raises(SingularMetricError):
             MetricField(chart, g)
 
-    def test_json_roundtrip(self):
-        chart = Chart(((1.0, 2.0, 5), (0.0, 1.0, 6)))
-        m = polar_metric(chart)
-        m2 = MetricField.from_json(m.to_json())
-        assert m2.chart == m.chart
-        np.testing.assert_allclose(m2.g, m.g)
+    def test_one_representation_per_field_type(self):
+        assert [f.name for f in dataclasses.fields(MetricField)] == ["chart", "g"]
+        assert [f.name for f in dataclasses.fields(AnalyticMetric)] == [
+            "chart", "metric_fn", "dmetric_fn", "d2metric_fn"]
+        # a sampled field reports no callbacks, and sampling drops them
+        chart = _cube_chart(2, 1.0, 2.0, 5)
+        m = MetricField.from_function(chart, polar_metric(chart).metric_fn)
+        assert (m.metric_fn, m.dmetric_fn, m.d2metric_fn) == (None, None, None)
+
+
+#: a bad value of g, and the error the symmetric-plus-pivot rule raises for it
+_BAD_METRICS = {
+    "indefinite": (np.diag([1.0, -1.0]), SingularMetricError),
+    "asymmetric": (np.array([[1.0, 0.5], [0.0, 1.0]]), DomainError),
+    "pivot": (np.diag([1.0, 1e-30]), SingularMetricError),
+}
+
+
+def _bad_beyond(kind):
+    """Analytic field on the unit square (x0 = i/8 at node i) whose g is the
+    identity for x0 <= 0.55 and a bad matrix beyond; derivatives are zero."""
+    bad = _BAD_METRICS[kind][0]
+
+    def metric_fn(x):
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        return np.where((x0 > 0.55)[..., None, None], bad, np.eye(2))
+
+    def zeros(order):
+        return lambda x: np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
+
+    return AnalyticMetric(_cube_chart(2, 0.0, 1.0, 9), metric_fn, zeros(1), zeros(2))
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_METRICS))
+class TestAnalyticValidation:
+    """An AnalyticMetric is validated at the points it is evaluated at."""
+
+    def test_evaluated_node(self, kind):
+        m = _bad_beyond(kind)
+        assert scalar_curvature(m, (4, 4)) == 0.0
+        with pytest.raises(_BAD_METRICS[kind][1]):
+            scalar_curvature(m, (5, 4))
+
+    def test_batched_jet_with_one_bad_point(self, kind):
+        m = _bad_beyond(kind)
+        g, _, _ = m.jet(np.array([[0.5, 0.5], [0.25, 0.5]]))
+        np.testing.assert_array_equal(g, [np.eye(2)] * 2)
+        with pytest.raises(_BAD_METRICS[kind][1]):
+            m.jet(np.array([[0.5, 0.5], [0.625, 0.5], [0.25, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +151,7 @@ class TestChristoffel:
     def test_polar_stencil_path_matches_analytic(self):
         chart = Chart(((1.0, 3.0, 201), (0.0, 1.0, 5)))
         analytic = polar_metric(chart)
-        sampled = MetricField(chart, analytic.g)  # drops callbacks
+        sampled = MetricField.from_function(chart, analytic.metric_fn)
         p = (100, 2)
         np.testing.assert_allclose(
             christoffel(sampled, p), christoffel(analytic, p), atol=1e-8
@@ -147,7 +192,7 @@ class TestScalarCurvature:
     def test_round_sphere(self, radius):
         chart = Chart(((1.0, 1.6, 31), (0.0, 0.6, 31)))
         m = sphere_metric(chart, radius=radius)
-        sampled = MetricField(chart, m.g)
+        sampled = MetricField.from_function(chart, m.metric_fn)
         h = chart.spacings.max()
         assert np.isclose(
             scalar_curvature(sampled, (15, 15)), 2.0 / radius**2, atol=5.0 * h**2
@@ -155,28 +200,24 @@ class TestScalarCurvature:
         # analytic path is exact
         assert np.isclose(scalar_curvature(m, (15, 15)), 2.0 / radius**2, atol=1e-12)
 
-    def test_cylinder_n7(self):
-        m = cylinder_metric(7)
+    @pytest.mark.parametrize("n", [5, 7, 10])
+    def test_cylinder(self, n):
+        # exact callbacks and no samples: at n = 10 a sampled field would
+        # need a 7^10-node grid
+        m = cylinder_metric(n)
         p = _center(m.chart)
-        assert np.isclose(scalar_curvature(m, p), 30.0, atol=1e-10)
+        assert np.isclose(scalar_curvature(m, p), (n - 1) * (n - 2), atol=1e-10)
 
     def test_stencil_convergence_order(self):
         # sphere metric sampled at h and h/2: error ratio ~ 4
         errs = []
         for count in (33, 65):
             chart = Chart(((1.0, 1.6, count), (0.0, 0.6, count)))
-            m = MetricField(chart, sphere_metric(chart).g)
+            m = MetricField.from_function(chart, sphere_metric(chart).metric_fn)
             p = (count // 2, count // 2)
             errs.append(abs(scalar_curvature(m, p) - 2.0))
         order = np.log2(errs[0] / errs[1])
         assert 1.8 <= order <= 2.2
-
-    def test_curvature_sample_method_tag(self):
-        chart = Chart(((1.0, 1.6, 9), (0.0, 0.6, 9)))
-        analytic = sphere_metric(chart)
-        assert curvature_sample(analytic, (4, 4)).method == "analytic"
-        sampled = MetricField(chart, analytic.g)
-        assert curvature_sample(sampled, (4, 4)).method == "stencil-order-2"
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +546,9 @@ def test_s2_sign_convention_crosscheck():
     the 2-sphere handled by direct rescaling) divides scal by the metric
     scale, and the assembled value matches."""
     chart = Chart(((1.0, 1.6, 21), (0.0, 0.6, 21)))
-    m = sphere_metric(chart, radius=1.0)
+    m = MetricField.from_function(chart, sphere_metric(chart, radius=1.0).metric_fn)
     scaled = MetricField(chart, 4.0 * m.g)  # radius-2 sphere
-    assert np.isclose(scalar_curvature(MetricField(chart, m.g), (10, 10)), 2.0, atol=1e-3)
+    assert np.isclose(scalar_curvature(m, (10, 10)), 2.0, atol=1e-3)
     assert np.isclose(scalar_curvature(scaled, (10, 10)), 0.5, atol=1e-3)
 
 
@@ -515,7 +556,7 @@ def test_s2_sign_convention_crosscheck():
 @given(scale=st.floats(0.5, 2.0))
 def test_constant_rescale_property(scale):
     chart = Chart(((1.0, 1.6, 17), (0.0, 0.6, 17)))
-    base = sphere_metric(chart).g
+    base = MetricField.from_function(chart, sphere_metric(chart).metric_fn).g
     s0 = scalar_curvature(MetricField(chart, base), (8, 8))
     s1 = scalar_curvature(MetricField(chart, scale * base), (8, 8))
     assert np.isclose(s1, s0 / scale, rtol=1e-6)
