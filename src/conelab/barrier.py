@@ -222,37 +222,40 @@ def area_profile(b: BarrierSpec, rho):
 def sphere_trace(b: BarrierSpec, rho):
     """Trace of the conformally shifted second form of the distance sphere
     S_rho (radial normal convention matching conformal_shape_shift: the
-    plain cone gives -(n-1)/rho, the barrier side +(n-1)/rho)."""
+    plain cone gives -(n-1)/rho, the barrier side +(n-1)/rho).
+
+    A scalar rho returns a Python float; an array rho returns the traces
+    at every entry from one evaluation of the barrier jet."""
     n = b.n
-    j = b.jet(np.array([float(rho)]))
-    a_form = -(1.0 / float(rho)) * np.eye(n - 1)
-    normal = np.zeros(n)
-    normal[0] = 1.0
-    grad_u = np.zeros(n)
-    grad_u[0] = float(j.d1[0])
-    shifted = conformal_shape_shift(
-        a_form, np.eye(n - 1), float(j.f[0]), grad_u, normal, n
-    )
-    return float(np.trace(shifted))
+    r = np.atleast_1d(np.asarray(rho, dtype=float))
+    j = b.jet(r)
+    a_form = -(1.0 / r)[:, None, None] * np.eye(n - 1)
+    grad_u = np.zeros(r.shape + (n,))
+    grad_u[:, 0] = j.d1
+    shifted = conformal_shape_shift(a_form, np.eye(n - 1), j.f, grad_u, np.eye(n)[0], n)
+    trace = np.trace(shifted, axis1=-2, axis2=-1)
+    return float(trace[0]) if np.ndim(rho) == 0 else trace.reshape(np.shape(rho))
 
 
 def deflection_radius(b: BarrierSpec, bracket=(1e-6, 10.0)):
     """Smallest rho where the inward mean curvature of S_rho flips from
     positive (barrier side) to negative; agrees with the stationary radius
-    of the area profile."""
+    of the area profile.  The 400-rung geometric ladder over the bracket is
+    traced in one call; brentq refines its first flip."""
     if b.mu <= 0:
         raise NoBarrierError("deflection radius needs mu > 0")
     lo, hi = bracket
-    f_lo = sphere_trace(b, lo)
-    if f_lo <= 0:
+    if min(lo, hi) <= 0:
+        raise DomainError(f"deflection bracket {bracket} must be positive")
+    ladder = np.geomspace(lo, hi, 400)  # ladder[0] == lo exactly
+    vals = sphere_trace(b, ladder)
+    if vals[0] <= 0:
         raise NoBarrierError(f"no barrier side at rho = {lo}")
-    # walk a geometric ladder to the first sign change
-    ladder = np.geomspace(lo, hi, 400)
-    vals = [sphere_trace(b, r) for r in ladder]
-    idx = next((i for i in range(1, len(vals)) if vals[i - 1] > 0 >= vals[i]), None)
-    if idx is None:
+    flips = np.flatnonzero((vals[:-1] > 0) & (vals[1:] <= 0))
+    if flips.size == 0:
         raise NoBarrierError(f"no sign change of the sphere trace on {bracket}")
-    return float(brentq(lambda r: sphere_trace(b, r), ladder[idx - 1], ladder[idx], xtol=1e-14))
+    i = flips[0]
+    return float(brentq(lambda r: sphere_trace(b, r), ladder[i], ladder[i + 1], xtol=1e-14))
 
 
 # ---------------------------------------------------------------------------

@@ -592,7 +592,10 @@ def load_scenario(source):
     if isinstance(source, dict):
         data = source
     else:
-        text = Path(source).read_text() if os.path.exists(str(source)) else str(source)
+        try:
+            text = Path(source).read_text() if os.path.exists(str(source)) else str(source)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read scenario {source}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -744,7 +747,22 @@ def report_table(reports):
 
 
 def report_from_artifact(path) -> RunReport:
-    data = json.loads(Path(path).read_text())
+    """Read a .report.json artifact; ConfigError names the file when it is
+    unreadable, not JSON, or lacks a field the report table reads."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"report artifact {path} is not readable JSON: {exc}") from exc
+    fields = ("scenario", "seed", "checks")
+    if not isinstance(data, dict) or not all(key in data for key in fields):
+        raise ConfigError(f"report artifact {path} must be an object with keys {', '.join(fields)}")
+    record = ("name", "status", "measured", "tolerance")
+    if not isinstance(data["checks"], list) or not all(
+        isinstance(c, dict) and all(key in c for key in record)
+        and isinstance(c["measured"], dict) and isinstance(c["tolerance"], dict)
+        for c in data["checks"]
+    ):
+        raise ConfigError(f"report artifact {path} has a malformed check record (needs {', '.join(record)})")
     return RunReport(
         scenario=data["scenario"],
         seed=data["seed"],
@@ -797,34 +815,27 @@ def main(argv=None):
             print(name)
         return 0
 
-    if args.command == "run":
-        path = args.scenario
-        if not os.path.exists(path):
-            bundle = bundled_scenarios()
-            if path in bundle:
-                path = str(bundle[path])
-        try:
-            report = run_scenario(path, output_root=args.output)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        _, summary, all_passed = report_table([report])
-        print(summary, end="")
-        return 0 if all_passed else 1
-
+    try:
+        if args.command == "run":
+            path = args.scenario
+            if not os.path.exists(path):
+                bundle = bundled_scenarios()
+                if path in bundle:
+                    path = str(bundle[path])
+            reports = [run_scenario(path, output_root=args.output)]
+        else:
+            paths = sorted(Path(args.directory).glob("*.report.json"))
+            if not paths:
+                raise ConfigError(f"no report artifacts found in {args.directory}")
+            reports = [report_from_artifact(p) for p in paths]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    csv_text, summary, all_passed = report_table(reports)
     if args.command == "report":
-        paths = sorted(Path(args.directory).glob("*.report.json"))
-        if not paths:
-            print("no report artifacts found", file=sys.stderr)
-            return 2
-        reports = [report_from_artifact(p) for p in paths]
-        csv_text, summary, all_passed = report_table(reports)
-        out = Path(args.directory) / "summary.csv"
-        out.write_text(csv_text)
-        print(summary, end="")
-        return 0 if all_passed else 1
-
-    return 2
+        (Path(args.directory) / "summary.csv").write_text(csv_text)
+    print(summary, end="")
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":

@@ -88,18 +88,29 @@ class Chart:
 
 
 def _check_metric(g):
-    """Every (n, n) block of g is symmetric to 1e-12 and positive definite
-    with Cholesky pivots above 1e-12."""
+    """Every (n, n) block of g is finite, symmetric to 1e-12 and positive
+    definite with Cholesky pivots above 1e-12.
+
+    Symmetry compares the strict upper triangle with its mirror.  The
+    Cholesky factor of the lower triangle is built column by column over
+    all blocks at once."""
     n = g.shape[-1]
-    flat = g.reshape(-1, n, n)
-    if not np.allclose(flat, np.swapaxes(flat, -1, -2), atol=1e-12, rtol=0.0):
+    a = g.reshape(-1, n, n).transpose(1, 2, 0)  # a[i, j] is entry ij of every block
+    if not np.isfinite(a).all():
+        raise DomainError("metric not finite at every node")
+    iu, ju = np.triu_indices(n, 1)
+    if np.abs(a[iu, ju] - a[ju, iu]).max(initial=0.0) > 1e-12:
         raise DomainError("metric not symmetric at every node")
-    try:
-        chol = np.linalg.cholesky(flat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError("metric not positive definite") from exc
-    pivots = np.einsum("...ii->...i", chol)
-    if pivots.min() <= _PIVOT_TOL:
+    chol = np.zeros(a.shape)
+    pivot = np.inf
+    for j in range(n):
+        col = a[j:, j] - np.einsum("ikb,kb->ib", chol[j:, :j], chol[j, :j])
+        if not (col[0] > 0).all():
+            raise SingularMetricError("metric not positive definite")
+        piv = np.sqrt(col[0])
+        chol[j:, j] = col / piv
+        pivot = min(pivot, piv.min(initial=np.inf))
+    if pivot <= _PIVOT_TOL:
         raise SingularMetricError("metric pivot below tolerance 1e-12")
 
 
@@ -363,13 +374,14 @@ def conformal_shape_shift(secondform, g_restriction, u, grad_u, normal, n):
 
     A_new(v, w) = A(v, w) - (2/(n-2)) * N(grad u / u) * g(v, w), where N is
     the component of grad u / u along ``normal``.  All vectors are given in
-    a common orthonormal frame.
+    a common orthonormal frame.  Leading axes of u (...) and grad_u
+    (..., n) are batch axes, broadcast against the forms (..., n-1, n-1);
+    each batch entry equals the unbatched call on it.
     """
-    if u <= 0:
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
         raise DomainError("conformal factor must be positive")
-    normal = np.asarray(normal, dtype=float)
-    grad_u = np.asarray(grad_u, dtype=float)
-    nshift = float(grad_u @ normal) / u
-    return np.asarray(secondform, dtype=float) - (2.0 / (n - 2.0)) * nshift * np.asarray(
-        g_restriction, dtype=float
+    nshift = np.sum(np.asarray(grad_u, dtype=float) * np.asarray(normal, dtype=float), axis=-1) / u
+    return np.asarray(secondform, dtype=float) - ((2.0 / (n - 2.0)) * nshift)[..., None, None] * (
+        np.asarray(g_restriction, dtype=float)
     )

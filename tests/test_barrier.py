@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conelab import barrier as br
-from conelab.cones import DeformedCone, make_cone
+from conelab import cli
+from conelab.cones import DeformedCone, catalog_cones, make_cone
 from conelab.errors import (
     DomainError,
     IterationLimitError,
@@ -12,7 +13,8 @@ from conelab.errors import (
     ParameterError,
     SingularPointError,
 )
-from conelab.perron import indicial_exponent, make_cutoff
+from conelab.grids import conformal_shape_shift
+from conelab.perron import indicial_exponent, indicial_lambda_max, make_cutoff
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +207,79 @@ class TestDeflectionRadius:
         b = br.BarrierSpec(deformed=deformed, mu=0.0, cutoff=cutoff)
         with pytest.raises(NoBarrierError):
             br.deflection_radius(b)
+
+
+class TestBarrierKernel:
+    """sphere_trace over an array of radii, the batched shape shift under it,
+    and the one-call ladder of deflection_radius."""
+
+    @pytest.mark.parametrize("cone", catalog_cones(), ids=lambda c: f"n{c.n}")
+    def test_array_trace_equals_scalar_traces_bitwise(self, cone, cutoff):
+        alpha, _ = indicial_exponent(cone, 0.5 * indicial_lambda_max(cone))
+        d = DeformedCone(cone, alpha=alpha)
+        rho = np.geomspace(1e-6, 10.0, 257)
+        for mu in np.geomspace(1e-6, 1e-3, 4):
+            b = br.BarrierSpec(deformed=d, mu=float(mu), cutoff=cutoff)
+            traces = br.sphere_trace(b, rho)
+            assert traces.shape == rho.shape
+            np.testing.assert_array_equal(traces, [br.sphere_trace(b, float(r)) for r in rho])
+            np.testing.assert_array_equal(br.sphere_trace(b, rho.reshape(-1, 1)), traces[:, None])
+
+    def test_scalar_rho_returns_float(self, deformed, cutoff):
+        b = br.BarrierSpec(deformed=deformed, mu=1e-5, cutoff=cutoff)
+        assert type(br.sphere_trace(b, 0.01)) is float
+        assert type(br.sphere_trace(b, np.float64(0.01))) is float
+        with pytest.raises(DomainError):
+            br.sphere_trace(b, np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("lead", [(1,), (5,), (3, 4)])
+    def test_batched_shape_shift_equals_per_item(self, lead):
+        rng = np.random.default_rng(17)
+        n = 7
+        form = rng.normal(size=lead + (n - 1, n - 1))
+        gr = rng.normal(size=lead + (n - 1, n - 1))
+        u = rng.uniform(0.1, 2.0, lead)
+        grad_u = rng.normal(size=lead + (n,))
+        normal = rng.normal(size=lead + (n,))
+        out = conformal_shape_shift(form, gr, u, grad_u, normal, n)
+        assert out.shape == lead + (n - 1, n - 1)
+        for idx in np.ndindex(*lead):
+            item = conformal_shape_shift(form[idx], gr[idx], u[idx], grad_u[idx], normal[idx], n)
+            np.testing.assert_array_equal(out[idx], item)
+        u[(0,) * len(lead)] = 0.0
+        with pytest.raises(DomainError):
+            conformal_shape_shift(form, gr, u, grad_u, normal, n)
+
+    def test_no_barrier_side(self, deformed, cutoff):
+        # Theta = 0.1 at mu = 1e-5: the trace is already negative at rho = 1
+        b = br.BarrierSpec(deformed=deformed, mu=1e-5, cutoff=cutoff)
+        with pytest.raises(NoBarrierError, match="no barrier side"):
+            br.deflection_radius(b, bracket=(1.0, 10.0))
+
+    def test_no_sign_change(self, deformed, cutoff):
+        b = br.BarrierSpec(deformed=deformed, mu=1e-5, cutoff=cutoff)
+        with pytest.raises(NoBarrierError, match="no sign change"):
+            br.deflection_radius(b, bracket=(1e-6, 1e-2))
+
+    def test_nonpositive_bracket_rejected(self, deformed, cutoff):
+        b = br.BarrierSpec(deformed=deformed, mu=1e-5, cutoff=cutoff)
+        for bracket in ((0.0, 10.0), (-1e-6, 10.0), (1e-6, 0.0)):
+            with pytest.raises(DomainError):
+                br.deflection_radius(b, bracket=bracket)
+
+    def test_theta_scaling_traces_each_ladder_once(self, monkeypatch):
+        calls = []
+        trace = br.sphere_trace
+
+        def counted(b, rho):
+            calls.append(np.size(rho))
+            return trace(b, rho)
+
+        monkeypatch.setattr(br, "sphere_trace", counted)
+        assert cli.check_theta_scaling({}, 16)["passed"]
+        # ten radii: one 400-rung ladder each, then scalar brentq steps
+        assert calls.count(400) == 10
+        assert len(calls) < 100
 
 
 class TestLineBarrier:

@@ -189,6 +189,35 @@ class TestMain:
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: json.dumps({k: v for k, v in data.items() if k != "seed"}),
+            lambda data: json.dumps({k: v for k, v in data.items() if k != "checks"}),
+            lambda data: json.dumps([data]),
+            lambda data: json.dumps(dict(data, checks=[{"name": "dimshift"}])),
+            lambda data: json.dumps(dict(data, checks=[dict(data["checks"][0], measured=[])])),
+            lambda data: "{not json",
+        ],
+        ids=["no-seed", "no-checks", "not-object", "check-record", "measured-list", "not-json"],
+    )
+    def test_report_bad_artifact_exits_2_naming_file(self, tmp_path, capsys, corrupt):
+        cli.run_scenario(_scenario(), output_root=tmp_path)
+        path = tmp_path / "quick.report.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        assert cli.main(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_run_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert cli.main(["run", str(tmp_path), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(tmp_path) in err
+        assert not out.exists()
+
     def test_run_failure_exits_1(self, tmp_path):
         scen = tmp_path / "boom.json"
         scen.write_text(json.dumps(_scenario(name="boom", checks=("bending-sphere",), params={"theta0": 0.3})))

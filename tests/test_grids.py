@@ -128,6 +128,111 @@ class TestAnalyticValidation:
             m.jet(np.array([[0.5, 0.5], [0.625, 0.5], [0.25, 0.5]]))
 
 
+class TestNonFiniteMetric:
+    """A metric with an infinite or NaN entry is rejected, not evaluated."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_sampled_field(self, bad, entry):
+        chart = _cube_chart(2, 0.0, 1.0, 5)
+        g = np.broadcast_to(np.eye(2), chart.shape + (2, 2)).copy()
+        g[(2, 3) + entry] = g[(2, 3) + entry[::-1]] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            MetricField(chart, g)
+
+    def test_batched_jet(self):
+        def metric_fn(x):
+            x0 = np.asarray(x, dtype=float)[..., 0]
+            return np.where((x0 > 0.55)[..., None, None], np.diag([np.inf, 1.0]), np.eye(2))
+
+        def zeros(order):
+            return lambda x: np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
+
+        m = AnalyticMetric(_cube_chart(2, 0.0, 1.0, 9), metric_fn, zeros(1), zeros(2))
+        assert scalar_curvature(m, (4, 4)) == 0.0
+        with pytest.raises(DomainError, match="not finite"):
+            m.jet(np.array([[0.5, 0.5], [0.625, 0.5], [0.25, 0.5]]))
+
+
+def _reference_check(g):
+    """Error type the symmetric-plus-pivot rule raises for g, or None: one
+    LAPACK Cholesky per block."""
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
+    if not np.isfinite(flat).all():
+        return DomainError
+    if not np.allclose(flat, np.swapaxes(flat, -1, -2), atol=1e-12, rtol=0.0):
+        return DomainError
+    for block in flat:
+        try:
+            chol = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return SingularMetricError
+        if np.diag(chol).min() <= 1e-12:
+            return SingularMetricError
+    return None
+
+
+def _metric_batch(kind, n, batch, seed):
+    """SPD blocks with one block made bad according to kind.
+
+    indefinite: one negative eigenvalue; asymmetric: g_ij moved by 1.01e-12
+    to 1e-6, or by at most 0.99e-12, which the rule accepts; near-singular:
+    one Cholesky pivot p at 1e-3 to 0.99 or 1.01 to 100 times the 1e-12
+    tolerance, in a row with no other entry left of the diagonal, so that p
+    is recovered to a few ulp."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (batch, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    k = rng.integers(batch)
+    if kind == "indefinite":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eig = rng.uniform(0.5, 2.0, n)
+        eig[rng.integers(n)] = -rng.uniform(1e-3, 1.0)
+        g[k] = q @ np.diag(eig) @ q.T
+        g[k] = 0.5 * (g[k] + g[k].T)
+    elif kind in ("asymmetric", "within-tolerance"):
+        i, j = rng.choice(n, 2, replace=False)
+        if kind == "asymmetric":
+            g[k, i, j] += 10.0 ** rng.uniform(np.log10(1.01e-12), -6)
+        else:
+            g[k, i, j] += rng.uniform(0.0, 0.99e-12)
+    elif kind == "near-singular":
+        low = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
+        j = rng.integers(n)
+        low[j, :j] = 0.0
+        below, above = rng.uniform(-3, np.log10(0.99)), rng.uniform(np.log10(1.01), 2)
+        low[j, j] = 1e-12 * 10.0 ** rng.choice([below, above])
+        g[k] = low @ low.T
+        g[k] = 0.5 * (g[k] + g[k].T)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "indefinite", "asymmetric", "within-tolerance", "near-singular"]),
+    n=st.integers(2, 8),
+    batch=st.integers(1, 500),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_check_metric_matches_per_block_lapack(kind, n, batch, seed):
+    """The column Cholesky over all blocks accepts and rejects exactly like
+    a per-block LAPACK Cholesky with the same symmetry and pivot bounds."""
+    g = _metric_batch(kind, n, batch, seed)
+    expected = _reference_check(g)
+    if kind in ("spd", "within-tolerance"):
+        assert expected is None
+    elif kind != "near-singular":
+        assert expected is not None
+    if expected is None:
+        grids._check_metric(g)
+    else:
+        with pytest.raises(expected) as info:
+            grids._check_metric(g)
+        assert type(info.value) is expected
+
+
 # ---------------------------------------------------------------------------
 # christoffel symbols
 # ---------------------------------------------------------------------------
