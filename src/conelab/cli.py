@@ -3,8 +3,11 @@
 Scenarios are JSON files with a versioned schema and a mandatory seed; the
 runner dispatches to a registry of named checks, each of which declares
 the library operations it exercises (for the coverage audit over the
-bundled scenario suite).  Artifacts are deterministic: identical scenario
-plus seed gives byte-identical JSON/CSV output (no timestamps).
+bundled scenario suite) and states each of its bounds in one `Gate` call.
+Artifacts are deterministic: identical scenario plus seed gives
+byte-identical JSON/CSV output (no timestamps).  `conelab run` and
+`conelab report` exit 1 when a check fails, 2 on a config error and 3 on
+an internal error, an exception from outside `conelab.errors`.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import importlib.metadata
 import importlib.resources
 import io
 import json
+import operator
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partialmethod
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,7 @@ import numpy as np
 from . import barrier as br
 from . import bending as bd
 from . import covering as cv
+from . import errors
 from . import perron as pn
 from . import spectral as sp
 from .cones import DeformedCone, RadialProfile, cone_scal, link_diameter, make_cone, second_form_norm2
@@ -51,11 +57,49 @@ OUTPUT_ENV = "CONELAB_OUTPUT"
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 #: largest conformal-consistency grid count: the grid holds count^3 nodes
 MAX_COUNT = 97
+#: a check raising one of these fails; any other exception is an internal error
+TYPED_ERRORS = tuple(v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception))
 
 
 # ---------------------------------------------------------------------------
 # named checks
 # ---------------------------------------------------------------------------
+
+class Gate:
+    """The bounds of one check run, each stated once.
+
+    A comparison records the measured value as a float under its name and
+    the bound under the check's `tolerance` key, and ands the comparison
+    into `passed`; a check states each bound in one such call."""
+
+    def __init__(self):
+        self.measured, self.tolerance, self.passed = {}, {}, True
+
+    def require(self, ok, **tol):
+        """A condition on values the artifact does not record; the bounds
+        it uses are recorded under their tolerance keys."""
+        self.tolerance.update(tol)
+        self.passed = self.passed and bool(ok)
+
+    def note(self, **measured):
+        """Measured values without a bound of their own."""
+        self.measured.update((name, float(value)) for name, value in measured.items())
+
+    def _compare(self, test, name, value, /, **tol):
+        self.measured[name] = float(value)
+        self.require(test(value, *tol.values()), **tol)
+
+    below = partialmethod(_compare, operator.lt)
+    above = partialmethod(_compare, operator.gt)
+    at_least = partialmethod(_compare, operator.ge)
+    equals = partialmethod(_compare, operator.eq)
+    #: open band lo < value < hi; the one tolerance entry is the pair (lo, hi)
+    between = partialmethod(_compare, lambda value, band: band[0] < value < band[1])
+    #: |value - centre| < band; the tolerance entries are the centre, then the band
+    near = partialmethod(_compare, lambda value, centre, band: abs(value - centre) < band)
+    #: the same with |value - centre| <= band
+    near_closed = partialmethod(_compare, lambda value, centre, band: abs(value - centre) <= band)
+
 
 def _cube_chart(dim, lo, hi, count):
     return Chart(tuple((lo, hi, count) for _ in range(dim)))
@@ -65,13 +109,17 @@ def _center(chart):
     return tuple(c // 2 for c in chart.shape)
 
 
-def check_conformal_consistency(params, seed):
+def _deformed(c, lam=5.0 / 12.0):
+    alpha, _ = pn.indicial_exponent(c, lam)
+    return DeformedCone(c, alpha=alpha)
+
+
+def check_conformal_consistency(params, seed, gate):
     """Finite-difference scal of the deformed flat metric reproduces the
     transformation law at second order under grid refinement; the order of
     each consecutive pair of counts is taken from its actual step ratio."""
-    factors = int(params.get("factors", 5))
-    counts = tuple(params.get("counts", (17, 33)))
-    tol = {"order": 2.0, "order_band": 0.2, "flat_christoffel": 1e-12}
+    factors = params["factors"]
+    counts = tuple(params["counts"])
     n = 3
     # the unit cube with `count` nodes per axis has step 1/(count-1)
     step_ratios = [np.log2((c1 - 1) / (c0 - 1)) for c0, c1 in zip(counts, counts[1:])]
@@ -88,23 +136,16 @@ def check_conformal_consistency(params, seed):
             expected = conformal_scal(0.0, float(u.value(x)), float(u.laplacian(x)), n)
             errs.append(abs(scalar_curvature(out, p) - expected))
         orders += [np.log2(e0 / e1) / r for e0, e1, r in zip(errs, errs[1:], step_ratios)]
+    # every order lies in the band iff the extremes do; np.min/np.max keep a nan
+    gate.near_closed("order_min", np.min(orders), order=2.0, order_band=0.2)
+    gate.near_closed("order_max", np.max(orders), order=2.0, order_band=0.2)
     chart = _cube_chart(n, 0.0, 1.0, counts[0])
-    gam_flat = float(np.abs(christoffel(flat_metric(chart), _center(chart))).max())
-    passed = (all(abs(o - tol["order"]) <= tol["order_band"] for o in orders)
-              and gam_flat < tol["flat_christoffel"])
-    return {
-        "passed": passed,
-        "measured": {
-            "order_min": float(min(orders)),
-            "order_max": float(max(orders)),
-            "flat_christoffel": gam_flat,
-        },
-        "tolerance": tol,
-        "details": f"{factors} random conformal factors, grids {counts}",
-    }
+    gam_flat = np.abs(christoffel(flat_metric(chart), _center(chart))).max()
+    gate.below("flat_christoffel", gam_flat, flat_christoffel=1e-12)
+    return f"{factors} random conformal factors, grids {counts}"
 
 
-def check_shape_shift(params, seed):
+def check_shape_shift(params, seed, gate):
     """Round-sphere second form in flat space plus the conformal shift of
     the second fundamental form (exact arithmetic identity)."""
     dim, radius = 3, 1.0
@@ -117,49 +158,35 @@ def check_shape_shift(params, seed):
     f = np.linalg.norm(mesh, axis=-1)
     form, trace = level_set_shape(m, f, p)
     h = chart.spacings.max()
-    tol = {"trace": 50.0 * h**2, "shift": 0.0}
-    trace_err = abs(trace - (dim - 1.0) / r)
+    gate.below("trace_error", abs(trace - (dim - 1.0) / r), trace=50.0 * h**2)
     # the shift with normal-direction slope s subtracts (2/(n-2)) s g exactly
     rng = np.random.default_rng(seed)
     s = float(rng.uniform(0.5, 2.0))
     shifted = conformal_shape_shift(form, np.eye(dim - 1), 1.0, s * np.array([1.0, 0, 0]),
                                     np.array([1.0, 0, 0]), dim)
-    shift_err = float(np.abs(shifted - (form - 2.0 / (dim - 2.0) * s * np.eye(dim - 1))).max())
-    passed = trace_err < tol["trace"] and shift_err == tol["shift"]
-    return {
-        "passed": passed,
-        "measured": {"trace_error": float(trace_err), "shift_error": shift_err},
-        "tolerance": tol,
-        "details": "sphere level set in flat 3-space",
-    }
+    shift_err = np.abs(shifted - (form - 2.0 / (dim - 2.0) * s * np.eye(dim - 1))).max()
+    gate.equals("shift_error", shift_err, shift=0.0)
+    return "sphere level set in flat 3-space"
 
 
-def check_cone_catalog(params, seed):
+def check_cone_catalog(params, seed, gate):
     """Closed-form identities across the cone catalog."""
-    tol = {"identity": 1e-12, "radius": 1e-15}
     worst = 0.0
     for c in catalog_cones():
         r = np.geomspace(0.1, 10.0, 7)
         worst = max(worst, float(np.abs(cone_scal(c, r) * r**2 + (c.p + c.q)).max()))
         worst = max(worst, float(np.abs(second_form_norm2(c, r) * r**2 - (c.p + c.q)).max()))
         worst = max(worst, abs(link_diameter(c) - np.pi))
-    extra = make_cone(3, 3)
-    ok = extra.n == 7 and abs(extra.a - np.sqrt(0.5)) < tol["radius"]
-    return {
-        "passed": worst < tol["identity"] and ok,
-        "measured": {"max_identity_error": worst},
-        "tolerance": tol,
-        "details": "scal r^2 and |A|^2 r^2 identities on all catalog cones",
-    }
+    gate.below("max_identity_error", worst, identity=1e-12)
+    extra, radius_tol = make_cone(3, 3), 1e-15
+    gate.require(extra.n == 7 and abs(extra.a - np.sqrt(0.5)) < radius_tol, radius=radius_tol)
+    return "scal r^2 and |A|^2 r^2 identities on all catalog cones"
 
 
-def check_deformed_cone(params, seed):
+def check_deformed_cone(params, seed, gate):
     """Deformed-cone metric curvature matches the warped closed form, and
     the distance/distortion bookkeeping is consistent."""
-    tol = {"scal": 1e-8, "distance": 1e-13}
-    c = make_cone(3, 3)
-    alpha, _ = pn.indicial_exponent(c, 5.0 / 12.0)
-    d = DeformedCone(c, alpha=alpha)
+    d = _deformed(make_cone(3, 3))
     m = deformed_metric(d)
     p = _center(m.chart)
     x = m.chart.node_coords(p)
@@ -167,46 +194,31 @@ def check_deformed_cone(params, seed):
     # evaluate via the exact metric callbacks (the chart is too coarse for
     # the interior stencil margin in dimension 7)
     scal = scal_from_jet(*m.jet(x))
-    scal_err = abs(scal - d.scal_rho2() / rho**2)
+    gate.below("scal_error", abs(scal - d.scal_rho2() / rho**2), scal=1e-8)
     r = 1.7
-    dist_err = abs(deformed_distance(c, alpha, r) - d.rho_of_r(r))
+    gate.below("distance_error", abs(deformed_distance(d.base, d.alpha, r) - d.rho_of_r(r)), distance=1e-13)
     lo, hi = distortion_bounds(1.0, 0.1, 0.2, 0.5, 2.0)
-    passed = scal_err < tol["scal"] and dist_err < tol["distance"] and lo <= hi
-    return {
-        "passed": bool(passed),
-        "measured": {"scal_error": float(scal_err), "distance_error": float(dist_err)},
-        "tolerance": tol,
-        "details": f"alpha = {alpha}",
-    }
+    gate.require(lo <= hi)
+    return f"alpha = {d.alpha}"
 
 
-def check_lambda0_simons(params, seed):
+def check_lambda0_simons(params, seed, gate):
     """Limit eigenvalue on the minimal (3,3) cone: 5/6 within 1e-3, above
     the Hardy threshold 1/4, exhaustion sequence non-increasing."""
-    tol = {"oracle": 5.0 / 6.0, "band": 1e-3, "hardy_floor": 0.25, "monotone_slack": 1e-12}
     c = make_cone(3, 3)
     res = sp.lambda0_detailed(c)
-    seq = np.array(res.lambda_sequence)
+    oracle = 5.0 / 6.0
+    gate.near("lambda0", res.lambda0, oracle=oracle, band=1e-3)
+    gate.note(gap_to_oracle=abs(res.lambda0 - oracle))
+    gate.above("lambda0", res.lambda0, hardy_floor=0.25)
+    seq, slack = np.array(res.lambda_sequence), 1e-12
+    gate.require(np.all(np.diff(seq) <= slack), monotone_slack=slack)
     w = sp.WeightedProblem(cone=c, eps=0.0, annulus=(0.01, 1.0))
-    eig = sp.dirichlet_eigen(w, 2)
-    wt = sp.weight(c, 0.0, 2.0)
-    gap = abs(res.lambda0 - tol["oracle"])
-    passed = (
-        gap < tol["band"]
-        and res.lambda0 > tol["hardy_floor"]
-        and bool(np.all(np.diff(seq) <= tol["monotone_slack"]))
-        and eig.lam > 0
-        and wt == 6.0 / 4.0
-    )
-    return {
-        "passed": bool(passed),
-        "measured": {"lambda0": float(res.lambda0), "gap_to_oracle": float(gap)},
-        "tolerance": tol,
-        "details": f"exhaustion sequence {list(np.round(seq, 6))}",
-    }
+    gate.require(sp.dirichlet_eigen(w, 2).lam > 0 and sp.weight(c, 0.0, 2.0) == 6.0 / 4.0)
+    return f"exhaustion sequence {list(np.round(seq, 6))}"
 
 
-def check_spectral_band(params, seed):
+def check_spectral_band(params, seed, gate):
     """Rayleigh quotients dominate the limit eigenvalue; the closed-form
     eigenfunction below the band has vanishing operator residual."""
     c = make_cone(3, 3)
@@ -214,49 +226,38 @@ def check_spectral_band(params, seed):
     r = np.geomspace(0.01, 1.0, 2001)
     hat = np.minimum(np.log(r / r[0]), np.log(r[-1] / r)) / np.log(r[-1] / r[0])
     quot = sp.rayleigh(c, RadialProfile(r, hat * r ** (-(c.n - 2) / 2.0)), eps=0.0)
+    floor, slack = float(lam0), 1e-9
+    gate.require(quot >= floor - slack, rayleigh_floor=floor, rayleigh_slack=slack)
+    gate.note(rayleigh_gap=quot - lam0)
     prof = sp.eigenfunction_below(c, 0.4)
-    res = sp.radial_operator_residual(c, 0.4, prof)
-    tol = {"rayleigh_floor": float(lam0), "rayleigh_slack": 1e-9, "residual": 1e-10}
-    passed = quot >= tol["rayleigh_floor"] - tol["rayleigh_slack"] and res < tol["residual"]
-    return {
-        "passed": bool(passed),
-        "measured": {"rayleigh_gap": float(quot - lam0), "residual": float(res)},
-        "tolerance": tol,
-        "details": "hat test profile and closed-form eigenfunction at lambda = 0.4",
-    }
+    gate.below("residual", sp.radial_operator_residual(c, 0.4, prof), residual=1e-10)
+    return "hat test profile and closed-form eigenfunction at lambda = 0.4"
 
 
-def check_perron_minimal(params, seed):
+def check_perron_minimal(params, seed, gate):
     """Minimal supersolution equals the pure power law and sits below the
     seed; window solves reproduce power solutions on their own nodes."""
     c = make_cone(3, 3)
     pp = pn.PerronProblem(cone=c, lam=0.125, domain=(0.01, 1.0), boundary_value=1.0)
-    tol = {"deviation": 1e-4, "residual": 1e-8, "local_solve": 1e-8,
-           "below_seed_rtol": 1e-9, "lift_rtol": 1e-12}
     det = pn.perron_minimal_detailed(pp)
     exact = det.c * pp.grid**det.alpha
-    dev = float(np.max(np.abs(det.profile(pp.grid) - exact)) / np.max(exact))
+    dev = np.max(np.abs(det.profile(pp.grid) - exact)) / np.max(exact)
+    gate.below("power_law_deviation", dev, deviation=1e-4)
+    gate.below("residual", det.residual, residual=1e-8)
     seed_prof = pn.default_seed(pp)
     ok_super, _ = pn.is_supersolution(pp, seed_prof)
-    below = bool(np.all(det.profile(seed_prof.grid) <= seed_prof.values * (1 + tol["below_seed_rtol"])))
+    gate.require(ok_super and all(det.minimality_checks))
+    seed_rtol = 1e-9
+    gate.require(np.all(det.profile(seed_prof.grid) <= seed_prof.values * (1 + seed_rtol)), below_seed_rtol=seed_rtol)
     win = (0.2, 0.4)
-    alpha = det.alpha
-    loc = pn.local_solve(pp, win, (win[0] ** alpha, win[1] ** alpha))
-    loc_err = float(np.max(np.abs(loc.values - loc.grid**alpha)))
-    lifted = pn.lift(pp, seed_prof, win)
-    lowered = bool(np.all(lifted.values <= seed_prof.values * (1 + tol["lift_rtol"])))
-    passed = (dev < tol["deviation"] and det.residual < tol["residual"] and ok_super and below
-              and all(det.minimality_checks) and loc_err < tol["local_solve"] and lowered)
-    return {
-        "passed": bool(passed),
-        "measured": {"power_law_deviation": dev, "residual": float(det.residual),
-                     "local_solve_error": loc_err},
-        "tolerance": tol,
-        "details": f"alpha = {det.alpha}, {det.iterations} sweeps",
-    }
+    loc = pn.local_solve(pp, win, (win[0] ** det.alpha, win[1] ** det.alpha))
+    gate.below("local_solve_error", np.max(np.abs(loc.values - loc.grid**det.alpha)), local_solve=1e-8)
+    lifted, lift_rtol = pn.lift(pp, seed_prof, win), 1e-12
+    gate.require(np.all(lifted.values <= seed_prof.values * (1 + lift_rtol)), lift_rtol=lift_rtol)
+    return f"alpha = {det.alpha}, {det.iterations} sweeps"
 
 
-def check_crease(params, seed):
+def check_crease(params, seed, gate):
     """Crease smoothing of two crossing supersolution branches keeps the
     strict operator inequality and is local to the reported window."""
     c = make_cone(3, 3)
@@ -268,177 +269,125 @@ def check_crease(params, seed):
     f1 = RadialProfile(g, g**a_fast, tag="supersolution", jet_fn=lambda x: jet_power(x, a_fast))
     f2 = RadialProfile(g, scale * g**a_slow, tag="supersolution",
                        jet_fn=lambda x: jet_power(x, a_slow) * scale)
-    tol = {"margin_floor": 0.0, "locality": 1e-12, "cutoff_margin_floor": 0.0}
-    out, rep = pn.crease_smooth(f1, f2, rstar, eta=0.05, K=10.0, cone=c, return_report=True)
+    out, rep = pn.crease_smooth(f1, f2, rstar, eta=0.05, K=10.0, cone=c)
+    floor = 0.0
+    gate.above("operator_margin", rep["margin"], margin_floor=floor)
     # the strict operator inequality must hold at every sample, not only at the reported minimum
-    sample_min = float(pn.operator_value_jet(c, out.jet_fn(g), g).min())
+    gate.require(pn.operator_value_jet(c, out.jet_fn(g), g).min() > floor, margin_floor=floor)
     r_lo, r_hi = rep["window"]
     left, right = g < r_lo * 0.999, g > r_hi * 1.001
-    local = float(
-        max(
-            np.max(np.abs(out.values[left] / f2(g[left]) - 1.0)),
-            np.max(np.abs(out.values[right] / f1(g[right]) - 1.0)),
-        )
+    local = max(
+        np.max(np.abs(out.values[left] / f2(g[left]) - 1.0)),
+        np.max(np.abs(out.values[right] / f1(g[right]) - 1.0)),
     )
+    gate.below("locality_error", local, locality=1e-12)
     cut = pn.make_cutoff(10.0, 1.0)
-    cut_margin = float(min(cut.margins.values()))
-    passed = (min(rep["margin"], sample_min) > tol["margin_floor"] and local < tol["locality"]
-              and cut_margin > tol["cutoff_margin_floor"])
-    return {
-        "passed": bool(passed),
-        "measured": {"operator_margin": float(rep["margin"]), "locality_error": local,
-                     "cutoff_margin": cut_margin},
-        "tolerance": tol,
-        "details": f"window {rep['window']}, delta = {rep['delta']}",
-    }
+    gate.above("cutoff_margin", min(cut.margins.values()), cutoff_margin_floor=0.0)
+    return f"window {rep['window']}, delta = {rep['delta']}"
 
 
-def _standard_deformed():
-    c = make_cone(3, 3)
-    alpha, _ = pn.indicial_exponent(c, 5.0 / 12.0)
-    return DeformedCone(c, alpha=alpha)
-
-
-def check_green_identity(params, seed):
+def check_green_identity(params, seed, gate):
     """Green profile is exactly harmonic on the analytic path; the stencil
     path residual shrinks at second order."""
-    # halving the step shrinks a second-order residual 4x
-    tol = {"analytic": 1e-12, "ratio_band": (3.5, 4.5)}
-    d = _standard_deformed()
-    analytic = br.green_laplacian_residual(d)
+    d = _deformed(make_cone(3, 3))
+    gate.below("analytic_residual", br.green_laplacian_residual(d), analytic=1e-12)
     r1 = br.green_laplacian_residual(d, step=1e-3)
     r2 = br.green_laplacian_residual(d, step=5e-4)
-    ratio = r1 / r2
-    lo, hi = tol["ratio_band"]
-    value_ok = br.green(7, 2.0) == 2.0**-5
-    passed = analytic < tol["analytic"] and lo < ratio < hi and value_ok
-    return {
-        "passed": bool(passed),
-        "measured": {"analytic_residual": float(analytic), "stencil_ratio": float(ratio)},
-        "tolerance": tol,
-        "details": "harmonicity of the deformed-distance power profile",
-    }
+    # halving the step shrinks a second-order residual 4x
+    gate.between("stencil_ratio", r1 / r2, ratio_band=(3.5, 4.5))
+    gate.require(br.green(7, 2.0) == 2.0**-5)
+    return "harmonicity of the deformed-distance power profile"
 
 
-def check_truncation_penalty(params, seed):
+def check_truncation_penalty(params, seed, gate):
     """sup|Laplacian phi+| is linear in mu; the curvature condition holds
     with margin below the bisected threshold weight."""
-    tol = {"slope": 1.0, "slope_band": 0.05, "margin_floor": 0.0}
-    d = _standard_deformed()
+    d = _deformed(make_cone(3, 3))
     cut = pn.make_cutoff(4.0, 1.0)
     mus = np.array([1e-4, 1e-3, 1e-2])
     pens = []
     for mu in mus:
         _, rep = br.truncate(br.BarrierSpec(deformed=d, mu=float(mu), cutoff=cut))
         pens.append(rep["sup_penalty"])
-    slope = float(np.polyfit(np.log(mus), np.log(pens), 1)[0])
+    slope = np.polyfit(np.log(mus), np.log(pens), 1)[0]
+    gate.near("penalty_slope", slope, slope=1.0, slope_band=0.05)
     muh = br.mu_h(d, cut)
+    gate.note(mu_h=muh)
+    gate.require(muh > 0)
     iota = d.scal_rho2()
     rho = np.geomspace(1e-3, 10.0, 800)
-    margin = float(
-        np.min(br.scal_quantity(br.BarrierSpec(deformed=d, mu=0.5 * muh, cutoff=cut), rho))
-        - iota / 2.0
-    )
-    passed = abs(slope - tol["slope"]) < tol["slope_band"] and muh > 0 and margin >= tol["margin_floor"]
-    return {
-        "passed": bool(passed),
-        "measured": {"penalty_slope": slope, "mu_h": float(muh), "half_height_margin": margin},
-        "tolerance": tol,
-        "details": f"mu grid {mus.tolist()}, iota = {iota}",
-    }
+    margin = np.min(br.scal_quantity(br.BarrierSpec(deformed=d, mu=0.5 * muh, cutoff=cut), rho)) - iota / 2.0
+    gate.at_least("half_height_margin", margin, margin_floor=0.0)
+    return f"mu grid {mus.tolist()}, iota = {iota}"
 
 
-def check_theta_scaling(params, seed):
+def check_theta_scaling(params, seed, gate):
     """Deflection radius obeys Theta = mu^{1/(n-2)}: exact in the model and
     1% in the fitted log-log slope over two decades."""
-    n_amb = int(params.get("n", 7))
-    pq = {7: (3, 3), 8: (4, 3)}[n_amb]
+    pq = {7: (3, 3), 8: (4, 3)}[params["n"]]
     c = make_cone(*pq)
-    lam = 5.0 / 12.0 if pq == (3, 3) else 0.5
-    alpha, _ = pn.indicial_exponent(c, lam)
-    d = DeformedCone(c, alpha=alpha)
+    d = _deformed(c, 5.0 / 12.0 if pq == (3, 3) else 0.5)
     cut = pn.make_cutoff(4.0, 1.0)
     exact_err = 0.0
     for mu in (1e-5, 1e-4, 1e-3):
         b = br.BarrierSpec(deformed=d, mu=mu, cutoff=cut)
         exact_err = max(exact_err, abs(br.deflection_radius(b) - mu ** (1.0 / (c.n - 2.0))))
+    gate.below("max_exact_error", exact_err, exact=1e-8)
     mus = np.geomspace(1e-6, 1e-4, 7)
     thetas = [br.deflection_radius(br.BarrierSpec(deformed=d, mu=float(m), cutoff=cut)) for m in mus]
-    slope = float(np.polyfit(np.log(mus), np.log(thetas), 1)[0])
     target = 1.0 / (c.n - 2.0)
-    tol = {"exact": 1e-8, "slope": target, "slope_band": 0.01 * target, "stationary": 1e-7}
+    gate.near("loglog_slope", np.polyfit(np.log(mus), np.log(thetas), 1)[0],
+              slope=target, slope_band=0.01 * target)
     # area profile is stationary exactly at the deflection radius
     ob = br.ObstacleProblem(inner=1e-4, outer=0.9,
                             area=lambda r: br.area_profile(br.BarrierSpec(deformed=d, mu=1e-5, cutoff=cut), r))
-    stat_err = abs(ob.minimizer_radius() - 1e-5 ** (1.0 / (c.n - 2.0)))
-    passed = (exact_err < tol["exact"] and abs(slope - tol["slope"]) < tol["slope_band"]
-              and stat_err < tol["stationary"])
-    return {
-        "passed": bool(passed),
-        "measured": {"max_exact_error": float(exact_err), "loglog_slope": slope,
-                     "area_stationary_error": float(stat_err)},
-        "tolerance": tol,
-        "details": f"n = {c.n}, cone {pq}",
-    }
+    gate.below("area_stationary_error", abs(ob.minimizer_radius() - 1e-5 ** (1.0 / (c.n - 2.0))),
+               stationary=1e-7)
+    return f"n = {c.n}, cone {pq}"
 
 
-def check_line_superposition(params, seed):
+def check_line_superposition(params, seed, gate):
     """Discretized axis superposition converges to the closed-form line
     barrier at first order; tube margins positive for one and two anchors."""
-    tol = {"ratio_band": (1.8, 2.2), "line_value_floor": 1.0, "margin_floor": 0.0}
     n = 7
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    pt = br.LinePoint(direction=tuple(e0), weight=0.5)
+    pt = br.LinePoint(direction=tuple(np.eye(n)[0]), weight=0.5)
     om = np.zeros(n)
     om[0], om[2] = np.cos(0.4), np.sin(0.4)
     devs = {}
     for level in (32, 64):
         sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=level))
         devs[level] = max(abs(sup(om, t) - sup.segment_limit(om, t)) for t in (0.1, 0.3, 0.7))
-    ratio = devs[32] / devs[64]
-    val = br.line_barrier(br.LineBarrierSpec(n=n, points=(pt,)), (om, 0.3))
+    gate.between("convergence_ratio", devs[32] / devs[64], ratio_band=(1.8, 2.2))
+    floor = 1.0
+    gate.require(br.line_barrier(br.LineBarrierSpec(n=n, points=(pt,)), (om, 0.3)) > floor,
+                 line_value_floor=floor)
     far = np.zeros(n)
     far[0], far[3] = np.cos(1.0), np.sin(1.0)
     p2 = br.LinePoint(direction=tuple(far), weight=0.5)
-    single = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=32))
-    double = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt, p2), level=32))
-    _, m1 = br.tube_barrier_check(single, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
-    _, m2 = br.tube_barrier_check(double, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
-    lo, hi = tol["ratio_band"]
-    passed = lo < ratio < hi and val > tol["line_value_floor"] and min(m1, m2) > tol["margin_floor"]
-    return {
-        "passed": bool(passed),
-        "measured": {"convergence_ratio": float(ratio), "single_margin": float(m1),
-                     "double_margin": float(m2)},
-        "tolerance": tol,
-        "details": "first-order level refinement 32 -> 64",
-    }
+    for name, points in (("single_margin", (pt,)), ("double_margin", (pt, p2))):
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=points, level=32))
+        _, margin = br.tube_barrier_check(sup, 0.05, axial_samples=8, transverse_samples=8, seed=seed)
+        gate.above(name, margin, margin_floor=0.0)
+    return "first-order level refinement 32 -> 64"
 
 
-def check_dimshift(params, seed):
+def check_dimshift(params, seed, gate):
     """Coupling-constant margin table matches exact fraction arithmetic."""
-    tol = {"table": 0.0, "scaled_floor": 0.25}
     rows = br.dimshift_table(range(5, 13))
     # both sides are Fractions, so a zero error is exact equality
     worst = max(abs(br.dimshift_scal_sign(1.0, row["n"])["margin_coefficient"]
                     - br.dimshift_margin_exact(row["n"])) for row in rows)
+    gate.equals("max_table_error", worst, table=0.0)
     scaled = [row["n2_scaled"] for row in rows]
-    monotone = bool(np.all(np.diff(scaled) < 0)) and min(scaled) > tol["scaled_floor"]
-    passed = worst == tol["table"] and monotone
-    return {
-        "passed": bool(passed),
-        "measured": {"max_table_error": float(worst), "smallest_scaled_margin": float(min(scaled))},
-        "tolerance": tol,
-        "details": "n = 5..12",
-    }
+    gate.above("smallest_scaled_margin", min(scaled), scaled_floor=0.25)
+    gate.require(np.all(np.diff(scaled) < 0))
+    return "n = 5..12"
 
 
-def check_covering_random(params, seed):
+def check_covering_random(params, seed, gate):
     """Greedy families on random instances: all derived properties pass,
     the recentering round-trip is exact, and runs are byte-deterministic."""
-    instances = int(params.get("instances", 20))
-    n_balls = int(params.get("balls", 120))
+    instances, n_balls = params["instances"], params["balls"]
     worst_used = 0
     rng = np.random.default_rng(seed)
     for trial in range(instances):
@@ -451,8 +400,13 @@ def check_covering_random(params, seed):
         worst_used = max(worst_used, fa.used)
         rep = cv.verify_families(bs, fa)
         if not rep["all_passed"]:
-            return {"passed": False, "measured": {"trial": float(trial)},
-                    "tolerance": {}, "details": f"verification failed: {rep}"}
+            gate.note(trial=trial)
+            gate.require(False)
+            return f"verification failed: {rep}"
+    gate.note(max_families_used=worst_used)
+    # assign_families raises BoundExceededError past these bounds, so they
+    # are recorded here, not compared
+    gate.require(True, bound_r2=float(cv.C_BOUND_DEFAULTS[2]), bound_r3=float(cv.C_BOUND_DEFAULTS[3]))
     fixed = np.random.default_rng(seed)
     centers = fixed.random((80, 2))
     radii = 10.0 ** fixed.uniform(-2, 0, 80)
@@ -464,41 +418,29 @@ def check_covering_random(params, seed):
     doubled = cv.double_balls(src.balls)
     fad = cv.assign_families(doubled, c_bound=100)
     back = cv.center_shift(doubled, fad)
-    shift_ok = all(b.center == src.by_id(b.ball_id).center for b in back.balls)
-    passed = deterministic and shift_ok
-    return {
-        "passed": bool(passed),
-        "measured": {"max_families_used": float(worst_used)},
-        "tolerance": {"bound_r2": float(cv.C_BOUND_DEFAULTS[2]), "bound_r3": float(cv.C_BOUND_DEFAULTS[3])},
-        "details": f"{instances} random instances, {n_balls} balls each",
-    }
+    gate.require(deterministic and all(b.center == src.by_id(b.ball_id).center for b in back.balls))
+    return f"{instances} random instances, {n_balls} balls each"
 
 
-def check_bending_sphere(params, seed):
+def check_bending_sphere(params, seed, gate):
     """Bending a mean-convex sphere-core tube: finite certified stiffness,
     totally geodesic core, exact bucket decomposition, strict locality."""
-    theta0 = float(params.get("theta0", 1.2))
-    delta = float(params.get("delta", 0.2))
-    tol = {"scal_diff_floor": 0.0, "tg": 1e-8, "bucket": 1e-12, "locality": 0.0}
+    theta0, delta = float(params["theta0"]), float(params["delta"])
     tm = bd.sphere_tube(4, theta0=theta0, sigma=0.45)
     k_star, rep = bd.stiffness_search(tm, delta=delta, samples=61)
+    gate.note(k_star=k_star)
+    gate.at_least("min_scal_diff", rep["min_diff"], scal_diff_floor=0.0)
     bp = bd.build_h(k_star, delta)
-    tg = bd.totally_geodesic_residual(tm, bp)
+    gate.below("totally_geodesic_residual", bd.totally_geodesic_residual(tm, bp), tg=1e-8)
     buckets = bd.dominant_decomposition(tm, bp, 0.5 * delta)
-    bucket_err = abs(buckets["i6_offdiagonal"])
+    gate.below("bucket_residual", abs(buckets["i6_offdiagonal"]), bucket=1e-12)
     base = tm.field()
     bent = bd.bend_metric(tm, bp)
     x = np.array([0.3, 1.5, 1.6, 1.7])
-    local = float(np.abs(bent.metric_fn(x) - base.metric_fn(x)).max())
-    passed = (rep["min_diff"] >= tol["scal_diff_floor"] and tg < tol["tg"]
-              and bucket_err < tol["bucket"] and local == tol["locality"])
-    return {
-        "passed": bool(passed),
-        "measured": {"k_star": float(k_star), "min_scal_diff": float(rep["min_diff"]),
-                     "totally_geodesic_residual": float(tg), "bucket_residual": float(bucket_err)},
-        "tolerance": tol,
-        "details": f"sphere core theta0 = {theta0}, transition width {delta}",
-    }
+    # away from the transition the bent metric equals the base metric exactly
+    exact = 0.0
+    gate.require(np.abs(bent.metric_fn(x) - base.metric_fn(x)).max() == exact, locality=exact)
+    return f"sphere core theta0 = {theta0}, transition width {delta}"
 
 
 #: name -> (function, set of "module.op" labels exercised)
@@ -560,22 +502,23 @@ def _is_odd_counts(v):
     )
 
 
-#: check name -> {param: (predicate, requirement)}; a check not listed
-#: takes no params
+#: check name -> {param: (default, predicate, requirement)}; a check not
+#: listed takes no params
 PARAMS = {
     "conformal-consistency": {
-        "factors": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        "counts": (_is_odd_counts, f"a list of at least two increasing odd integers in [5, {MAX_COUNT}]"),
+        "factors": (5, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        "counts": ((17, 33), _is_odd_counts,
+                   f"a list of at least two increasing odd integers in [5, {MAX_COUNT}]"),
     },
-    "theta-scaling": {"n": (lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
+    "theta-scaling": {"n": (7, lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
     "covering-random": {
-        "instances": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        "instances": (20, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
         # each instance draws 10 target centres from its balls
-        "balls": (lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
+        "balls": (120, lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
     },
     "bending-sphere": {
-        "theta0": (_is_positive, "a number > 0"),
-        "delta": (_is_positive, "a number > 0"),
+        "theta0": (1.2, _is_positive, "a number > 0"),
+        "delta": (0.2, _is_positive, "a number > 0"),
     },
 }
 
@@ -625,7 +568,7 @@ def load_scenario(source):
         for key, value in params.items():
             if key not in schema:
                 raise ConfigError(f"unknown param {key!r} for check {entry['check']!r}")
-            accepts, requirement = schema[key]
+            _, accepts, requirement = schema[key]
             if not accepts(value):
                 raise ConfigError(
                     f"param {key!r} of check {entry['check']!r} must be {requirement}, got {value!r}"
@@ -645,7 +588,8 @@ class RunReport:
     def status(self):
         if not self.checks:
             return "skip"
-        return "pass" if all(c["status"] == "pass" for c in self.checks) else "fail"
+        statuses = {c["status"] for c in self.checks}
+        return "error" if "error" in statuses else "pass" if statuses == {"pass"} else "fail"
 
     def to_artifact_dict(self):
         """Deterministic artifact payload: wall times stripped."""
@@ -672,36 +616,31 @@ def _version():
 def run_scenario(source, output_root=None) -> RunReport:
     """Execute a scenario and write its artifacts.
 
-    Module errors inside a check become recorded failures; config errors
-    propagate before any artifact is written."""
+    Each check runs on its params over the `PARAMS` defaults and states its
+    bounds through a fresh `Gate`.  A `conelab.errors` exception inside a
+    check becomes a recorded failure and any other exception an internal
+    error (status "error"); config errors propagate before any artifact is
+    written."""
     data = load_scenario(source)
     results = []
     ops = set()
     for entry in data["checks"]:
         name = entry["check"]
         fn, exercised = CHECKS[name]
+        params = {key: spec[0] for key, spec in PARAMS.get(name, {}).items()} | entry.get("params", {})
+        gate = Gate()
         t0 = time.perf_counter()
         try:
-            outcome = fn(entry.get("params", {}), data["seed"])
-            status = "pass" if outcome["passed"] else "fail"
-            record = {
-                "name": name,
-                "status": status,
-                "measured": outcome["measured"],
-                "tolerance": outcome["tolerance"],
-                "details": outcome["details"],
-            }
+            details = fn(params, data["seed"], gate)
+            status = "pass" if gate.passed else "fail"
             ops |= exercised
-        except Exception as exc:  # module error -> recorded failure
-            record = {
-                "name": name,
-                "status": "fail",
-                "measured": {},
-                "tolerance": {},
-                "details": f"{type(exc).__name__}: {exc}",
-            }
-        record["wall_time"] = time.perf_counter() - t0
-        results.append(record)
+        except Exception as exc:
+            # a failed check records no partial measurements or bounds
+            gate, details = Gate(), f"{type(exc).__name__}: {exc}"
+            status = "fail" if isinstance(exc, TYPED_ERRORS) else "error"
+        results.append({"name": name, "status": status, "measured": gate.measured,
+                        "tolerance": gate.tolerance, "details": details,
+                        "wall_time": time.perf_counter() - t0})
     report = RunReport(
         scenario=data["name"],
         seed=data["seed"],
@@ -819,9 +758,7 @@ def main(argv=None):
         if args.command == "run":
             path = args.scenario
             if not os.path.exists(path):
-                bundle = bundled_scenarios()
-                if path in bundle:
-                    path = str(bundle[path])
+                path = str(bundled_scenarios().get(path, path))
             reports = [run_scenario(path, output_root=args.output)]
         else:
             paths = sorted(Path(args.directory).glob("*.report.json"))
@@ -831,11 +768,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    csv_text, summary, all_passed = report_table(reports)
+    csv_text, summary, _ = report_table(reports)
     if args.command == "report":
         (Path(args.directory) / "summary.csv").write_text(csv_text)
     print(summary, end="")
-    return 0 if all_passed else 1
+    # a failed check exits 1 and an internal error 3, which outranks it
+    return max({"fail": 1, "error": 3}.get(rep.status, 0) for rep in reports)
 
 
 if __name__ == "__main__":

@@ -153,9 +153,6 @@ class FamilyAssignment:
     def used(self):
         return max(self.families.values(), default=0)
 
-    def kept_ids(self):
-        return [i for i, f in sorted(self.families.items()) if f > 0]
-
 
 def assign_families(bs: BallSet, c_bound=None, separation=SEPARATION) -> FamilyAssignment:
     """Greedy decreasing-radius family assignment.

@@ -380,17 +380,6 @@ class PerronResult:
     windows: int
     last_decrement: float
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "c": self.c,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "minimality_checks": list(self.minimality_checks),
-            "windows": self.windows,
-            "last_decrement": self.last_decrement,
-        }
-
 
 def perron_minimal_detailed(
     pp: PerronProblem,
@@ -579,7 +568,6 @@ def crease_smooth(
     eta,
     K,
     cone: ConeSpec = None,
-    return_report=False,
 ):
     """Blend two strict supersolutions crossing transversally at ``crossing``.
 
@@ -588,8 +576,10 @@ def crease_smooth(
     cutoff width fixed by C^1 matching of the derivative gap, then merges
     with a C^2 convex step.  The result is positive, agrees with the
     respective side outside the window, and satisfies the strict operator
-    inequality -Delta f + kappa scal f > 0 at every sample (margin
-    reported)."""
+    inequality -Delta f + kappa scal f > 0 at every sample.
+
+    Returns (profile, report); the report holds the derivative gap, the
+    cutoff width delta, eta, the operator margin and the blend window."""
     if f1.jet_fn is None or f2.jet_fn is None:
         raise DomainError("crease smoothing needs analytic jets on both profiles")
     if cone is None:
@@ -659,13 +649,10 @@ def crease_smooth(
             "increase K or decrease eta"
         )
     out = RadialProfile(grid, jout.f, tag="supersolution", jet_fn=blend_jet)
-    if return_report:
-        report = {
-            "gap": gap,
-            "delta": delta,
-            "eta": eta,
-            "margin": margin,
-            "window": (r_lo, r_hi),
-        }
-        return out, report
-    return out
+    return out, {
+        "gap": gap,
+        "delta": delta,
+        "eta": eta,
+        "margin": margin,
+        "window": (r_lo, r_hi),
+    }

@@ -192,16 +192,6 @@ class Lambda0Result:
     lambda0: float
     error_estimate: float
 
-    def to_dict(self):
-        return {
-            "cone": [self.cone.p, self.cone.q],
-            "eps": self.eps,
-            "schedule": list(self.schedule),
-            "lambda_sequence": list(self.lambda_sequence),
-            "lambda0": self.lambda0,
-            "error_estimate": self.error_estimate,
-        }
-
 
 def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
     """Exhaustion limit with Richardson extrapolation in 1/m^2.

@@ -267,7 +267,7 @@ class TestBarrierKernel:
             with pytest.raises(DomainError):
                 br.deflection_radius(b, bracket=bracket)
 
-    def test_theta_scaling_traces_each_ladder_once(self, monkeypatch):
+    def test_theta_scaling_traces_each_ladder_once(self, monkeypatch, tmp_path):
         calls = []
         trace = br.sphere_trace
 
@@ -276,7 +276,9 @@ class TestBarrierKernel:
             return trace(b, rho)
 
         monkeypatch.setattr(br, "sphere_trace", counted)
-        assert cli.check_theta_scaling({}, 16)["passed"]
+        scenario = {"schema_version": cli.SCHEMA_VERSION, "name": "theta", "seed": 16,
+                    "checks": [{"check": "theta-scaling"}]}
+        assert cli.run_scenario(scenario, output_root=tmp_path).status == "pass"
         # ten radii: one 400-rung ladder each, then scalar brentq steps
         assert calls.count(400) == 10
         assert len(calls) < 100
@@ -414,6 +416,33 @@ class TestTubeCheck:
             sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=points, level=32))
             ok, margin = br.tube_barrier_check(sup, 0.05, axial_samples=8, transverse_samples=8)
             assert ok and margin > 0
+
+    @pytest.mark.parametrize(
+        "weight, level, samples, passes, calls",
+        [
+            # fails at 4x4, so it is repeated once at 8x8: 3 evaluations
+            # per station, (16 + 64) stations
+            (1e-12, 8, 4, False, 3 * (16 + 64)),
+            # passes at 8x8: one pass
+            (0.5, 32, 8, True, 3 * 64),
+        ],
+    )
+    def test_refines_once_on_failure(self, weight, level, samples, passes, calls):
+        n = 7
+        pt = br.LinePoint(direction=tuple(_axis_point(n)), weight=weight)
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=level))
+        count = []
+
+        class Counting:
+            spec, segment = sup.spec, sup.segment
+
+            def __call__(self, omega, t):
+                count.append(1)
+                return sup(omega, t)
+
+        ok, _ = br.tube_barrier_check(Counting(), 0.05, axial_samples=samples, transverse_samples=samples)
+        assert ok == passes
+        assert len(count) == calls
 
     def test_radius_validation(self):
         pt = br.LinePoint(direction=tuple(_axis_point(7)), weight=0.5)

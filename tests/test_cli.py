@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from conelab import cli
+from conelab import barrier, cli
 from conelab.errors import ConfigError
 
 
@@ -103,6 +104,75 @@ class TestRun:
     def test_ops_recorded(self, tmp_path):
         rep = cli.run_scenario(_scenario(), output_root=tmp_path)
         assert rep.ops == ["barrier.dimshift_scal_sign"]
+
+
+class TestGate:
+    @pytest.mark.parametrize(
+        "method, value, tol, passed",
+        [
+            ("below", 1.0, {"b": 1.0}, False),
+            ("below", 0.5, {"b": 1.0}, True),
+            ("above", 1.0, {"b": 1.0}, False),
+            ("above", 1.5, {"b": 1.0}, True),
+            ("at_least", 1.0, {"b": 1.0}, True),
+            ("at_least", 0.5, {"b": 1.0}, False),
+            ("equals", 0.0, {"b": 0.0}, True),
+            ("equals", 1e-300, {"b": 0.0}, False),
+            ("between", 3.5, {"b": (3.5, 4.5)}, False),
+            ("between", 4.5, {"b": (3.5, 4.5)}, False),
+            ("between", 4.0, {"b": (3.5, 4.5)}, True),
+            ("near", 2.25, {"c": 2.0, "b": 0.25}, False),
+            ("near", 1.75, {"c": 2.0, "b": 0.25}, False),
+            ("near", 2.125, {"c": 2.0, "b": 0.25}, True),
+            ("near_closed", 2.25, {"c": 2.0, "b": 0.25}, True),
+            ("near_closed", 1.75, {"c": 2.0, "b": 0.25}, True),
+            ("near_closed", 2.5, {"c": 2.0, "b": 0.25}, False),
+        ],
+    )
+    def test_comparison_at_its_boundary(self, method, value, tol, passed):
+        gate = cli.Gate()
+        getattr(gate, method)("x", np.float64(value), **tol)
+        assert gate.passed is passed
+        assert gate.measured == {"x": value}
+        # the CSV prints repr, which for a numpy scalar names its type
+        assert type(gate.measured["x"]) is float
+        assert gate.tolerance == tol
+
+    def test_require_records_its_tolerance_keys(self):
+        gate = cli.Gate()
+        gate.require(True, lift_rtol=1e-12, radius=1e-15)
+        assert gate.passed
+        assert gate.tolerance == {"lift_rtol": 1e-12, "radius": 1e-15}
+        assert gate.measured == {}
+        gate.require(False)
+        gate.below("x", 0.0, b=1.0)
+        # a later bound that holds does not undo a failed one
+        assert not gate.passed
+
+    def test_note_records_without_a_bound(self):
+        gate = cli.Gate()
+        gate.note(k_star=np.float64(2.0), trial=3)
+        assert gate.passed and gate.tolerance == {}
+        assert gate.measured == {"k_star": 2.0, "trial": 3.0}
+
+    def test_failed_bound_is_recorded_with_unchanged_tolerance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(barrier, "green_laplacian_residual", lambda d, step=None: 1.0)
+        rep = cli.run_scenario(_scenario(name="green", checks=("green-identity",)), output_root=tmp_path)
+        (record,) = rep.checks
+        assert record["status"] == "fail"
+        assert record["measured"]["analytic_residual"] == 1.0
+        assert record["tolerance"] == {"analytic": 1e-12, "ratio_band": (3.5, 4.5)}
+
+    def test_checks_get_param_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(params, seed, gate):
+            seen.append(params)
+            return ""
+
+        monkeypatch.setitem(cli.CHECKS, "covering-random", (spy, set()))
+        cli.run_scenario(_scenario(checks=("covering-random",), params={"balls": 10}), output_root=tmp_path)
+        assert seen == [{"instances": 20, "balls": 10}]
 
 
 class TestReportTable:
@@ -217,6 +287,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error") and str(tmp_path) in err
         assert not out.exists()
+
+    def test_untyped_exception_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(params, seed, gate):
+            return [][0]
+
+        monkeypatch.setitem(cli.CHECKS, "dimshift", (broken, set()))
+        assert cli.main(["run", json.dumps(_scenario(name="broken")), "--output", str(tmp_path)]) == 3
+        data = json.loads((tmp_path / "broken.report.json").read_text())
+        assert data["status"] == "error"
+        assert data["checks"][0]["status"] == "error"
+        assert data["checks"][0]["details"].startswith("IndexError")
+        assert "ERROR" in capsys.readouterr().out
+        # an internal error outranks a failed check in a consolidated report
+        cli.run_scenario(_scenario(name="boom", checks=("bending-sphere",), params={"theta0": 0.3}),
+                         output_root=tmp_path)
+        assert cli.main(["report", str(tmp_path)]) == 3
 
     def test_run_failure_exits_1(self, tmp_path):
         scen = tmp_path / "boom.json"

@@ -278,7 +278,7 @@ class TestCenterShift:
             target=doubled.target,
             sources=tuple(doubled.sources[:-1]),
         )
-        kept = set(fa.kept_ids())
+        kept = {i for i, f in fa.families.items() if f > 0}
         if doubled.sources[-1].ball_id in kept:
             with pytest.raises(DataIntegrityError):
                 cv.center_shift(bad, fa)

@@ -376,12 +376,10 @@ class TestPerronMinimal:
         assert isinstance(prof, RadialProfile)
         assert prof.values.min() > 0
 
-    def test_report_dict(self, problem):
-        d = pn.perron_minimal_detailed(problem).to_dict()
-        assert set(d) == {"alpha", "c", "iterations", "residual", "minimality_checks",
-                          "windows", "last_decrement"}
-        assert d["windows"] == len(pn._admissible_windows(problem))
-        assert 0 <= d["last_decrement"] < 1e-10
+    def test_sweep_record(self, problem):
+        res = pn.perron_minimal_detailed(problem)
+        assert res.windows == len(pn._admissible_windows(problem))
+        assert 0 <= res.last_decrement < 1e-10
 
     def test_zero_sweep_budget_rejected(self, problem):
         with pytest.raises(ParameterError):
@@ -454,14 +452,14 @@ def _crossing_pair(c, rstar=0.3, r_lo=0.05, r_hi=1.0):
 class TestCreaseSmooth:
     def test_margin_positive(self, simons):
         f1, f2 = _crossing_pair(simons)
-        out, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons, return_report=True)
+        out, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons)
         assert rep["margin"] > 0
         assert rep["gap"] > 0
         assert out.values.min() > 0
 
     def test_locality(self, simons):
         f1, f2 = _crossing_pair(simons)
-        out, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons, return_report=True)
+        out, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons)
         r_lo, r_hi = rep["window"]
         g = out.grid
         left, right = g < r_lo * 0.999, g > r_hi * 1.001
@@ -470,15 +468,15 @@ class TestCreaseSmooth:
 
     def test_window_shrinks_with_eta(self, simons):
         f1, f2 = _crossing_pair(simons)
-        _, rep_small = pn.crease_smooth(f1, f2, 0.3, eta=0.01, K=10.0, cone=simons, return_report=True)
-        _, rep_big = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons, return_report=True)
+        _, rep_small = pn.crease_smooth(f1, f2, 0.3, eta=0.01, K=10.0, cone=simons)
+        _, rep_big = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons)
         assert rep_small["delta"] < rep_big["delta"]
         assert np.isclose(rep_big["delta"] / rep_small["delta"], 5.0)
 
     def test_c2_continuity(self, simons):
         # second differences of the blend stay bounded through the crease
         f1, f2 = _crossing_pair(simons)
-        out = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons)
+        out, _ = pn.crease_smooth(f1, f2, 0.3, eta=0.05, K=10.0, cone=simons)
         r = np.linspace(0.28, 0.32, 2001)
         j = out.jet_fn(r)
         h = r[1] - r[0]
@@ -512,5 +510,5 @@ class TestCreaseSmooth:
     def test_catalog_sweep(self):
         for c in catalog_cones():
             f1, f2 = _crossing_pair(c)
-            _, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.02, K=8.0, cone=c, return_report=True)
+            _, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.02, K=8.0, cone=c)
             assert rep["margin"] > 0

@@ -130,11 +130,10 @@ class TestLambda0:
             assert abs(v - base * 6.0 / (e**2 + 6.0)) < 1e-9
         assert base > vals[0] > vals[1]
 
-    def test_report_dict(self, simons):
-        d = sp.lambda0_detailed(simons).to_dict()
-        assert d["cone"] == [3, 3]
-        assert len(d["lambda_sequence"]) == len(d["schedule"])
-        assert d["error_estimate"] >= 0
+    def test_exhaustion_record(self, simons):
+        res = sp.lambda0_detailed(simons)
+        assert len(res.lambda_sequence) == len(res.schedule)
+        assert res.error_estimate >= 0
 
     @pytest.mark.parametrize("m_max", [1, 2])
     def test_too_short_exhaustion_rejected(self, simons, m_max):
