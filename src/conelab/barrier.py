@@ -46,7 +46,7 @@ def green(n, rho):
     return rho ** -(n - 2.0)
 
 
-def green_laplacian_residual(d: DeformedCone, step=None, samples=200):
+def green_laplacian_residual(d: DeformedCone, step=None):
     """Sup of the relative residual |Delta green| on [0.1, 10].
 
     The radial Laplacian of the deformed cone is f'' + (n-1)/rho f', for
@@ -54,7 +54,7 @@ def green_laplacian_residual(d: DeformedCone, step=None, samples=200):
     from second-order central stencils instead of the analytic jet, so the
     returned residual measures the stencil error (O(step^2))."""
     n = d.base.n
-    rho = np.geomspace(0.1, 10.0, samples)
+    rho = np.geomspace(0.1, 10.0, 200)
     if step is None:
         j = jet_power(rho, -(n - 2.0))
     else:
@@ -105,7 +105,7 @@ class BarrierSpec:
         return g * chi * self.mu + 1.0
 
 
-def truncate(b: BarrierSpec, rho_range=(1e-3, 10.0), nodes=4000):
+def truncate(b: BarrierSpec):
     """phi+_mu as a RadialProfile together with its truncation-penalty report.
 
     The penalty is the sup of |Delta phi+| over the shell, which is exactly
@@ -113,7 +113,7 @@ def truncate(b: BarrierSpec, rho_range=(1e-3, 10.0), nodes=4000):
     law attributes to it, in the scale-free form coupling * rho^2 |Delta u|/u.
     """
     n = b.n
-    rho = np.geomspace(rho_range[0], rho_range[1], nodes)
+    rho = np.geomspace(1e-3, 10.0, 4000)
     j = b.jet(rho)
     prof = RadialProfile(rho, j.f, tag="conformal-factor", jet_fn=b.jet)
 
@@ -145,14 +145,14 @@ def scal_quantity(b: BarrierSpec, rho):
     return b.deformed.scal_rho2() - coupling * np.asarray(rho) ** 2 * lap / j.f
 
 
-def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND, samples=2000, tol=1e-10):
+def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND):
     """Largest mu keeping scal(hat g) >= iota_H / (2 rho_hat^2) on the band,
     found by bisection (the threshold constants are not given in closed
     form anywhere; this makes the quantifier executable)."""
     iota = d.scal_rho2()
     if iota <= 0:
         raise NoBarrierError("deformed cone must have positive scal for a barrier")
-    rho = np.geomspace(band[0], band[1], samples)
+    rho = np.geomspace(band[0], band[1], 2000)
 
     def ok(mu):
         if mu == 0:
@@ -170,7 +170,7 @@ def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND, samples=2000, tol=1e-1
                 f"every mu up to {hi} keeps the threshold on {band}: no finite mu_h"
             )
     lo = 0.0
-    while hi - lo > tol * max(hi, 1.0):
+    while hi - lo > 1e-10 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -199,10 +199,10 @@ class ObstacleProblem:
         if np.any(np.asarray([self.area(p) for p in probes]) <= 0):
             raise DomainError("area profile must be positive")
 
-    def minimizer_radius(self, xatol=1e-10):
+    def minimizer_radius(self):
         res = minimize_scalar(
             self.area, bounds=(self.inner, self.outer), method="bounded",
-            options={"xatol": xatol},
+            options={"xatol": 1e-10},
         )
         return float(res.x)
 
@@ -399,13 +399,15 @@ def stieltjes_superpose(ls: LineBarrierSpec, segment=(0.0, 1.0)) -> Superpositio
 # tube mean-curvature checks
 # ---------------------------------------------------------------------------
 
+_FD_STEP = 1e-5
+
+
 def tube_barrier_check(
     superposition: Superposition,
     tube_radius,
     axial_samples=64,
     transverse_samples=64,
     seed=0,
-    fd_step=1e-5,
 ):
     """Check that the conformally deformed tube around the first anchored
     axis has strictly positive inward mean curvature at every sample.
@@ -438,13 +440,13 @@ def tube_barrier_check(
             v = basis.T @ (coeff / np.linalg.norm(coeff))
             omega = lambda r: np.cos(r) * p + np.sin(r) * v
             for other in ls.points[1:]:
-                if sphere_distance(omega(rho), other.unit()) < 10 * fd_step:
+                if sphere_distance(omega(rho), other.unit()) < 10 * _FD_STEP:
                     raise ResampleError("transverse sample hit another anchored axis")
             for t in t_vals:
                 u0 = superposition(omega(rho), t)
-                up = superposition(omega(rho + fd_step), t)
-                um = superposition(omega(rho - fd_step), t)
-                du = (up - um) / (2 * fd_step)
+                up = superposition(omega(rho + _FD_STEP), t)
+                um = superposition(omega(rho - _FD_STEP), t)
+                du = (up - um) / (2 * _FD_STEP)
                 trace = -(n - 2.0) / np.tan(rho) + coupling_half * (-du) / u0
                 margin = min(margin, trace)
         ok = margin > 0

@@ -72,10 +72,10 @@ class BendProfile:
         return self.jet(t)[0]
 
 
-def build_h(k, delta, sigma=None, samples=10000) -> BendProfile:
+def build_h(k, delta, sigma=None) -> BendProfile:
     """Construct and certify a BendProfile on [-sigma, sigma].
 
-    All profile invariants are checked on a dense sample; the report holds
+    All profile invariants are checked on 10000 samples; the report holds
     the minima of the two stiffness ratio inequalities."""
     if k <= 0 or delta <= 0:
         raise ParameterError("k and delta must be positive")
@@ -83,7 +83,7 @@ def build_h(k, delta, sigma=None, samples=10000) -> BendProfile:
     if not (0 < delta < sigma / 2.0):
         raise DomainError("need 0 < delta < sigma/2")
     bp = BendProfile(k=k, delta=delta, sigma=sigma, report={})
-    t = np.linspace(-sigma, sigma, samples)
+    t = np.linspace(-sigma, sigma, 10000)
     h, hp, hpp = bp.jet(t)
     pos = t >= 0
     report = {
@@ -218,7 +218,7 @@ def _center_angles(tm: TubeMetric):
     return np.array([0.5 * (a[0] + a[1]) for a in tm.chart.axes[1:]])
 
 
-def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
+def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201):
     """scal(bent)(t) - scal(base)(h(t)) on the one-sided range [0, sigma).
 
     The identification t <-> h(t) matches the leaves N_t of the two tubes;
@@ -226,7 +226,7 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
     if samples < 2:
         raise ParameterError("scal_compare needs at least 2 samples")
     bent = bend_metric(tm, bp)
-    angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
+    angles = _center_angles(tm)
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)
     rest = np.broadcast_to(angles, (samples, len(angles)))
     # every sample in one batched evaluation per metric
@@ -242,10 +242,10 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201, angles=None):
     }
 
 
-def stiffness_search(tm: TubeMetric, delta, k0=1.0, cap=2.0**20, samples=201):
-    """Doubling search for the smallest certified stiffness k* with
-    min scal difference >= 0."""
-    k = k0
+def stiffness_search(tm: TubeMetric, delta, cap=2.0**20, samples=201):
+    """Doubling search from k = 1 for the smallest certified stiffness k*
+    with min scal difference >= 0."""
+    k = 1.0
     while k <= cap:
         rep = scal_compare(tm, build_h(k, delta), samples=samples)
         if rep["min_diff"] >= 0:
@@ -254,12 +254,11 @@ def stiffness_search(tm: TubeMetric, delta, k0=1.0, cap=2.0**20, samples=201):
     raise IterationLimitError(f"no certified stiffness below the cap {cap}")
 
 
-def totally_geodesic_residual(tm: TubeMetric, bp: BendProfile, angles=None):
+def totally_geodesic_residual(tm: TubeMetric, bp: BendProfile):
     """Sup over the core of |second fundamental form| of {t = 0} in the bent
     metric: A_ab = 1/2 d(g_h)_ab/dt = h'(0) f f' (...) = 0 since h'(0) = 0."""
-    angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
     bent = bend_metric(tm, bp)
-    x = np.concatenate(([0.0], angles))
+    x = np.concatenate(([0.0], _center_angles(tm)))
     g, dg = bent.metric_fn(x), bent.dmetric_fn(x)
     a_form = 0.5 * dg[0][1:, 1:]
     ginv_core = np.linalg.inv(g[1:, 1:])
@@ -279,7 +278,7 @@ def _quad_form(g, u, v):
     return 0.5 * (s(u + v) - s(u) - s(v))
 
 
-def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
+def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t):
     """Exact bucket split of scal(bent)(t) - scal(base)(h(t)).
 
     Writing a for the normal-derivative block of the base metric jet at the
@@ -290,7 +289,7 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t, angles=None):
     zero for these diagonal test tubes up to rounding).  The sum reproduces
     the pointwise difference exactly, which is the executable form of the
     curvature expansion identity."""
-    angles = _center_angles(tm) if angles is None else np.asarray(angles, dtype=float)
+    angles = _center_angles(tm)
     h, hp, hpp = (float(v[0]) for v in bp.jet(np.array([float(t)])))
     g, dg, d2g = tm.field().jet(np.concatenate(([h], angles)))
     a = dg[0]

@@ -664,14 +664,13 @@ def _fmt_mapping(d):
 def report_table(reports):
     """Consolidated CSV (stable column order) and human-readable summary.
 
-    Returns (csv_text, summary_text, all_passed)."""
+    Returns (csv_text, summary_text)."""
     if not reports:
         raise ConfigError("report_table needs at least one report")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario", "check", "status", "measured", "tolerance"])
     lines = []
-    all_passed = True
     for rep in reports:
         if not rep.checks:
             lines.append(f"{rep.scenario}: SKIP (no checks)")
@@ -681,8 +680,7 @@ def report_table(reports):
                              _fmt_mapping(c["measured"]), _fmt_mapping(c["tolerance"])])
         n_pass = sum(1 for c in rep.checks if c["status"] == "pass")
         lines.append(f"{rep.scenario}: {rep.status.upper()} ({n_pass}/{len(rep.checks)} checks)")
-        all_passed &= rep.status == "pass"
-    return buf.getvalue(), "\n".join(lines) + "\n", all_passed
+    return buf.getvalue(), "\n".join(lines) + "\n"
 
 
 def report_from_artifact(path) -> RunReport:
@@ -768,7 +766,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    csv_text, summary, _ = report_table(reports)
+    csv_text, summary = report_table(reports)
     if args.command == "report":
         (Path(args.directory) / "summary.csv").write_text(csv_text)
     print(summary, end="")

@@ -253,26 +253,26 @@ def _cone_immersion(c: ConeSpec):
     return immerse
 
 
-def embedded_link_shape(c: ConeSpec, r=1.0, angles=None, step=1e-3):
+def embedded_link_shape(c: ConeSpec, r=1.0):
     """Numeric (mean curvature, |A|^2) of the cone hypersurface at radius r.
 
     Finite-difference first/second fundamental forms of the explicit
-    immersion, Richardson-extrapolated over steps (2h, h) to push both
+    immersion at the link angles 0.7 + 0.1 k, Richardson-extrapolated over
+    steps (2h, h) with h = 1e-3 to push both
     truncation and rounding error below 1e-8.  At r = 1 the mean curvature
     equals that of the link inside S^n (the radial principal curvature
     vanishes).  Used as the oracle for minimality and second_form_norm2.
     """
-    coarse = _link_shape_fd(c, r, angles, 2.0 * step)
-    fine = _link_shape_fd(c, r, angles, step)
+    step = 1e-3
+    coarse = _link_shape_fd(c, r, 2.0 * step)
+    fine = _link_shape_fd(c, r, step)
     return tuple((4.0 * f - co) / 3.0 for f, co in zip(fine, coarse))
 
 
-def _link_shape_fd(c: ConeSpec, r, angles, step):
+def _link_shape_fd(c: ConeSpec, r, step):
     dim = c.n
     immerse = _cone_immersion(c)
-    if angles is None:
-        angles = 0.7 + 0.1 * np.arange(dim - 1)
-    x0 = np.concatenate(([r], angles))
+    x0 = np.concatenate(([r], 0.7 + 0.1 * np.arange(dim - 1)))
     _, jac, hess = central_jet(lambda offset: immerse(x0 + np.multiply(offset, step)), np.full(dim, step))
 
     gram = jac @ jac.T

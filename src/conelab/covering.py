@@ -154,7 +154,7 @@ class FamilyAssignment:
         return max(self.families.values(), default=0)
 
 
-def assign_families(bs: BallSet, c_bound=None, separation=SEPARATION) -> FamilyAssignment:
+def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
     """Greedy decreasing-radius family assignment.
 
     Raises BoundExceededError (with the blocking configuration as witness)
@@ -177,7 +177,7 @@ def assign_families(bs: BallSet, c_bound=None, separation=SEPARATION) -> FamilyA
         if np.any(dist < R[:k]):
             families[b.ball_id] = 0
             continue
-        blocking = dist <= separation * (b.radius + R[:k])
+        blocking = dist <= SEPARATION * (b.radius + R[:k])
         blocked = set(F[:k][blocking].tolist())
         fam = 1
         while fam in blocked:
@@ -196,7 +196,7 @@ def assign_families(bs: BallSet, c_bound=None, separation=SEPARATION) -> FamilyA
     return FamilyAssignment(families=families, c_bound=int(c_bound))
 
 
-def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=COVER):
+def verify_families(bs: BallSet, fa: FamilyAssignment):
     """Verification of the three derived properties on the kept-by-kept
     distance matrix.
 
@@ -218,7 +218,7 @@ def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=
         # the two thresholds share one (kept, kept) float buffer, so the
         # masks add no float scratch beyond it and the distances
         thresh = radii[:, None] + radii[None, :]
-        thresh *= disjoint
+        thresh *= DISJOINT
         intra = dist <= thresh
         intra &= fams[:, None] == fams[None, :]
         np.maximum(radii[:, None], radii[None, :], out=thresh)
@@ -229,7 +229,7 @@ def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=
                 "witnesses": list(zip(ids[i].tolist(), ids[j].tolist())),
             }
     for q in np.atleast_2d(bs.target):
-        if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= cover * radii):
+        if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= COVER * radii):
             report["target_cover"]["passed"] = False
             report["target_cover"]["witnesses"].append(tuple(q))
     report["all_passed"] = all(
@@ -239,7 +239,7 @@ def verify_families(bs: BallSet, fa: FamilyAssignment, disjoint=DISJOINT, cover=
     return report
 
 
-def double_balls(sources, offsets=None, id_offset=0) -> BallSet:
+def double_balls(sources, offsets=None) -> BallSet:
     """Build the recentered set: each source B_rho(p) becomes B_{2 rho}(z)
     with z = p + offset, |offset| <= rho.  Used to exercise center_shift."""
     balls = []
@@ -251,7 +251,7 @@ def double_balls(sources, offsets=None, id_offset=0) -> BallSet:
             Ball(
                 center=tuple(np.asarray(s.center) + off),
                 radius=2.0 * s.radius,
-                ball_id=s.ball_id + id_offset,
+                ball_id=s.ball_id,
             )
         )
     targets = np.array([s.center for s in sources])

@@ -34,11 +34,12 @@ class TrigField:
     phases: np.ndarray    # (m,)
 
     @classmethod
-    def random(cls, dim, seed, modes=3, max_freq=2.0):
+    def random(cls, dim, seed):
+        """Three modes with frequencies in [-2, 2]^dim."""
         rng = np.random.default_rng(seed)
-        amps = rng.uniform(0.05, 0.25, size=modes)
-        waves = rng.uniform(-max_freq, max_freq, size=(modes, dim))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
+        amps = rng.uniform(0.05, 0.25, size=3)
+        waves = rng.uniform(-2.0, 2.0, size=(3, dim))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
         base = 1.0 + amps.sum()  # guarantees u >= 1 - sum|amp| ... >= 0.5
         return cls(base, amps, waves, phases)
 
@@ -220,14 +221,14 @@ def round_sphere_factors(dim_sphere, radius=1.0, axis_offset=0):
     return rows
 
 
-def cylinder_metric(n, span=0.4, center=np.pi / 2, count=7) -> AnalyticMetric:
+def cylinder_metric(n, span=0.4, center=np.pi / 2) -> AnalyticMetric:
     """Product metric on R x S^{n-1}(1): g = ds^2 + g_{S^{n-1}}.
 
-    Chart axes: s, theta_1..theta_{n-1}, centered away from coordinate
-    degeneracies.  Carries exact derivative callbacks.
+    Chart axes: s, theta_1..theta_{n-1}, 7 nodes each, centered away from
+    coordinate degeneracies.  Carries exact derivative callbacks.
     """
-    axes = [(-span, span, count)]
-    axes += [(center - span, center + span, count) for _ in range(n - 1)]
+    axes = [(-span, span, 7)]
+    axes += [(center - span, center + span, 7) for _ in range(n - 1)]
     chart = Chart(tuple(axes))
     factors = [{}] + round_sphere_factors(n - 1, radius=1.0, axis_offset=1)
     return diagonal_metric_field(chart, factors)

@@ -117,13 +117,12 @@ class SupersolutionSet:
     problem: PerronProblem
     members: list = field(default_factory=list)
 
-    def add(self, f: RadialProfile, check=True):
+    def add(self, f: RadialProfile):
         if f.values[-1] < self.problem.boundary_value - 1e-12:
             raise DomainError("member must dominate the boundary value at r_out")
-        if check:
-            ok, witness = is_supersolution(self.problem, f)
-            if not ok:
-                raise NotSupersolutionError(f"rejected member: witness {witness}")
+        ok, witness = is_supersolution(self.problem, f)
+        if not ok:
+            raise NotSupersolutionError(f"rejected member: witness {witness}")
         self.members.append(f)
 
     def minimum(self) -> RadialProfile:
@@ -141,12 +140,14 @@ class SupersolutionSet:
 # ---------------------------------------------------------------------------
 
 _MARGIN_FACTOR = 1.1
+#: tolerance of the comparison test, relative to the profile's maximum
+_SUPER_RTOL = 1e-7
 
 
-def laplace_first_eigen(c: ConeSpec, r0, r1, nodes=400):
+def laplace_first_eigen(c: ConeSpec, r0, r1):
     """First Dirichlet eigenvalue of -Delta (radial part) on [r0, r1]."""
     # -v'' + ((n-2)^2/4) v = mu e^{2s} v after u = r^{-(n-2)/2} v
-    s, diag, off = log_tridiagonal(r0, r1, nodes, (c.n - 2.0) ** 2 / 4.0)
+    s, diag, off = log_tridiagonal(r0, r1, 400, (c.n - 2.0) ** 2 / 4.0)
     scale = 1.0 / np.sqrt(np.exp(2.0 * s[1:-1]))
     d = diag * scale**2
     e = off * scale[:-1] * scale[1:]
@@ -162,6 +163,15 @@ def margin_ratio(pp: PerronProblem, sub):
     mu1 = laplace_first_eigen(pp.cone, r0, r1)
     sup_q = pp.coupling / r0**2
     return mu1 / sup_q
+
+
+def _require_margin(pp: PerronProblem, sub):
+    """Raise BallTooLargeError unless ``sub`` passes the admissibility margin."""
+    ratio = margin_ratio(pp, sub)
+    if ratio < _MARGIN_FACTOR:
+        raise BallTooLargeError(
+            f"sub-annulus [{sub[0]}, {sub[1]}] margin {ratio:.3f} < {_MARGIN_FACTOR}"
+        )
 
 
 def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=1001):
@@ -209,21 +219,15 @@ def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=1001):
     return r, u
 
 
-def local_solve(pp: PerronProblem, sub, boundary, nodes=1001, enforce_margin=True):
-    """Unique two-point solution of (LO) on the sub-annulus.
+def local_solve(pp: PerronProblem, sub, boundary):
+    """Unique two-point solution of (LO) on 1001 nodes of the sub-annulus.
 
     The admissibility margin (first Laplace eigenvalue of the sub-annulus
     exceeding sup q by factor 1.1) certifies uniqueness; violating it
     raises BallTooLargeError and the caller must shrink the window.
     """
-    r0, r1 = sub
-    if enforce_margin:
-        ratio = margin_ratio(pp, sub)
-        if ratio < _MARGIN_FACTOR:
-            raise BallTooLargeError(
-                f"sub-annulus [{r0}, {r1}] margin {ratio:.3f} < {_MARGIN_FACTOR}"
-            )
-    r, u = _solve_window(pp, r0, r1, ("dirichlet", boundary[0]), ("dirichlet", boundary[1]), nodes)
+    _require_margin(pp, sub)
+    r, u = _solve_window(pp, sub[0], sub[1], ("dirichlet", boundary[0]), ("dirichlet", boundary[1]))
     return RadialProfile(r, u, tag="solution")
 
 
@@ -246,7 +250,7 @@ def _per_problem(fn):
 
 
 @_per_problem
-def _admissible_windows(pp: PerronProblem, levels=2):
+def _admissible_windows(pp: PerronProblem):
     """Deterministic dyadic family of margin-admissible sub-annuli.
 
     Window ends are snapped to problem-grid nodes so lifts read boundary
@@ -260,7 +264,7 @@ def _admissible_windows(pp: PerronProblem, levels=2):
 
     windows = []
     width = math.log(2.0)
-    for level in range(levels):
+    for level in range(2):
         w = width / 2.0**level
         step = w / 2.0
         a = s0
@@ -272,16 +276,16 @@ def _admissible_windows(pp: PerronProblem, levels=2):
     return tuple(win for win in windows if margin_ratio(pp, win) >= _MARGIN_FACTOR)
 
 
-def _project(pp: PerronProblem, sub, grid, spline, robin=False):
-    """Window solutions for unit end data on the nodes of ``grid`` in ``sub``.
+@_per_problem
+def _window_basis(pp: PerronProblem, sub, robin):
+    """Unit-data window solutions on the problem-grid nodes in ``sub``.
 
-    Every window solve is linear in its end data, and so are both
-    projections, so the solve with data (a, b) restricted to ``grid[sl]``
-    is ``a * rows[0] + b * rows[1]``; the Robin tip window has the single
-    row ``rows[0]`` (outer value 1).  ``spline`` selects the lift's
-    projection (not-a-knot cubic in ln r, window ends widened by 1e-12
-    relative); otherwise the comparison test's (linear in r, as
-    ``RadialProfile.__call__``).  Returns ``(sl, rows)``."""
+    One solve per problem, window and inner condition, projected onto
+    ``pp.grid`` by a not-a-knot spline in ln r (ends widened by 1e-12
+    relative).  Both are linear in the end data, so the solution with data
+    (a, b) on ``pp.grid[sl]`` is ``a * rows[0] + b * rows[1]``; the Robin
+    tip window has the single row ``rows[0]`` (outer value 1).  Lifts, the
+    comparison test and the sweep all read it.  Returns ``(sl, rows)``."""
     r0, r1 = sub
     if robin:
         alpha, _ = indicial_exponent(pp.cone, pp.lam)
@@ -291,46 +295,33 @@ def _project(pp: PerronProblem, sub, grid, spline, robin=False):
         r, u0 = _solve_window(pp, r0, r1, ("dirichlet", 1.0), ("dirichlet", 0.0))
         _, u1 = _solve_window(pp, r0, r1, ("dirichlet", 0.0), ("dirichlet", 1.0))
         u = np.stack([u0, u1])
-    lo, hi = (r0 * (1 - 1e-12), r1 * (1 + 1e-12)) if spline else (r0, r1)
+    grid = pp.grid
+    lo, hi = r0 * (1 - 1e-12), r1 * (1 + 1e-12)
     sl = slice(int(np.searchsorted(grid, lo, "left")), int(np.searchsorted(grid, hi, "right")))
-    if spline:
-        rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid[sl]))
-    else:
-        rows = np.array([np.interp(grid[sl], r, row) for row in u])
+    rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid[sl]))
     rows.setflags(write=False)
     return sl, rows
 
 
-@_per_problem
-def _window_basis(pp: PerronProblem, sub, spline, robin):
-    """``_project`` onto the problem grid, once per problem and window."""
-    return _project(pp, sub, pp.grid, spline, robin)
-
-
-def _basis(pp: PerronProblem, sub, grid, spline):
-    """Dirichlet window basis on ``grid``: cached when it is the problem grid."""
-    if grid.shape == (pp.nodes,) and np.array_equal(grid, pp.grid):
-        return _window_basis(pp, tuple(sub), spline, False)
-    return _project(pp, sub, grid, spline)
-
-
-def is_supersolution(pp: PerronProblem, f: RadialProfile, rtol=1e-7):
+def is_supersolution(pp: PerronProblem, f: RadialProfile):
     """Defining comparison test: on every admissible sub-annulus the local
-    solution with f's end data must stay below f.
+    solution (``_window_basis``) with f's end data must stay below f.
 
-    Returns (True, None) or (False, witness) with the violating window and
-    the maximal excess."""
+    The test is discrete on the problem grid: f is read as ``f(pp.grid)``,
+    exact when f lives there and its linear interpolant otherwise, and so
+    are its end data.  Values of an off-grid f between problem-grid nodes
+    are not examined.  Returns (True, None) or (False, witness) with the
+    violating window and the maximal excess."""
     if np.any(f.values <= 0):
         bad = int(np.argmin(f.values))
         return False, {"window": None, "reason": "not positive", "index": bad}
     scale = float(np.abs(f.values).max())
+    v = f(pp.grid)
     for win in _admissible_windows(pp):
-        sl, rows = _basis(pp, win, f.grid, spline=False)
-        if sl.start == sl.stop:
-            continue
+        sl, rows = _window_basis(pp, win, False)
         a, b = f(win)
-        excess = np.max(a * rows[0] + b * rows[1] - f.values[sl])
-        if excess > rtol * scale:
+        excess = np.max(a * rows[0] + b * rows[1] - v[sl])
+        if excess > _SUPER_RTOL * scale:
             return False, {"window": win, "excess": float(excess)}
     return True, None
 
@@ -338,19 +329,18 @@ def is_supersolution(pp: PerronProblem, f: RadialProfile, rtol=1e-7):
 def lift(pp: PerronProblem, f: RadialProfile, sub, check=True):
     """Replace f on the sub-annulus by the local solution with f's end data.
 
-    The result is pointwise <= f and is again a supersolution."""
+    f is read on the problem grid as in ``is_supersolution``; the result
+    lives there, is pointwise <= f and is again a supersolution."""
     if check:
         ok, witness = is_supersolution(pp, f)
         if not ok:
             raise NotSupersolutionError(f"lift requires a supersolution: {witness}")
-        ratio = margin_ratio(pp, sub)
-        if ratio < _MARGIN_FACTOR:
-            raise BallTooLargeError(f"margin {ratio:.3f} < {_MARGIN_FACTOR}")
-    sl, rows = _basis(pp, sub, f.grid, spline=True)
+        _require_margin(pp, sub)
+    sl, rows = _window_basis(pp, tuple(sub), False)
     a, b = f(sub)
-    vals = f.values.copy()
+    vals = f(pp.grid)
     vals[sl] = np.minimum(vals[sl], a * rows[0] + b * rows[1])
-    return RadialProfile(f.grid, vals, tag=f.tag)
+    return RadialProfile(pp.grid, vals, tag=f.tag)
 
 
 def default_seed(pp: PerronProblem) -> RadialProfile:
@@ -381,19 +371,13 @@ class PerronResult:
     last_decrement: float
 
 
-def perron_minimal_detailed(
-    pp: PerronProblem,
-    seeds=None,
-    max_sweeps=400,
-    decrement_tol=1e-10,
-    check_seeds=True,
-) -> PerronResult:
+def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> PerronResult:
     """Iterated lifts over a dyadic sweep schedule, inner-to-outer.
 
     The innermost window carries the indicial Robin condition (the tip
-    surrogate); sweeps stop when the sup-norm decrement drops below the
-    tolerance.  Each lift is ``min(w, a phi0 + b phi1)`` over the window's
-    cached basis (see ``_project``).  A final global Robin--Dirichlet solve
+    surrogate); sweeps stop when the sup-norm decrement drops below 1e-10.
+    Each lift is ``min(w, a phi0 + b phi1)`` over the window's cached
+    basis (see ``_window_basis``).  A final global Robin--Dirichlet solve
     polishes the iterate (they must agree; the polish removes interface
     kinks that would pollute the high-order residual check).
     """
@@ -402,7 +386,7 @@ def perron_minimal_detailed(
     alpha, _ = indicial_exponent(pp.cone, pp.lam)
     sset = SupersolutionSet(pp, [])
     for f in seeds if seeds is not None else [default_seed(pp)]:
-        sset.add(f, check=check_seeds)
+        sset.add(f)
 
     w = sset.minimum()
     windows = sorted(_admissible_windows(pp), key=lambda ab: ab[0])
@@ -411,7 +395,7 @@ def perron_minimal_detailed(
     lifts = []
     for win in windows:
         robin = abs(win[0] - pp.domain[0]) < 1e-14 * pp.domain[0]
-        lifts.append((win, robin) + _window_basis(pp, win, True, robin))
+        lifts.append((win, robin) + _window_basis(pp, win, robin))
 
     grid, vals = w.grid, w.values.copy()
     sweeps = 0
@@ -423,7 +407,7 @@ def perron_minimal_detailed(
             local = b * rows[0] if robin else a * rows[0] + b * rows[1]
             np.minimum(vals[sl], local, out=vals[sl])
         dec = float(np.max(np.abs(prev - vals)))
-        if dec < decrement_tol:
+        if dec < 1e-10:
             break
     else:
         raise IterationLimitError(
@@ -444,9 +428,10 @@ def perron_minimal_detailed(
         raise IterationLimitError(f"sweep iterate and global solve disagree by {gap}")
 
     residual = radial_operator_residual(pp.cone, pp.lam, polish)
+    # the seeds are read on the problem grid, as the comparison test read them
+    polished = polish(grid)
     checks = tuple(
-        bool(np.all(polish(m.grid) <= m.values + 1e-9 * np.abs(m.values)))
-        for m in sset.members
+        bool(np.all(polished <= v + 1e-9 * np.abs(v))) for v in (m(grid) for m in sset.members)
     )
     c_fit = pp.boundary_value / pp.domain[1] ** alpha
     return PerronResult(
@@ -461,8 +446,8 @@ def perron_minimal_detailed(
     )
 
 
-def perron_minimal(pp: PerronProblem, seeds=None, **kwargs) -> RadialProfile:
-    return perron_minimal_detailed(pp, seeds=seeds, **kwargs).profile
+def perron_minimal(pp: PerronProblem, seeds=None) -> RadialProfile:
+    return perron_minimal_detailed(pp, seeds=seeds).profile
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +460,13 @@ class CutoffSpec:
     two ratio inequalities chi'' >= -K chi' and chi'' >= K chi on (-1, 1).
 
     Construction: chi = exp(-(M t + d t/(1-t))) for t < 1, zero beyond; the
-    extra linear rate M is fit so both ratio inequalities hold with margin.
+    extra linear rate M = max(2K, 4) gives both ratio inequalities a margin.
     """
 
     K: float
     delta: float
     rate: float
     pole: float
-    samples: tuple
     margins: dict
 
     def jet(self, t):
@@ -504,40 +488,29 @@ class CutoffSpec:
         )
 
 
-def make_cutoff(K, delta, n_samples=10000):
-    """Construct and certify a CutoffSpec; raises ResolutionError if no
-    admissible rate is found."""
+def make_cutoff(K, delta):
+    """CutoffSpec with rate max(2K, 4), certified on samples (ResolutionError
+    if a margin is not positive).  With u = 1/(1-t) > 1/2 the slope margin
+    u^2 (u^2 - 2u + 2 rate - K) + rate (rate - K) is positive: 2 rate - K >= 6."""
     if K <= 0 or delta <= 0:
         raise ParameterError("K and delta must be positive")
     pole = 1.0
     rate = max(2.0 * K, 4.0)
-    t = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, n_samples)
-    one_m = 1.0 - t
-    for _ in range(8):
-        # chi = e^{-psi} > 0, so dividing the four inequalities by chi gives
-        # equivalent conditions on psi alone, immune to underflow near t = 1
-        dpsi = rate + pole / one_m**2
-        d2psi = 2.0 * pole / one_m**3
-        curv = dpsi**2 - d2psi  # = chi''/chi
-        margins = {
-            "chi_prime_negative": float(dpsi.min()),
-            "chi_second_positive": float(curv.min()),
-            "ratio_vs_slope": float((curv - K * dpsi).min()),
-            "ratio_vs_value": float((curv - K).min()),
-        }
-        if min(margins.values()) > 0:
-            spec = CutoffSpec(K=K, delta=delta, rate=rate, pole=pole, samples=(), margins={})
-            sampled = spec.jet(np.linspace(-1.0, 1.0, 201))
-            return CutoffSpec(
-                K=K,
-                delta=delta,
-                rate=rate,
-                pole=pole,
-                samples=(sampled.f, sampled.d1, sampled.d2),
-                margins=margins,
-            )
-        rate *= 2.0
-    raise ResolutionError(f"no admissible cutoff rate for K = {K}")
+    one_m = 1.0 - np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10000)
+    # chi = e^{-psi} > 0, so dividing the four inequalities by chi gives
+    # equivalent conditions on psi alone, immune to underflow near t = 1
+    dpsi = rate + pole / one_m**2
+    d2psi = 2.0 * pole / one_m**3
+    curv = dpsi**2 - d2psi  # = chi''/chi
+    margins = {
+        "chi_prime_negative": float(dpsi.min()),
+        "chi_second_positive": float(curv.min()),
+        "ratio_vs_slope": float((curv - K * dpsi).min()),
+        "ratio_vs_value": float((curv - K).min()),
+    }
+    if min(margins.values()) <= 0:
+        raise ResolutionError(f"cutoff rate {rate} fails its margins for K = {K}: {margins}")
+    return CutoffSpec(K=K, delta=delta, rate=rate, pole=pole, margins=margins)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
     return lam, r, u
 
 
-def _shooting_eigen(w: WeightedProblem, r_in, r_out, bracket_scale=4.0):
+def _shooting_eigen(w: WeightedProblem, r_in, r_out):
     """Independent eigenvalue solver: shoot the radial ODE in log coords and
     root-find the outer Dirichlet value in lambda."""
     n = w.cone.n
@@ -155,7 +155,7 @@ def _shooting_eigen(w: WeightedProblem, r_in, r_out, bracket_scale=4.0):
         hi = hi + step
         fhi = end_value(hi)
         tries += 1
-        if tries > int(8 * bracket_scale):
+        if tries > 32:
             raise SolverError("shooting bracket did not converge", (lo, hi, flo, fhi))
     return brentq(end_value, lo, hi, xtol=1e-13)
 
@@ -232,7 +232,7 @@ def lambda0(c: ConeSpec, r_out=1.0, m_max=6):
     return lambda0_detailed(c, r_out=r_out, m_max=m_max, eps=0.0).lambda0
 
 
-def eigenfunction_below(c: ConeSpec, lam, annulus=(0.01, 1.0), nodes=2000):
+def eigenfunction_below(c: ConeSpec, lam):
     """Positive radial solution r^alpha of -Delta u + kappa scal u = lam |A|^2 u
     for lam below lambda0, with exact-jet residual data attached."""
     lam0 = lambda0_closed_form(c)
@@ -241,7 +241,7 @@ def eigenfunction_below(c: ConeSpec, lam, annulus=(0.01, 1.0), nodes=2000):
     from .perron import indicial_exponent  # local import avoids a module cycle
 
     alpha, _ = indicial_exponent(c, lam)
-    r = np.geomspace(annulus[0], annulus[1], nodes)
+    r = np.geomspace(0.01, 1.0, 2000)
     return RadialProfile(
         r, r**alpha, tag="eigenfunction", jet_fn=lambda x: jet_power(x, alpha)
     )

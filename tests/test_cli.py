@@ -178,26 +178,27 @@ class TestGate:
 class TestReportTable:
     def test_stable_columns_and_determinism(self, tmp_path):
         rep = cli.run_scenario(_scenario(), output_root=tmp_path)
-        csv1, summary, ok = cli.report_table([rep])
-        csv2, _, _ = cli.report_table([rep])
+        csv1, summary = cli.report_table([rep])
+        csv2, _ = cli.report_table([rep])
         assert csv1 == csv2
         assert csv1.splitlines()[0] == "scenario,check,status,measured,tolerance"
         assert "quick: PASS (1/1 checks)" in summary
-        assert ok
+        assert rep.status == "pass"
 
     def test_skip_marked(self):
         rep = cli.RunReport(scenario="s", seed=0, checks=[], ops=[])
-        _, summary, ok = cli.report_table([rep])
+        _, summary = cli.report_table([rep])
         assert "SKIP" in summary
-        assert ok  # vacuous
+        assert rep.status == "skip"
 
     def test_failure_propagates(self):
         bad = cli.RunReport(
             scenario="s", seed=0, ops=[],
             checks=[{"name": "x", "status": "fail", "measured": {}, "tolerance": {}}],
         )
-        _, _, ok = cli.report_table([bad])
-        assert not ok
+        _, summary = cli.report_table([bad])
+        assert "s: FAIL (0/1 checks)" in summary
+        assert bad.status == "fail"
 
     def test_needs_reports(self):
         with pytest.raises(ConfigError):

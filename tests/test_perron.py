@@ -3,10 +3,11 @@ solutions, indicial exponents, cutoffs and crease smoothing."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from conelab import cli
 from conelab import perron as pn
 from conelab import spectral as sp
 from conelab.cones import RadialProfile, catalog_cones, make_cone
@@ -225,13 +226,14 @@ def _reference_local(pp, sub, grid, inner_bc, outer):
 
 
 def _reference_is_supersolution(pp, f, rtol=1e-7):
-    """Comparison test by direct local solves: (verdict, violating window)."""
+    """Comparison test by direct local solves, projected as in
+    ``_reference_local`` and compared with f read on the problem grid:
+    (verdict, violating window)."""
     scale = float(np.abs(f.values).max())
+    v = f(pp.grid)
     for r0, r1 in pn._admissible_windows(pp):
-        sol = pn.local_solve(pp, (r0, r1), (f(r0), f(r1)), enforce_margin=False)
-        mask = (f.grid >= r0) & (f.grid <= r1)
-        excess = np.max(sol(f.grid[mask]) - f.values[mask]) if mask.any() else -np.inf
-        if excess > rtol * scale:
+        mask, local = _reference_local(pp, (r0, r1), pp.grid, ("dirichlet", f(r0)), f(r1))
+        if np.max(local - v[mask]) > rtol * scale:
             return False, (r0, r1)
     return True, None
 
@@ -275,7 +277,7 @@ class TestWindowBasis:
         tip = min(pn._admissible_windows(pp))
         assert tip[0] == pp.domain[0]
         alpha, _ = pn.indicial_exponent(pp.cone, pp.lam)
-        sl, rows = pn._window_basis(pp, tip, True, True)
+        sl, rows = pn._window_basis(pp, tip, True)
         mask, local = _reference_local(pp, tip, pp.grid, ("robin", alpha), b)
         assert np.array_equal(np.flatnonzero(mask), np.arange(sl.start, sl.stop))
         np.testing.assert_allclose(b * rows[0], local, rtol=1e-12, atol=0)
@@ -300,7 +302,7 @@ class TestWindowBasis:
             assert (ok, witness and witness["window"]) == _reference_is_supersolution(pp, f)
 
     def test_profile_off_the_problem_grid(self):
-        # profiles may carry their own grid: the basis is projected onto it
+        # profiles may carry their own grid: they are read on the problem grid
         pp = pn.PerronProblem(cone=make_cone(3, 3), lam=0.2, domain=(0.02, 1.0),
                               boundary_value=1.0, nodes=400)
         grid = np.geomspace(0.02, 1.0, 777)
@@ -312,11 +314,28 @@ class TestWindowBasis:
             assert ok is verdict
         win = (0.1, 0.2)
         lifted = pn.lift(pp, hardy, win, check=False)
-        mask, local = _reference_local(pp, win, grid, ("dirichlet", hardy(win[0])), hardy(win[1]))
-        assert np.any(local < hardy.values[mask])
-        np.testing.assert_allclose(lifted.values[mask], np.minimum(hardy.values[mask], local),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(lifted.values[~mask], hardy.values[~mask])
+        v = hardy(pp.grid)
+        mask, local = _reference_local(pp, win, pp.grid, ("dirichlet", hardy(win[0])), hardy(win[1]))
+        assert np.array_equal(lifted.grid, pp.grid)
+        assert np.any(local < v[mask])
+        np.testing.assert_allclose(lifted.values[mask], np.minimum(v[mask], local), rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(lifted.values[~mask], v[~mask])
+
+    def test_off_grid_values_between_nodes_are_not_read(self):
+        # the test is discrete on the problem grid: a dip of an off-grid seed
+        # strictly between two problem-grid nodes is seen neither by the
+        # comparison test nor by the minimality check of a Perron run
+        pp = pn.PerronProblem(cone=make_cone(3, 3), lam=0.2, domain=(0.02, 1.0),
+                              boundary_value=1.0, nodes=400)
+        fine = np.geomspace(0.02, 1.0, 10 * (pp.nodes - 1) + 1)
+        vals = fine ** (-(pp.cone.n - 2.0) / 2.0)
+        k = 10 * 200 + 5  # halfway between problem-grid nodes 200 and 201
+        vals[k] *= 1e-3
+        dipped = RadialProfile(fine, vals, tag="supersolution")
+        assert pn.is_supersolution(pp, dipped) == (True, None)
+        res = pn.perron_minimal_detailed(pp, seeds=[dipped])
+        assert res.minimality_checks == (True,)
+        assert res.profile(fine[k]) > vals[k]
 
 
 class TestSupersolutionSet:
@@ -384,6 +403,34 @@ class TestPerronMinimal:
     def test_zero_sweep_budget_rejected(self, problem):
         with pytest.raises(ParameterError):
             pn.perron_minimal_detailed(problem, max_sweeps=0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from([(3, 3), (4, 3)]),
+        frac=st.floats(0.0, 0.7),
+        r_in=st.floats(0.005, 0.1),
+    )
+    @example(shape=(3, 3), frac=0.5, r_in=0.02)
+    def test_minimal_solution_passes_its_own_test(self, shape, frac, r_in):
+        # lifts and the comparison test share one window basis, so the
+        # polished result is a supersolution of its own problem
+        cone = make_cone(*shape)
+        lam = 0.125 + frac * (sp.lambda0_closed_form(cone) - 0.125)
+        pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=400)
+        res = pn.perron_minimal_detailed(pp)
+        assert res.iterations < 400
+        ok, witness = pn.is_supersolution(pp, res.profile)
+        assert ok, witness
+
+    def test_window_solves_per_run(self, monkeypatch, tmp_path):
+        # each (window, inner condition) is solved once per problem
+        calls = []
+        solve = pn._solve_window
+        monkeypatch.setattr(pn, "_solve_window", lambda *a, **k: calls.append(a[1:3]) or solve(*a, **k))
+        data = cli.load_scenario(str(cli.bundled_scenarios()["perron"]))
+        data["checks"] = [e for e in data["checks"] if e["check"] == "perron-minimal"]
+        assert cli.run_scenario(data, output_root=tmp_path).status == "pass"
+        assert len(calls) <= 86
 
 
 # ---------------------------------------------------------------------------
