@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,10 @@ class PerronProblem:
             raise DomainError("boundary value must be positive")
         if not (0.125 <= self.lam < lambda0_closed_form(self.cone)):
             raise OutOfBandError("lambda must lie in [1/8, lambda0)")
+        if not _is_index(self.nodes) or self.nodes < 2:
+            raise ParameterError(f"nodes must be an integer >= 2, got {self.nodes!r}")
+        if any(i0 == i1 for i0, i1 in _window_schedule(self)):
+            raise ParameterError(f"{self.nodes} nodes are too coarse: window ends coincide")
 
     @property
     def grid(self):
@@ -130,9 +135,8 @@ class SupersolutionSet:
         of supersolutions is closed under finite minima)."""
         if not self.members:
             raise DomainError("empty supersolution set")
-        grid = self.problem.grid
-        vals = np.min([m(grid) for m in self.members], axis=0)
-        return RadialProfile(grid, vals, tag="supersolution")
+        vals = np.min([m.values for m in self.members], axis=0)
+        return RadialProfile(self.problem.grid, vals, tag="supersolution")
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,27 @@ class SupersolutionSet:
 _MARGIN_FACTOR = 1.1
 #: tolerance of the comparison test, relative to the profile's maximum
 _SUPER_RTOL = 1e-7
+#: log width of the widest (level-0) sweep window, and the nodes of a window solve
+_WINDOW_WIDTH = math.log(2.0)
+_WINDOW_NODES = 1001
+
+
+def _is_index(i):
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
+def _index_window(pp: PerronProblem, win):
+    """``win`` as the int pair (i0, i1) of problem-grid nodes, 0 <= i0 < i1 < nodes."""
+    if not (np.shape(win) == (2,) and all(map(_is_index, win)) and 0 <= win[0] < win[1] < pp.nodes):
+        raise DomainError(f"window {win!r} is not a node-index pair 0 <= i0 < i1 < {pp.nodes}")
+    return int(win[0]), int(win[1])
+
+
+def _on_grid(pp: PerronProblem, f: RadialProfile):
+    """f's values, which must be sampled on the problem grid."""
+    if not np.array_equal(f.grid, pp.grid):
+        raise DomainError("profile must be sampled on the problem grid")
+    return f.values
 
 
 def laplace_first_eigen(c: ConeSpec, r0, r1):
@@ -156,7 +181,7 @@ def laplace_first_eigen(c: ConeSpec, r0, r1):
 
 
 def margin_ratio(pp: PerronProblem, sub):
-    """mu_1(-Delta on sub) / sup q: admissible iff >= 1.1."""
+    """mu_1(-Delta on sub) / sup q for radii ``sub``: admissible iff >= 1.1."""
     r0, r1 = sub
     if not (pp.domain[0] <= r0 < r1 <= pp.domain[1] * (1 + 1e-12)):
         raise DomainError("sub-annulus not inside the problem domain")
@@ -165,8 +190,9 @@ def margin_ratio(pp: PerronProblem, sub):
     return mu1 / sup_q
 
 
-def _require_margin(pp: PerronProblem, sub):
-    """Raise BallTooLargeError unless ``sub`` passes the admissibility margin."""
+def _require_margin(pp: PerronProblem, win):
+    """Raise BallTooLargeError unless index window ``win`` passes the margin."""
+    sub = pp.grid[list(win)]
     ratio = margin_ratio(pp, sub)
     if ratio < _MARGIN_FACTOR:
         raise BallTooLargeError(
@@ -174,7 +200,7 @@ def _require_margin(pp: PerronProblem, sub):
         )
 
 
-def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=1001):
+def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=_WINDOW_NODES):
     """Richardson-extrapolated FD solve of (LO) on [r0, r1] in log coords.
 
     bc_inner is ("dirichlet", value) or ("robin", alpha) with the Robin
@@ -219,16 +245,19 @@ def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=1001):
     return r, u
 
 
-def local_solve(pp: PerronProblem, sub, boundary):
-    """Unique two-point solution of (LO) on 1001 nodes of the sub-annulus.
+def local_solve(pp: PerronProblem, win, boundary):
+    """Unique two-point solution of (LO) with end values ``boundary`` on the
+    problem-grid nodes of index window ``win = (i0, i1)``, from its basis.
 
     The admissibility margin (first Laplace eigenvalue of the sub-annulus
     exceeding sup q by factor 1.1) certifies uniqueness; violating it
     raises BallTooLargeError and the caller must shrink the window.
     """
-    _require_margin(pp, sub)
-    r, u = _solve_window(pp, sub[0], sub[1], ("dirichlet", boundary[0]), ("dirichlet", boundary[1]))
-    return RadialProfile(r, u, tag="solution")
+    win = _index_window(pp, win)
+    _require_margin(pp, win)
+    sl, rows = _window_basis(pp, win, False)
+    a, b = boundary
+    return RadialProfile(pp.grid[sl], a * rows[0] + b * rows[1], tag="solution")
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +279,18 @@ def _per_problem(fn):
 
 
 @_per_problem
-def _admissible_windows(pp: PerronProblem):
-    """Deterministic dyadic family of margin-admissible sub-annuli.
-
-    Window ends are snapped to problem-grid nodes so lifts read boundary
-    data exactly rather than through interpolation."""
+def _window_schedule(pp: PerronProblem):
+    """Deterministic dyadic family of sub-annuli as index pairs of the
+    problem-grid nodes nearest their ends."""
     s0, s1 = np.log(pp.domain[0]), np.log(pp.domain[1])
-    grid = pp.grid
-    sg = np.log(grid)
+    sg = np.log(pp.grid)
 
     def snap(s):
-        return float(grid[np.argmin(np.abs(sg - s))])
+        return int(np.argmin(np.abs(sg - s)))
 
     windows = []
-    width = math.log(2.0)
     for level in range(2):
-        w = width / 2.0**level
+        w = _WINDOW_WIDTH / 2.0**level
         step = w / 2.0
         a = s0
         while a < s1 - 1e-12:
@@ -273,20 +298,30 @@ def _admissible_windows(pp: PerronProblem):
             if b - a > 0.2 * w:
                 windows.append((snap(a), snap(b)))
             a += step
-    return tuple(win for win in windows if margin_ratio(pp, win) >= _MARGIN_FACTOR)
+    return tuple(windows)
 
 
 @_per_problem
-def _window_basis(pp: PerronProblem, sub, robin):
-    """Unit-data window solutions on the problem-grid nodes in ``sub``.
+def _admissible_windows(pp: PerronProblem):
+    """The margin-admissible windows of ``_window_schedule``, as index pairs."""
+    grid = pp.grid
+    return tuple(
+        win for win in _window_schedule(pp) if margin_ratio(pp, grid[list(win)]) >= _MARGIN_FACTOR
+    )
+
+
+@_per_problem
+def _window_basis(pp: PerronProblem, win, robin):
+    """Unit-data solutions on the problem-grid nodes of index window ``win``.
 
     One solve per problem, window and inner condition, projected onto
-    ``pp.grid`` by a not-a-knot spline in ln r (ends widened by 1e-12
-    relative).  Both are linear in the end data, so the solution with data
-    (a, b) on ``pp.grid[sl]`` is ``a * rows[0] + b * rows[1]``; the Robin
-    tip window has the single row ``rows[0]`` (outer value 1).  Lifts, the
-    comparison test and the sweep all read it.  Returns ``(sl, rows)``."""
-    r0, r1 = sub
+    ``pp.grid[sl]`` by a not-a-knot spline in ln r.  Both are linear in the
+    end data, so the solution with data (a, b) is ``a * rows[0] + b *
+    rows[1]``; the Robin tip window has the single row ``rows[0]`` (outer
+    value 1).  Every Perron read goes through it.  Returns ``(sl, rows)``."""
+    sl = slice(win[0], win[1] + 1)
+    grid = pp.grid[sl]
+    r0, r1 = grid[0], grid[-1]
     if robin:
         alpha, _ = indicial_exponent(pp.cone, pp.lam)
         r, u = _solve_window(pp, r0, r1, ("robin", alpha), ("dirichlet", 1.0))
@@ -295,51 +330,46 @@ def _window_basis(pp: PerronProblem, sub, robin):
         r, u0 = _solve_window(pp, r0, r1, ("dirichlet", 1.0), ("dirichlet", 0.0))
         _, u1 = _solve_window(pp, r0, r1, ("dirichlet", 0.0), ("dirichlet", 1.0))
         u = np.stack([u0, u1])
-    grid = pp.grid
-    lo, hi = r0 * (1 - 1e-12), r1 * (1 + 1e-12)
-    sl = slice(int(np.searchsorted(grid, lo, "left")), int(np.searchsorted(grid, hi, "right")))
-    rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid[sl]))
+    rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid))
     rows.setflags(write=False)
     return sl, rows
 
 
 def is_supersolution(pp: PerronProblem, f: RadialProfile):
-    """Defining comparison test: on every admissible sub-annulus the local
-    solution (``_window_basis``) with f's end data must stay below f.
+    """Defining comparison test: on every admissible index window the local
+    solution (``_window_basis``) with f's end values must stay below f.
 
-    The test is discrete on the problem grid: f is read as ``f(pp.grid)``,
-    exact when f lives there and its linear interpolant otherwise, and so
-    are its end data.  Values of an off-grid f between problem-grid nodes
-    are not examined.  Returns (True, None) or (False, witness) with the
-    violating window and the maximal excess."""
-    if np.any(f.values <= 0):
-        bad = int(np.argmin(f.values))
+    The test is discrete on the problem grid, and f must be sampled there
+    (DomainError otherwise).  Returns (True, None) or (False, witness) with
+    the violating index window and the maximal excess."""
+    v = _on_grid(pp, f)
+    if np.any(v <= 0):
+        bad = int(np.argmin(v))
         return False, {"window": None, "reason": "not positive", "index": bad}
-    scale = float(np.abs(f.values).max())
-    v = f(pp.grid)
+    scale = float(np.abs(v).max())
     for win in _admissible_windows(pp):
         sl, rows = _window_basis(pp, win, False)
-        a, b = f(win)
-        excess = np.max(a * rows[0] + b * rows[1] - v[sl])
+        excess = np.max(v[win[0]] * rows[0] + v[win[1]] * rows[1] - v[sl])
         if excess > _SUPER_RTOL * scale:
             return False, {"window": win, "excess": float(excess)}
     return True, None
 
 
-def lift(pp: PerronProblem, f: RadialProfile, sub, check=True):
-    """Replace f on the sub-annulus by the local solution with f's end data.
+def lift(pp: PerronProblem, f: RadialProfile, win, check=True):
+    """Replace f on the index window ``win = (i0, i1)`` by the local solution
+    with f's end values.
 
-    f is read on the problem grid as in ``is_supersolution``; the result
-    lives there, is pointwise <= f and is again a supersolution."""
+    f must be sampled on the problem grid; the result lives there, is
+    pointwise <= f and is again a supersolution."""
+    win = _index_window(pp, win)
+    vals = _on_grid(pp, f).copy()
     if check:
         ok, witness = is_supersolution(pp, f)
         if not ok:
             raise NotSupersolutionError(f"lift requires a supersolution: {witness}")
-        _require_margin(pp, sub)
-    sl, rows = _window_basis(pp, tuple(sub), False)
-    a, b = f(sub)
-    vals = f(pp.grid)
-    vals[sl] = np.minimum(vals[sl], a * rows[0] + b * rows[1])
+        _require_margin(pp, win)
+    sl, rows = _window_basis(pp, win, False)
+    vals[sl] = np.minimum(vals[sl], vals[win[0]] * rows[0] + vals[win[1]] * rows[1])
     return RadialProfile(pp.grid, vals, tag=f.tag)
 
 
@@ -374,12 +404,15 @@ class PerronResult:
 def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> PerronResult:
     """Iterated lifts over a dyadic sweep schedule, inner-to-outer.
 
-    The innermost window carries the indicial Robin condition (the tip
-    surrogate); sweeps stop when the sup-norm decrement drops below 1e-10.
-    Each lift is ``min(w, a phi0 + b phi1)`` over the window's cached
-    basis (see ``_window_basis``).  A final global Robin--Dirichlet solve
-    polishes the iterate (they must agree; the polish removes interface
-    kinks that would pollute the high-order residual check).
+    Seeds must be sampled on the problem grid.  The innermost window
+    carries the indicial Robin condition (the tip surrogate); sweeps stop
+    when the sup-norm decrement drops below 1e-10.  Each lift is
+    ``min(w, a phi0 + b phi1)`` over the window's cached basis (see
+    ``_window_basis``).  A final global Robin--Dirichlet solve polishes the
+    iterate (they must agree; the polish removes interface kinks that would
+    pollute the high-order residual check).  It is solved, and its residual
+    measured, on the refinement of ``pp.grid`` by the smallest stride at
+    window-solve resolution; the profile is every stride-th node of it.
     """
     if max_sweeps < 1:
         raise ParameterError("max_sweeps must be >= 1")
@@ -388,23 +421,18 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
     for f in seeds if seeds is not None else [default_seed(pp)]:
         sset.add(f)
 
-    w = sset.minimum()
-    windows = sorted(_admissible_windows(pp), key=lambda ab: ab[0])
+    windows = sorted(_admissible_windows(pp), key=lambda w: w[0])
     if not windows:
         raise DomainError("no admissible sweep windows; domain too small")
-    lifts = []
-    for win in windows:
-        robin = abs(win[0] - pp.domain[0]) < 1e-14 * pp.domain[0]
-        lifts.append((win, robin) + _window_basis(pp, win, robin))
+    lifts = [(win, win[0] == 0) + _window_basis(pp, win, win[0] == 0) for win in windows]
 
-    grid, vals = w.grid, w.values.copy()
+    vals = sset.minimum().values
     sweeps = 0
     while sweeps < max_sweeps:
         sweeps += 1
         prev = vals.copy()
-        for win, robin, sl, rows in lifts:
-            a, b = np.interp(win, grid, vals)
-            local = b * rows[0] if robin else a * rows[0] + b * rows[1]
+        for (i0, i1), robin, sl, rows in lifts:
+            local = vals[i1] * rows[0] if robin else vals[i0] * rows[0] + vals[i1] * rows[1]
             np.minimum(vals[sl], local, out=vals[sl])
         dec = float(np.max(np.abs(prev - vals)))
         if dec < 1e-10:
@@ -414,28 +442,28 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
             f"perron sweeps did not converge in {max_sweeps} sweeps (last decrement {dec})"
         )
 
+    spacing = math.log(pp.domain[1] / pp.domain[0]) / (pp.nodes - 1)
+    stride = math.ceil(spacing * (_WINDOW_NODES - 1) / _WINDOW_WIDTH)
     r, u = _solve_window(
         pp,
         pp.domain[0],
         pp.domain[1],
         ("robin", alpha),
         ("dirichlet", pp.boundary_value),
-        nodes=pp.nodes,
+        nodes=stride * (pp.nodes - 1) + 1,
     )
-    polish = RadialProfile(r, u, tag="solution")
-    gap = float(np.max(np.abs(polish(grid) - vals)))
+    polished = u[::stride]
+    gap = float(np.max(np.abs(polished - vals)))
     if gap > 1e-6 * pp.boundary_value * (pp.domain[0] / pp.domain[1]) ** alpha:
         raise IterationLimitError(f"sweep iterate and global solve disagree by {gap}")
 
-    residual = radial_operator_residual(pp.cone, pp.lam, polish)
-    # the seeds are read on the problem grid, as the comparison test read them
-    polished = polish(grid)
+    residual = radial_operator_residual(pp.cone, pp.lam, RadialProfile(r, u))
     checks = tuple(
-        bool(np.all(polished <= v + 1e-9 * np.abs(v))) for v in (m(grid) for m in sset.members)
+        bool(np.all(polished <= v + 1e-9 * np.abs(v))) for v in (m.values for m in sset.members)
     )
     c_fit = pp.boundary_value / pp.domain[1] ** alpha
     return PerronResult(
-        profile=polish,
+        profile=RadialProfile(pp.grid, polished, tag="solution"),
         alpha=alpha,
         c=c_fit,
         iterations=sweeps,

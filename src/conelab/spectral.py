@@ -10,8 +10,8 @@ Schroedinger form
 
     -v'' + [ (n-2)^2/4 - kappa (p+q) ] v = lambda (eps^2 + p + q) v,
 
-which the finite-difference solver discretizes; an independent shooting
-integrator on the original r-equation serves as cross-check.
+which the finite-difference solver discretizes.  The independent shooting
+cross-check lives with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
-from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError, SolverError
+from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
 from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
@@ -124,40 +122,6 @@ def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
     r = np.exp(s)
     u = v * r ** (-(n - 2.0) / 2.0)
     return lam, r, u
-
-
-def _shooting_eigen(w: WeightedProblem, r_in, r_out):
-    """Independent eigenvalue solver: shoot the radial ODE in log coords and
-    root-find the outer Dirichlet value in lambda."""
-    n = w.cone.n
-    pot = (n - 2.0) ** 2 / 4.0 - w.kappa * (w.cone.p + w.cone.q)
-    wgt = w.eps**2 + w.cone.p + w.cone.q
-    s0, s1 = np.log(r_in), np.log(r_out)
-
-    def end_value(lam):
-        def rhs(_, y):
-            return [y[1], (pot - lam * wgt) * y[0]]
-
-        sol = solve_ivp(
-            rhs, (s0, s1), [0.0, 1.0], rtol=1e-12, atol=1e-14, dense_output=False
-        )
-        if not sol.success:
-            raise SolverError(f"shooting integration failed: {sol.message}")
-        return sol.y[0, -1]
-
-    lo = pot / wgt  # at/below the oscillation threshold: end value positive
-    step = (np.pi / (s1 - s0)) ** 2 / (2.0 * wgt)  # < gap to the first eigenvalue
-    flo = end_value(lo)
-    hi, fhi = lo, flo
-    tries = 0
-    while flo * fhi > 0:  # scan upward to the *first* sign change
-        lo, flo = hi, fhi
-        hi = hi + step
-        fhi = end_value(hi)
-        tries += 1
-        if tries > 32:
-            raise SolverError("shooting bracket did not converge", (lo, hi, flo, fhi))
-    return brentq(end_value, lo, hi, xtol=1e-13)
 
 
 def dirichlet_eigen(w: WeightedProblem, m) -> EigenResult:

@@ -7,6 +7,8 @@ from conelab import spectral as sp
 from conelab.cones import RadialProfile, catalog_cones, make_cone
 from conelab.errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
 
+from oracles import shooting_eigen
+
 
 @pytest.fixture
 def simons():
@@ -74,7 +76,7 @@ class TestDirichletEigen:
         for m in (1, 2):
             r_in, r_out = sp.exhaustion_annulus(w, m)
             fd = sp.dirichlet_eigen(w, m).lam
-            shot = sp._shooting_eigen(w, r_in, r_out)
+            shot = shooting_eigen(w, r_in, r_out)
             assert abs(fd - shot) < 1e-6
 
     def test_closed_form_first_annulus(self, simons):
