@@ -52,7 +52,12 @@ class BendProfile:
 
     def jet(self, t):
         """(h, h', h'') vectorized; h by 48-node Gauss quadrature of the
-        closed-form h' (accurate to ~1e-15 on these smooth integrands)."""
+        closed-form h' (accurate to ~1e-15 on these smooth integrands).
+
+        h = |t| exactly for |t| >= delta, so the quadrature integrand is
+        evaluated only at the points with |t| < delta.  The weighted sum
+        still runs over one row per point (zero outside), in the layout of
+        the full quadrature, so h agrees with it to the bit."""
         t = np.asarray(t, dtype=float)
         s = np.minimum(np.abs(t), self.delta * (1.0 - 1e-14))
         inside = np.abs(t) < self.delta
@@ -62,8 +67,9 @@ class BendProfile:
         # tail(s) = integral_s^delta e^{-psi}, so h = |t| + tail(|t|)
         half = (self.delta - s) / 2.0
         mid = (self.delta + s) / 2.0
-        nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
-        vals = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
+        nodes = mid[inside][:, None] + half[inside][:, None] * _GAUSS_NODES
+        vals = np.zeros(s.shape + _GAUSS_NODES.shape)
+        vals[inside] = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
         tail = half * (vals @ _GAUSS_WEIGHTS)
         h = np.abs(t) + np.where(inside, tail, 0.0)
         return h, hp, hpp
@@ -133,15 +139,6 @@ class TubeMetric:
         if self.sigma <= 0:
             raise DomainError("tube depth must be positive")
 
-    @property
-    def dim(self):
-        return self.chart.dim
-
-    @property
-    def trace_a(self):
-        f, df, _ = self.warp
-        return -(self.dim - 1) * df(0.0) / f(0.0)
-
     def field(self) -> AnalyticMetric:
         return warped_product_metric(self.chart, self.warp, list(self.core_factors))
 
@@ -168,37 +165,22 @@ def sphere_tube(n, theta0, sigma, count=5) -> TubeMetric:
     )
 
 
-def cylinder_tube(n, radius, sigma, count=5) -> TubeMetric:
-    """Totally geodesic core (A = 0): constant warp."""
-    axes = [(-sigma, sigma, count)]
-    axes += [(np.pi / 2 - 0.4, np.pi / 2 + 0.4, count) for _ in range(n - 1)]
-    warp = (lambda t: radius + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t)
-    return TubeMetric(
-        chart=Chart(tuple(axes)),
-        warp=warp,
-        core_factors=tuple(round_sphere_factors(n - 1, radius=1.0, axis_offset=1)),
-        sigma=sigma,
-    )
-
-
-def cross_section_tube(r0, sigma, count=9) -> TubeMetric:
-    """Flat 2-D cross-section tube over a circle of radius r0 (the torus
-    cross-section of a 3-D cone): warp f(t) = r0 - t."""
-    if sigma >= r0:
-        raise DomainError("tube deeper than the cross-section radius")
-    axes = [(-sigma, sigma, count), (np.pi / 2 - 0.4, np.pi / 2 + 0.4, count)]
-    warp = (lambda t: r0 - t, lambda t: -1.0 + 0.0 * t, lambda t: 0.0 * t)
-    return TubeMetric(
-        chart=Chart(tuple(axes)), warp=warp, core_factors=({},), sigma=sigma
-    )
-
-
 def bent_warp(tm: TubeMetric, bp: BendProfile):
     """Warp of the bent metric: F(t) = f(h(t)) with exact chain-rule jets."""
     f, df, d2f = tm.warp
+    last = {}  # the latest point array's bytes -> its jet: the three
+    # callbacks of one metric evaluation share one bp.jet call
 
     def jet(t):
-        return jet_compose(lambda h: Jet(f(h), df(h), d2f(h)), Jet(*bp.jet(t)))
+        t = np.asarray(t, dtype=float)
+        key = (t.shape, t.tobytes())
+        if key not in last:
+            last.clear()
+            last[key] = jet_compose(lambda h: Jet(f(h), df(h), d2f(h)), Jet(*bp.jet(t)))
+            for part in (last[key].f, last[key].d1, last[key].d2):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False  # handed to every caller
+        return last[key]
 
     return (lambda t: jet(t).f), (lambda t: jet(t).d1), (lambda t: jet(t).d2)
 

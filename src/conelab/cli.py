@@ -592,7 +592,8 @@ class RunReport:
         return "error" if "error" in statuses else "pass" if statuses == {"pass"} else "fail"
 
     def to_artifact_dict(self):
-        """Deterministic artifact payload: wall times stripped."""
+        """Deterministic artifact payload: wall times stripped (they go to
+        the timing sidecar, `to_timing_dict`)."""
         return {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -605,6 +606,13 @@ class RunReport:
             "environment": self.environment,
         }
 
+    def to_timing_dict(self):
+        """Wall time of each check in seconds, in check order."""
+        return {
+            "scenario": self.scenario,
+            "checks": [{"name": c["name"], "wall_time": c["wall_time"]} for c in self.checks],
+        }
+
 
 def _version():
     try:
@@ -614,7 +622,9 @@ def _version():
 
 
 def run_scenario(source, output_root=None) -> RunReport:
-    """Execute a scenario and write its artifacts.
+    """Execute a scenario and write its artifacts: the byte-reproducible
+    `<name>.report.json` and `<name>.checks.csv`, and the check wall times
+    in the `<name>.timing.json` sidecar.
 
     Each check runs on its params over the `PARAMS` defaults and states its
     bounds through a fresh `Gate`.  A `conelab.errors` exception inside a
@@ -654,6 +664,10 @@ def run_scenario(source, output_root=None) -> RunReport:
         json.dumps(report.to_artifact_dict(), sort_keys=True, indent=2) + "\n"
     )
     (root / f"{data['name']}.checks.csv").write_text(report_table([report])[0])
+    # wall times differ from run to run, so they stay out of the report
+    (root / f"{data['name']}.timing.json").write_text(
+        json.dumps(report.to_timing_dict(), indent=2) + "\n"
+    )
     return report
 
 

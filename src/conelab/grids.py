@@ -4,6 +4,10 @@ A metric on a uniform rectangular chart has one of two representations:
 a MetricField holds the components sampled at every node, validated on
 construction; an AnalyticMetric holds exact callbacks for g and its first
 and second derivatives, validated at each point it is evaluated.
+Validation takes the nodes in blocks of _BLOCK, in three passes over the
+blocks (finite, symmetric, positive definite), so its working memory does
+not grow with the node count and its first failed test is the one a
+single pass over all nodes would fail.
 Christoffel symbols and scalar curvature are assembled pointwise from the
 metric 2-jet, which comes from 2nd-order central stencils of the samples
 or from the callbacks.
@@ -29,6 +33,7 @@ from .errors import (
 )
 
 _PIVOT_TOL = 1e-12
+_BLOCK = 4096  # nodes per metric validation block
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +92,13 @@ class Chart:
                 )
 
 
-def _check_metric(g):
-    """Every (n, n) block of g is finite, symmetric to 1e-12 and positive
-    definite with Cholesky pivots above 1e-12.
-
-    Symmetry compares the strict upper triangle with its mirror.  The
-    Cholesky factor of the lower triangle is built column by column over
-    all blocks at once."""
-    n = g.shape[-1]
-    a = g.reshape(-1, n, n).transpose(1, 2, 0)  # a[i, j] is entry ij of every block
-    if not np.isfinite(a).all():
-        raise DomainError("metric not finite at every node")
-    iu, ju = np.triu_indices(n, 1)
-    if np.abs(a[iu, ju] - a[ju, iu]).max(initial=0.0) > 1e-12:
-        raise DomainError("metric not symmetric at every node")
-    chol = np.zeros(a.shape)
+def _min_cholesky_pivot(a, scratch):
+    """Smallest Cholesky pivot of the (n, n, B) stack a, whose a[i, j] is
+    entry ij of every node; the factor of the lower triangle is built
+    column by column over all B nodes at once, in the first a.size
+    entries of scratch (each entry read is written first)."""
+    n = a.shape[0]
+    chol = scratch[:a.size].reshape(a.shape)
     pivot = np.inf
     for j in range(n):
         col = a[j:, j] - np.einsum("ikb,kb->ib", chol[j:, :j], chol[j, :j])
@@ -110,6 +107,29 @@ def _check_metric(g):
         piv = np.sqrt(col[0])
         chol[j:, j] = col / piv
         pivot = min(pivot, piv.min(initial=np.inf))
+    return pivot
+
+
+def _check_metric(g):
+    """Every (n, n) block of g is finite, symmetric to 1e-12 and positive
+    definite with Cholesky pivots above 1e-12.
+
+    The nodes are taken _BLOCK at a time, so every temporary and the one
+    Cholesky scratch array hold at most _BLOCK nodes.  Three passes over
+    the blocks test finiteness, then symmetry (the strict upper triangle
+    against its mirror), then the Cholesky factor; the pivot tolerance is
+    tested once every node has factored.  So the first failed test over
+    all nodes names the error, whatever block it fails in."""
+    n = g.shape[-1]
+    nodes = g.reshape(-1, n, n)
+    blocks = [nodes[s:s + _BLOCK] for s in range(0, len(nodes), _BLOCK)]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise DomainError("metric not finite at every node")
+    iu, ju = np.triu_indices(n, 1)
+    if any(np.abs(b[:, iu, ju] - b[:, ju, iu]).max(initial=0.0) > 1e-12 for b in blocks):
+        raise DomainError("metric not symmetric at every node")
+    scratch = np.zeros(blocks[0].size) if blocks else None
+    pivot = min((_min_cholesky_pivot(b.transpose(1, 2, 0), scratch) for b in blocks), default=np.inf)
     if pivot <= _PIVOT_TOL:
         raise SingularMetricError("metric pivot below tolerance 1e-12")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from conelab import bending as bd
@@ -15,6 +16,7 @@ from conelab.errors import (
     ResolutionError,
 )
 from conelab.grids import AnalyticMetric, MetricField, scalar_curvature
+from oracles import bend_jet_full_quadrature, cross_section_tube, cylinder_tube, trace_a
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +92,75 @@ class TestBuildH:
             bd.build_h(1.0, 0.3, sigma=0.5)
 
 
+#: multiples of delta: the core, both transition ends, the last point the
+#: quadrature clamps, and points beyond sigma = 2.5 delta
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1.0 - 1e-14, -(1.0 - 1e-14), 2.5, -2.5, 2.75, -3.0)
+_MULTIPLES = st.one_of(st.sampled_from(_SPECIAL), st.floats(-3.0, 3.0))
+
+
+class TestJetQuadrature:
+    """The quadrature runs only where |t| < delta, and h, h', h'' equal the
+    full quadrature over every point to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.floats(1e-2, 1e3),
+        delta=st.floats(1e-3, 10.0),
+        scalar=_MULTIPLES,
+        shape=hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+        data=st.data(),
+    )
+    def test_bit_identical_to_full_quadrature(self, k, delta, scalar, shape, data):
+        bp = bd.BendProfile(k=k, delta=delta, sigma=2.5 * delta, report={})
+        array = data.draw(hnp.arrays(float, shape, elements=_MULTIPLES))
+        for t in (scalar * delta, np.float64(scalar * delta), array * delta):
+            got, want = bp.jet(t), bend_jet_full_quadrature(bp, t)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w) == np.shape(t)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_special_points_on_one_array(self):
+        bp = bd.build_h(3.0, 0.25)
+        t = np.array(_SPECIAL) * bp.delta
+        for g, w in zip(bp.jet(t), bend_jet_full_quadrature(bp, t)):
+            assert g.tobytes() == w.tobytes()
+        for g, w in zip(bp.jet(t.reshape(2, 5)), bend_jet_full_quadrature(bp, t.reshape(2, 5))):
+            assert g.tobytes() == w.tobytes()
+
+    def test_scal_compare_evaluates_the_profile_at_most_twice(self, monkeypatch):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        bp = bd.build_h(2.0, 0.2)
+        calls = []
+        jet = bd.BendProfile.jet
+        monkeypatch.setattr(bd.BendProfile, "jet", lambda self, t: calls.append(np.shape(t)) or jet(self, t))
+        bd.scal_compare(tm, bp, samples=201)
+        assert 1 <= len(calls) <= 2
+
+    def test_bent_warp_follows_its_input(self):
+        # the one-entry memo is keyed on values: a new array, the same values
+        # in a new array, and an array changed in place each get their own jet
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        bp = bd.build_h(2.0, 0.2)
+        warp = bd.bent_warp(tm, bp)
+        f, df, d2f = tm.warp
+
+        def fresh(t):
+            h, hp, hpp = bp.jet(t)
+            return f(h), df(h) * hp, d2f(h) * hp**2 + df(h) * hpp
+
+        t1, t2 = np.linspace(0.0, 0.4, 7), np.linspace(-0.3, 0.1, 7)
+        t3 = t1.copy()
+        for t in (t1, t2, t1.copy(), t1[:3], t3):
+            for fn, want in zip(warp, fresh(t)):
+                assert fn(t).tobytes() == want.tobytes()
+        t3[2] = 0.05
+        for fn, want in zip(warp, fresh(t3)):
+            assert fn(t3).tobytes() == want.tobytes()
+        # every call shares the memo's arrays, so none can be written
+        with pytest.raises(ValueError, match="read-only"):
+            warp[0](t3)[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # tube metrics
 # ---------------------------------------------------------------------------
@@ -98,15 +169,15 @@ class TestTubeMetric:
     def test_sphere_tube_mean_curvature(self):
         # geodesic sphere of radius theta0 in the round S^n
         tm = bd.sphere_tube(4, theta0=0.9, sigma=0.4)
-        assert tm.trace_a == pytest.approx(3.0 / np.tan(0.9), rel=1e-14)
+        assert trace_a(tm) == pytest.approx(3.0 / np.tan(0.9), rel=1e-14)
 
     def test_cross_section_tube_mean_curvature(self):
-        tm = bd.cross_section_tube(2.0, 0.5)
-        assert tm.trace_a == pytest.approx(0.5, rel=1e-14)
+        tm = cross_section_tube(2.0, 0.5)
+        assert trace_a(tm) == pytest.approx(0.5, rel=1e-14)
 
     def test_cylinder_tube_flat_core(self):
-        tm = bd.cylinder_tube(4, radius=1.0, sigma=0.4)
-        assert tm.trace_a == 0.0
+        tm = cylinder_tube(4, radius=1.0, sigma=0.4)
+        assert trace_a(tm) == 0.0
 
     def test_fermi_form(self):
         tm = bd.sphere_tube(5, theta0=1.1, sigma=0.4)
@@ -117,7 +188,7 @@ class TestTubeMetric:
         assert np.all(np.diag(dg[0])[1:] < 0)
 
     def test_field_builds_metric(self):
-        tm = bd.cross_section_tube(1.5, 0.4)
+        tm = cross_section_tube(1.5, 0.4)
         m = tm.field()
         assert isinstance(m, AnalyticMetric)
         g, dg, d2g = m.jet(np.array([0.1, np.pi / 2]))
@@ -129,11 +200,9 @@ class TestTubeMetric:
         with pytest.raises(DomainError):
             bd.sphere_tube(4, theta0=0.5, sigma=0.6)  # deeper than focal
         with pytest.raises(DomainError):
-            bd.cross_section_tube(0.3, 0.5)
-        with pytest.raises(DomainError):
             # increasing warp: negative mean curvature core
             bd.TubeMetric(
-                chart=bd.cross_section_tube(1.0, 0.4).chart,
+                chart=cross_section_tube(1.0, 0.4).chart,
                 warp=(lambda t: 1.0 + t, lambda t: 1.0 + 0 * t, lambda t: 0 * t),
                 core_factors=({},),
                 sigma=0.4,
@@ -150,7 +219,7 @@ class TestBendMetric:
         # bit for bit
         cases = [
             (bd.sphere_tube(4, theta0=0.9, sigma=0.45), bd.build_h(2.0, 0.2), [1.5, 1.6, 1.7]),
-            (bd.cross_section_tube(1.3, 0.45, count=81), bd.build_h(1.5, 0.2), [np.pi / 2]),
+            (cross_section_tube(1.3, 0.45, count=81), bd.build_h(1.5, 0.2), [np.pi / 2]),
         ]
         for tm, bp, angles in cases:
             base = tm.field()
@@ -191,7 +260,7 @@ class TestScalCompare:
 
     def test_cylinder_unchanged(self):
         # constant warp: bending is the identity on the metric
-        tm = bd.cylinder_tube(4, radius=1.0, sigma=0.45)
+        tm = cylinder_tube(4, radius=1.0, sigma=0.45)
         rep = bd.scal_compare(tm, bd.build_h(4.0, 0.2), samples=51)
         np.testing.assert_array_equal(rep["diff"], np.zeros_like(rep["diff"]))
 
@@ -199,7 +268,7 @@ class TestScalCompare:
         # 2-D tube dt^2 + (r0 - t)^2 dtheta^2 is flat; the bent difference is
         # scal(bent) = -2 F''/F = 2 h''/(r0 - h) exactly
         r0 = 1.3
-        tm = bd.cross_section_tube(r0, 0.45)
+        tm = cross_section_tube(r0, 0.45)
         bp = bd.build_h(1.5, 0.2)
         rep = bd.scal_compare(tm, bp, samples=101)
         h, _, hpp = bp.jet(rep["t"])
@@ -251,7 +320,7 @@ class TestBatchedScalCompare:
             assert rep["tail_max_abs"] == 0.0
 
     def test_cross_section_matches_pointwise_reference(self):
-        tm = bd.cross_section_tube(1.3, 0.45)
+        tm = cross_section_tube(1.3, 0.45)
         bp = bd.build_h(1.5, 0.2)
         rep = bd.scal_compare(tm, bp, samples=101)
         np.testing.assert_allclose(rep["diff"], _pointwise_scal_compare(tm, bp, 101), rtol=1e-12)
@@ -289,7 +358,7 @@ class TestStiffnessSearch:
         # flatter cores (smaller trA) need stiffer bends
         thetas = (1.45, 1.2, 0.9, 0.5)
         tms = [bd.sphere_tube(4, theta0=t, sigma=0.45) for t in thetas]
-        traces = [tm.trace_a for tm in tms]
+        traces = [trace_a(tm) for tm in tms]
         ks = [bd.stiffness_search(tm, delta=0.2, samples=61)[0] for tm in tms]
         assert traces == sorted(traces)
         assert ks == sorted(ks, reverse=True)
@@ -354,7 +423,7 @@ class TestDominantDecomposition:
 
     def test_cross_section_buckets(self):
         # flat 2-D tube: only the gain bucket survives at the core
-        tm = bd.cross_section_tube(1.3, 0.45)
+        tm = cross_section_tube(1.3, 0.45)
         bp = bd.build_h(1.5, 0.2)
         b = bd.dominant_decomposition(tm, bp, 0.0)
         h, _, hpp = (float(v[0]) for v in bp.jet(np.array([0.0])))
@@ -382,7 +451,7 @@ class TestStencilCrossCheck:
         # sample the bent metric on a fine 2-D chart and compare stencil
         # scalar curvature to the exact value
         r0, delta = 1.3, 0.2
-        tm = bd.cross_section_tube(r0, 0.45, count=41)
+        tm = cross_section_tube(r0, 0.45, count=41)
         bp = bd.build_h(1.5, delta)
         bent = bd.bend_metric(tm, bp)
         sampled = MetricField.from_function(bent.chart, bent.metric_fn)
@@ -402,7 +471,7 @@ class TestStencilCrossCheck:
         # spacing: halving the spacing halves the error
         vals = []
         for count in (41, 81):
-            tmc = bd.cross_section_tube(r0, 0.45, count=count)
+            tmc = cross_section_tube(r0, 0.45, count=count)
             bentc = bd.bend_metric(tmc, bp)
             mid = (count - 1) // 2
             vals.append(

@@ -87,6 +87,15 @@ class TestRun:
         rep = cli.run_scenario(_scenario(), output_root=tmp_path)
         assert all(c["wall_time"] >= 0 for c in rep.checks)
 
+    def test_wall_times_go_to_the_timing_sidecar(self, tmp_path):
+        rep = cli.run_scenario(_scenario(checks=("dimshift", "cone-catalog")), output_root=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "quick.checks.csv", "quick.report.json", "quick.timing.json"]
+        timing = json.loads((tmp_path / "quick.timing.json").read_text())
+        assert timing == {"scenario": "quick",
+                          "checks": [{"name": c["name"], "wall_time": c["wall_time"]} for c in rep.checks]}
+        assert [c["name"] for c in timing["checks"]] == ["dimshift", "cone-catalog"]
+
     def test_module_error_recorded_as_failure(self, tmp_path):
         # a core radius inside the tube depth is valid input the library
         # rejects: the DomainError becomes a failed check, not a crash, and
@@ -256,6 +265,23 @@ class TestMain:
         cli.run_scenario(_scenario(), output_root=tmp_path)
         assert cli.main(["report", str(tmp_path)]) == 0
         assert (tmp_path / "summary.csv").exists()
+
+    def test_report_reads_only_report_artifacts(self, tmp_path, capsys):
+        cli.run_scenario(_scenario(), output_root=tmp_path)
+        expected = (tmp_path / "quick.checks.csv").read_text()
+        # a sidecar, even an unreadable one, is neither read nor summarized
+        (tmp_path / "quick.timing.json").write_text("{not json")
+        (tmp_path / "other.timing.json").write_text(json.dumps({"scenario": "other", "checks": []}))
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert (tmp_path / "summary.csv").read_text() == expected
+        assert capsys.readouterr().out == "quick: PASS (1/1 checks)\n"
+
+    def test_report_of_sidecars_alone_exits_2(self, tmp_path):
+        cli.run_scenario(_scenario(), output_root=tmp_path)
+        for path in tmp_path.glob("*"):
+            if not path.name.endswith(".timing.json"):
+                path.unlink()
+        assert cli.main(["report", str(tmp_path)]) == 2
 
     def test_report_empty_dir_exits_2(self, tmp_path):
         assert cli.main(["report", str(tmp_path)]) == 2

@@ -81,7 +81,8 @@ class TestCurvatureData:
 
 class TestDeformedCone:
     def test_alpha_zero_is_plain_cone(self):
-        c = make_cone(1, 1)
+        with pytest.warns(UserWarning, match=r"cone \(1,1\) has n = 3 < 7"):
+            c = make_cone(1, 1)
         d = DeformedCone(c, alpha=0.0, c0=1.0)
         assert d.slope == 1.0
         m = deformed_metric(d, rho_range=(0.8, 1.2), count=5)

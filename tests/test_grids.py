@@ -39,6 +39,7 @@ from conelab.grids import (
     level_set_shape,
     scalar_curvature,
 )
+from oracles import check_metric_unblocked
 
 
 def _cube_chart(dim, lo, hi, count):
@@ -231,6 +232,65 @@ def test_check_metric_matches_per_block_lapack(kind, n, batch, seed):
         with pytest.raises(expected) as info:
             grids._check_metric(g)
         assert type(info.value) is expected
+
+
+def _spd_nodes(count, n=3):
+    """count copies of one SPD (n, n) block: 49^3 = 117649 nodes are 28
+    whole blocks of 4096 and a partial one of 3961."""
+    return np.broadcast_to(np.eye(n) + 0.1, (count, n, n)).copy()
+
+
+def _not_pd(g, k):
+    g[k] = np.diag([1.0, -1.0, 1.0])
+
+
+def _tiny_pivot(g, k):
+    g[k] = np.diag([1.0, 1.0, (0.99e-12) ** 2])
+
+
+_LATE = 49**3 - 1  # the last node, in the partial last block
+_MID = 20 * 4096 + 17  # a node in a whole late block
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (lambda g: g.__setitem__((_LATE, 0, 0), np.nan),
+         DomainError, "metric not finite at every node"),
+        (lambda g: (g.__setitem__((_MID, 1, 1), np.nan), _not_pd(g, 0)),
+         DomainError, "metric not finite at every node"),
+        (lambda g: (g.__setitem__((_MID, 0, 2), g[_MID, 0, 2] + 1e-9), _not_pd(g, 0)),
+         DomainError, "metric not symmetric at every node"),
+        (lambda g: _tiny_pivot(g, _LATE),
+         SingularMetricError, "metric pivot below tolerance 1e-12"),
+        # the pivot tolerance is tested after every block has factored
+        (lambda g: (_tiny_pivot(g, 0), _not_pd(g, _LATE)),
+         SingularMetricError, "metric not positive definite"),
+    ],
+    ids=["nan-in-partial-block", "nan-late-not-pd-first", "asymmetric-late-not-pd-first",
+         "tiny-pivot-late", "tiny-pivot-first-not-pd-late"],
+)
+def test_blocked_check_raises_what_one_pass_raises(spoil, error, message):
+    """Blocks of grids._BLOCK nodes raise the type and message of one pass
+    over all nodes, whichever block each defect sits in."""
+    assert 49**3 % grids._BLOCK != 0
+    g = _spd_nodes(49**3)
+    spoil(g)
+    g = g.reshape(49, 49, 49, 3, 3)
+    for check in (check_metric_unblocked, grids._check_metric):
+        with pytest.raises(error) as info:
+            check(g)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_blocked_check_accepts_a_valid_grid_of_partial_blocks():
+    grids._check_metric(_spd_nodes(49**3).reshape(49, 49, 49, 3, 3))
+
+
+def test_blocked_check_accepts_no_nodes_like_one_pass():
+    # an empty point batch has no failed test, as in one pass over all nodes
+    for check in (check_metric_unblocked, grids._check_metric):
+        check(np.zeros((0, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
