@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import AnalyticMetric, Chart, central_jet, conformal_coupling
+from .grids import AnalyticMetric, Chart, conformal_coupling
 
 
 @dataclass(frozen=True)
@@ -222,65 +222,3 @@ def link_diameter(c: ConeSpec):
     cone (antipodal pairs in both factors realize it).
     """
     return math.sqrt((math.pi * c.a) ** 2 + (math.pi * c.b) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# embedding-based numeric oracle for the link geometry
-# ---------------------------------------------------------------------------
-
-def _sphere_coords(u):
-    """Point on the unit sphere S^d from d spherical angles."""
-    u = np.asarray(u, dtype=float)
-    d = u.size
-    out = np.empty(d + 1)
-    s = 1.0
-    for i in range(d):
-        out[i] = s * np.cos(u[i])
-        s *= np.sin(u[i])
-    out[d] = s
-    return out
-
-
-def _cone_immersion(c: ConeSpec):
-    """Immersion (r, angles) -> R^{n+1} of the cone over S^p(a) x S^q(b)."""
-
-    def immerse(x):
-        r = x[0]
-        u = x[1 : 1 + c.p]
-        v = x[1 + c.p :]
-        return r * np.concatenate((c.a * _sphere_coords(u), c.b * _sphere_coords(v)))
-
-    return immerse
-
-
-def embedded_link_shape(c: ConeSpec, r=1.0):
-    """Numeric (mean curvature, |A|^2) of the cone hypersurface at radius r.
-
-    Finite-difference first/second fundamental forms of the explicit
-    immersion at the link angles 0.7 + 0.1 k, Richardson-extrapolated over
-    steps (2h, h) with h = 1e-3 to push both
-    truncation and rounding error below 1e-8.  At r = 1 the mean curvature
-    equals that of the link inside S^n (the radial principal curvature
-    vanishes).  Used as the oracle for minimality and second_form_norm2.
-    """
-    step = 1e-3
-    coarse = _link_shape_fd(c, r, 2.0 * step)
-    fine = _link_shape_fd(c, r, step)
-    return tuple((4.0 * f - co) / 3.0 for f, co in zip(fine, coarse))
-
-
-def _link_shape_fd(c: ConeSpec, r, step):
-    dim = c.n
-    immerse = _cone_immersion(c)
-    x0 = np.concatenate(([r], 0.7 + 0.1 * np.arange(dim - 1)))
-    _, jac, hess = central_jet(lambda offset: immerse(x0 + np.multiply(offset, step)), np.full(dim, step))
-
-    gram = jac @ jac.T
-    # unit normal: null direction of the Jacobian
-    _, _, vt = np.linalg.svd(jac)
-    nu = vt[-1]
-    second = hess @ nu
-    ginv = np.linalg.inv(gram)
-    mean_curv = float(np.einsum("ij,ij->", ginv, second))
-    a_norm2 = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, second, second))
-    return mean_curv, a_norm2

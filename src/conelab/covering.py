@@ -4,11 +4,12 @@ Balls are processed in decreasing radius order (the finite surrogate of a
 well-ordering of the radii).  A ball whose center already lies in a kept
 larger ball is ruled out; otherwise it joins the smallest family whose kept
 members stay separation-fold disjoint from it, opening a fresh family when
-necessary.  Each ball is compared with all kept balls in one array
-operation.  The verification pass checks the three derived properties —
-intra-family 6-rho disjointness, mutual center exclusion, and 3-rho cover
-of the target points — on the kept-by-kept distance matrix, with boolean
-masks over its upper triangle.
+necessary.  Balls are taken in blocks of ``_ROWS``: two array operations
+give a block's distances to the balls kept before it and among its own
+balls, and each ball kept inside the block then updates the block's later
+balls by one row.  The verification pass checks the three derived properties — intra-family
+6-rho disjointness, mutual center exclusion, and 3-rho cover of the
+target points — on the condensed list of kept pairs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import BoundExceededError, DataIntegrityError, DomainError
 
@@ -30,6 +32,8 @@ COVER = 3.0
 
 #: target-ball distances per block of the coverability check
 _BLOCK = 1 << 18
+#: balls per block of the greedy assignment
+_ROWS = 64
 
 #: empirically calibrated family-count bounds per dimension
 C_BOUND_DEFAULTS = {2: 12, 3: 24}
@@ -57,14 +61,14 @@ def _norms(diff):
     return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
-def _pair_distances(centers):
-    """Distances between all pairs of rows of ``centers``, rounded as
-    ``np.linalg.norm`` over the last axis, squaring in place so the only
-    (m, m, d) scratch array is the difference itself."""
-    sq = centers[:, None, :] - centers[None, :, :]
-    sq *= sq
-    dist = sq.sum(axis=-1)
-    return np.sqrt(dist, out=dist)
+def _differences(points, others):
+    """``others[None, :, :] - points[:, None, :]``, formed one coordinate at
+    a time: broadcast over a last axis of length d, numpy would run one
+    short inner loop per pair."""
+    diff = np.empty((len(points), len(others), points.shape[1]))
+    for c in range(points.shape[1]):
+        np.subtract(others[:, c], points[:, c, None], out=diff[..., c])
+    return diff
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class BallSet:
             step = max(1, _BLOCK // len(centers))
             for start in range(0, len(target), step):
                 block = target[start:start + step]
-                covered = np.any(_norms(centers - block[:, None, :]) <= reach, axis=1)
+                covered = np.any(_norms(_differences(block, centers)) <= reach, axis=1)
                 if not covered.all():
                     q = block[np.argmin(covered)]
                     raise DomainError(f"target point {q} not coverable by any ball")
@@ -124,16 +128,21 @@ def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
     """Assemble a BallSet, perturbing tied radii deterministically from the
     seed so the decreasing-radius order is total."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float).copy()
+    radii = np.asarray(radii, dtype=float)
+    if centers.ndim != 2 or radii.ndim != 1:
+        raise DomainError(f"need (N, d) centers and N radii, got shapes {centers.shape} and {radii.shape}")
+    if not centers.size or not radii.size:
+        raise DomainError("empty ball set: need at least one center and one radius")
     if len(radii) != len(centers):
         raise DomainError("need one radius per center")
+    points = [tuple(c) for c in centers.tolist()]
     rng = np.random.default_rng(seed)
     while True:
         # the balls are built before each tie check: a radius the
         # perturbation cannot separate (0, inf) is rejected, not looped on
         balls = tuple(
-            Ball(center=tuple(c), radius=float(r), ball_id=i)
-            for i, (c, r) in enumerate(zip(centers, radii))
+            Ball(center=c, radius=r, ball_id=i)
+            for i, (c, r) in enumerate(zip(points, radii.tolist()))
         )
         if len(set(radii.tolist())) == len(radii):
             break
@@ -165,40 +174,60 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
         if c_bound is None:
             raise DomainError(f"no default family bound for dimension {bs.dim}")
     order = sorted(bs.balls, key=lambda b: -b.radius)
+    X = np.array([b.center for b in order], dtype=float).reshape(len(order), bs.dim)
+    radii = np.array([b.radius for b in order])
     families = {}
     # kept balls, filled up to k in processing order, so all have larger
     # radius than the ball at hand
     C = np.empty((len(order), bs.dim))
     R = np.empty(len(order))
     F = np.empty(len(order), dtype=int)
-    k = 0
-    for b in order:
-        dist = _norms(C[:k] - np.asarray(b.center))
-        if np.any(dist < R[:k]):
-            families[b.ball_id] = 0
-            continue
-        blocking = dist <= SEPARATION * (b.radius + R[:k])
-        blocked = set(F[:k][blocking].tolist())
-        fam = 1
-        while fam in blocked:
-            fam += 1
-        if fam > c_bound:
-            blockers = {}  # the first kept blocker of each blocking family
-            for j in np.nonzero(blocking)[0]:
-                blockers.setdefault(int(F[j]), (tuple(C[j]), float(R[j])))
-            raise BoundExceededError(
-                f"ball {b.ball_id} needs family {fam} > bound {c_bound}",
-                witness={"ball": b, "blockers": blockers},
-            )
-        families[b.ball_id] = fam
-        C[k], R[k], F[k] = b.center, b.radius, fam
-        k += 1
+    k = used = 0
+    for start in range(0, len(order), _ROWS):
+        # a block's distances to the balls kept before it and among its own
+        # balls, each in one operation; a ball kept inside the block then
+        # rules out and blocks the block's later balls by one row update
+        block = order[start:start + _ROWS]
+        x, r = X[start:start + _ROWS], radii[start:start + _ROWS]
+        dist = _norms(_differences(x, C[:k]))
+        ruled_out = np.any(dist < R[:k], axis=1)
+        outer = dist <= SEPARATION * (r[:, None] + R[:k])
+        dist = _norms(_differences(x, x))  # symmetric, bit for bit
+        inside = dist < r[:, None]  # [i, j]: ball i holds the center of ball j
+        inner = dist <= SEPARATION * (r[:, None] + r)
+        # taken[i, f]: a kept ball of family f blocks ball i; the block
+        # opens at most len(block) families beyond the `used` so far
+        taken = np.zeros((len(block), used + len(block) + 2), dtype=bool)
+        rows, cols = np.nonzero(outer)
+        taken[rows, F[cols]] = True
+        kept_rows = []
+        for row, b in enumerate(block):
+            if ruled_out[row]:
+                families[b.ball_id] = 0
+                continue
+            fam = int(taken[row, 1:].argmin()) + 1
+            if fam > c_bound:
+                blockers = {}  # the first kept blocker of each blocking family
+                blocking = np.concatenate((outer[row], inner[row, kept_rows]))
+                for j in np.nonzero(blocking)[0]:
+                    blockers.setdefault(int(F[j]), (tuple(C[j]), float(R[j])))
+                raise BoundExceededError(
+                    f"ball {b.ball_id} needs family {fam} > bound {c_bound}",
+                    witness={"ball": b, "blockers": blockers},
+                )
+            families[b.ball_id] = fam
+            ruled_out |= inside[row]
+            taken[inner[row], fam] = True
+            kept_rows.append(row)
+            C[k], R[k], F[k] = x[row], r[row], fam
+            k += 1
+            used = max(used, fam)
     return FamilyAssignment(families=families, c_bound=int(c_bound))
 
 
 def verify_families(bs: BallSet, fa: FamilyAssignment):
-    """Verification of the three derived properties on the kept-by-kept
-    distance matrix.
+    """Verification of the three derived properties on the condensed list
+    of kept pairs.
 
     Returns a report dict with pass/fail and witnesses per property; pair
     witnesses are (ball_id_i, ball_id_j) with i < j in input order, row by
@@ -213,20 +242,24 @@ def verify_families(bs: BallSet, fa: FamilyAssignment):
         "target_cover": {"passed": True, "witnesses": []},
     }
     if kept:
-        dist = _pair_distances(centers)
         ids = np.array([b.ball_id for b in kept])
-        # the two thresholds share one (kept, kept) float buffer, so the
-        # masks add no float scratch beyond it and the distances
-        thresh = radii[:, None] + radii[None, :]
-        thresh *= DISJOINT
-        intra = dist <= thresh
-        intra &= fams[:, None] == fams[None, :]
-        np.maximum(radii[:, None], radii[None, :], out=thresh)
-        for key, bad in (("intra_family_disjoint", intra), ("center_exclusion", dist < thresh)):
-            i, j = np.nonzero(np.triu(bad, 1))
+        # pdist sums the d squares in its own order, so its distances may
+        # differ from np.linalg.norm's by about d units in the last place.
+        # Shrunk by 4 d eps they screen the pairs (a center inside a ball
+        # implies 6-rho overlap), and the screened pairs are decided on
+        # distances rounded as np.linalg.norm rounds them.
+        i, j = np.triu_indices(len(kept), 1)  # pdist's pair order, row by row
+        dist = pdist(centers)
+        dist *= 1.0 - 4 * centers.shape[1] * np.finfo(float).eps
+        near = np.flatnonzero(dist <= DISJOINT * (radii[i] + radii[j]))
+        i, j = i[near], j[near]
+        dist = np.linalg.norm(centers[i] - centers[j], axis=-1)
+        intra = (dist <= DISJOINT * (radii[i] + radii[j])) & (fams[i] == fams[j])
+        exclusion = dist < np.maximum(radii[i], radii[j])
+        for key, bad in (("intra_family_disjoint", intra), ("center_exclusion", exclusion)):
             report[key] = {
-                "passed": not len(i),
-                "witnesses": list(zip(ids[i].tolist(), ids[j].tolist())),
+                "passed": not bad.any(),
+                "witnesses": list(zip(ids[i[bad]].tolist(), ids[j[bad]].tolist())),
             }
     for q in np.atleast_2d(bs.target):
         if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= COVER * radii):
@@ -242,9 +275,14 @@ def verify_families(bs: BallSet, fa: FamilyAssignment):
 def double_balls(sources, offsets=None) -> BallSet:
     """Build the recentered set: each source B_rho(p) becomes B_{2 rho}(z)
     with z = p + offset, |offset| <= rho.  Used to exercise center_shift."""
+    shape = (len(sources), len(sources[0].center) if len(sources) else 0)
+    if any(len(s.center) != shape[1] for s in sources):
+        raise DomainError("all sources must share one dimension")
+    offsets = np.zeros(shape) if offsets is None else np.asarray(offsets, dtype=float)
+    if offsets.shape != shape:
+        raise DomainError(f"need one offset per source, shape {shape}, got {offsets.shape}")
     balls = []
-    for i, s in enumerate(sources):
-        off = np.zeros(len(s.center)) if offsets is None else np.asarray(offsets[i])
+    for s, off in zip(sources, offsets):
         if np.linalg.norm(off) > s.radius:
             raise DomainError("recentering offset exceeds the source radius")
         balls.append(

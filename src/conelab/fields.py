@@ -2,8 +2,8 @@
 
 Provides randomized smooth positive conformal factors with exact
 derivatives (for transformation-law consistency tests) and builders of
-diagonal AnalyticMetrics (polar plane, round spheres, cylinders, warped
-tubes), which hold exact derivative callbacks and no samples.
+diagonal AnalyticMetrics (cylinders, warped tubes), which hold exact
+derivative callbacks and no samples.
 """
 
 from __future__ import annotations
@@ -187,24 +187,6 @@ def flat_metric(chart: Chart) -> MetricField:
     n = chart.dim
     g = np.broadcast_to(np.eye(n), chart.shape + (n, n)).copy()
     return MetricField(chart, g)
-
-
-def polar_metric(chart: Chart) -> AnalyticMetric:
-    """g = diag(1, r^2) on a 2-D (r, theta) chart."""
-    return diagonal_metric_field(chart, [{}, {0: power2_factor()}])
-
-
-def sphere_metric(chart: Chart, radius=1.0) -> AnalyticMetric:
-    """Round 2-sphere of given radius in (theta, phi) coordinates."""
-    r2 = radius * radius
-    return diagonal_metric_field(
-        chart,
-        [
-            {0: const_factor(r2)},
-            {0: func2_factor(lambda t: radius * np.sin(t), lambda t: radius * np.cos(t),
-                             lambda t: -radius * np.sin(t))},
-        ],
-    )
 
 
 def round_sphere_factors(dim_sphere, radius=1.0, axis_offset=0):

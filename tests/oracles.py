@@ -7,8 +7,14 @@ from scipy.optimize import brentq
 
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
 from conelab.errors import DomainError, SingularMetricError, SolverError
-from conelab.fields import round_sphere_factors
-from conelab.grids import _PIVOT_TOL, Chart
+from conelab.fields import (
+    const_factor,
+    diagonal_metric_field,
+    func2_factor,
+    power2_factor,
+    round_sphere_factors,
+)
+from conelab.grids import _PIVOT_TOL, Chart, central_jet
 
 
 def shooting_eigen(w, r_in, r_out):
@@ -126,3 +132,87 @@ def cross_section_tube(r0, sigma, count=9):
     warp = (lambda t: r0 - t, lambda t: -1.0 + 0.0 * t, lambda t: 0.0 * t)
     return TubeMetric(chart=Chart(tuple(_core_axes(2, sigma, count))), warp=warp,
                       core_factors=({},), sigma=sigma)
+
+
+# ---------------------------------------------------------------------------
+# test metrics
+# ---------------------------------------------------------------------------
+
+def polar_metric(chart):
+    """g = diag(1, r^2) on a 2-D (r, theta) chart."""
+    return diagonal_metric_field(chart, [{}, {0: power2_factor()}])
+
+
+def sphere_metric(chart, radius=1.0):
+    """Round 2-sphere of given radius in (theta, phi) coordinates."""
+    r2 = radius * radius
+    return diagonal_metric_field(
+        chart,
+        [
+            {0: const_factor(r2)},
+            {0: func2_factor(lambda t: radius * np.sin(t), lambda t: radius * np.cos(t),
+                             lambda t: -radius * np.sin(t))},
+        ],
+    )
+
+
+# ---------------------------------------------------------------------------
+# embedding-based numeric oracle for the link geometry
+# ---------------------------------------------------------------------------
+
+def _sphere_coords(u):
+    """Point on the unit sphere S^d from d spherical angles."""
+    u = np.asarray(u, dtype=float)
+    d = u.size
+    out = np.empty(d + 1)
+    s = 1.0
+    for i in range(d):
+        out[i] = s * np.cos(u[i])
+        s *= np.sin(u[i])
+    out[d] = s
+    return out
+
+
+def _cone_immersion(c):
+    """Immersion (r, angles) -> R^{n+1} of the cone over S^p(a) x S^q(b)."""
+
+    def immerse(x):
+        r = x[0]
+        u = x[1 : 1 + c.p]
+        v = x[1 + c.p :]
+        return r * np.concatenate((c.a * _sphere_coords(u), c.b * _sphere_coords(v)))
+
+    return immerse
+
+
+def embedded_link_shape(c, r=1.0):
+    """Numeric (mean curvature, |A|^2) of the cone hypersurface at radius r.
+
+    Finite-difference first/second fundamental forms of the explicit
+    immersion at the link angles 0.7 + 0.1 k, Richardson-extrapolated over
+    steps (2h, h) with h = 1e-3 to push both
+    truncation and rounding error below 1e-8.  At r = 1 the mean curvature
+    equals that of the link inside S^n (the radial principal curvature
+    vanishes).  Used as the oracle for minimality and second_form_norm2.
+    """
+    step = 1e-3
+    coarse = _link_shape_fd(c, r, 2.0 * step)
+    fine = _link_shape_fd(c, r, step)
+    return tuple((4.0 * f - co) / 3.0 for f, co in zip(fine, coarse))
+
+
+def _link_shape_fd(c, r, step):
+    dim = c.n
+    immerse = _cone_immersion(c)
+    x0 = np.concatenate(([r], 0.7 + 0.1 * np.arange(dim - 1)))
+    _, jac, hess = central_jet(lambda offset: immerse(x0 + np.multiply(offset, step)), np.full(dim, step))
+
+    gram = jac @ jac.T
+    # unit normal: null direction of the Jacobian
+    _, _, vt = np.linalg.svd(jac)
+    nu = vt[-1]
+    second = hess @ nu
+    ginv = np.linalg.inv(gram)
+    mean_curv = float(np.einsum("ij,ij->", ginv, second))
+    a_norm2 = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, second, second))
+    return mean_curv, a_norm2

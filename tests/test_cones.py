@@ -14,13 +14,13 @@ from conelab.cones import (
     deformed_distance,
     deformed_metric,
     distortion_bounds,
-    embedded_link_shape,
     link_diameter,
     make_cone,
     second_form_norm2,
 )
 from conelab.errors import DivergentDistanceError, DomainError
 from conelab.grids import MetricField, scalar_curvature
+from oracles import embedded_link_shape
 
 
 class TestMakeCone:

@@ -67,6 +67,14 @@ class TestBallSet:
         with pytest.raises(DomainError, match=r"target point \[-50\. +3\.\] not coverable"):
             cv.make_ball_set(centers, np.linspace(0.5, 0.6, n), target=targets)
 
+    def test_radii_must_be_one_dimensional(self):
+        with pytest.raises(DomainError, match="N radii"):
+            cv.make_ball_set([[0.0]], [[1.0]])
+
+    def test_empty_input_named(self):
+        with pytest.raises(DomainError, match="empty ball set"):
+            cv.make_ball_set([], [])
+
     @pytest.mark.parametrize("radii", [[np.inf, np.inf], [0.0, 0.0]])
     def test_radii_the_perturbation_cannot_separate_rejected(self, radii):
         # tied infinite or zero radii are fixed points of the tie-breaking
@@ -154,11 +162,21 @@ class TestAssignFamilies:
             diff = rng.normal(size=(500, dim)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
             scalar = [np.linalg.norm(v) for v in diff]
             assert cv._norms(diff).tolist() == scalar
+            points, others = diff[:7], diff[7:40]
+            scalar = [[np.linalg.norm(q - p) for q in others] for p in points]
+            assert cv._norms(cv._differences(points, others)).tolist() == scalar
         for dim in (1, 2, 3, 4, 8, 9):
+            # radius k is the distance from centre k to centre k + 1, as
+            # np.linalg.norm over the last axis rounds it, so that about
+            # half the neighbour pairs sit exactly on the center-exclusion
+            # threshold; the verifier must decide them as that norm does
             centers = rng.random((60, dim)) * 10.0 ** rng.uniform(-3, 3)
-            np.testing.assert_array_equal(
-                cv._pair_distances(centers),
-                np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1))
+            dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
+            balls = tuple(cv.Ball(tuple(c), float(dist[k, (k + 1) % 60]), k)
+                          for k, c in enumerate(centers.tolist()))
+            bs = cv.BallSet(balls=balls, target=np.zeros((0, dim)))
+            fa = cv.FamilyAssignment(families={k: 1 + k % 2 for k in range(60)}, c_bound=2)
+            assert cv.verify_families(bs, fa) == _verify_reference(bs, fa)
 
     def test_determinism(self):
         bs1, _ = _random_instance(17)
@@ -290,6 +308,28 @@ class TestCenterShift:
         src = cv.make_ball_set([[0.0, 0.0]], [0.5])
         with pytest.raises(DomainError):
             cv.double_balls(src.balls, [[1.0, 0.0]])
+
+    def test_fewer_offsets_than_sources_rejected(self):
+        src = cv.make_ball_set([[0.0, 0.0], [5.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(DomainError, match="one offset per source"):
+            cv.double_balls(src.balls, [[0.1, 0.0]])
+
+    def test_offsets_of_the_wrong_dimension_rejected(self):
+        src = cv.make_ball_set([[0.0, 0.0], [5.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(DomainError, match="one offset per source"):
+            cv.double_balls(src.balls, [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def test_sources_of_mixed_dimension_rejected(self):
+        sources = (cv.Ball((0.0, 0.0), 1.0, 0), cv.Ball((5.0, 0.0, 0.0), 2.0, 1))
+        with pytest.raises(DomainError, match="one dimension"):
+            cv.double_balls(sources)
+
+    def test_flat_offsets_rejected(self):
+        # one scalar per source would shift every coordinate by it, sqrt(d)
+        # times the norm that the radius check sees
+        src = cv.make_ball_set([[0.0, 0.0], [5.0, 0.0]], [1.0, 2.0])
+        with pytest.raises(DomainError, match="one offset per source"):
+            cv.double_balls(src.balls, [0.7, 0.3])
 
 
 class TestJson:
@@ -448,3 +488,84 @@ class TestArrayKernels:
             cv.assign_families(bs, c_bound=K)
         assert err.value.witness["ball"].ball_id == 0
         assert sorted(err.value.witness["blockers"]) == list(range(1, K + 1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [cv._ROWS - 1, cv._ROWS, cv._ROWS + 1, 3 * cv._ROWS + 5])
+    def test_block_boundaries(self, n, dim):
+        # radii as in the benchmark: in 3-D nearly every ball is kept, in
+        # 2-D many are ruled out, and a bound of 3 binds in some block
+        rng = np.random.default_rng(100 * n + dim)
+        centers = rng.random((n, dim))
+        bs = cv.make_ball_set(centers, 10.0 ** rng.uniform(-4, -1, n), target=centers[:3], seed=n)
+        assert cv.assign_families(bs, c_bound=n).families == _assign_reference(bs, c_bound=n).families
+        assert (_assign_outcome(cv.assign_families, bs, 3)
+                == _assign_outcome(_assign_reference, bs, 3))
+
+    def test_bound_exceeded_past_the_first_block(self):
+        # the collinear chain with K = 8, split by far-away fillers whose
+        # radii lie between those of chain balls 4 and 5: chain balls 8..5
+        # are kept in the first block, 4..1 and the tiny ball at 0 fall in
+        # the second, so the tiny ball's blockers lie on both sides of the
+        # block boundary.  Ball z at (-19.005, 0), radius 1.9, joins family 1
+        # inside the second block and blocks only the tiny ball, so family
+        # 1 has a blocker on each side: the witness names the first kept
+        K, fillers = 8, cv._ROWS - 2
+        k = np.arange(1, K + 1)
+        chain = np.zeros((K + 1, 2))
+        chain[1:, 0] = 2.0 ** k
+        far = np.stack([np.zeros(fillers), 1e4 * np.arange(1, fillers + 1)], axis=1)
+        centers = np.concatenate([chain, far, [[-19.005, 0.0]]])
+        radii = np.concatenate(([1e-3], 2.0 ** k / 10, 2.0 + 1e-3 * np.arange(fillers), [1.9]))
+        bs = cv.make_ball_set(centers, radii)
+        z = len(radii) - 1
+        position = {b.ball_id: n for n, b in enumerate(sorted(bs.balls, key=lambda b: -b.radius))}
+        start = position[0] // cv._ROWS * cv._ROWS
+        assert start > 0
+        assert {position[i] < start for i in k} == {True, False}
+        assert start < position[z] < position[0]
+        assert cv.assign_families(bs, c_bound=K + 1).families[z] == 1
+        with pytest.raises(BoundExceededError) as err:
+            cv.assign_families(bs, c_bound=K)
+        assert err.value.witness["ball"].ball_id == 0
+        assert sorted(err.value.witness["blockers"]) == list(range(1, K + 1))
+        assert err.value.witness["blockers"][1] == ((256.0, 0.0), 25.6)
+        assert (_assign_outcome(cv.assign_families, bs, K)
+                == _assign_outcome(_assign_reference, bs, K))
+
+    def test_verify_at_benchmark_scale(self):
+        rng = np.random.default_rng(21)
+        centers = rng.random((700, 3))
+        bs = cv.make_ball_set(centers, 10.0 ** rng.uniform(-4, -1, 700), target=centers[:10], seed=21)
+        fa = cv.assign_families(bs, c_bound=700)
+        assert sum(f > 0 for f in fa.families.values()) >= 500
+        for assignment in (fa, _corrupt(fa, 21)):
+            assert cv.verify_families(bs, assignment) == _verify_reference(bs, assignment)
+
+    def test_pairs_on_the_disjointness_threshold_are_kept(self):
+        # two balls in 9-D whose centre distance, as np.linalg.norm rounds
+        # it, is exactly 6 (r + r'): pdist rounds a few such pairs above the
+        # threshold, and the verifier must still report every one
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(100):
+            p = rng.random(9)
+            r = rng.choice(np.arange(1, 65) / 64.0, 2, replace=False)  # 6 (r + r') exact
+            thresh = cv.DISJOINT * (r[0] + r[1])
+            u = rng.normal(size=9)
+            q = p + thresh * u / np.linalg.norm(u)
+            c = int(np.argmax(np.abs(u)))  # walk one coordinate an ulp at a time
+            for _ in range(50):
+                dist = np.linalg.norm((q - p)[None], axis=-1)[0]
+                if dist == thresh:
+                    break
+                q[c] = np.nextafter(q[c], p[c] if dist > thresh else 2 * q[c] - p[c])
+            else:
+                continue
+            found += 1
+            bs = cv.BallSet(balls=(cv.Ball(tuple(p), r[0], 0), cv.Ball(tuple(q), r[1], 1)),
+                            target=np.zeros((0, 9)))
+            fa = cv.FamilyAssignment(families={0: 1, 1: 1}, c_bound=1)
+            report = cv.verify_families(bs, fa)
+            assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]
+            assert report == _verify_reference(bs, fa)
+        assert found >= 50

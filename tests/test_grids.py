@@ -23,10 +23,8 @@ from conelab.fields import (
     diagonal_metric_field,
     flat_metric,
     func2_factor,
-    polar_metric,
     power2_factor,
     sin2_factor,
-    sphere_metric,
 )
 from conelab.grids import (
     AnalyticMetric,
@@ -39,7 +37,7 @@ from conelab.grids import (
     level_set_shape,
     scalar_curvature,
 )
-from oracles import check_metric_unblocked
+from oracles import check_metric_unblocked, polar_metric, sphere_metric
 
 
 def _cube_chart(dim, lo, hi, count):
