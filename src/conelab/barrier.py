@@ -4,8 +4,9 @@ Elementary barriers are truncated multiples of the radial Green's function
 rho^{-(n-2)}; conformally deforming by phi+ = mu * green * chi + 1 pushes
 area minimizers off the tip.  The module measures the truncation penalty,
 the deflection radius Theta_mu and its scaling law, superposes elementary
-barriers along an axis Riemann--Stieltjes style, and runs tube
-mean-curvature checks on the superposition.
+barriers along an axis Riemann--Stieltjes style over arrays of points (one
+anchor kernel gives the distances to every anchored axis), and runs tube
+mean-curvature checks on the superposition, one call per stencil offset.
 """
 
 from __future__ import annotations
@@ -155,8 +156,6 @@ def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND):
     rho = np.geomspace(band[0], band[1], 2000)
 
     def ok(mu):
-        if mu == 0:
-            return True
         q = scal_quantity(BarrierSpec(deformed=d, mu=mu, cutoff=cutoff), rho)
         return bool(np.all(q >= iota / 2.0))
 
@@ -190,13 +189,13 @@ class ObstacleProblem:
 
     inner: float
     outer: float
-    area: object  # callable rho -> A(rho) > 0
+    area: object  # vectorized callable rho -> A(rho) > 0
 
     def __post_init__(self):
         if not (0 < self.inner < self.outer):
             raise DomainError("need 0 < inner < outer")
         probes = np.geomspace(self.inner, self.outer, 64)
-        if np.any(np.asarray([self.area(p) for p in probes]) <= 0):
+        if np.any(np.asarray(self.area(probes)) <= 0):
             raise DomainError("area profile must be positive")
 
     def minimizer_radius(self):
@@ -309,10 +308,27 @@ class LineBarrierSpec:
                 f"total weight {total} exceeds the cap {self.weight_cap}"
             )
 
+    def units(self):
+        """(anchors, n) unit directions of the anchored axes."""
+        return np.array([pt.unit() for pt in self.points]).reshape(len(self.points), self.n)
+
 
 def sphere_distance(omega, p):
-    """Geodesic distance on the round unit sphere between unit vectors."""
-    return float(np.arccos(np.clip(np.dot(omega, p), -1.0, 1.0)))
+    """Geodesic distance on the round unit sphere between unit vectors
+    omega (..., n) and p (..., n); ``np.vecdot`` rounds each pair as
+    ``np.dot`` does, whatever the batch.  One pair returns a Python float."""
+    dist = np.arccos(np.clip(np.vecdot(omega, p), -1.0, 1.0))
+    return float(dist) if dist.ndim == 0 else dist
+
+
+def _anchor_distances(ls: LineBarrierSpec, omega):
+    """Sphere distances (..., anchors) from directions omega (..., n) to
+    every anchored axis; a direction on an axis is a singular point."""
+    omega = np.asarray(omega, dtype=float)
+    dist = sphere_distance(omega[..., None, :], ls.units())
+    if np.any(dist < 1e-9):
+        raise SingularPointError("evaluation point lies on an anchored axis")
+    return dist
 
 
 def line_barrier(ls: LineBarrierSpec, x):
@@ -321,12 +337,8 @@ def line_barrier(ls: LineBarrierSpec, x):
     x = (omega, t) on S^{n-1} x R; the distance to an anchored axis {p} x R
     is the sphere distance from omega to p (independent of t)."""
     omega, _t = x
-    omega = np.asarray(omega, dtype=float)
     total = 1.0
-    for pt in ls.points:
-        dist = sphere_distance(omega, pt.unit())
-        if dist < 1e-9:
-            raise SingularPointError("evaluation point lies on an anchored axis")
+    for pt, dist in zip(ls.points, _anchor_distances(ls, omega).tolist()):
         total += pt.weight / dist ** line_exponent(ls.n, pt.beta)
     return total
 
@@ -353,38 +365,28 @@ class Superposition:
         return a + np.arange(count) / l
 
     def __call__(self, omega, t):
-        omega = np.asarray(omega, dtype=float)
-        t = float(t)
-        ts = self.stations()
+        """The sum at directions omega (..., n) and heights t (...), broadcast."""
+        dist = _anchor_distances(self.spec, omega)
+        gap2 = (np.asarray(t, dtype=float)[..., None] - self.stations()) ** 2
         total = 1.0
-        for pt in self.spec.points:
-            dist = sphere_distance(omega, pt.unit())
-            if dist < 1e-9:
-                raise SingularPointError("evaluation point lies on an anchored axis")
+        for k, pt in enumerate(self.spec.points):
             e_line = line_exponent(self.spec.n, pt.beta)
             cn = _axis_kernel_constant(e_line)
-            kern = (dist**2 + (t - ts) ** 2) ** (-(e_line + 1.0) / 2.0)
-            total += pt.weight / (self.spec.level * cn) * float(np.sum(kern))
-        return total
+            kern = (dist[..., k, None] ** 2 + gap2) ** (-(e_line + 1.0) / 2.0)
+            total = total + pt.weight / (self.spec.level * cn) * kern.sum(-1)
+        return float(total) if np.ndim(total) == 0 else total
 
     def segment_limit(self, omega, t):
         """Exact l -> infinity limit: quadrature of the same truncated kernel
         (independent oracle for the Riemann-sum convergence order)."""
         from scipy.integrate import quad
 
-        omega = np.asarray(omega, dtype=float)
         total = 1.0
-        for pt in self.spec.points:
-            dist = sphere_distance(omega, pt.unit())
+        for pt, dist in zip(self.spec.points, _anchor_distances(self.spec, omega).tolist()):
             e_line = line_exponent(self.spec.n, pt.beta)
             cn = _axis_kernel_constant(e_line)
-            val, _ = quad(
-                lambda s: (dist**2 + (t - s) ** 2) ** (-(e_line + 1.0) / 2.0),
-                self.segment[0],
-                self.segment[1],
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
+            val, _ = quad(lambda s: (dist**2 + (t - s) ** 2) ** (-(e_line + 1.0) / 2.0),
+                          *self.segment, epsabs=1e-13, epsrel=1e-13)
             total += pt.weight * val / cn
         return total
 
@@ -423,9 +425,11 @@ def tube_barrier_check(
     rho = float(tube_radius)
     if not (0 < rho < np.pi / 2):
         raise DomainError("tube radius must lie in (0, pi/2)")
+    if axial_samples < 1 or transverse_samples < 1:
+        raise ParameterError("the tube check needs at least one sample each way")
     n = ls.n
-    p = ls.points[0].unit()
-
+    units = ls.units()
+    p, others = units[0], units[1:]
     basis = _orthonormal_complement(p)
     a0, b0 = superposition.segment
     coupling_half = float(1 / (2 * conformal_coupling(n)))
@@ -434,25 +438,20 @@ def tube_barrier_check(
         rng = np.random.default_rng(seed)
         axial = scale * axial_samples
         t_vals = a0 + (np.arange(axial) + 0.5) / axial * (b0 - a0)
-        margin = np.inf
-        for _ in range(scale * transverse_samples):
-            coeff = rng.normal(size=n - 1)
-            v = basis.T @ (coeff / np.linalg.norm(coeff))
-            omega = lambda r: np.cos(r) * p + np.sin(r) * v
-            for other in ls.points[1:]:
-                if sphere_distance(omega(rho), other.unit()) < 10 * _FD_STEP:
-                    raise ResampleError("transverse sample hit another anchored axis")
-            for t in t_vals:
-                u0 = superposition(omega(rho), t)
-                up = superposition(omega(rho + _FD_STEP), t)
-                um = superposition(omega(rho - _FD_STEP), t)
-                du = (up - um) / (2 * _FD_STEP)
-                trace = -(n - 2.0) / np.tan(rho) + coupling_half * (-du) / u0
-                margin = min(margin, trace)
-        ok = margin > 0
-        if ok:
+        coeff = rng.normal(size=(scale * transverse_samples, n - 1))
+        # each row is normalized and mapped by its own dot and gemv, so a
+        # sample rounds as it would alone; v is (samples, 1, n)
+        unit = coeff / np.sqrt(np.vecdot(coeff, coeff))[:, None]
+        v = (basis.T @ unit[:, :, None]).transpose(0, 2, 1)
+        omega = lambda r: np.cos(r) * p + np.sin(r) * v
+        if np.any(sphere_distance(omega(rho), others) < 10 * _FD_STEP):
+            raise ResampleError("transverse sample hit another anchored axis")
+        at = lambda off: superposition(omega(rho + off[0] * _FD_STEP), t_vals)
+        u0, du, _ = central_jet(at, [_FD_STEP])
+        margin = (-(n - 2.0) / np.tan(rho) + coupling_half * (-du[0]) / u0).min()
+        if margin > 0:
             break
-    return ok, float(margin)
+    return margin > 0, float(margin)
 
 
 def _orthonormal_complement(p):

@@ -54,10 +54,10 @@ class BendProfile:
         """(h, h', h'') vectorized; h by 48-node Gauss quadrature of the
         closed-form h' (accurate to ~1e-15 on these smooth integrands).
 
-        h = |t| exactly for |t| >= delta, so the quadrature integrand is
-        evaluated only at the points with |t| < delta.  The weighted sum
-        still runs over one row per point (zero outside), in the layout of
-        the full quadrature, so h agrees with it to the bit."""
+        h = |t| exactly for |t| >= delta, so the quadrature runs only over
+        the points with |t| < delta.  Each point's weighted sum is a sum
+        along its own row, so its h does not depend on the other points of
+        the call."""
         t = np.asarray(t, dtype=float)
         s = np.minimum(np.abs(t), self.delta * (1.0 - 1e-14))
         inside = np.abs(t) < self.delta
@@ -68,10 +68,10 @@ class BendProfile:
         half = (self.delta - s) / 2.0
         mid = (self.delta + s) / 2.0
         nodes = mid[inside][:, None] + half[inside][:, None] * _GAUSS_NODES
-        vals = np.zeros(s.shape + _GAUSS_NODES.shape)
-        vals[inside] = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
-        tail = half * (vals @ _GAUSS_WEIGHTS)
-        h = np.abs(t) + np.where(inside, tail, 0.0)
+        vals = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
+        tail = np.zeros(s.shape)
+        tail[inside] = half[inside] * (vals * _GAUSS_WEIGHTS).sum(-1)
+        h = np.abs(t) + tail
         return h, hp, hpp
 
     def __call__(self, t):

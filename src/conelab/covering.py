@@ -244,16 +244,16 @@ def verify_families(bs: BallSet, fa: FamilyAssignment):
     if kept:
         ids = np.array([b.ball_id for b in kept])
         # pdist sums the d squares in its own order, so its distances may
-        # differ from np.linalg.norm's by about d units in the last place.
-        # Shrunk by 4 d eps they screen the pairs (a center inside a ball
-        # implies 6-rho overlap), and the screened pairs are decided on
-        # distances rounded as np.linalg.norm rounds them.
+        # differ from _norms' by about d units in the last place.  Shrunk by
+        # 4 d eps they screen the pairs (a center inside a ball implies 6-rho
+        # overlap), and the screened pairs are decided on _norms, which
+        # rounds each distance as assign_families does.
         i, j = np.triu_indices(len(kept), 1)  # pdist's pair order, row by row
         dist = pdist(centers)
         dist *= 1.0 - 4 * centers.shape[1] * np.finfo(float).eps
         near = np.flatnonzero(dist <= DISJOINT * (radii[i] + radii[j]))
         i, j = i[near], j[near]
-        dist = np.linalg.norm(centers[i] - centers[j], axis=-1)
+        dist = _norms(centers[i] - centers[j])
         intra = (dist <= DISJOINT * (radii[i] + radii[j])) & (fams[i] == fams[j])
         exclusion = dist < np.maximum(radii[i], radii[j])
         for key, bad in (("intra_family_disjoint", intra), ("center_exclusion", exclusion)):

@@ -5,8 +5,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from conelab.barrier import _FD_STEP, _orthonormal_complement, sphere_distance
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
-from conelab.errors import DomainError, SingularMetricError, SolverError
+from conelab.errors import DomainError, ResampleError, SingularMetricError, SolverError
 from conelab.fields import (
     const_factor,
     diagonal_metric_field,
@@ -14,7 +15,7 @@ from conelab.fields import (
     power2_factor,
     round_sphere_factors,
 )
-from conelab.grids import _PIVOT_TOL, Chart, central_jet
+from conelab.grids import _PIVOT_TOL, Chart, central_jet, conformal_coupling
 
 
 def shooting_eigen(w, r_in, r_out):
@@ -96,9 +97,46 @@ def bend_jet_full_quadrature(bp, t):
     mid = (bp.delta + s) / 2.0
     nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
     vals = np.exp(-bp._psi(np.minimum(nodes, bp.delta * (1.0 - 1e-14))))
-    tail = half * (vals @ _GAUSS_WEIGHTS)
+    tail = half * (vals * _GAUSS_WEIGHTS).sum(-1)
     h = np.abs(t) + np.where(inside, tail, 0.0)
     return h, hp, hpp
+
+
+def tube_check_pointwise(superposition, tube_radius, axial_samples=64,
+                         transverse_samples=64, seed=0):
+    """``barrier.tube_barrier_check`` one sample and one station at a time:
+    three scalar superposition calls and a central difference per station
+    (radius validation left to the kernel)."""
+    ls = superposition.spec
+    rho = float(tube_radius)
+    n = ls.n
+    p = ls.points[0].unit()
+    basis = _orthonormal_complement(p)
+    a0, b0 = superposition.segment
+    coupling_half = float(1 / (2 * conformal_coupling(n)))
+    for scale in (1, 2):
+        rng = np.random.default_rng(seed)
+        axial = scale * axial_samples
+        t_vals = a0 + (np.arange(axial) + 0.5) / axial * (b0 - a0)
+        margin = np.inf
+        for _ in range(scale * transverse_samples):
+            coeff = rng.normal(size=n - 1)
+            v = basis.T @ (coeff / np.linalg.norm(coeff))
+            omega = lambda r: np.cos(r) * p + np.sin(r) * v
+            for other in ls.points[1:]:
+                if sphere_distance(omega(rho), other.unit()) < 10 * _FD_STEP:
+                    raise ResampleError("transverse sample hit another anchored axis")
+            for t in t_vals:
+                u0 = superposition(omega(rho), t)
+                up = superposition(omega(rho + _FD_STEP), t)
+                um = superposition(omega(rho - _FD_STEP), t)
+                du = (up - um) / (2 * _FD_STEP)
+                trace = -(n - 2.0) / np.tan(rho) + coupling_half * (-du) / u0
+                margin = min(margin, trace)
+        ok = margin > 0
+        if ok:
+            break
+    return ok, float(margin)
 
 
 def trace_a(tm):

@@ -11,10 +11,12 @@ from conelab.errors import (
     IterationLimitError,
     NoBarrierError,
     ParameterError,
+    ResampleError,
     SingularPointError,
 )
 from conelab.grids import conformal_shape_shift
 from conelab.perron import indicial_exponent, indicial_lambda_max, make_cutoff
+from oracles import tube_check_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,22 @@ def _axis_point(n, idx=0):
     p = np.zeros(n)
     p[idx] = 1.0
     return p
+
+
+def _tilted_point(n, idx, angle):
+    """cos(angle) e0 + sin(angle) e_idx."""
+    p = np.zeros(n)
+    p[0], p[idx] = np.cos(angle), np.sin(angle)
+    return p
+
+
+def _generic_anchors(n):
+    # directions with every coordinate nonzero, so every dot rounds
+    rng = np.random.default_rng(11)
+    return (
+        br.LinePoint(direction=tuple(rng.normal(size=n)), weight=0.4),
+        br.LinePoint(direction=tuple(rng.normal(size=n)), weight=0.3, beta=-0.5),
+    )
 
 
 class TestGreen:
@@ -165,6 +183,11 @@ class TestAreaProfile:
             br.ObstacleProblem(inner=1.0, outer=0.5, area=lambda r: r)
         with pytest.raises(DomainError):
             br.ObstacleProblem(inner=0.1, outer=1.0, area=lambda r: r - 0.5)
+
+    def test_area_probed_in_one_call(self):
+        calls = []
+        br.ObstacleProblem(inner=0.1, outer=1.0, area=lambda r: calls.append(np.shape(r)) or r)
+        assert calls == [(64,)]
 
 
 class TestDeflectionRadius:
@@ -309,6 +332,18 @@ class TestLineBarrier:
         with pytest.raises(SingularPointError):
             br.line_barrier(ls, (_axis_point(n), 0.0))
 
+    def test_sphere_distance_broadcasts(self):
+        rng = np.random.default_rng(4)
+        om = rng.normal(size=(6, 1, 7))
+        om /= np.linalg.norm(om, axis=-1, keepdims=True)
+        ps = np.array([p.unit() for p in _generic_anchors(7)])
+        dist = br.sphere_distance(om, ps)
+        assert dist.shape == (6, 2)
+        for i, j in np.ndindex(6, 2):
+            # each pair rounds as the scalar np.dot of that pair
+            one = float(np.arccos(np.clip(np.dot(om[i, 0], ps[j]), -1.0, 1.0)))
+            assert br.sphere_distance(om[i, 0], ps[j]) == one == dist[i, j]
+
     def test_weight_cap(self):
         n = 7
         pts = tuple(
@@ -369,6 +404,38 @@ class TestSuperposition:
         s2 = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=doubled, level=16))
         assert np.isclose(s2(om, 0.4) - 1.0, 2.0 * (s1(om, 0.4) - 1.0), rtol=1e-13)
 
+    @pytest.mark.parametrize("anchors", [1, 2])
+    @pytest.mark.parametrize("batch", [(9,), (4, 6)])
+    def test_array_calls_equal_pointwise(self, anchors, batch):
+        n = 7
+        sup = br.stieltjes_superpose(
+            br.LineBarrierSpec(n=n, points=_generic_anchors(n)[:anchors], level=16),
+            segment=(-0.5, 1.5),
+        )
+        rng = np.random.default_rng(anchors + len(batch))
+        om = rng.normal(size=batch + (n,))
+        om /= np.linalg.norm(om, axis=-1, keepdims=True)
+        ts = rng.uniform(-1.0, 2.0, size=batch)
+        vals = sup(om, ts)
+        assert vals.shape == batch
+        for idx in np.ndindex(*batch):
+            one = sup(om[idx], ts[idx])
+            assert type(one) is float and vals[idx] == one
+        # directions (batch, 1, n) against heights (k,) give a (batch, k) table
+        table = sup(om[..., None, :], ts.ravel()[:5])
+        assert table.shape == batch + (5,)
+        for idx in np.ndindex(*table.shape):
+            assert table[idx] == sup(om[idx[:-1]], ts.ravel()[idx[-1]])
+
+    def test_segment_limit_on_axis_raises(self):
+        n = 7
+        pt = br.LinePoint(direction=tuple(_axis_point(n)), weight=0.5)
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=8))
+        with pytest.raises(SingularPointError):
+            sup.segment_limit(_axis_point(n), 0.3)
+        with pytest.raises(SingularPointError):
+            sup(_axis_point(n), 0.3)
+
     def test_degenerate_segment(self):
         pt = br.LinePoint(direction=tuple(_axis_point(7)), weight=0.5)
         ls = br.LineBarrierSpec(n=7, points=(pt,), level=4)
@@ -418,7 +485,7 @@ class TestTubeCheck:
             assert ok and margin > 0
 
     @pytest.mark.parametrize(
-        "weight, level, samples, passes, calls",
+        "weight, level, samples, passes, points",
         [
             # fails at 4x4, so it is repeated once at 8x8: 3 evaluations
             # per station, (16 + 64) stations
@@ -427,7 +494,7 @@ class TestTubeCheck:
             (0.5, 32, 8, True, 3 * 64),
         ],
     )
-    def test_refines_once_on_failure(self, weight, level, samples, passes, calls):
+    def test_refines_once_on_failure(self, weight, level, samples, passes, points):
         n = 7
         pt = br.LinePoint(direction=tuple(_axis_point(n)), weight=weight)
         sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=level))
@@ -437,12 +504,77 @@ class TestTubeCheck:
             spec, segment = sup.spec, sup.segment
 
             def __call__(self, omega, t):
-                count.append(1)
+                # evaluated (omega, t) points of this call
+                count.append(np.prod(np.broadcast_shapes(np.shape(omega)[:-1], np.shape(t))))
                 return sup(omega, t)
 
         ok, _ = br.tube_barrier_check(Counting(), 0.05, axial_samples=samples, transverse_samples=samples)
         assert ok == passes
-        assert len(count) == calls
+        assert sum(count) == points
+        # one call per stencil offset and pass
+        assert len(count) == 3 * (1 if passes else 2)
+
+    @pytest.mark.parametrize(
+        "points, level, samples, seed",
+        [
+            # the cases above, and the CLI's line-superposition case (seed
+            # 17); an anchor (idx, angle, weight) points along
+            # cos(angle) e0 + sin(angle) e_idx, so (1, 0.0, w) is e0
+            (((1, 0.0, 0.5),), 64, 16, 0),
+            (((1, 0.0, 1e-12),), 8, 4, 0),
+            (((1, 0.0, 0.5),), 32, 8, 0),
+            (((1, 0.0, 0.5), (3, 1.0, 0.5)), 32, 8, 0),
+            (((1, 0.0, 0.5),), 32, 8, 17),
+            (((1, 0.0, 0.5), (3, 1.0, 0.5)), 32, 8, 17),
+            (tuple((2 + j, ang, 0.25) for j, ang in enumerate((0.0, 0.9, 1.2, 1.5))), 32, 8, 0),
+        ],
+    )
+    def test_equals_pointwise_reference(self, points, level, samples, seed):
+        n = 7
+        anchors = tuple(
+            br.LinePoint(direction=tuple(_tilted_point(n, idx, ang)), weight=w)
+            for idx, ang, w in points
+        )
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=anchors, level=level))
+        args = (sup, 0.05, samples, samples, seed)
+        ok, margin = br.tube_barrier_check(*args)
+        ok_ref, margin_ref = tube_check_pointwise(*args)
+        assert ok == ok_ref and margin == margin_ref
+
+    def test_generic_anchors_equal_pointwise_reference(self):
+        # a first axis off the coordinate axes: every dot and gemv rounds
+        n = 7
+        sup = br.stieltjes_superpose(
+            br.LineBarrierSpec(n=n, points=_generic_anchors(n), level=16), segment=(0.0, 2.0)
+        )
+        for seed in (0, 3):
+            args = (sup, 0.2, 6, 5, seed)
+            assert br.tube_barrier_check(*args) == tube_check_pointwise(*args)
+        # one transverse sample per seed, so that every sample sets a margin
+        for seed in range(40):
+            args = (sup, 0.2, 3, 1, seed)
+            assert br.tube_barrier_check(*args) == tube_check_pointwise(*args)
+
+    def test_sample_on_another_axis_resamples(self):
+        # the second anchor sits on the tube, at the first transverse sample
+        n, rho = 7, 0.05
+        p = _axis_point(n)
+        coeff = np.random.default_rng(0).normal(size=n - 1)
+        v = br._orthonormal_complement(p).T @ (coeff / np.linalg.norm(coeff))
+        hit = np.cos(rho) * p + np.sin(rho) * v
+        anchors = (br.LinePoint(direction=tuple(p), weight=0.5),
+                   br.LinePoint(direction=tuple(hit), weight=0.5))
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=anchors, level=8))
+        for check in (br.tube_barrier_check, tube_check_pointwise):
+            with pytest.raises(ResampleError):
+                check(sup, rho, 4, 4)
+
+    def test_sample_counts_validated(self):
+        pt = br.LinePoint(direction=tuple(_axis_point(7)), weight=0.5)
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=7, points=(pt,), level=4))
+        for axial, transverse in ((0, 4), (4, 0)):
+            with pytest.raises(ParameterError):
+                br.tube_barrier_check(sup, 0.05, axial, transverse)
 
     def test_radius_validation(self):
         pt = br.LinePoint(direction=tuple(_axis_point(7)), weight=0.5)

@@ -127,6 +127,16 @@ class TestJetQuadrature:
         for g, w in zip(bp.jet(t.reshape(2, 5)), bend_jet_full_quadrature(bp, t.reshape(2, 5))):
             assert g.tobytes() == w.tobytes()
 
+    def test_batch_point_and_scalar_agree(self):
+        # a point's h does not depend on the other points of its call
+        bp = bd.build_h(2.0, 0.2)
+        ts = np.linspace(0.0, 0.45 * (1.0 - 1e-9), 201)  # scal_compare's samples
+        for t in (ts, -ts[::-1]):
+            batch = bp.jet(t)
+            for i, ti in enumerate(t):
+                for one in (bp.jet(ti), bp.jet(t[i:i + 1]), bp.jet(float(ti))):
+                    assert [float(np.ravel(c)[0]) for c in one] == [c[i] for c in batch]
+
     def test_scal_compare_evaluates_the_profile_at_most_twice(self, monkeypatch):
         tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
         bp = bd.build_h(2.0, 0.2)

@@ -167,16 +167,27 @@ class TestAssignFamilies:
             assert cv._norms(cv._differences(points, others)).tolist() == scalar
         for dim in (1, 2, 3, 4, 8, 9):
             # radius k is the distance from centre k to centre k + 1, as
-            # np.linalg.norm over the last axis rounds it, so that about
-            # half the neighbour pairs sit exactly on the center-exclusion
+            # np.linalg.norm of the difference rounds it, so that about half
+            # the neighbour pairs sit exactly on the center-exclusion
             # threshold; the verifier must decide them as that norm does
             centers = rng.random((60, dim)) * 10.0 ** rng.uniform(-3, 3)
-            dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
-            balls = tuple(cv.Ball(tuple(c), float(dist[k, (k + 1) % 60]), k)
-                          for k, c in enumerate(centers.tolist()))
+            balls = tuple(cv.Ball(tuple(c), float(np.linalg.norm(c - centers[(k + 1) % 60])), k)
+                          for k, c in enumerate(centers))
             bs = cv.BallSet(balls=balls, target=np.zeros((0, dim)))
             fa = cv.FamilyAssignment(families={k: 1 + k % 2 for k in range(60)}, c_bound=2)
             assert cv.verify_families(bs, fa) == _verify_reference(bs, fa)
+
+    def test_verifier_accepts_the_greedy_rounding(self):
+        # R is |q - p| as one BLAS dot rounds it; an axis sum rounds this
+        # pair's distance one ulp below R, which failed center exclusion
+        rng = np.random.default_rng(1)
+        for _ in range(8):  # trial 7, counting from 0
+            p, q = rng.random(3), rng.random(3)
+        big = float(np.linalg.norm(q - p))
+        bs = cv.make_ball_set([p, q], [big, big / 4])
+        fa = cv.assign_families(bs)
+        assert fa.families == {0: 1, 1: 2}
+        assert cv.verify_families(bs, fa)["all_passed"]
 
     def test_determinism(self):
         bs1, _ = _random_instance(17)
@@ -384,14 +395,14 @@ def _verify_reference(bs, fa, disjoint=cv.DISJOINT, cover=cv.COVER):
     report = {key: {"passed": True, "witnesses": []}
               for key in ("intra_family_disjoint", "center_exclusion", "target_cover")}
     if kept:
-        dist = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=-1)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                if fams[i] == fams[j] and dist[i, j] <= disjoint * (radii[i] + radii[j]):
+                dist = np.linalg.norm(centers[i] - centers[j])
+                if fams[i] == fams[j] and dist <= disjoint * (radii[i] + radii[j]):
                     report["intra_family_disjoint"]["passed"] = False
                     report["intra_family_disjoint"]["witnesses"].append(
                         (kept[i].ball_id, kept[j].ball_id))
-                if dist[i, j] < max(radii[i], radii[j]):
+                if dist < max(radii[i], radii[j]):
                     report["center_exclusion"]["passed"] = False
                     report["center_exclusion"]["witnesses"].append(
                         (kept[i].ball_id, kept[j].ball_id))
@@ -555,7 +566,7 @@ class TestArrayKernels:
             q = p + thresh * u / np.linalg.norm(u)
             c = int(np.argmax(np.abs(u)))  # walk one coordinate an ulp at a time
             for _ in range(50):
-                dist = np.linalg.norm((q - p)[None], axis=-1)[0]
+                dist = np.linalg.norm(q - p)
                 if dist == thresh:
                     break
                 q[c] = np.nextafter(q[c], p[c] if dist > thresh else 2 * q[c] - p[c])
