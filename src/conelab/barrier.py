@@ -300,8 +300,10 @@ class LineBarrierSpec:
             raise DomainError("ambient dimension must be >= 5")
         if self.level < 1:
             raise ParameterError("discretization level must be >= 1")
-        if any(p.weight <= 0 for p in self.points):
-            raise ParameterError("weights must be positive")
+        if any(np.shape(p.direction) != (self.n,) for p in self.points):
+            raise DomainError(f"anchor directions must have length n = {self.n}")
+        if not all(0 < p.weight < np.inf for p in self.points):
+            raise ParameterError("weights must be positive and finite")
         total = sum(p.weight for p in self.points)
         if total > self.weight_cap:
             raise ParameterError(

@@ -7,7 +7,9 @@ h'' >= k |h' - 1| makes the second-form gain term dominate the first-order
 costs, so scal does not drop.  The module builds h, bends warped test
 tubes, compares scal pointwise at matched points, and splits the scal
 difference into the exact linear/quadratic buckets of the curvature
-expansion.
+expansion.  The profile h and the tube warps are 1-D 2-jets (t -> Jet);
+the bent warp is their chain-rule composition, so one evaluation of a
+bent metric evaluates h once.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class BendProfile:
         return self.k * self.delta**2 / (self.delta - s) ** 2
 
     def jet(self, t):
-        """(h, h', h'') vectorized; h by 48-node Gauss quadrature of the
+        """Jet of h, vectorized; h by 48-node Gauss quadrature of the
         closed-form h' (accurate to ~1e-15 on these smooth integrands).
 
         h = |t| exactly for |t| >= delta, so the quadrature runs only over
@@ -71,26 +73,27 @@ class BendProfile:
         vals = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
         tail = np.zeros(s.shape)
         tail[inside] = half[inside] * (vals * _GAUSS_WEIGHTS).sum(-1)
-        h = np.abs(t) + tail
-        return h, hp, hpp
+        return Jet(np.abs(t) + tail, hp, hpp)
 
     def __call__(self, t):
-        return self.jet(t)[0]
+        return self.jet(t).f
 
 
 def build_h(k, delta, sigma=None) -> BendProfile:
     """Construct and certify a BendProfile on [-sigma, sigma].
 
     All profile invariants are checked on 10000 samples; the report holds
-    the minima of the two stiffness ratio inequalities."""
-    if k <= 0 or delta <= 0:
-        raise ParameterError("k and delta must be positive")
+    the minima of the two stiffness ratio inequalities.  Each certificate
+    test fails on NaN."""
+    if not (0 < k < np.inf and 0 < delta < np.inf):
+        raise ParameterError("k and delta must be positive and finite")
     sigma = 2.5 * delta if sigma is None else float(sigma)
     if not (0 < delta < sigma / 2.0):
         raise DomainError("need 0 < delta < sigma/2")
     bp = BendProfile(k=k, delta=delta, sigma=sigma, report={})
     t = np.linspace(-sigma, sigma, 10000)
-    h, hp, hpp = bp.jet(t)
+    j = bp.jet(t)
+    h, hp, hpp = j.f, j.d1, j.d2
     pos = t >= 0
     report = {
         "min_h": float(h.min()),
@@ -101,12 +104,13 @@ def build_h(k, delta, sigma=None) -> BendProfile:
         "ratio_left": float((hpp[~pos] - k * np.abs(hp[~pos] + 1.0)).min()),
         "identity_tail": float(np.max(np.abs(h[np.abs(t) >= delta] - np.abs(t[np.abs(t) >= delta])))),
     }
-    if (
-        report["min_h"] <= 0
-        or report["max_abs_hp"] > 1.0 + 1e-12
-        or report["min_hpp"] < -1e-12
-        or min(report["ratio_right"], report["ratio_left"]) < -1e-9 * k
-        or report["identity_tail"] > 0
+    if not (
+        report["min_h"] > 0
+        and report["max_abs_hp"] <= 1.0 + 1e-12
+        and report["min_hpp"] >= -1e-12
+        and report["ratio_right"] >= -1e-9 * k
+        and report["ratio_left"] >= -1e-9 * k
+        and report["identity_tail"] <= 0
     ):
         raise ResolutionError(f"bend profile invariants failed: {report}")
     return BendProfile(k=k, delta=delta, sigma=sigma, report=report)
@@ -126,17 +130,17 @@ class TubeMetric:
     """
 
     chart: Chart
-    warp: tuple  # (f, f', f'') callables
+    warp: object  # t -> Jet of f
     core_factors: tuple
     sigma: float
 
     def __post_init__(self):
-        f, df, _ = self.warp
-        if f(0.0) <= 0:
+        core = self.warp(0.0)
+        if not (core.f > 0):
             raise DomainError("warp must be positive at the core")
-        if df(0.0) > 1e-14:
+        if not (core.d1 <= 1e-14):
             raise DomainError("warp must not increase into the tube (trA >= 0)")
-        if self.sigma <= 0:
+        if not (self.sigma > 0):
             raise DomainError("tube depth must be positive")
 
     def field(self) -> AnalyticMetric:
@@ -152,11 +156,11 @@ def sphere_tube(n, theta0, sigma, count=5) -> TubeMetric:
         raise DomainError("tube deeper than the focal distance")
     axes = [(-sigma, sigma, count)]
     axes += [(np.pi / 2 - 0.4, np.pi / 2 + 0.4, count) for _ in range(n - 1)]
-    warp = (
-        lambda t: np.sin(theta0 - t),
-        lambda t: -np.cos(theta0 - t),
-        lambda t: -np.sin(theta0 - t),
-    )
+
+    def warp(t):
+        s = np.sin(theta0 - t)
+        return Jet(s, -np.cos(theta0 - t), -s)
+
     return TubeMetric(
         chart=Chart(tuple(axes)),
         warp=warp,
@@ -167,22 +171,7 @@ def sphere_tube(n, theta0, sigma, count=5) -> TubeMetric:
 
 def bent_warp(tm: TubeMetric, bp: BendProfile):
     """Warp of the bent metric: F(t) = f(h(t)) with exact chain-rule jets."""
-    f, df, d2f = tm.warp
-    last = {}  # the latest point array's bytes -> its jet: the three
-    # callbacks of one metric evaluation share one bp.jet call
-
-    def jet(t):
-        t = np.asarray(t, dtype=float)
-        key = (t.shape, t.tobytes())
-        if key not in last:
-            last.clear()
-            last[key] = jet_compose(lambda h: Jet(f(h), df(h), d2f(h)), Jet(*bp.jet(t)))
-            for part in (last[key].f, last[key].d1, last[key].d2):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False  # handed to every caller
-        return last[key]
-
-    return (lambda t: jet(t).f), (lambda t: jet(t).d1), (lambda t: jet(t).d2)
+    return lambda t: jet_compose(tm.warp, bp.jet(t))
 
 
 def bend_metric(tm: TubeMetric, bp: BendProfile) -> AnalyticMetric:
@@ -213,7 +202,7 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201):
     rest = np.broadcast_to(angles, (samples, len(angles)))
     # every sample in one batched evaluation per metric
     diff = (scal_from_jet(*bent.jet(np.column_stack((ts, rest))))
-            - scal_from_jet(*tm.field().jet(np.column_stack((bp.jet(ts)[0], rest)))))
+            - scal_from_jet(*tm.field().jet(np.column_stack((bp.jet(ts).f, rest)))))
     idx = int(np.argmin(diff))
     return {
         "t": ts,
@@ -241,7 +230,7 @@ def totally_geodesic_residual(tm: TubeMetric, bp: BendProfile):
     metric: A_ab = 1/2 d(g_h)_ab/dt = h'(0) f f' (...) = 0 since h'(0) = 0."""
     bent = bend_metric(tm, bp)
     x = np.concatenate(([0.0], _center_angles(tm)))
-    g, dg = bent.metric_fn(x), bent.dmetric_fn(x)
+    g, dg = bent.jet_fn(x, (0, 1))
     a_form = 0.5 * dg[0][1:, 1:]
     ginv_core = np.linalg.inv(g[1:, 1:])
     return float(np.max(np.abs(ginv_core @ a_form)))
@@ -272,7 +261,8 @@ def dominant_decomposition(tm: TubeMetric, bp: BendProfile, t):
     the pointwise difference exactly, which is the executable form of the
     curvature expansion identity."""
     angles = _center_angles(tm)
-    h, hp, hpp = (float(v[0]) for v in bp.jet(np.array([float(t)])))
+    j = bp.jet(np.array([float(t)]))
+    h, hp, hpp = float(j.f[0]), float(j.d1[0]), float(j.d2[0])
     g, dg, d2g = tm.field().jet(np.concatenate(([h], angles)))
     a = dg[0]
     e_first = np.zeros_like(dg)

@@ -191,7 +191,7 @@ def check_deformed_cone(params, seed, gate):
     p = _center(m.chart)
     x = m.chart.node_coords(p)
     rho = float(x[0])
-    # evaluate via the exact metric callbacks (the chart is too coarse for
+    # evaluate via the exact jet callback (the chart is too coarse for
     # the interior stencil margin in dimension 7)
     scal = scal_from_jet(*m.jet(x))
     gate.below("scal_error", abs(scal - d.scal_rho2() / rho**2), scal=1e-8)

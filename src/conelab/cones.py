@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
 from .grids import AnalyticMetric, Chart, conformal_coupling
+from .jets import Jet
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,7 @@ def deformed_metric(d: DeformedCone, rho_range=(0.5, 2.0), count=5) -> AnalyticM
     chart = Chart(tuple(axes))
     core = round_sphere_factors(c.p, radius=c.a, axis_offset=1)
     core += round_sphere_factors(c.q, radius=c.b, axis_offset=1 + c.p)
-    profile = (lambda t: m * t, lambda t: m + 0.0 * t, lambda t: 0.0 * t)
-    return warped_product_metric(chart, profile, core)
+    return warped_product_metric(chart, lambda t: Jet(m * t, m + 0.0 * t, 0.0 * t), core)
 
 
 def deformed_distance(c: ConeSpec, beta, r):

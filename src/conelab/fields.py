@@ -2,8 +2,9 @@
 
 Provides randomized smooth positive conformal factors with exact
 derivatives (for transformation-law consistency tests) and builders of
-diagonal AnalyticMetrics (cylinders, warped tubes), which hold exact
-derivative callbacks and no samples.
+diagonal AnalyticMetrics (cylinders, warped tubes), which hold one exact
+jet callback and no samples.  A separable factor and a warp profile are
+each one callable t -> Jet.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import AnalyticMetric, Chart, MetricField
+from .jets import Jet
 
 
 # ---------------------------------------------------------------------------
@@ -109,74 +111,76 @@ class RadiusField:
 # ---------------------------------------------------------------------------
 
 def const_factor(c=1.0):
-    return (lambda t: c + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t)
+    def factor(t):
+        zero = 0.0 * t
+        return Jet(c + zero, zero, zero)
+
+    return factor
 
 
 def power2_factor(scale=1.0):
     """(scale * t)^2 as a separable factor."""
     s2 = scale * scale
-    return (lambda t: s2 * t**2, lambda t: 2.0 * s2 * t, lambda t: 2.0 * s2 + 0.0 * t)
+    return lambda t: Jet(s2 * t**2, 2.0 * s2 * t, 2.0 * s2 + 0.0 * t)
 
 
 def sin2_factor():
-    return (
-        lambda t: np.sin(t) ** 2,
-        lambda t: np.sin(2.0 * t),
-        lambda t: 2.0 * np.cos(2.0 * t),
-    )
+    def factor(t):
+        twice = 2.0 * t
+        return Jet(np.sin(t) ** 2, np.sin(twice), 2.0 * np.cos(twice))
+
+    return factor
 
 
-def func2_factor(f, d1, d2):
-    """Factor F(t)^2 for a scalar profile with derivatives f, d1, d2."""
-    return (
-        lambda t: f(t) ** 2,
-        lambda t: 2.0 * f(t) * d1(t),
-        lambda t: 2.0 * (d1(t) ** 2 + f(t) * d2(t)),
-    )
+def func2_factor(profile):
+    """Factor F(t)^2 for a scalar profile t -> Jet of F."""
+
+    def factor(t):
+        p = profile(t)
+        return Jet(p.f**2, 2.0 * p.f * p.d1, 2.0 * (p.d1**2 + p.f * p.d2))
+
+    return factor
 
 
 def diagonal_metric_field(chart: Chart, factors) -> AnalyticMetric:
     """The AnalyticMetric g = diag(prod_j f_{ij}(x_j)) with exact jets.
 
-    ``factors[i]`` is a dict {axis: (f, f', f'')}; absent axes contribute
-    the constant factor 1.  The three callbacks are one product-rule
-    kernel at orders 0, 1 and 2, vectorized over leading axes of x.
+    ``factors[i]`` is a dict {axis: factor}, each factor a callable
+    t -> Jet of f_ij; absent axes contribute the constant factor 1.  The
+    jet callback is one product-rule kernel over the requested orders,
+    vectorized over leading axes of x.
     """
     n = chart.dim
     rows = [sorted(row.items()) for row in factors]
 
-    def _jet(x, order):
-        """d^order g_ii along axes (c, d, ...) = prod_j f_ij^(m_j)(x_j),
-        where m_j counts how often axis j is differentiated; each factor
-        derivative is evaluated once per call, c <= d filled and mirrored.
-        Factors see 1-D arrays even at one point, so a point's value does
-        not depend on the batch it is evaluated in."""
+    def jet_fn(x, orders):
+        """d^order g_ii along axes (c, d, ...) = prod_j f_ij^(m_j)(x_j) for
+        each order asked for, where m_j counts how often axis j is
+        differentiated; each factor is evaluated once per call, c <= d
+        filled and mirrored.  Factors see 1-D arrays even at one point, so
+        a point's value does not depend on the batch it is evaluated in."""
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, n)
-        out = np.zeros((len(pts),) + (n,) * (order + 2))
-        values = {}
-        for i, row in enumerate(rows):
-            for axes in itertools.combinations_with_replacement([j for j, _ in row], order):
-                prod = 1.0
-                for j, trip in row:
-                    fn = trip[axes.count(j)]
-                    if (fn, j) not in values:
-                        values[fn, j] = fn(pts[:, j])
-                    prod = prod * values[fn, j]
-                for perm in set(itertools.permutations(axes)):
-                    out[(slice(None),) + perm + (i, i)] = prod
-        return out.reshape(x.shape[:-1] + out.shape[1:])
+        jets = {}
+        for row in rows:
+            for j, factor in row:
+                if (factor, j) not in jets:
+                    jet = factor(pts[:, j])
+                    jets[factor, j] = (jet.f, jet.d1, jet.d2)
+        result = []
+        for order in orders:
+            out = np.zeros((len(pts),) + (n,) * (order + 2))
+            for i, row in enumerate(rows):
+                for axes in itertools.combinations_with_replacement([j for j, _ in row], order):
+                    prod = 1.0
+                    for j, factor in row:
+                        prod = prod * jets[factor, j][axes.count(j)]
+                    for perm in set(itertools.permutations(axes)):
+                        out[(slice(None),) + perm + (i, i)] = prod
+            result.append(out.reshape(x.shape[:-1] + out.shape[1:]))
+        return tuple(result)
 
-    def metric_fn(x):
-        return _jet(x, 0)
-
-    def dmetric_fn(x):
-        return _jet(x, 1)
-
-    def d2metric_fn(x):
-        return _jet(x, 2)
-
-    return AnalyticMetric(chart, metric_fn, dmetric_fn, d2metric_fn)
+    return AnalyticMetric(chart, jet_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +198,9 @@ def round_sphere_factors(dim_sphere, radius=1.0, axis_offset=0):
     spherical coordinates theta_1..theta_{dim_sphere} living on chart axes
     axis_offset..axis_offset+dim_sphere-1."""
     rows = []
+    sin2 = sin2_factor()  # one object, so a metric evaluates it once per axis
     for i in range(dim_sphere):
-        row = {axis_offset + j: sin2_factor() for j in range(i)}
+        row = {axis_offset + j: sin2 for j in range(i)}
         if radius != 1.0:
             # overall radius^2, hung on the (otherwise factor-free) own axis
             row[axis_offset + i] = const_factor(radius * radius)
@@ -207,7 +212,7 @@ def cylinder_metric(n, span=0.4, center=np.pi / 2) -> AnalyticMetric:
     """Product metric on R x S^{n-1}(1): g = ds^2 + g_{S^{n-1}}.
 
     Chart axes: s, theta_1..theta_{n-1}, 7 nodes each, centered away from
-    coordinate degeneracies.  Carries exact derivative callbacks.
+    coordinate degeneracies.  Carries an exact jet callback.
     """
     axes = [(-span, span, 7)]
     axes += [(center - span, center + span, 7) for _ in range(n - 1)]
@@ -219,12 +224,12 @@ def cylinder_metric(n, span=0.4, center=np.pi / 2) -> AnalyticMetric:
 def warped_product_metric(chart: Chart, profile, core_factors) -> AnalyticMetric:
     """g = dt^2 + F(t)^2 g_core on a chart whose axis 0 is t.
 
-    ``profile`` is (F, F', F'') callables; ``core_factors`` are diagonal
+    ``profile`` is a callable t -> Jet of F; ``core_factors`` are diagonal
     factors of g_core on axes 1..n-1 (as in diagonal_metric_field, indexed
     by chart axis).
     """
     n = chart.dim
-    warp = func2_factor(*profile)
+    warp = func2_factor(profile)
     rows = [{}]
     for i in range(1, n):
         row = dict(core_factors[i - 1])

@@ -2,15 +2,16 @@
 
 A metric on a uniform rectangular chart has one of two representations:
 a MetricField holds the components sampled at every node, validated on
-construction; an AnalyticMetric holds exact callbacks for g and its first
-and second derivatives, validated at each point it is evaluated.
+construction; an AnalyticMetric holds one exact callback that returns g
+and its first and second derivatives of the orders asked for, and g is
+validated at each point it is evaluated.
 Validation takes the nodes in blocks of _BLOCK, in three passes over the
 blocks (finite, symmetric, positive definite), so its working memory does
 not grow with the node count and its first failed test is the one a
 single pass over all nodes would fail.
 Christoffel symbols and scalar curvature are assembled pointwise from the
 metric 2-jet, which comes from 2nd-order central stencils of the samples
-or from the callbacks.
+or from the jet callback.
 
 Index conventions for derivative arrays:
     dg[c, a, b]      = d g_ab / d x_c
@@ -161,25 +162,32 @@ class MetricField:
 
 @dataclass(frozen=True)
 class AnalyticMetric:
-    """Metric given by exact callbacks on a chart; nothing is sampled.
+    """Metric given by one exact jet callback on a chart; nothing is sampled.
 
-    Each callback maps points x of shape (..., n) to g, dg and d2g with the
-    index conventions above.  The chart fixes node coordinates and
+    ``jet_fn(x, orders)`` maps points x of shape (..., n) to a tuple with
+    one array per requested derivative order (0 for g, 1 for dg, 2 for
+    d2g, index conventions above).  The chart fixes node coordinates and
     boundary margins.
     """
 
     chart: Chart
-    metric_fn: object
-    dmetric_fn: object
-    d2metric_fn: object
+    jet_fn: object
 
     def jet(self, x):
         """(g, dg, d2g) at points x of shape (..., n); g is validated at
         every point."""
-        g = np.asarray(self.metric_fn(x), dtype=float)
+        g, dg, d2g = (np.asarray(a, dtype=float) for a in self.jet_fn(x, (0, 1, 2)))
         _check_metric(g)
-        dg = np.asarray(self.dmetric_fn(x), dtype=float)
-        return g, dg, np.asarray(self.d2metric_fn(x), dtype=float)
+        return g, dg, d2g
+
+    def metric_fn(self, x):
+        return self.jet_fn(x, (0,))[0]
+
+    def dmetric_fn(self, x):
+        return self.jet_fn(x, (1,))[0]
+
+    def d2metric_fn(self, x):
+        return self.jet_fn(x, (2,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -519,9 +519,10 @@ class CutoffSpec:
 def make_cutoff(K, delta):
     """CutoffSpec with rate max(2K, 4), certified on samples (ResolutionError
     if a margin is not positive).  With u = 1/(1-t) > 1/2 the slope margin
-    u^2 (u^2 - 2u + 2 rate - K) + rate (rate - K) is positive: 2 rate - K >= 6."""
-    if K <= 0 or delta <= 0:
-        raise ParameterError("K and delta must be positive")
+    u^2 (u^2 - 2u + 2 rate - K) + rate (rate - K) is positive: 2 rate - K >= 6.
+    A NaN margin fails the certificate."""
+    if not (0 < K < np.inf and 0 < delta < np.inf):
+        raise ParameterError("K and delta must be positive and finite")
     pole = 1.0
     rate = max(2.0 * K, 4.0)
     one_m = 1.0 - np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10000)
@@ -536,7 +537,7 @@ def make_cutoff(K, delta):
         "ratio_vs_slope": float((curv - K * dpsi).min()),
         "ratio_vs_value": float((curv - K).min()),
     }
-    if min(margins.values()) <= 0:
+    if not all(v > 0 for v in margins.values()):
         raise ResolutionError(f"cutoff rate {rate} fails its margins for K = {K}: {margins}")
     return CutoffSpec(K=K, delta=delta, rate=rate, pole=pole, margins=margins)
 
@@ -562,14 +563,7 @@ def operator_value_jet(c: ConeSpec, j: Jet, r):
     return -radial_laplacian(j, r, c.n) + c.kappa * (-(c.p + c.q) / r**2) * j.f
 
 
-def crease_smooth(
-    f1: RadialProfile,
-    f2: RadialProfile,
-    crossing,
-    eta,
-    K,
-    cone: ConeSpec = None,
-):
+def crease_smooth(f1: RadialProfile, f2: RadialProfile, crossing, eta, K, cone: ConeSpec):
     """Blend two strict supersolutions crossing transversally at ``crossing``.
 
     f2 is the inner (tip-side) profile, f1 the outer one; both need
@@ -583,8 +577,6 @@ def crease_smooth(
     cutoff width delta, eta, the operator margin and the blend window."""
     if f1.jet_fn is None or f2.jet_fn is None:
         raise DomainError("crease smoothing needs analytic jets on both profiles")
-    if cone is None:
-        raise DomainError("pass the cone providing scal for the operator check")
     rstar = float(crossing)
     j1s, j2s = f1.jet_fn(np.array([rstar])), f2.jet_fn(np.array([rstar]))
     v1, v2 = float(j1s.f[0]), float(j2s.f[0])

@@ -16,6 +16,7 @@ from conelab.fields import (
     round_sphere_factors,
 )
 from conelab.grids import _PIVOT_TOL, Chart, central_jet, conformal_coupling
+from conelab.jets import Jet
 
 
 def shooting_eigen(w, r_in, r_out):
@@ -98,8 +99,7 @@ def bend_jet_full_quadrature(bp, t):
     nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
     vals = np.exp(-bp._psi(np.minimum(nodes, bp.delta * (1.0 - 1e-14))))
     tail = half * (vals * _GAUSS_WEIGHTS).sum(-1)
-    h = np.abs(t) + np.where(inside, tail, 0.0)
-    return h, hp, hpp
+    return Jet(np.abs(t) + np.where(inside, tail, 0.0), hp, hpp)
 
 
 def tube_check_pointwise(superposition, tube_radius, axial_samples=64,
@@ -142,8 +142,8 @@ def tube_check_pointwise(superposition, tube_radius, axial_samples=64,
 def trace_a(tm):
     """Mean curvature of a tube's core for the inward normal:
     -(dim core) f'(0)/f(0)."""
-    f, df, _ = tm.warp
-    return -(tm.chart.dim - 1) * df(0.0) / f(0.0)
+    core = tm.warp(0.0)
+    return -(tm.chart.dim - 1) * core.d1 / core.f
 
 
 def _core_axes(n, sigma, count):
@@ -153,10 +153,9 @@ def _core_axes(n, sigma, count):
 
 def cylinder_tube(n, radius, sigma, count=5):
     """Totally geodesic core (A = 0): constant warp."""
-    warp = (lambda t: radius + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t)
     return TubeMetric(
         chart=Chart(tuple(_core_axes(n, sigma, count))),
-        warp=warp,
+        warp=lambda t: Jet(radius + 0.0 * t, 0.0 * t, 0.0 * t),
         core_factors=tuple(round_sphere_factors(n - 1, radius=1.0, axis_offset=1)),
         sigma=sigma,
     )
@@ -167,8 +166,8 @@ def cross_section_tube(r0, sigma, count=9):
     cross-section of a 3-D cone): warp f(t) = r0 - t."""
     if sigma >= r0:
         raise DomainError("tube deeper than the cross-section radius")
-    warp = (lambda t: r0 - t, lambda t: -1.0 + 0.0 * t, lambda t: 0.0 * t)
-    return TubeMetric(chart=Chart(tuple(_core_axes(2, sigma, count))), warp=warp,
+    return TubeMetric(chart=Chart(tuple(_core_axes(2, sigma, count))),
+                      warp=lambda t: Jet(r0 - t, -1.0 + 0.0 * t, 0.0 * t),
                       core_factors=({},), sigma=sigma)
 
 
@@ -188,8 +187,8 @@ def sphere_metric(chart, radius=1.0):
         chart,
         [
             {0: const_factor(r2)},
-            {0: func2_factor(lambda t: radius * np.sin(t), lambda t: radius * np.cos(t),
-                             lambda t: -radius * np.sin(t))},
+            {0: func2_factor(lambda t: Jet(radius * np.sin(t), radius * np.cos(t),
+                                           -radius * np.sin(t)))},
         ],
     )
 

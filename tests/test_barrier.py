@@ -352,6 +352,17 @@ class TestLineBarrier:
         with pytest.raises(ParameterError):
             br.LineBarrierSpec(n=n, points=pts, level=8)
 
+    def test_direction_length_must_be_n(self):
+        pt = br.LinePoint(direction=tuple(_axis_point(6)), weight=0.5)
+        with pytest.raises(DomainError):
+            br.LineBarrierSpec(n=7, points=(pt,), level=8)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0, -0.5])
+    def test_weight_must_be_positive_and_finite(self, weight):
+        pt = br.LinePoint(direction=tuple(_axis_point(7)), weight=weight)
+        with pytest.raises(ParameterError):
+            br.LineBarrierSpec(n=7, points=(pt,), level=8)
+
 
 class TestSuperposition:
     def test_single_point_level_one(self):

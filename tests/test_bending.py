@@ -16,7 +16,13 @@ from conelab.errors import (
     ResolutionError,
 )
 from conelab.grids import AnalyticMetric, MetricField, scalar_curvature
+from conelab.jets import Jet, jet_compose
 from oracles import bend_jet_full_quadrature, cross_section_tube, cylinder_tube, trace_a
+
+
+def _parts(j):
+    """(f, f', f'') of a Jet."""
+    return j.f, j.d1, j.d2
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +33,7 @@ class TestBuildH:
     def test_profile_invariants_on_dense_sample(self):
         bp = bd.build_h(3.0, 0.25)
         t = np.linspace(-bp.sigma, bp.sigma, 10001)
-        h, hp, hpp = bp.jet(t)
+        h, hp, hpp = _parts(bp.jet(t))
         assert h.min() > 0
         assert np.abs(hp).max() <= 1.0
         assert hpp.min() >= 0.0
@@ -36,14 +42,14 @@ class TestBuildH:
     def test_identity_outside_transition(self):
         bp = bd.build_h(2.0, 0.3)
         t = np.array([-0.9, -0.5, -0.3, 0.3, 0.4, 0.7])
-        h, hp, hpp = bp.jet(t)
+        h, hp, hpp = _parts(bp.jet(t))
         np.testing.assert_array_equal(h, np.abs(t))
         np.testing.assert_array_equal(hp, np.sign(t))
         np.testing.assert_array_equal(hpp, np.zeros_like(t))
 
     def test_jet_at_transition_endpoint(self):
         bp = bd.build_h(5.0, 0.1)
-        h, hp, hpp = bp.jet(np.array([0.1]))
+        h, hp, hpp = _parts(bp.jet(np.array([0.1])))
         assert h[0] == pytest.approx(0.1, abs=1e-15)
         assert hp[0] == 1.0
         assert hpp[0] == 0.0
@@ -52,7 +58,7 @@ class TestBuildH:
         # h'(0) = 0 and h''(0) = k exactly by construction
         k = 7.5
         bp = bd.build_h(k, 0.2)
-        _, hp, hpp = bp.jet(np.array([0.0]))
+        _, hp, hpp = _parts(bp.jet(np.array([0.0])))
         assert hp[0] == 0.0
         assert hpp[0] == k
 
@@ -79,7 +85,7 @@ class TestBuildH:
         eps = 1e-6
         h_p = bp(t + eps)
         h_m = bp(t - eps)
-        h0, hp, hpp = bp.jet(t)
+        h0, hp, hpp = _parts(bp.jet(t))
         np.testing.assert_allclose((h_p - h_m) / (2 * eps), hp, atol=1e-8)
         np.testing.assert_allclose((h_p - 2 * h0 + h_m) / eps**2, hpp, atol=2e-4)
 
@@ -90,6 +96,18 @@ class TestBuildH:
             bd.build_h(1.0, -0.2)
         with pytest.raises(DomainError):
             bd.build_h(1.0, 0.3, sigma=0.5)
+
+    @pytest.mark.parametrize("k, delta", [(np.nan, 0.2), (np.inf, 0.2), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, k, delta):
+        with pytest.raises(ParameterError):
+            bd.build_h(k, delta)
+
+    def test_nan_report_fails_the_certificate(self, monkeypatch):
+        # a profile whose samples are NaN certifies nothing
+        jet = bd.BendProfile.jet
+        monkeypatch.setattr(bd.BendProfile, "jet", lambda self, t: jet(self, t) * np.nan)
+        with pytest.raises(ResolutionError):
+            bd.build_h(2.0, 0.2)
 
 
 #: multiples of delta: the core, both transition ends, the last point the
@@ -115,27 +133,26 @@ class TestJetQuadrature:
         array = data.draw(hnp.arrays(float, shape, elements=_MULTIPLES))
         for t in (scalar * delta, np.float64(scalar * delta), array * delta):
             got, want = bp.jet(t), bend_jet_full_quadrature(bp, t)
-            for g, w in zip(got, want):
+            for g, w in zip(_parts(got), _parts(want)):
                 assert np.shape(g) == np.shape(w) == np.shape(t)
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     def test_special_points_on_one_array(self):
         bp = bd.build_h(3.0, 0.25)
         t = np.array(_SPECIAL) * bp.delta
-        for g, w in zip(bp.jet(t), bend_jet_full_quadrature(bp, t)):
-            assert g.tobytes() == w.tobytes()
-        for g, w in zip(bp.jet(t.reshape(2, 5)), bend_jet_full_quadrature(bp, t.reshape(2, 5))):
-            assert g.tobytes() == w.tobytes()
+        for ts in (t, t.reshape(2, 5)):
+            for g, w in zip(_parts(bp.jet(ts)), _parts(bend_jet_full_quadrature(bp, ts))):
+                assert g.tobytes() == w.tobytes()
 
     def test_batch_point_and_scalar_agree(self):
         # a point's h does not depend on the other points of its call
         bp = bd.build_h(2.0, 0.2)
         ts = np.linspace(0.0, 0.45 * (1.0 - 1e-9), 201)  # scal_compare's samples
         for t in (ts, -ts[::-1]):
-            batch = bp.jet(t)
+            batch = _parts(bp.jet(t))
             for i, ti in enumerate(t):
                 for one in (bp.jet(ti), bp.jet(t[i:i + 1]), bp.jet(float(ti))):
-                    assert [float(np.ravel(c)[0]) for c in one] == [c[i] for c in batch]
+                    assert [float(np.ravel(c)[0]) for c in _parts(one)] == [c[i] for c in batch]
 
     def test_scal_compare_evaluates_the_profile_at_most_twice(self, monkeypatch):
         tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
@@ -146,29 +163,37 @@ class TestJetQuadrature:
         bd.scal_compare(tm, bp, samples=201)
         assert 1 <= len(calls) <= 2
 
-    def test_bent_warp_follows_its_input(self):
-        # the one-entry memo is keyed on values: a new array, the same values
-        # in a new array, and an array changed in place each get their own jet
+    def test_one_profile_evaluation_per_bent_metric_jet(self, monkeypatch):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        bent = bd.bend_metric(tm, bd.build_h(2.0, 0.2))
+        calls = []
+        jet = bd.BendProfile.jet
+        monkeypatch.setattr(bd.BendProfile, "jet", lambda self, t: calls.append(np.shape(t)) or jet(self, t))
+        bent.jet(np.array([[0.1, 1.5, 1.6, 1.7], [0.3, 1.4, 1.5, 1.6]]))
+        assert calls == [(2,)]
+
+    def test_bent_warp_is_the_composed_jet(self):
+        # the bent warp is jet_compose(f, h) and f(h(t)) by the chain rule,
+        # bit for bit, on new arrays, repeated values and an array changed
+        # in place
         tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
         bp = bd.build_h(2.0, 0.2)
         warp = bd.bent_warp(tm, bp)
-        f, df, d2f = tm.warp
 
-        def fresh(t):
-            h, hp, hpp = bp.jet(t)
-            return f(h), df(h) * hp, d2f(h) * hp**2 + df(h) * hpp
+        def check(t):
+            h = bp.jet(t)
+            f = tm.warp(h.f)
+            chain = (f.f, f.d1 * h.d1, f.d2 * h.d1**2 + f.d1 * h.d2)
+            for got, composed, want in zip(_parts(warp(t)), _parts(jet_compose(tm.warp, h)), chain):
+                assert got.tobytes() == composed.tobytes() == want.tobytes()
 
-        t1, t2 = np.linspace(0.0, 0.4, 7), np.linspace(-0.3, 0.1, 7)
-        t3 = t1.copy()
-        for t in (t1, t2, t1.copy(), t1[:3], t3):
-            for fn, want in zip(warp, fresh(t)):
-                assert fn(t).tobytes() == want.tobytes()
-        t3[2] = 0.05
-        for fn, want in zip(warp, fresh(t3)):
-            assert fn(t3).tobytes() == want.tobytes()
-        # every call shares the memo's arrays, so none can be written
-        with pytest.raises(ValueError, match="read-only"):
-            warp[0](t3)[0] = 1.0
+        t1 = np.linspace(0.0, 0.4, 7)
+        for t in (t1, np.linspace(-0.3, 0.1, 7), t1.copy(), t1[:3]):
+            check(t)
+        before = warp(t1).f[2]
+        t1[2] = 0.05
+        check(t1)
+        assert warp(t1).f[2] != before
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +238,20 @@ class TestTubeMetric:
             # increasing warp: negative mean curvature core
             bd.TubeMetric(
                 chart=cross_section_tube(1.0, 0.4).chart,
-                warp=(lambda t: 1.0 + t, lambda t: 1.0 + 0 * t, lambda t: 0 * t),
+                warp=lambda t: Jet(1.0 + t, 1.0 + 0 * t, 0 * t),
                 core_factors=({},),
                 sigma=0.4,
             )
+
+    @pytest.mark.parametrize("warp, sigma", [
+        (lambda t: Jet(np.nan + t, -1.0 + 0 * t, 0 * t), 0.4),
+        (lambda t: Jet(1.0 - t, np.nan + t, 0 * t), 0.4),
+        (lambda t: Jet(1.0 - t, -1.0 + 0 * t, 0 * t), np.nan),
+    ])
+    def test_nan_tube_rejected(self, warp, sigma):
+        with pytest.raises(DomainError):
+            bd.TubeMetric(chart=cross_section_tube(1.0, 0.4).chart, warp=warp,
+                          core_factors=({},), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +278,8 @@ class TestBendMetric:
         bp = bd.build_h(2.0, 0.2)
         assert bd.totally_geodesic_residual(tm, bp) == 0.0
         # the unbent core is not totally geodesic
-        fb, dfb, _ = bd.bent_warp(tm, bp)
-        assert dfb(np.array([0.0]))[0] == 0.0
-        assert tm.warp[1](0.0) != 0.0
+        assert bd.bent_warp(tm, bp)(np.array([0.0])).d1[0] == 0.0
+        assert tm.warp(0.0).d1 != 0.0
 
     def test_shallow_tube_rejected(self):
         tm = bd.sphere_tube(4, theta0=0.9, sigma=0.15)
@@ -281,7 +315,7 @@ class TestScalCompare:
         tm = cross_section_tube(r0, 0.45)
         bp = bd.build_h(1.5, 0.2)
         rep = bd.scal_compare(tm, bp, samples=101)
-        h, _, hpp = bp.jet(rep["t"])
+        h, _, hpp = _parts(bp.jet(rep["t"]))
         np.testing.assert_allclose(rep["diff"], 2.0 * hpp / (r0 - h), atol=1e-10)
 
     def test_high_dimension_tube(self):
@@ -302,7 +336,7 @@ def _pointwise_scal_compare(tm, bp, samples):
     base, bent = tm.field(), bd.bend_metric(tm, bp)
     angles = [0.5 * (lo + hi) for lo, hi, _ in tm.chart.axes[1:]]
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)
-    h = bp.jet(ts)[0]
+    h = bp.jet(ts).f
 
     def scal(m, x):
         return grids.scal_from_jet(m.metric_fn(x), m.dmetric_fn(x), m.d2metric_fn(x))
@@ -422,7 +456,7 @@ class TestDominantDecomposition:
             assert b["i5"] == pytest.approx(4.0 * b["i5_diag_bound"], rel=1e-12)
             h = b["h"]
             trace = 3.0 * np.cos(0.9 - h) / np.sin(0.9 - h)
-            hpp = bp.jet(np.array([t]))[2][0]
+            hpp = bp.jet(np.array([t])).d2[0]
             assert b["i5"] == pytest.approx(2.0 * hpp * trace, rel=1e-12)
 
     def test_buckets_vanish_outside_transition(self):
@@ -436,7 +470,7 @@ class TestDominantDecomposition:
         tm = cross_section_tube(1.3, 0.45)
         bp = bd.build_h(1.5, 0.2)
         b = bd.dominant_decomposition(tm, bp, 0.0)
-        h, _, hpp = (float(v[0]) for v in bp.jet(np.array([0.0])))
+        h, _, hpp = (float(v[0]) for v in _parts(bp.jet(np.array([0.0]))))
         assert b["i5"] == pytest.approx(2.0 * hpp / (1.3 - h), rel=1e-12)
         # the warp has no angular dependence, so the mixed buckets vanish
         assert b["i2"] == 0.0
@@ -446,7 +480,7 @@ class TestDominantDecomposition:
         # scal(bent) = 2 h''/(r0 - h) of the flat tube
         t = 0.09
         b = bd.dominant_decomposition(tm, bp, t)
-        h, _, hpp = (float(v[0]) for v in bp.jet(np.array([t])))
+        h, _, hpp = (float(v[0]) for v in _parts(bp.jet(np.array([t]))))
         total = sum(b[k] for k in ("i1", "i2", "i3", "i4", "i5"))
         assert total == pytest.approx(2.0 * hpp / (1.3 - h), rel=1e-12)
         assert abs(b["i6_offdiagonal"]) < 1e-12
@@ -466,7 +500,7 @@ class TestStencilCrossCheck:
         bent = bd.bend_metric(tm, bp)
         sampled = MetricField.from_function(bent.chart, bent.metric_fn)
         ts = bent.chart.coords_1d(0)
-        h, _, hpp = bp.jet(ts)
+        h, _, hpp = _parts(bp.jet(ts))
         # outside the transition the metric is polynomial in t and the
         # 3-point stencil is exact; inside, probe away from |t| ~ delta
         # where the higher h-derivatives spike
@@ -487,6 +521,6 @@ class TestStencilCrossCheck:
             vals.append(
                 scalar_curvature(MetricField.from_function(bentc.chart, bentc.metric_fn), (mid, mid))
             )
-        exact0 = 2.0 * bp.jet(np.array([0.0]))[2][0] / (r0 - bp(np.array([0.0]))[0])
+        exact0 = 2.0 * bp.jet(np.array([0.0])).d2[0] / (r0 - bp(np.array([0.0]))[0])
         ratio = abs(vals[0] - exact0) / abs(vals[1] - exact0)
         assert 1.7 < ratio < 2.5

@@ -37,6 +37,7 @@ from conelab.grids import (
     level_set_shape,
     scalar_curvature,
 )
+from conelab.jets import Jet
 from oracles import check_metric_unblocked, polar_metric, sphere_metric
 
 
@@ -78,8 +79,7 @@ class TestConstruction:
 
     def test_one_representation_per_field_type(self):
         assert [f.name for f in dataclasses.fields(MetricField)] == ["chart", "g"]
-        assert [f.name for f in dataclasses.fields(AnalyticMetric)] == [
-            "chart", "metric_fn", "dmetric_fn", "d2metric_fn"]
+        assert [f.name for f in dataclasses.fields(AnalyticMetric)] == ["chart", "jet_fn"]
         # a sampled field reports no callbacks, and sampling drops them
         chart = _cube_chart(2, 1.0, 2.0, 5)
         m = MetricField.from_function(chart, polar_metric(chart).metric_fn)
@@ -94,19 +94,18 @@ _BAD_METRICS = {
 }
 
 
-def _bad_beyond(kind):
+def _bad_beyond(bad):
     """Analytic field on the unit square (x0 = i/8 at node i) whose g is the
-    identity for x0 <= 0.55 and a bad matrix beyond; derivatives are zero."""
-    bad = _BAD_METRICS[kind][0]
+    identity for x0 <= 0.55 and the matrix ``bad`` beyond; derivatives are
+    zero."""
 
-    def metric_fn(x):
+    def jet_fn(x, orders):
         x0 = np.asarray(x, dtype=float)[..., 0]
-        return np.where((x0 > 0.55)[..., None, None], bad, np.eye(2))
+        g = np.where((x0 > 0.55)[..., None, None], bad, np.eye(2))
+        return tuple(g if order == 0 else np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
+                     for order in orders)
 
-    def zeros(order):
-        return lambda x: np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
-
-    return AnalyticMetric(_cube_chart(2, 0.0, 1.0, 9), metric_fn, zeros(1), zeros(2))
+    return AnalyticMetric(_cube_chart(2, 0.0, 1.0, 9), jet_fn)
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD_METRICS))
@@ -114,13 +113,13 @@ class TestAnalyticValidation:
     """An AnalyticMetric is validated at the points it is evaluated at."""
 
     def test_evaluated_node(self, kind):
-        m = _bad_beyond(kind)
+        m = _bad_beyond(_BAD_METRICS[kind][0])
         assert scalar_curvature(m, (4, 4)) == 0.0
         with pytest.raises(_BAD_METRICS[kind][1]):
             scalar_curvature(m, (5, 4))
 
     def test_batched_jet_with_one_bad_point(self, kind):
-        m = _bad_beyond(kind)
+        m = _bad_beyond(_BAD_METRICS[kind][0])
         g, _, _ = m.jet(np.array([[0.5, 0.5], [0.25, 0.5]]))
         np.testing.assert_array_equal(g, [np.eye(2)] * 2)
         with pytest.raises(_BAD_METRICS[kind][1]):
@@ -140,14 +139,7 @@ class TestNonFiniteMetric:
             MetricField(chart, g)
 
     def test_batched_jet(self):
-        def metric_fn(x):
-            x0 = np.asarray(x, dtype=float)[..., 0]
-            return np.where((x0 > 0.55)[..., None, None], np.diag([np.inf, 1.0]), np.eye(2))
-
-        def zeros(order):
-            return lambda x: np.zeros(np.shape(x)[:-1] + (2,) * (order + 2))
-
-        m = AnalyticMetric(_cube_chart(2, 0.0, 1.0, 9), metric_fn, zeros(1), zeros(2))
+        m = _bad_beyond(np.diag([np.inf, 1.0]))
         assert scalar_curvature(m, (4, 4)) == 0.0
         with pytest.raises(DomainError, match="not finite"):
             m.jet(np.array([[0.5, 0.5], [0.625, 0.5], [0.25, 0.5]]))
@@ -430,7 +422,7 @@ _FACTOR_KINDS = (
     lambda rng: const_factor(rng.uniform(0.5, 2.0)),
     lambda rng: power2_factor(rng.uniform(0.5, 2.0)),
     lambda rng: sin2_factor(),
-    lambda rng: func2_factor(lambda t: 1.5 + np.cos(t), lambda t: -np.sin(t), lambda t: -np.cos(t)),
+    lambda rng: func2_factor(lambda t: Jet(1.5 + np.cos(t), -np.sin(t), -np.cos(t))),
 )
 
 
@@ -456,15 +448,19 @@ def _random_diagonal_metric(dim, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_diagonal_callbacks_batched_equal_pointwise_bitwise(dim, lead, seed):
-    """Each callback on a stack of points is the stack of its pointwise
-    values, bit for bit, with the documented output shapes."""
+    """Each accessor on a stack of points is the stack of its pointwise
+    values, bit for bit, with the documented output shapes, and the full
+    jet equals the three accessors bit for bit."""
     m, rng = _random_diagonal_metric(dim, seed)
     x = rng.uniform(0.6, 1.4, lead + (dim,))
-    for order, fn in enumerate((m.metric_fn, m.dmetric_fn, m.d2metric_fn)):
+    accessors = (m.metric_fn, m.dmetric_fn, m.d2metric_fn)
+    for order, fn in enumerate(accessors):
         batch = fn(x)
         assert batch.shape == lead + (dim,) * (order + 2)
         pointwise = np.stack([fn(p) for p in x.reshape(-1, dim)]).reshape(batch.shape)
         np.testing.assert_array_equal(batch, pointwise)
+    for part, fn in zip(m.jet(x), accessors):
+        assert part.tobytes() == fn(x).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from conelab.errors import (
     NotSupersolutionError,
     OutOfBandError,
     ParameterError,
+    ResolutionError,
 )
 from conelab.jets import jet_power
 
@@ -533,6 +534,17 @@ class TestMakeCutoff:
             pn.make_cutoff(-1.0, 0.2)
         with pytest.raises(ParameterError):
             pn.make_cutoff(1.0, 0.0)
+
+    @pytest.mark.parametrize("K, delta", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, K, delta):
+        with pytest.raises(ParameterError):
+            pn.make_cutoff(K, delta)
+
+    def test_nan_margin_fails_the_certificate(self, monkeypatch):
+        # a NaN rate makes every margin NaN, which certifies nothing
+        monkeypatch.setattr(pn, "max", lambda *args: np.nan, raising=False)
+        with pytest.raises(ResolutionError):
+            pn.make_cutoff(3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
