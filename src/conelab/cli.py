@@ -114,6 +114,23 @@ def _deformed(c, lam=5.0 / 12.0):
     return DeformedCone(c, alpha=alpha)
 
 
+def _conformal_errors(fields, n, count):
+    """|scal - transformation law| at the centre of the unit cube with
+    ``count`` nodes per axis, one per conformal factor in ``fields``; the
+    cube's flat metric and mesh are built once and dropped on return."""
+    chart = _cube_chart(n, 0.0, 1.0, count)
+    m = flat_metric(chart)
+    mesh = chart.mesh()
+    p = _center(chart)
+    x = chart.node_coords(p)
+    errs = []
+    for u in fields:
+        expected = conformal_scal(0.0, float(u.value(x)), float(u.laplacian(x)), n)
+        # the deformed metric is dropped before the next factor's is built
+        errs.append(abs(scalar_curvature(conformal_deform(m, u.value(mesh)), p) - expected))
+    return errs
+
+
 def check_conformal_consistency(params, seed, gate):
     """Finite-difference scal of the deformed flat metric reproduces the
     transformation law at second order under grid refinement; the order of
@@ -123,18 +140,11 @@ def check_conformal_consistency(params, seed, gate):
     n = 3
     # the unit cube with `count` nodes per axis has step 1/(count-1)
     step_ratios = [np.log2((c1 - 1) / (c0 - 1)) for c0, c1 in zip(counts, counts[1:])]
+    fields = [TrigField.random(n, seed=seed + i) for i in range(factors)]
+    # errors by count, then factor: one grid is alive at a time
+    by_count = [_conformal_errors(fields, n, count) for count in counts]
     orders = []
-    for i in range(factors):
-        u = TrigField.random(n, seed=seed + i)
-        errs = []
-        for count in counts:
-            chart = _cube_chart(n, 0.0, 1.0, count)
-            m = flat_metric(chart)
-            p = _center(chart)
-            x = chart.node_coords(p)
-            out = conformal_deform(m, u.value(chart.mesh()))
-            expected = conformal_scal(0.0, float(u.value(x)), float(u.laplacian(x)), n)
-            errs.append(abs(scalar_curvature(out, p) - expected))
+    for errs in zip(*by_count):
         orders += [np.log2(e0 / e1) / r for e0, e1, r in zip(errs, errs[1:], step_ratios)]
     # every order lies in the band iff the extremes do; np.min/np.max keep a nan
     gate.near_closed("order_min", np.min(orders), order=2.0, order_band=0.2)

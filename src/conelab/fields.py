@@ -152,31 +152,46 @@ def diagonal_metric_field(chart: Chart, factors) -> AnalyticMetric:
     """
     n = chart.dim
     rows = [sorted(row.items()) for row in factors]
+    plans = {}
+
+    def plan(order):
+        """The index plan of ``order``, built on its first use by this
+        metric: for each row i and each axis tuple c <= d <= ..., the
+        factors with their derivative orders m_j (how often axis j is
+        differentiated) and the mirrored output cells."""
+        if order not in plans:
+            plans[order] = [
+                (
+                    [(factor, j, axes.count(j)) for j, factor in row],
+                    [(slice(None),) + perm + (i, i) for perm in set(itertools.permutations(axes))],
+                )
+                for i, row in enumerate(rows)
+                for axes in itertools.combinations_with_replacement([j for j, _ in row], order)
+            ]
+        return plans[order]
+
+    evaluated = list(dict.fromkeys((factor, j) for row in rows for j, factor in row))
 
     def jet_fn(x, orders):
         """d^order g_ii along axes (c, d, ...) = prod_j f_ij^(m_j)(x_j) for
-        each order asked for, where m_j counts how often axis j is
-        differentiated; each factor is evaluated once per call, c <= d
-        filled and mirrored.  Factors see 1-D arrays even at one point, so
-        a point's value does not depend on the batch it is evaluated in."""
+        each order asked for; each factor is evaluated once per call.
+        Factors see 1-D arrays even at one point, so a point's value does
+        not depend on the batch it is evaluated in."""
         x = np.asarray(x, dtype=float)
         pts = x.reshape(-1, n)
         jets = {}
-        for row in rows:
-            for j, factor in row:
-                if (factor, j) not in jets:
-                    jet = factor(pts[:, j])
-                    jets[factor, j] = (jet.f, jet.d1, jet.d2)
+        for factor, j in evaluated:
+            jet = factor(pts[:, j])
+            jets[factor, j] = (jet.f, jet.d1, jet.d2)
         result = []
         for order in orders:
             out = np.zeros((len(pts),) + (n,) * (order + 2))
-            for i, row in enumerate(rows):
-                for axes in itertools.combinations_with_replacement([j for j, _ in row], order):
-                    prod = 1.0
-                    for j, factor in row:
-                        prod = prod * jets[factor, j][axes.count(j)]
-                    for perm in set(itertools.permutations(axes)):
-                        out[(slice(None),) + perm + (i, i)] = prod
+            for terms, cells in plan(order):
+                prod = 1.0
+                for factor, j, m in terms:
+                    prod = prod * jets[factor, j][m]
+                for cell in cells:
+                    out[cell] = prod
             result.append(out.reshape(x.shape[:-1] + out.shape[1:]))
         return tuple(result)
 

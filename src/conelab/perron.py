@@ -7,9 +7,16 @@ The radial reduction of the operator is
 
 an Euler equation whose exact solutions r^{alpha_+}, r^{alpha_-} provide
 closed-form oracles for every construction below.  All boundary-value
-solves work in the logarithmic variable s = ln r, where (LO) becomes a
-constant-coefficient equation, discretized at 2nd order and Richardson
-extrapolated.
+solves work in the logarithmic variable s = ln r, where (LO) becomes the
+constant-coefficient equation u_ss + (n-2) u_s + (kappa + lambda)(p+q) u = 0,
+discretized at 2nd order and Richardson extrapolated.
+
+The problem grid is uniform in s, and (LO) in s is invariant under
+translation, so a sweep window's unit-data solutions on its own grid nodes
+depend only on its length in grid steps and its inner condition (Dirichlet,
+or the indicial Robin condition at the tip).  The Perron sweep therefore
+solves one window per (length, inner condition) and one margin eigenvalue
+per length: mu_1 and sup q both scale as r_0^-2 under r -> t r.
 """
 
 from __future__ import annotations
@@ -193,7 +200,7 @@ def margin_ratio(pp: PerronProblem, sub):
 def _require_margin(pp: PerronProblem, win):
     """Raise BallTooLargeError unless index window ``win`` passes the margin."""
     sub = pp.grid[list(win)]
-    ratio = margin_ratio(pp, sub)
+    ratio = _length_margin(pp, win[1] - win[0])
     if ratio < _MARGIN_FACTOR:
         raise BallTooLargeError(
             f"sub-annulus [{sub[0]}, {sub[1]}] margin {ratio:.3f} < {_MARGIN_FACTOR}"
@@ -302,25 +309,41 @@ def _window_schedule(pp: PerronProblem):
 
 
 @_per_problem
-def _admissible_windows(pp: PerronProblem):
-    """The margin-admissible windows of ``_window_schedule``, as index pairs."""
-    grid = pp.grid
-    return tuple(
-        win for win in _window_schedule(pp) if margin_ratio(pp, grid[list(win)]) >= _MARGIN_FACTOR
-    )
+def _length_margin(pp: PerronProblem, m):
+    """``margin_ratio`` of every index window of ``m`` grid steps, taken on
+    the first one: the ratio depends on r1/r0 only."""
+    return margin_ratio(pp, pp.grid[[0, m]])
 
 
 @_per_problem
+def _admissible_windows(pp: PerronProblem):
+    """The margin-admissible windows of ``_window_schedule``, as index pairs."""
+    return tuple(
+        win for win in _window_schedule(pp) if _length_margin(pp, win[1] - win[0]) >= _MARGIN_FACTOR
+    )
+
+
 def _window_basis(pp: PerronProblem, win, robin):
     """Unit-data solutions on the problem-grid nodes of index window ``win``.
 
-    One solve per problem, window and inner condition, projected onto
-    ``pp.grid[sl]`` by a not-a-knot spline in ln r.  Both are linear in the
-    end data, so the solution with data (a, b) is ``a * rows[0] + b *
-    rows[1]``; the Robin tip window has the single row ``rows[0]`` (outer
-    value 1).  Every Perron read goes through it.  Returns ``(sl, rows)``."""
-    sl = slice(win[0], win[1] + 1)
-    grid = pp.grid[sl]
+    Both the window solve and its projection onto the window's nodes are
+    linear in the end data, so the solution with data (a, b) is ``a *
+    rows[0] + b * rows[1]``; the Robin tip window has the single row
+    ``rows[0]`` (outer value 1).  The grid is uniform in s = ln r and (LO)
+    is translation invariant in s, so ``rows`` depends only on the key
+    (length i1 - i0, inner condition) and is shared by every window with
+    that key (``_length_basis``).  Every Perron read goes through it.
+    Returns ``(sl, rows)``."""
+    i0, i1 = win
+    return slice(i0, i1 + 1), _length_basis(pp, i1 - i0, robin)
+
+
+@_per_problem
+def _length_basis(pp: PerronProblem, m, robin):
+    """The rows of ``_window_basis`` for windows of ``m`` grid steps: one
+    solve on the first such window, [grid[0], grid[m]], projected onto its
+    nodes by a not-a-knot spline in ln r."""
+    grid = pp.grid[: m + 1]
     r0, r1 = grid[0], grid[-1]
     if robin:
         alpha, _ = indicial_exponent(pp.cone, pp.lam)
@@ -332,7 +355,7 @@ def _window_basis(pp: PerronProblem, win, robin):
         u = np.stack([u0, u1])
     rows = CubicSpline(np.log(r), u, axis=1)(np.log(grid))
     rows.setflags(write=False)
-    return sl, rows
+    return rows
 
 
 def is_supersolution(pp: PerronProblem, f: RadialProfile):
