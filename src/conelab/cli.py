@@ -114,27 +114,28 @@ def _deformed(c, lam=5.0 / 12.0):
     return DeformedCone(c, alpha=alpha)
 
 
-def _conformal_errors(fields, n, count):
-    """|scal - transformation law| at the centre of the unit cube with
-    ``count`` nodes per axis, one per conformal factor in ``fields``; the
-    cube's flat metric and mesh are built once and dropped on return."""
+def _conformal_errors(fields, n, count, coarse):
+    """Max |scal - transformation law| on the unit cube with ``count`` nodes
+    per axis over the nodes it shares with ``coarse`` at coarse indices
+    {3, centre, coarse - 4} per axis, one per conformal factor in ``fields``."""
     chart = _cube_chart(n, 0.0, 1.0, count)
     m = flat_metric(chart)
     mesh = chart.mesh()
-    p = _center(chart)
-    x = chart.node_coords(p)
+    idx = sorted({3, coarse // 2, coarse - 4})
+    nodes = np.stack(np.meshgrid(*[idx] * n, indexing="ij"), axis=-1) * ((count - 1) // (coarse - 1))
+    x = chart.node_coords(nodes)
     errs = []
     for u in fields:
-        expected = conformal_scal(0.0, float(u.value(x)), float(u.laplacian(x)), n)
+        expected = conformal_scal(0.0, u.value(x), u.laplacian(x), n)
         # the deformed metric is dropped before the next factor's is built
-        errs.append(abs(scalar_curvature(conformal_deform(m, u.value(mesh)), p) - expected))
+        errs.append(np.abs(scalar_curvature(conformal_deform(m, u.value(mesh)), nodes) - expected).max())
     return errs
 
 
 def check_conformal_consistency(params, seed, gate):
     """Finite-difference scal of the deformed flat metric reproduces the
-    transformation law at second order under grid refinement; the order of
-    each consecutive pair of counts is taken from its actual step ratio."""
+    transformation law at second order in the max norm over nodes all grids
+    share; each consecutive pair of counts takes its actual step ratio."""
     factors = params["factors"]
     counts = tuple(params["counts"])
     n = 3
@@ -142,7 +143,7 @@ def check_conformal_consistency(params, seed, gate):
     step_ratios = [np.log2((c1 - 1) / (c0 - 1)) for c0, c1 in zip(counts, counts[1:])]
     fields = [TrigField.random(n, seed=seed + i) for i in range(factors)]
     # errors by count, then factor: one grid is alive at a time
-    by_count = [_conformal_errors(fields, n, count) for count in counts]
+    by_count = [_conformal_errors(fields, n, count, counts[0]) for count in counts]
     orders = []
     for errs in zip(*by_count):
         orders += [np.log2(e0 / e1) / r for e0, e1, r in zip(errs, errs[1:], step_ratios)]
@@ -283,7 +284,7 @@ def check_crease(params, seed, gate):
     floor = 0.0
     gate.above("operator_margin", rep["margin"], margin_floor=floor)
     # the strict operator inequality must hold at every sample, not only at the reported minimum
-    gate.require(pn.operator_value_jet(c, out.jet_fn(g), g).min() > floor, margin_floor=floor)
+    gate.require(sp.operator_value_jet(c, out.jet_fn(g), g).min() > floor, margin_floor=floor)
     r_lo, r_hi = rep["window"]
     left, right = g < r_lo * 0.999, g > r_hi * 1.001
     local = max(
@@ -503,12 +504,13 @@ def _is_positive(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < float("inf")
 
 
-def _is_odd_counts(v):
+def _is_nested_counts(v):
     return (
         isinstance(v, (list, tuple))
         and len(v) >= 2
-        and all(_is_int(c) and 5 <= c <= MAX_COUNT and c % 2 == 1 for c in v)
+        and all(_is_int(c) and 7 <= c <= MAX_COUNT and c % 2 == 1 for c in v)
         and all(a < b for a, b in zip(v, v[1:]))
+        and all((c - 1) % (v[0] - 1) == 0 for c in v)
     )
 
 
@@ -517,8 +519,9 @@ def _is_odd_counts(v):
 PARAMS = {
     "conformal-consistency": {
         "factors": (5, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-        "counts": ((17, 33), _is_odd_counts,
-                   f"a list of at least two increasing odd integers in [5, {MAX_COUNT}]"),
+        "counts": ((17, 33), _is_nested_counts,
+                   f"a list of at least two increasing odd integers in [7, {MAX_COUNT}], "
+                   "each c with c - 1 a multiple of the first count minus 1"),
     },
     "theta-scaling": {"n": (7, lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
     "covering-random": {

@@ -67,45 +67,6 @@ class TrigField:
         return -c @ k2
 
 
-@dataclass(frozen=True)
-class CoordinateField:
-    """The level function f(x) = x_axis (a flat coordinate hyperplane)."""
-
-    axis: int
-    dim: int
-
-    def value(self, x):
-        return np.asarray(x, dtype=float)[..., self.axis]
-
-    def grad(self, x):
-        e = np.zeros(self.dim)
-        e[self.axis] = 1.0
-        return e
-
-    def hess(self, x):
-        return np.zeros((self.dim, self.dim))
-
-
-@dataclass(frozen=True)
-class RadiusField:
-    """f(x) = |x| in flat coordinates, with exact derivatives."""
-
-    dim: int
-
-    def value(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / np.linalg.norm(x)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        xhat = x / r
-        return (np.eye(self.dim) - np.outer(xhat, xhat)) / r
-
-
 # ---------------------------------------------------------------------------
 # diagonal analytic metrics: g_ii(x) = prod_j f_{ij}(x_j)
 # ---------------------------------------------------------------------------
@@ -116,12 +77,6 @@ def const_factor(c=1.0):
         return Jet(c + zero, zero, zero)
 
     return factor
-
-
-def power2_factor(scale=1.0):
-    """(scale * t)^2 as a separable factor."""
-    s2 = scale * scale
-    return lambda t: Jet(s2 * t**2, 2.0 * s2 * t, 2.0 * s2 + 0.0 * t)
 
 
 def sin2_factor():

@@ -9,9 +9,10 @@ Validation takes the nodes in blocks of _BLOCK, in three passes over the
 blocks (finite, symmetric, positive definite), so its working memory does
 not grow with the node count and its first failed test is the one a
 single pass over all nodes would fail.
-Christoffel symbols and scalar curvature are assembled pointwise from the
-metric 2-jet, which comes from 2nd-order central stencils of the samples
-or from the jet callback.
+Christoffel symbols and scalar curvature are assembled from the metric
+2-jet, which comes from 2nd-order central stencils of the samples or from
+the jet callback, at grid nodes of shape (..., n): one node is a batch of
+one, and a stencil reads a batch's nodes in one index gather per offset.
 
 Index conventions for derivative arrays:
     dg[c, a, b]      = d g_ab / d x_c
@@ -20,7 +21,6 @@ Index conventions for derivative arrays:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,16 +81,22 @@ class Chart:
         return np.stack(grids, axis=-1)
 
     def node_coords(self, p):
-        p = tuple(int(i) for i in p)
-        return np.array([self.coords_1d(ax)[i] for ax, i in enumerate(p)])
+        """Coordinates of the grid nodes p, shape (..., dim)."""
+        p = self.check_margin(p, 0)
+        return np.stack([self.coords_1d(ax)[p[..., ax]] for ax in range(self.dim)], axis=-1)
 
     def check_margin(self, p, margin):
-        for ax, i in enumerate(p):
-            cnt = self.shape[ax]
-            if i < margin or i > cnt - 1 - margin:
-                raise BoundaryMarginError(
-                    f"node {tuple(p)} within {margin} nodes of boundary on axis {ax}"
-                )
+        """The grid nodes p as an integer array of shape (..., dim), each at
+        least ``margin`` nodes inside the boundary."""
+        p = np.asarray(p)
+        if p.ndim == 0 or p.shape[-1] != self.dim or p.dtype.kind not in "iu":
+            raise DomainError(f"nodes must be integers of shape (..., {self.dim}), got {p.dtype} {p.shape}")
+        p = p.astype(int)
+        outside = (p < margin) | (p > np.subtract(self.shape, 1 + margin))
+        if outside.any():
+            *node, ax = np.argwhere(outside)[0]
+            raise BoundaryMarginError(f"node {p[tuple(node)].tolist()} within {margin} nodes of boundary on axis {ax}")
+        return p
 
 
 def _min_cholesky_pivot(a, scratch):
@@ -191,7 +197,7 @@ class AnalyticMetric:
 
 
 # ---------------------------------------------------------------------------
-# pointwise assembly from (g, dg, d2g)
+# assembly from (g, dg, d2g)
 # ---------------------------------------------------------------------------
 
 def _inverse(g):
@@ -241,64 +247,57 @@ def scal_from_jet(g, dg, d2g):
 
 
 # ---------------------------------------------------------------------------
-# derivative extraction at a node
+# derivative extraction at grid nodes
 # ---------------------------------------------------------------------------
 
 def central_jet(sample, h):
     """(f, df, d2f) at the origin from 2nd-order central differences.
 
     ``sample(offset)`` returns the value (scalar or array) at the integer
-    step tuple ``offset``; ``h[c]`` is the step along axis c.  Derivative
-    arrays follow the index conventions above: df[c] = d f / d x_c and
-    d2f[c, d] = d^2 f / (d x_c d x_d).
+    step array ``offset`` of shape (n,); ``h[c]`` is the step along axis c.
+    Derivative arrays follow the index conventions above: df[c] = d f / d x_c
+    and d2f[c, d] = d^2 f / (d x_c d x_d).
     """
     n = len(h)
-
-    def at(*moves):
-        offset = [0] * n
-        for axis, sign in moves:
-            offset[axis] += sign
-        return sample(tuple(offset))
-
-    f = np.asarray(at(), dtype=float)
+    e = np.eye(n, dtype=int)
+    f = np.asarray(sample(0 * e[0]), dtype=float)
     df = np.empty((n,) + f.shape)
     d2f = np.empty((n, n) + f.shape)
     for c in range(n):
-        fp, fm = at((c, 1)), at((c, -1))
+        fp, fm = sample(e[c]), sample(-e[c])
         df[c] = (fp - fm) / (2.0 * h[c])
         d2f[c, c] = (fp - 2.0 * f + fm) / h[c] ** 2
         for d in range(c + 1, n):
-            fpp, fpm = at((c, 1), (d, 1)), at((c, 1), (d, -1))
-            fmp, fmm = at((c, -1), (d, 1)), at((c, -1), (d, -1))
+            fpp, fpm = sample(e[c] + e[d]), sample(e[c] - e[d])
+            fmp, fmm = sample(-e[c] + e[d]), sample(-e[c] - e[d])
             d2f[c, d] = d2f[d, c] = (fpp - fpm - fmp + fmm) / (4.0 * h[c] * h[d])
     return f, df, d2f
 
 
-def _node_sampler(values, p):
-    """offset -> values at grid node p + offset."""
-    return lambda offset: values[tuple(map(operator.add, p, offset))]
+def _stencil_jet(values, p, h):
+    """central_jet of grid samples at nodes p (..., n): one index gather per offset."""
+    return central_jet(lambda offset: values[tuple(np.moveaxis(p + offset, -1, 0))], h)
 
 
 def metric_jet(m, p):
-    """(g, dg, d2g) of the metric at node p: exact for an AnalyticMetric,
-    central stencils of the samples for a MetricField."""
-    p = tuple(int(i) for i in p)
+    """(g, dg, d2g) of the metric at grid nodes p (..., n), the derivative
+    axes behind the batch axes: exact for an AnalyticMetric, central
+    stencils of the samples for a MetricField."""
     if isinstance(m, AnalyticMetric):
         return m.jet(m.chart.node_coords(p))
-    return central_jet(_node_sampler(m.g, p), m.chart.spacings)
+    g, dg, d2g = _stencil_jet(m.g, p, m.chart.spacings)
+    return g, np.moveaxis(dg, 0, -3), np.moveaxis(d2g, (0, 1), (-4, -3))
 
 
 def christoffel(m, p):
-    """Christoffel symbols Gamma^gamma_{alpha beta} at grid node p."""
-    m.chart.check_margin(p, 2)
-    g, dg, _ = metric_jet(m, p)
+    """Christoffel symbols Gamma^gamma_{alpha beta} at grid nodes p (..., n)."""
+    g, dg, _ = metric_jet(m, m.chart.check_margin(p, 2))
     return christoffel_from_jet(g, dg)
 
 
 def scalar_curvature(m, p):
-    """Scalar curvature at grid node p."""
-    m.chart.check_margin(p, 3)
-    return scal_from_jet(*metric_jet(m, p))
+    """Scalar curvature at grid nodes p (..., n); a float at one node."""
+    return scal_from_jet(*metric_jet(m, m.chart.check_margin(p, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +314,10 @@ def conformal_coupling(n):
 
 
 def conformal_scal(scal_g, u, lap_u, n):
-    """Scalar curvature of u^{4/(n-2)} g from the transformation law."""
+    """Scalar curvature of u^{4/(n-2)} g from the transformation law, elementwise."""
     if n < 3:
         raise DomainError("transformation law needs n >= 3")
-    if u <= 0:
+    if np.any(np.asarray(u) <= 0):
         raise DomainError("conformal factor must be positive")
     c = float(1 / conformal_coupling(n))
     return u ** (-(n + 2.0) / (n - 2.0)) * (-c * lap_u + scal_g * u)
@@ -355,7 +354,7 @@ def _scalar_jet(m, f, p):
     if hasattr(f, "grad") and hasattr(f, "hess"):
         x = m.chart.node_coords(p)
         return np.asarray(f.grad(x), dtype=float), np.asarray(f.hess(x), dtype=float)
-    _, df, d2f = central_jet(_node_sampler(np.asarray(f, dtype=float), p), m.chart.spacings)
+    _, df, d2f = _stencil_jet(np.asarray(f, dtype=float), p, m.chart.spacings)
     return df, d2f
 
 
@@ -369,9 +368,9 @@ def level_set_shape(m, f, p):
     Returns (secondform, trace) where secondform is expressed in a
     g-orthonormal tangent frame at p.
     """
-    m.chart.check_margin(p, 2)
-    p = tuple(int(i) for i in p)
-    n = m.chart.dim
+    p = m.chart.check_margin(p, 2)
+    if p.ndim != 1:
+        raise DomainError(f"level_set_shape takes one node, got shape {p.shape}")
     g, dg, _ = metric_jet(m, p)
     gam = christoffel_from_jet(g, dg)
     ginv = _inverse(g)
@@ -379,7 +378,7 @@ def level_set_shape(m, f, p):
     df, d2f = _scalar_jet(m, f, p)
     norm2 = float(df @ ginv @ df)
     if norm2 < 1e-24:
-        raise DegenerateLevelSetError(f"vanishing gradient at node {p}")
+        raise DegenerateLevelSetError(f"vanishing gradient at node {tuple(p.tolist())}")
     norm = np.sqrt(norm2)
     nu_up = (ginv @ df) / norm  # unit normal, contravariant, along grad f
 

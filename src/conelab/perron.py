@@ -42,8 +42,8 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
-from .jets import Jet, jet_compose, jet_power, radial_laplacian
-from .spectral import lambda0_closed_form, log_tridiagonal, radial_operator_residual
+from .jets import Jet, jet_compose, jet_power
+from .spectral import lambda0_closed_form, log_tridiagonal, operator_value_jet, radial_operator_residual
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +579,6 @@ def _quintic_step_jet(y):
     inside = (y > 0.0) & (y < 1.0)
     zero = np.zeros_like(f)
     return Jet(f, np.where(inside, d1, zero), np.where(inside, d2, zero))
-
-
-def operator_value_jet(c: ConeSpec, j: Jet, r):
-    """-Delta f + kappa scal f evaluated from an analytic radial 2-jet."""
-    return -radial_laplacian(j, r, c.n) + c.kappa * (-(c.p + c.q) / r**2) * j.f
 
 
 def crease_smooth(f1: RadialProfile, f2: RadialProfile, crossing, eta, K, cone: ConeSpec):

@@ -211,6 +211,11 @@ def eigenfunction_below(c: ConeSpec, lam):
     )
 
 
+def operator_value_jet(c: ConeSpec, j: Jet, r):
+    """-Delta f + kappa scal f evaluated from an analytic radial 2-jet."""
+    return -radial_laplacian(j, r, c.n) + c.kappa * (-(c.p + c.q) / r**2) * j.f
+
+
 def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
     """Scale-invariant residual |r^2(-Delta u + kappa scal u - lam |A|^2 u)|/|u|.
 
@@ -236,11 +241,7 @@ def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
         ) / (12 * h**2)
         j = Jet(v, dv / r, (d2v - dv) / r**2)
     u = j.f
-    res = (
-        -radial_laplacian(j, r, c.n)
-        + c.kappa * cone_scal(c, r) * u
-        - lam * second_form_norm2(c, r) * u
-    )
+    res = operator_value_jet(c, j, r) - lam * second_form_norm2(c, r) * u
     scale = np.abs(u) + 1e-300
     vals = np.abs(res) * r**2 / scale
     return float(np.nanmax(vals))

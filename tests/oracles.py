@@ -1,6 +1,8 @@
 """Independent reference solvers and test-only constructions that only
 tests use."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -8,13 +10,7 @@ from scipy.optimize import brentq
 from conelab.barrier import _FD_STEP, _orthonormal_complement, sphere_distance
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
 from conelab.errors import DomainError, ResampleError, SingularMetricError, SolverError
-from conelab.fields import (
-    const_factor,
-    diagonal_metric_field,
-    func2_factor,
-    power2_factor,
-    round_sphere_factors,
-)
+from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
 from conelab.grids import _PIVOT_TOL, Chart, central_jet, conformal_coupling
 from conelab.jets import Jet
 
@@ -172,8 +168,53 @@ def cross_section_tube(r0, sigma, count=9):
 
 
 # ---------------------------------------------------------------------------
-# test metrics
+# test metrics and level functions
 # ---------------------------------------------------------------------------
+
+def power2_factor(scale=1.0):
+    """(scale * t)^2 as a separable factor."""
+    s2 = scale * scale
+    return lambda t: Jet(s2 * t**2, 2.0 * s2 * t, 2.0 * s2 + 0.0 * t)
+
+
+@dataclass(frozen=True)
+class CoordinateField:
+    """The level function f(x) = x_axis (a flat coordinate hyperplane)."""
+
+    axis: int
+    dim: int
+
+    def value(self, x):
+        return np.asarray(x, dtype=float)[..., self.axis]
+
+    def grad(self, x):
+        e = np.zeros(self.dim)
+        e[self.axis] = 1.0
+        return e
+
+    def hess(self, x):
+        return np.zeros((self.dim, self.dim))
+
+
+@dataclass(frozen=True)
+class RadiusField:
+    """f(x) = |x| in flat coordinates, with exact derivatives."""
+
+    dim: int
+
+    def value(self, x):
+        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return x / np.linalg.norm(x)
+
+    def hess(self, x):
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x)
+        xhat = x / r
+        return (np.eye(self.dim) - np.outer(xhat, xhat)) / r
+
 
 def polar_metric(chart):
     """g = diag(1, r^2) on a 2-D (r, theta) chart."""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conelab import grids
+from conelab.cones import DeformedCone, deformed_metric, make_cone
 from conelab.errors import (
     BoundaryMarginError,
     DegenerateLevelSetError,
@@ -15,15 +16,12 @@ from conelab.errors import (
     SingularMetricError,
 )
 from conelab.fields import (
-    CoordinateField,
-    RadiusField,
     TrigField,
     const_factor,
     cylinder_metric,
     diagonal_metric_field,
     flat_metric,
     func2_factor,
-    power2_factor,
     sin2_factor,
 )
 from conelab.grids import (
@@ -38,7 +36,14 @@ from conelab.grids import (
     scalar_curvature,
 )
 from conelab.jets import Jet
-from oracles import check_metric_unblocked, polar_metric, sphere_metric
+from oracles import (
+    CoordinateField,
+    RadiusField,
+    check_metric_unblocked,
+    polar_metric,
+    power2_factor,
+    sphere_metric,
+)
 
 
 def _cube_chart(dim, lo, hi, count):
@@ -376,6 +381,77 @@ class TestScalarCurvature:
 
 
 # ---------------------------------------------------------------------------
+# grid nodes: validation and batches
+# ---------------------------------------------------------------------------
+
+def _batch_metrics():
+    """A sampled deformed cube, a cylinder and a deformed cone (both analytic)."""
+    chart = _cube_chart(3, 0.0, 1.0, 13)
+    u = TrigField.random(3, seed=3)
+    sampled = conformal_deform(flat_metric(chart), u.value(chart.mesh()))
+    cone = deformed_metric(DeformedCone(make_cone(3, 3), alpha=-1.0), count=9)
+    return {"sampled": sampled, "cylinder": cylinder_metric(5), "deformed-cone": cone}
+
+
+_BATCH_METRICS = _batch_metrics()
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node", [(4,), (4, 4, 4), (4.7, 4), (4.0, 4), ("4", "4"), 4])
+    @pytest.mark.parametrize("call", [scalar_curvature, christoffel,
+                                      lambda m, p: level_set_shape(m, CoordinateField(0, 2), p)])
+    def test_malformed_node_is_a_domain_error(self, call, node):
+        # a wrong length or a non-integer entry is refused, not broadcast,
+        # indexed past the grid or truncated to a neighbouring node
+        m = flat_metric(_cube_chart(2, 0.0, 1.0, 9))
+        with pytest.raises(DomainError, match="nodes must be integers"):
+            call(m, node)
+
+    @pytest.mark.parametrize("call", [scalar_curvature, christoffel, lambda m, p: m.chart.node_coords(p)])
+    def test_wrong_length_on_an_analytic_metric(self, call):
+        with pytest.raises(DomainError, match="nodes must be integers"):
+            call(cylinder_metric(5), (3, 3, 3, 3))
+
+    def test_level_set_shape_takes_one_node(self):
+        m = flat_metric(_cube_chart(2, 0.0, 1.0, 9))
+        with pytest.raises(DomainError, match="one node"):
+            level_set_shape(m, CoordinateField(0, 2), [(4, 4), (4, 5)])
+
+    def test_margin_checked_at_every_node_of_a_batch(self):
+        m = flat_metric(_cube_chart(2, 0.0, 1.0, 9))
+        with pytest.raises(BoundaryMarginError, match=r"node \[4, 2\] .* axis 1"):
+            scalar_curvature(m, [[(4, 4), (4, 5)], [(4, 3), (4, 2)]])
+
+    def test_node_coords_batched_equal_one_node(self):
+        chart = Chart(((0.0, 1.0, 9), (-1.0, 2.0, 7), (0.5, 0.7, 5)))
+        nodes = np.random.default_rng(2).integers(0, 5, size=(2, 3, 3))
+        one = np.stack([chart.node_coords(tuple(p)) for p in nodes.reshape(-1, 3)])
+        np.testing.assert_array_equal(chart.node_coords(nodes), one.reshape(nodes.shape))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (6,), (2, 3)])
+    @pytest.mark.parametrize("kind", sorted(_BATCH_METRICS))
+    def test_batched_nodes_equal_one_node_calls(self, kind, lead):
+        """A batch of nodes gives the one-node results: bit for bit for a
+        single node, to 1e-12 relative otherwise (einsum rounds batches
+        differently)."""
+        m = _BATCH_METRICS[kind]
+        n = m.chart.dim
+        nodes = np.random.default_rng(5).integers(3, np.subtract(m.chart.shape, 3), size=lead + (n,))
+        scal, gam = scalar_curvature(m, nodes), christoffel(m, nodes)
+        if lead:
+            assert scal.shape == lead and gam.shape == lead + (n, n, n)
+        else:
+            assert isinstance(scal, float)
+        one = [(scalar_curvature(m, tuple(p)), christoffel(m, tuple(p))) for p in nodes.reshape(-1, n)]
+        one_scal = np.reshape([s for s, _ in one], lead)
+        one_gam = np.reshape([g for _, g in one], gam.shape)
+        if np.prod(lead) == 1:
+            assert np.asarray(scal).tobytes() == one_scal.tobytes() and gam.tobytes() == one_gam.tobytes()
+        np.testing.assert_allclose(scal, one_scal, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gam, one_gam, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # shared central stencil
 # ---------------------------------------------------------------------------
 
@@ -538,6 +614,15 @@ class TestConformalScal:
             conformal_scal(1.0, -1.0, 0.0, 7)
         with pytest.raises(DomainError):
             conformal_scal(1.0, 1.0, 0.0, 2)
+
+    def test_arrays_equal_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        s, u, lap = rng.uniform(-5, 5, 6), rng.uniform(0.1, 10, 6), rng.uniform(-3, 3, 6)
+        expected = [conformal_scal(float(a), float(b), float(c), 5) for a, b, c in zip(s, u, lap)]
+        assert conformal_scal(s, u, lap, 5).tobytes() == np.array(expected).tobytes()
+        u[3] = 0.0
+        with pytest.raises(DomainError):
+            conformal_scal(s, u, lap, 5)
 
     @given(
         u=st.floats(0.1, 10.0),
