@@ -59,20 +59,30 @@ class BendProfile:
         h = |t| exactly for |t| >= delta, so the quadrature runs only over
         the points with |t| < delta.  Each point's weighted sum is a sum
         along its own row, so its h does not depend on the other points of
-        the call."""
+        the call.  The quadrature works in place in one (points, nodes)
+        array and one scratch array of the same shape, with the arithmetic
+        of ``_psi``, so h is the same to the bit."""
         t = np.asarray(t, dtype=float)
-        s = np.minimum(np.abs(t), self.delta * (1.0 - 1e-14))
+        cap = self.delta * (1.0 - 1e-14)
+        s = np.minimum(np.abs(t), cap)
         inside = np.abs(t) < self.delta
         decay = np.where(inside, np.exp(-self._psi(s)), 0.0)
         hp = np.sign(t) * (1.0 - decay)
         hpp = np.where(inside, self._dpsi(s) * decay, 0.0)
         # tail(s) = integral_s^delta e^{-psi}, so h = |t| + tail(|t|)
-        half = (self.delta - s) / 2.0
-        mid = (self.delta + s) / 2.0
-        nodes = mid[inside][:, None] + half[inside][:, None] * _GAUSS_NODES
-        vals = np.exp(-self._psi(np.minimum(nodes, self.delta * (1.0 - 1e-14))))
+        half = (self.delta - s[inside]) / 2.0
+        mid = (self.delta + s[inside]) / 2.0
+        x = np.multiply(half[:, None], _GAUSS_NODES)
+        np.add(mid[:, None], x, out=x)
+        np.minimum(x, cap, out=x)
+        rate = np.subtract(self.delta, x)  # psi(x) = (k delta) x / (delta - x)
+        np.multiply(self.k * self.delta, x, out=x)
+        np.divide(x, rate, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        np.multiply(x, _GAUSS_WEIGHTS, out=x)
         tail = np.zeros(s.shape)
-        tail[inside] = half[inside] * (vals * _GAUSS_WEIGHTS).sum(-1)
+        tail[inside] = half * x.sum(-1)
         return Jet(np.abs(t) + tail, hp, hpp)
 
     def __call__(self, t):
@@ -215,12 +225,14 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201):
 
 def stiffness_search(tm: TubeMetric, delta, cap=2.0**20, samples=201):
     """Doubling search from k = 1 for the smallest certified stiffness k*
-    with min scal difference >= 0."""
+    with min scal difference >= 0.  Returns k* and the scal_compare report
+    of k*, which also holds the certified profile under "profile"."""
     k = 1.0
     while k <= cap:
-        rep = scal_compare(tm, build_h(k, delta), samples=samples)
+        bp = build_h(k, delta)
+        rep = scal_compare(tm, bp, samples=samples)
         if rep["min_diff"] >= 0:
-            return k, rep
+            return k, {**rep, "profile": bp}
         k *= 2.0
     raise IterationLimitError(f"no certified stiffness below the cap {cap}")
 

@@ -441,7 +441,7 @@ def check_bending_sphere(params, seed, gate):
     k_star, rep = bd.stiffness_search(tm, delta=delta, samples=61)
     gate.note(k_star=k_star)
     gate.at_least("min_scal_diff", rep["min_diff"], scal_diff_floor=0.0)
-    bp = bd.build_h(k_star, delta)
+    bp = rep["profile"]
     gate.below("totally_geodesic_residual", bd.totally_geodesic_residual(tm, bp), tg=1e-8)
     buckets = bd.dominant_decomposition(tm, bp, 0.5 * delta)
     gate.below("bucket_residual", abs(buckets["i6_offdiagonal"]), bucket=1e-12)

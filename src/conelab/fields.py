@@ -158,9 +158,10 @@ def diagonal_metric_field(chart: Chart, factors) -> AnalyticMetric:
 # ---------------------------------------------------------------------------
 
 def flat_metric(chart: Chart) -> MetricField:
+    """The Euclidean metric sampled on chart: a read-only broadcast view of
+    one identity, validated once."""
     n = chart.dim
-    g = np.broadcast_to(np.eye(n), chart.shape + (n, n)).copy()
-    return MetricField(chart, g)
+    return MetricField(chart, np.broadcast_to(np.eye(n), chart.shape + (n, n)))
 
 
 def round_sphere_factors(dim_sphere, radius=1.0, axis_offset=0):

@@ -126,8 +126,14 @@ def _check_metric(g):
     the blocks test finiteness, then symmetry (the strict upper triangle
     against its mirror), then the Cholesky factor; the pivot tolerance is
     tested once every node has factored.  So the first failed test over
-    all nodes names the error, whatever block it fails in."""
+    all nodes names the error, whatever block it fails in.
+
+    A node axis of stride 0 (a broadcast view) holds one node's memory at
+    every index, so it is collapsed to its first index: each distinct node
+    is validated once, and the decision is the same as over the copy."""
     n = g.shape[-1]
+    node_axes = zip(g.strides[:-2], g.shape)
+    g = g[tuple(0 if stride == 0 and size else slice(None) for stride, size in node_axes)]
     nodes = g.reshape(-1, n, n)
     blocks = [nodes[s:s + _BLOCK] for s in range(0, len(nodes), _BLOCK)]
     if not all(np.isfinite(b).all() for b in blocks):
@@ -201,14 +207,15 @@ class AnalyticMetric:
 # ---------------------------------------------------------------------------
 
 def _inverse(g):
-    if np.any(np.abs(np.linalg.det(g)) < 1e-300):
+    if (np.abs(np.linalg.det(g)) < 1e-300).any():
         raise SingularMetricError("metric not invertible")
     return np.linalg.inv(g)
 
 
 def _lowered(dg):
     """d_a g_br + d_b g_ar - d_r g_ab at [..., a, b, r] (d_d of it for d2g)."""
-    return np.swapaxes(dg, -3, -2) + dg - np.moveaxis(dg, -3, -1)
+    swapped = dg.swapaxes(-3, -2)
+    return swapped + dg - swapped.swapaxes(-2, -1)
 
 
 def christoffel_from_jet(g, dg):
@@ -218,31 +225,46 @@ def christoffel_from_jet(g, dg):
     return 0.5 * np.einsum("...gr,...abr->...gab", _inverse(g), _lowered(dg))
 
 
+def _total(a, k):
+    """Sum of a over its last k axes, one point's entries at a time."""
+    return a.reshape(a.shape[:a.ndim - k] + (-1,)).sum(-1)
+
+
 def scal_from_jet(g, dg, d2g):
     """Scalar curvature assembled from the metric 2-jet.
 
     scal = g^{ij}(d_k Gam^k_ij - d_j Gam^k_ik
                   + Gam^l_ij Gam^k_kl - Gam^l_ik Gam^k_jl)
 
-    Leading axes of g, dg and d2g are batch axes; a single point returns
-    a Python float.
+    Only the two traces of d Gam that scal needs are formed, never d Gam
+    itself: with d_d g^{gr} = -g^{ga} d_d g_ab g^{br}, every term is a
+    matmul or an elementwise product summed over one point's own trailing
+    axes, O(n^4) per point.  Leading axes of g, dg and d2g are batch axes,
+    and a point's value does not depend on the other points of the call;
+    a single point returns a Python float.
     """
+    batch, n = g.shape[:-2], g.shape[-1]
     ginv = _inverse(g)
-    t = _lowered(dg)
-    gam = 0.5 * np.einsum("...gr,...abr->...gab", ginv, t)
-
-    dginv = -np.einsum("...ga,...dab,...br->...dgr", ginv, dg, ginv)
-    dgam = 0.5 * (
-        np.einsum("...dgr,...abr->...dgab", dginv, t)
-        + np.einsum("...gr,...dabr->...dgab", ginv, _lowered(d2g))
-    )
-
-    contracted = np.einsum("...kkl->...l", gam)
-    t1 = np.einsum("...ij,...kkij->...", ginv, dgam)
-    t2 = np.einsum("...ij,...jkik->...", ginv, dgam)
-    t3 = np.einsum("...ij,...lij,...l->...", ginv, gam, contracted)
-    t4 = np.einsum("...ij,...lik,...kjl->...", ginv, gam, gam)
-    scal = t1 - t2 + t3 - t4
+    ginv_t = ginv.swapaxes(-1, -2)
+    row = ginv.reshape(batch + (1, n * n))
+    gam = 0.5 * (_lowered(dg) @ ginv_t[..., None, :, :])  # gam[i, k, l] = Gam^l_ik
+    gam_rows = gam.reshape(batch + (n, n * n))
+    # s[l] = g^{ij} Gam^l_ij, div[b] = g^{ka} d_k g_ab, c[l] = Gam^k_kl
+    s = (row @ gam.reshape(batch + (n * n, n)))[..., 0, :]
+    div = (row @ dg.reshape(batch + (n * n, n)))[..., 0, :]
+    c = gam.diagonal(0, -3, -1).sum(-1)
+    # raised[i, k, b] = g^{ij} g^{ka} d_j g_ab, lead[j, k, l] = g^{ij} Gam^l_ik
+    raised = ginv @ (ginv[..., None, :, :] @ dg).reshape(gam_rows.shape)
+    lead = ginv_t @ gam_rows
+    # the d2g parts: q[k, r] = g^{ij} L_kijr, p[k, r] = g^{ij} L_jikr with
+    # L_dabr = d_d(d_a g_br + d_b g_ar - d_r g_ab)
+    low = _lowered(d2g)
+    q = (row[..., None, :, :] @ low.reshape(batch + (n, n * n, n)))[..., 0, :]
+    p = ginv_t.reshape(row.shape) @ low.reshape(batch + (n * n, n * n))
+    # t1 - t2 is its d2g part plus -div.s + raised.gam; t3 = c.s, t4 = lead.gam^T
+    second = 0.5 * _total(ginv * (q - p.reshape(q.shape)), 2)
+    gam_t = gam.swapaxes(-1, -2).reshape(lead.shape)
+    scal = second + _total((c - div) * s, 1) + _total(raised * gam_rows - lead * gam_t, 2)
     return float(scal) if np.ndim(scal) == 0 else scal
 
 
@@ -275,8 +297,11 @@ def central_jet(sample, h):
 
 
 def _stencil_jet(values, p, h):
-    """central_jet of grid samples at nodes p (..., n): one index gather per offset."""
-    return central_jet(lambda offset: values[tuple(np.moveaxis(p + offset, -1, 0))], h)
+    """central_jet of grid samples at nodes p (..., n): one index gather per
+    offset, from the node axis moved to the front once."""
+    axes_first = np.moveaxis(p, -1, 0)
+    column = (-1,) + (1,) * (p.ndim - 1)
+    return central_jet(lambda offset: values[tuple(axes_first + offset.reshape(column))], h)
 
 
 def metric_jet(m, p):

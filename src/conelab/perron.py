@@ -112,9 +112,13 @@ class PerronProblem:
         if any(i0 == i1 for i0, i1 in _window_schedule(self)):
             raise ParameterError(f"{self.nodes} nodes are too coarse: window ends coincide")
 
-    @property
+    @functools.cached_property
     def grid(self):
-        return np.geomspace(self.domain[0], self.domain[1], self.nodes)
+        """The problem grid, uniform in s = ln r; built once per problem and
+        read-only, since every profile and window of the problem shares it."""
+        grid = np.geomspace(self.domain[0], self.domain[1], self.nodes)
+        grid.setflags(write=False)
+        return grid
 
     @property
     def coupling(self):

@@ -11,7 +11,7 @@ from conelab.barrier import _FD_STEP, _orthonormal_complement, sphere_distance
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
 from conelab.errors import DomainError, ResampleError, SingularMetricError, SolverError
 from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
-from conelab.grids import _PIVOT_TOL, Chart, central_jet, conformal_coupling
+from conelab.grids import _PIVOT_TOL, Chart, _inverse, _lowered, central_jet, conformal_coupling
 from conelab.jets import Jet
 
 
@@ -50,6 +50,33 @@ def shooting_eigen(w, r_in, r_out):
 
 
 # ---------------------------------------------------------------------------
+# curvature assembly through the full derivative of Gamma
+# ---------------------------------------------------------------------------
+
+def scal_from_jet_full(g, dg, d2g):
+    """`grids.scal_from_jet` through ellipsis einsums that build the whole
+    O(n^5) derivative dgam[d, g, a, b] = d_d Gamma^g_ab and then take its
+    two traces; leading axes are batch axes, one point gives a float."""
+    ginv = _inverse(g)
+    t = _lowered(dg)
+    gam = 0.5 * np.einsum("...gr,...abr->...gab", ginv, t)
+
+    dginv = -np.einsum("...ga,...dab,...br->...dgr", ginv, dg, ginv)
+    dgam = 0.5 * (
+        np.einsum("...dgr,...abr->...dgab", dginv, t)
+        + np.einsum("...gr,...dabr->...dgab", ginv, _lowered(d2g))
+    )
+
+    contracted = np.einsum("...kkl->...l", gam)
+    t1 = np.einsum("...ij,...kkij->...", ginv, dgam)
+    t2 = np.einsum("...ij,...jkik->...", ginv, dgam)
+    t3 = np.einsum("...ij,...lij,...l->...", ginv, gam, contracted)
+    t4 = np.einsum("...ij,...lik,...kjl->...", ginv, gam, gam)
+    scal = t1 - t2 + t3 - t4
+    return float(scal) if np.ndim(scal) == 0 else scal
+
+
+# ---------------------------------------------------------------------------
 # metric validation over all nodes at once
 # ---------------------------------------------------------------------------
 
@@ -83,7 +110,8 @@ def check_metric_unblocked(g):
 
 def bend_jet_full_quadrature(bp, t):
     """`BendProfile.jet` with the tail quadrature run at every point, also
-    where |t| >= delta discards it."""
+    where |t| >= delta discards it, and out of place: each step of the
+    quadrature is a new array, in the arithmetic order of `_psi`."""
     t = np.asarray(t, dtype=float)
     s = np.minimum(np.abs(t), bp.delta * (1.0 - 1e-14))
     inside = np.abs(t) < bp.delta

@@ -137,6 +137,15 @@ class TestJetQuadrature:
                 assert np.shape(g) == np.shape(w) == np.shape(t)
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
+    @pytest.mark.parametrize("k", [1.0, 2.0, 64.0, 2.0**18])
+    def test_bit_identical_on_the_certificate_samples(self, k):
+        # build_h's 10000 samples and both transition ends, up to k = 2^18,
+        # where the rate psi is steepest
+        bp = bd.BendProfile(k=k, delta=0.2, sigma=0.5, report={})
+        t = np.concatenate((np.linspace(-bp.sigma, bp.sigma, 10000), [bp.delta, -bp.delta]))
+        for g, w in zip(_parts(bp.jet(t)), _parts(bend_jet_full_quadrature(bp, t))):
+            assert g.tobytes() == w.tobytes()
+
     def test_special_points_on_one_array(self):
         bp = bd.build_h(3.0, 0.25)
         t = np.array(_SPECIAL) * bp.delta
@@ -397,6 +406,16 @@ class TestStiffnessSearch:
             k, rep = bd.stiffness_search(tm, delta=0.2, samples=samples)
             assert k == expect
             assert rep["min_diff"] >= 0.0
+
+    def test_report_holds_the_certified_profile(self):
+        # the profile the search certified, which callers reuse rather
+        # than rebuild: the same k*, delta and certificate as build_h
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        k, rep = bd.stiffness_search(tm, delta=0.2, samples=61)
+        bp = rep["profile"]
+        assert isinstance(bp, bd.BendProfile)
+        assert (bp.k, bp.delta, bp.report) == (k, 0.2, bd.build_h(k, 0.2).report)
+        np.testing.assert_array_equal(rep["diff"], bd.scal_compare(tm, bp, samples=61)["diff"])
 
     def test_stiffness_monotone_in_mean_curvature(self):
         # flatter cores (smaller trA) need stiffer bends

@@ -42,6 +42,7 @@ from oracles import (
     check_metric_unblocked,
     polar_metric,
     power2_factor,
+    scal_from_jet_full,
     sphere_metric,
 )
 
@@ -286,6 +287,69 @@ def test_blocked_check_accepts_no_nodes_like_one_pass():
     # an empty point batch has no failed test, as in one pass over all nodes
     for check in (check_metric_unblocked, grids._check_metric):
         check(np.zeros((0, 3, 3)))
+
+
+def _spoiled_block(kind):
+    """One (3, 3) node block that fails the test ``kind`` (or none)."""
+    g = np.eye(3) + 0.1
+    if kind == "nan":
+        g[1, 2] = np.nan
+    elif kind == "asymmetric":
+        g[0, 2] += 1e-9
+    elif kind == "not-pd":
+        g = np.diag([1.0, -1.0, 1.0])
+    elif kind == "tiny-pivot":
+        g = np.diag([1.0, 1.0, (0.99e-12) ** 2])
+    return g
+
+
+@pytest.mark.parametrize("kind", ["spd", "nan", "asymmetric", "not-pd", "tiny-pivot"])
+@pytest.mark.parametrize("source", [(1, 1, 1), (1, 9, 1), (7, 1, 1)])
+def test_stride_zero_metric_checked_like_its_copy(kind, source):
+    """A broadcast view (node axes of stride 0) raises the type and message
+    that its materialized copy raises, or passes like it."""
+    g = np.broadcast_to(np.eye(3) + 0.1, source + (3, 3)).copy()
+    g[tuple(np.subtract(source, 1))] = _spoiled_block(kind)
+    view = np.broadcast_to(g, (7, 9, 5, 3, 3))
+    assert 0 in view.strides[:3]
+    outcomes = []
+    for check, arr in ((grids._check_metric, view), (grids._check_metric, view.copy()),
+                       (check_metric_unblocked, view.copy())):
+        try:
+            check(arr)
+            outcomes.append(None)
+        except (DomainError, SingularMetricError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert (outcomes[0] is None) == (kind == "spd")
+
+
+def test_stride_zero_entries_are_not_collapsed():
+    # only node axes collapse: a block whose entries share memory is the
+    # rank-one all-ones matrix, which is singular
+    g = np.broadcast_to(1.0, (5, 5, 2, 2))
+    for arr in (g, g.copy()):
+        with pytest.raises(SingularMetricError, match="not positive definite"):
+            grids._check_metric(arr)
+
+
+def test_flat_metric_is_a_read_only_view():
+    m = flat_metric(_cube_chart(3, 0.0, 1.0, 7))
+    assert not m.g.flags.writeable
+    assert m.g.strides[:3] == (0, 0, 0)
+    with pytest.raises(ValueError):
+        m.g[3, 3, 3, 0, 0] = 2.0
+
+
+def test_conformal_deform_of_view_equals_copy():
+    chart = _cube_chart(3, -0.5, 0.5, 9)
+    u = TrigField.random(3, 4).value(chart.mesh())
+    view = flat_metric(chart)
+    copied = MetricField(chart, view.g.copy())
+    for factor in (u, 1.7):
+        a, b = conformal_deform(view, factor), conformal_deform(copied, factor)
+        assert a.g.tobytes() == b.g.tobytes()
+        assert scalar_curvature(a, (4, 4, 4)) == scalar_curvature(b, (4, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +617,30 @@ def test_diagonal_callbacks_match_central_differences(dim, seed):
     np.testing.assert_allclose(m.d2metric_fn(x0), d2g, rtol=tol, atol=tol)
 
 
+def _random_jets(rng, lead, dim):
+    """Random SPD metric 2-jets over the batch axes ``lead``, symmetric in
+    the metric pair and in the derivative pair."""
+    a = rng.uniform(-1.0, 1.0, lead + (dim, dim))
+    g = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
+    dg = rng.uniform(-1.0, 1.0, lead + (dim,) * 3)
+    dg = dg + np.swapaxes(dg, -1, -2)
+    d2g = rng.uniform(-1.0, 1.0, lead + (dim,) * 4)
+    d2g = d2g + np.swapaxes(d2g, -1, -2)
+    d2g = d2g + np.swapaxes(d2g, -4, -3)
+    return g, dg, d2g
+
+
+def _scal_tolerance(g, dg, d2g, ref):
+    """1e-12 of |ref| plus the size of the summed curvature terms of each
+    jet: scal can cancel to far below its terms, and summing in another
+    order moves it by rounding of the terms, not of the result."""
+    n = g.shape[-1]
+    size = lambda t, k: np.abs(t).reshape(t.shape[:t.ndim - k] + (-1,)).max(axis=-1)
+    ginv = size(np.linalg.inv(g), 2)
+    terms = n**2 * (ginv * size(d2g, 4) + ginv**2 * size(dg, 3) ** 2)
+    return 1e-12 * (np.abs(ref) + terms)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.integers(2, 6),
@@ -562,29 +650,61 @@ def test_diagonal_callbacks_match_central_differences(dim, seed):
 @example(dim=6, batch=6, seed=190)  # curvature terms cancel to 1e-4 of their size
 def test_batched_assembly_matches_pointwise(dim, batch, seed):
     """scal_from_jet and christoffel_from_jet over a leading batch axis agree
-    with pointwise calls on random SPD jets.  Not bitwise: einsum sums a
-    batch in a different order, so the absolute tolerance scales with the
+    with pointwise calls on random SPD jets, to the tolerance scaled by the
     size of the summed terms of each jet."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (batch, dim, dim))
-    g = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
-    dg = rng.uniform(-1.0, 1.0, (batch, dim, dim, dim))
-    dg = dg + np.swapaxes(dg, -1, -2)
-    d2g = rng.uniform(-1.0, 1.0, (batch, dim, dim, dim, dim))
-    d2g = d2g + np.swapaxes(d2g, -1, -2)
-    d2g = d2g + np.swapaxes(d2g, 1, 2)
+    g, dg, d2g = _random_jets(np.random.default_rng(seed), (batch,), dim)
     scal = grids.scal_from_jet(g, dg, d2g)
     pointwise = [grids.scal_from_jet(*jet) for jet in zip(g, dg, d2g)]
     assert scal.shape == (batch,)
     assert all(type(s) is float for s in pointwise)
-    size = lambda t: np.abs(t).reshape(batch, -1).max(axis=1)
-    ginv = size(np.linalg.inv(g))
-    terms = dim**2 * (ginv * size(d2g) + ginv**2 * size(dg) ** 2)
     # rtol=1e-12 plus a per-jet atol, which assert_allclose cannot take
-    np.testing.assert_array_less(np.abs(scal - pointwise), 1e-12 * (np.abs(pointwise) + terms))
+    np.testing.assert_array_less(np.abs(scal - pointwise), _scal_tolerance(g, dg, d2g, np.array(pointwise)))
     gam = grids.christoffel_from_jet(g, dg)
     np.testing.assert_allclose(gam, [grids.christoffel_from_jet(*jet) for jet in zip(g, dg)],
                                rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 10),
+    lead=st.one_of(st.sampled_from([(), (1,), (2, 3)]), st.integers(2, 8).map(lambda k: (k,))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scal_from_jet_matches_full_dgam_oracle(dim, lead, seed):
+    """The trace-only kernel equals the kernel that builds the whole O(n^5)
+    derivative of Gamma, at every batch shape and up to n = 10."""
+    g, dg, d2g = _random_jets(np.random.default_rng(seed), lead, dim)
+    scal, ref = grids.scal_from_jet(g, dg, d2g), scal_from_jet_full(g, dg, d2g)
+    if lead:
+        assert scal.shape == lead
+    else:
+        assert type(scal) is float and type(ref) is float
+    np.testing.assert_array_less(np.abs(np.subtract(scal, ref)), _scal_tolerance(g, dg, d2g, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    batch=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scal_from_jet_row_depends_only_on_its_jet(dim, batch, seed):
+    """Identical jets give identical floats whatever the other rows of the
+    call hold: scal_compare subtracts two batches whose rows beyond the
+    transition hold identical jets, and that difference must read 0.0."""
+    rng = np.random.default_rng(seed)
+    jets = _random_jets(rng, (batch,), dim)
+    others = _random_jets(rng, (batch,), dim)
+    pos = int(rng.integers(batch))
+    one = grids.scal_from_jet(*(a[pos] for a in jets))
+    mixed = [b.copy() for b in others]
+    for m, a in zip(mixed, jets):
+        m[pos] = a[pos]
+    repeated = [np.broadcast_to(a[pos], (2, 3) + a.shape[1:]).copy() for a in jets]
+    assert grids.scal_from_jet(*jets)[pos] == one
+    assert grids.scal_from_jet(*mixed)[pos] == one
+    assert (grids.scal_from_jet(*repeated) == one).all()
+    assert grids.scal_from_jet(*(a[pos:pos + 1] for a in jets))[0] == one
 
 
 def test_batched_assembly_rejects_any_singular_metric():

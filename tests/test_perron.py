@@ -153,6 +153,13 @@ class TestLocalSolve:
         with pytest.raises(ParameterError):
             pn.PerronProblem(cone=simons, lam=0.2, domain=(0.02, 1.0), boundary_value=1.0, nodes=nodes)
 
+    def test_problem_grid_built_once_and_read_only(self, problem):
+        grid = problem.grid
+        assert problem.grid is grid and not grid.flags.writeable
+        np.testing.assert_array_equal(grid, np.geomspace(*problem.domain, problem.nodes))
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
     def test_coarse_grids_that_pass_construction_solve(self, simons):
         for nodes in range(21, 61):
             pp = pn.PerronProblem(cone=simons, lam=0.2, domain=(0.02, 1.0), boundary_value=1.0,
