@@ -1,5 +1,10 @@
 """Greedy family selection on finite synthetic ball sets.
 
+A ``BallSet`` holds its balls as arrays, ``centers`` (N, d), ``radii`` (N,)
+and ``ids`` (N,), validated once when the set is built, whether from arrays
+(``make_ball_set``) or from a tuple of ``Ball``s.  Its ``balls`` tuple is
+built from the validated arrays on first use.
+
 Balls are processed in decreasing radius order (the finite surrogate of a
 well-ordering of the radii).  A ball whose center already lies in a kept
 larger ball is ruled out; otherwise it joins the smallest family whose kept
@@ -7,21 +12,28 @@ members stay separation-fold disjoint from it, opening a fresh family when
 necessary.  Balls are taken in blocks of ``_ROWS``: two array operations
 give a block's distances to the balls kept before it and among its own
 balls, and each ball kept inside the block then updates the block's later
-balls by one row.  The verification pass checks the three derived properties — intra-family
-6-rho disjointness, mutual center exclusion, and 3-rho cover of the
-target points — on the condensed list of kept pairs.
+balls by one row.  The verification pass checks the three derived
+properties — intra-family 6-rho disjointness, mutual center exclusion, and
+3-rho cover of the target points.  Sums of squares screen the upper
+triangle of kept pairs ``_ROWS`` rows at a time against broadcast
+thresholds, so its scratch memory is ``_ROWS`` rows by the kept count; the
+screened pairs are decided on the distances of the greedy assignment, and
+the targets as the coverability check of a ``BallSet`` decides them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .errors import BoundExceededError, DataIntegrityError, DomainError
+from .errors import BoundExceededError, DataIntegrityError, DomainError, ParameterError
 
 #: same-family separation factor (enlargement radius multiplier)
 SEPARATION = 10.0
@@ -30,35 +42,40 @@ DISJOINT = 6.0
 #: cover enlargement factor
 COVER = 3.0
 
-#: target-ball distances per block of the coverability check
+#: target-ball distances per block of the cover tests
 _BLOCK = 1 << 18
-#: balls per block of the greedy assignment
+#: balls per block of the greedy assignment and rows per block of the
+#: verifier's pair triangle
 _ROWS = 64
+
+#: least screening reach, so that squares which underflow drop no pair
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 #: empirically calibrated family-count bounds per dimension
 C_BOUND_DEFAULTS = {2: 12, 3: 24}
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: tuple
-    radius: float
-    ball_id: int
+class Ball(namedtuple("Ball", "center radius ball_id")):
+    """One ball.  The constructor validates; ``Ball._make`` does not, and
+    is only used on values that a ``BallSet`` validates."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and all(map(math.isfinite, self.center))):
+    __slots__ = ()
+
+    def __new__(cls, center, radius, ball_id):
+        if not (math.isfinite(radius) and all(map(math.isfinite, center))):
             raise DomainError("ball center and radius must be finite")
-        if self.radius <= 0:
+        if radius <= 0:
             raise DomainError("ball radius must be positive")
+        return super().__new__(cls, center, radius, ball_id)
 
 
 def _norms(diff):
     """Euclidean norms over the last axis of ``diff``.
 
-    Each norm is one BLAS dot of a row with itself, as in ``np.linalg.norm``
-    of a single vector, so the two agree bit for bit; an axis reduction
-    rounds differently in about one case in ten."""
-    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    Each norm is one dot product of a row with itself, as in
+    ``np.linalg.norm`` of a single vector, so the two agree bit for bit; an
+    axis reduction rounds differently in about one case in ten."""
+    return np.sqrt(np.vecdot(diff, diff))
 
 
 def _differences(points, others):
@@ -71,84 +88,142 @@ def _differences(points, others):
     return diff
 
 
-@dataclass(frozen=True)
+def _nonzero(mask):
+    """``np.nonzero`` of a 2-D mask, row by row; one flat scan is several
+    times faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _covered(points, centers, reach):
+    """Whether each point lies within ``reach`` of some center, in blocks of
+    at most ``_BLOCK`` point-center distances, so that a set whose every
+    center is a point stays linear in memory."""
+    covered = np.zeros(len(points), dtype=bool)
+    step = max(1, _BLOCK // max(len(centers), 1))
+    for start in range(0, len(points), step):
+        dist = _norms(_differences(points[start:start + step], centers))
+        covered[start:start + step] = np.any(dist <= reach, axis=1)
+    return covered
+
+
+def _first_bad_ball(centers, radii):
+    """Index and message of the first ball, in input order, that ``Ball``
+    would reject, or None."""
+    finite = np.isfinite(radii) & np.isfinite(centers).all(axis=1)
+    bad = ~finite | (radii <= 0)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, "ball center and radius must be finite" if not finite[k] else "ball radius must be positive"
+
+
+def _check_distinct(radii, ids):
+    if np.unique(radii).size != radii.size:
+        raise DomainError("radii must be pairwise distinct (perturb on input)")
+    if len(set(ids.tolist())) != ids.size:
+        raise DomainError("ball ids must be unique")
+
+
 class BallSet:
     """Finite ball collection with target points to cover.
 
-    ``sources`` optionally records the pre-recentering balls (radius half,
-    center within the source radius) for the center-shift step.
+    ``BallSet(balls, target)`` builds the set from a tuple of ``Ball``s,
+    ``make_ball_set`` from arrays; either way the arrays ``centers``,
+    ``radii`` and ``ids`` are validated once, here: finite centers, positive
+    and pairwise distinct radii, unique ids, one dimension, and every target
+    point within the cover enlargement of some ball.  ``sources`` optionally
+    records the pre-recentering balls (radius half, center within the source
+    radius) for the center-shift step.
     """
 
-    balls: tuple
-    target: np.ndarray
-    sources: tuple = None
+    def __init__(self, balls, target, sources=None):
+        balls = tuple(balls)
+        radii = np.array([b.radius for b in balls], dtype=float)
+        ids = np.array([b.ball_id for b in balls])
+        dims = {len(b.center) for b in balls}
+        if len(dims) > 1:
+            _check_distinct(radii, ids)
+            raise DomainError("all centers must share one dimension")
+        centers = np.array([b.center for b in balls], dtype=float).reshape(len(balls), dims.pop() if dims else 0)
+        self._validate(centers, radii, ids, target, sources)
+        self.__dict__["balls"] = balls  # the cached value of the balls property
 
-    def __post_init__(self):
-        radii = [b.radius for b in self.balls]
-        if len(set(radii)) != len(radii):
-            raise DomainError("radii must be pairwise distinct (perturb on input)")
-        ids = [b.ball_id for b in self.balls]
-        if len(set(ids)) != len(ids):
-            raise DomainError("ball ids must be unique")
-        if self.balls:
-            d = len(self.balls[0].center)
-            if any(len(b.center) != d for b in self.balls):
-                raise DomainError("all centers must share one dimension")
+    @classmethod
+    def _of_arrays(cls, centers, radii, ids, target, sources=None):
+        bs = cls.__new__(cls)
+        bs._validate(np.array(centers, dtype=float), np.array(radii, dtype=float), np.array(ids), target, sources)
+        return bs
+
+    def _validate(self, centers, radii, ids, target, sources):
+        bad = _first_bad_ball(centers, radii)
+        if bad is not None:
+            raise DomainError(bad[1])
+        _check_distinct(radii, ids)
+        try:
+            target = np.array(target, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("target must be (T, d) points, got a ragged or non-numeric list") from None
+        if not target.size and target.ndim < 2:  # () or []: no target points
+            target = np.zeros((0, centers.shape[1]))
+        target = np.atleast_2d(target)
+        if target.ndim != 2:
+            raise DomainError(f"target must be (T, d) points, got shape {target.shape}")
+        if not len(radii):
+            if target.size:
+                raise DomainError("nonempty target with empty ball set is not coverable")
+        elif len(target):
+            if target.shape[1] != centers.shape[1]:
+                raise DomainError("target dimension mismatch")
             # coverability precondition: every target point is reachable by
             # the cover enlargement of some input ball
-            target = np.atleast_2d(self.target)
-            if len(target) and target.shape[1] != d:
-                raise DomainError("target dimension mismatch")
-            centers = np.array([b.center for b in self.balls], dtype=float)
-            reach = COVER * np.asarray(radii)
-            # targets in blocks of at most _BLOCK target-ball distances, so
-            # that a set whose every center is a target stays linear in memory
-            step = max(1, _BLOCK // len(centers))
-            for start in range(0, len(target), step):
-                block = target[start:start + step]
-                covered = np.any(_norms(_differences(block, centers)) <= reach, axis=1)
-                if not covered.all():
-                    q = block[np.argmin(covered)]
-                    raise DomainError(f"target point {q} not coverable by any ball")
-        elif np.asarray(self.target).size:
-            raise DomainError("nonempty target with empty ball set is not coverable")
+            covered = _covered(target, centers, COVER * radii)
+            if not covered.all():
+                raise DomainError(f"target point {target[np.argmin(covered)]} not coverable by any ball")
+        for array in (centers, radii, ids, target):
+            array.flags.writeable = False
+        self.centers, self.radii, self.ids, self.target, self.sources = centers, radii, ids, target, sources
+
+    @cached_property
+    def balls(self):
+        # tuple.__new__, mapped from C, skips the check of Ball.__new__ that
+        # the arrays have passed, and the Python frame per ball of Ball._make
+        fields = zip(map(tuple, self.centers.tolist()), self.radii.tolist(), self.ids.tolist())
+        return tuple(map(tuple.__new__, repeat(Ball), fields))
 
     @property
     def dim(self):
-        return len(self.balls[0].center) if self.balls else 0
+        return self.centers.shape[1]
+
+    @cached_property
+    def _positions(self):
+        return {ball_id: k for k, ball_id in enumerate(self.ids.tolist())}
 
     def by_id(self, ball_id):
-        for b in self.balls:
-            if b.ball_id == ball_id:
-                return b
-        raise DataIntegrityError(f"no ball with id {ball_id}")
+        if ball_id not in self._positions:
+            raise DataIntegrityError(f"no ball with id {ball_id}")
+        return self.balls[self._positions[ball_id]]
 
 
 def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
     """Assemble a BallSet, perturbing tied radii deterministically from the
     seed so the decreasing-radius order is total."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
+    try:
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        radii = np.asarray(radii, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("need (N, d) centers and N radii, got a ragged or non-numeric list") from None
     if centers.ndim != 2 or radii.ndim != 1:
         raise DomainError(f"need (N, d) centers and N radii, got shapes {centers.shape} and {radii.shape}")
     if not centers.size or not radii.size:
         raise DomainError("empty ball set: need at least one center and one radius")
     if len(radii) != len(centers):
         raise DomainError("need one radius per center")
-    points = [tuple(c) for c in centers.tolist()]
     rng = np.random.default_rng(seed)
-    while True:
-        # the balls are built before each tie check: a radius the
-        # perturbation cannot separate (0, inf) is rejected, not looped on
-        balls = tuple(
-            Ball(center=c, radius=r, ball_id=i)
-            for i, (c, r) in enumerate(zip(points, radii.tolist()))
-        )
-        if len(set(radii.tolist())) == len(radii):
-            break
+    # a radius the perturbation cannot separate (0, inf, nan) is left for
+    # the validation to reject, not looped on
+    while np.unique(radii).size != radii.size and np.all((radii > 0) & np.isfinite(radii)):
         radii = radii * (1.0 + 1e-9 * rng.random(len(radii)))
-    target = np.atleast_2d(np.asarray(target, dtype=float)) if len(target) else np.zeros((0, centers.shape[1]))
-    return BallSet(balls=balls, target=target, sources=sources)
+    return BallSet._of_arrays(centers, radii, np.arange(len(radii)), target, sources)
 
 
 @dataclass(frozen=True)
@@ -167,15 +242,17 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
     """Greedy decreasing-radius family assignment.
 
     Raises BoundExceededError (with the blocking configuration as witness)
-    if a fresh family index would exceed c_bound.
+    if a fresh family index would exceed c_bound, and ParameterError if
+    c_bound is not a whole number.
     """
     if c_bound is None:
         c_bound = C_BOUND_DEFAULTS.get(bs.dim)
         if c_bound is None:
             raise DomainError(f"no default family bound for dimension {bs.dim}")
-    order = sorted(bs.balls, key=lambda b: -b.radius)
-    X = np.array([b.center for b in order], dtype=float).reshape(len(order), bs.dim)
-    radii = np.array([b.radius for b in order])
+    elif not (isinstance(c_bound, numbers.Real) and math.isfinite(c_bound) and c_bound == int(c_bound)):
+        raise ParameterError(f"family bound must be a whole number, got {c_bound!r}")
+    order = np.argsort(-bs.radii, kind="stable")
+    X, radii, ids = bs.centers[order], bs.radii[order], bs.ids[order].tolist()
     families = {}
     # kept balls, filled up to k in processing order, so all have larger
     # radius than the ball at hand
@@ -187,7 +264,7 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
         # a block's distances to the balls kept before it and among its own
         # balls, each in one operation; a ball kept inside the block then
         # rules out and blocks the block's later balls by one row update
-        block = order[start:start + _ROWS]
+        block = ids[start:start + _ROWS]
         x, r = X[start:start + _ROWS], radii[start:start + _ROWS]
         dist = _norms(_differences(x, C[:k]))
         ruled_out = np.any(dist < R[:k], axis=1)
@@ -198,12 +275,12 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
         # taken[i, f]: a kept ball of family f blocks ball i; the block
         # opens at most len(block) families beyond the `used` so far
         taken = np.zeros((len(block), used + len(block) + 2), dtype=bool)
-        rows, cols = np.nonzero(outer)
+        rows, cols = _nonzero(outer)
         taken[rows, F[cols]] = True
         kept_rows = []
-        for row, b in enumerate(block):
+        for row, ball_id in enumerate(block):
             if ruled_out[row]:
-                families[b.ball_id] = 0
+                families[ball_id] = 0
                 continue
             fam = int(taken[row, 1:].argmin()) + 1
             if fam > c_bound:
@@ -212,10 +289,10 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
                 for j in np.nonzero(blocking)[0]:
                     blockers.setdefault(int(F[j]), (tuple(C[j]), float(R[j])))
                 raise BoundExceededError(
-                    f"ball {b.ball_id} needs family {fam} > bound {c_bound}",
-                    witness={"ball": b, "blockers": blockers},
+                    f"ball {ball_id} needs family {fam} > bound {c_bound}",
+                    witness={"ball": bs.balls[order[start + row]], "blockers": blockers},
                 )
-            families[b.ball_id] = fam
+            families[ball_id] = fam
             ruled_out |= inside[row]
             taken[inner[row], fam] = True
             kept_rows.append(row)
@@ -226,45 +303,42 @@ def assign_families(bs: BallSet, c_bound=None) -> FamilyAssignment:
 
 
 def verify_families(bs: BallSet, fa: FamilyAssignment):
-    """Verification of the three derived properties on the condensed list
-    of kept pairs.
+    """Verification of the three derived properties on the kept balls.
 
     Returns a report dict with pass/fail and witnesses per property; pair
     witnesses are (ball_id_i, ball_id_j) with i < j in input order, row by
     row."""
-    kept = [b for b in bs.balls if fa.families.get(b.ball_id, 0) > 0]
-    centers = np.array([b.center for b in kept]) if kept else np.zeros((0, max(bs.dim, 1)))
-    radii = np.array([b.radius for b in kept])
-    fams = np.array([fa.families[b.ball_id] for b in kept])
-    report = {
-        "intra_family_disjoint": {"passed": True, "witnesses": []},
-        "center_exclusion": {"passed": True, "witnesses": []},
-        "target_cover": {"passed": True, "witnesses": []},
-    }
-    if kept:
-        ids = np.array([b.ball_id for b in kept])
-        # pdist sums the d squares in its own order, so its distances may
-        # differ from _norms' by about d units in the last place.  Shrunk by
-        # 4 d eps they screen the pairs (a center inside a ball implies 6-rho
-        # overlap), and the screened pairs are decided on _norms, which
-        # rounds each distance as assign_families does.
-        i, j = np.triu_indices(len(kept), 1)  # pdist's pair order, row by row
-        dist = pdist(centers)
-        dist *= 1.0 - 4 * centers.shape[1] * np.finfo(float).eps
-        near = np.flatnonzero(dist <= DISJOINT * (radii[i] + radii[j]))
-        i, j = i[near], j[near]
-        dist = _norms(centers[i] - centers[j])
+    fams = np.array([fa.families.get(ball_id, 0) for ball_id in bs.ids.tolist()])
+    kept = fams > 0
+    centers, radii, fams, ids = bs.centers[kept], bs.radii[kept], fams[kept], bs.ids[kept]
+    pairs = {"intra_family_disjoint": [], "center_exclusion": []}
+    # Squared distances summed one coordinate at a time screen the upper
+    # pair triangle, _ROWS rows at a time, against broadcast 6-rho
+    # thresholds (a center inside a ball is a 6-rho overlap).  The squares
+    # differ from those of _norms by a few units in the last place; the
+    # thresholds are widened by 8 d eps, more than that and their own
+    # rounding together, and kept above sqrt(tiny), so that squares which
+    # underflow drop no pair.  The screened pairs are decided on _norms,
+    # which rounds each distance as assign_families does.
+    reach = np.maximum(DISJOINT * (1.0 + 8 * bs.dim * np.finfo(float).eps) * radii, _SQRT_TINY)
+    for start in range(0, len(ids), _ROWS):
+        stop = min(start + _ROWS, len(ids))
+        sq = np.zeros((stop - start, len(ids) - start))
+        for c in range(bs.dim):
+            diff = np.subtract(centers[start:, c], centers[start:stop, c, None])
+            sq += np.square(diff, out=diff)
+        i, j = _nonzero(sq <= np.square(reach[start:stop, None] + reach[start:]))
+        upper = j > i
+        i, j = i[upper] + start, j[upper] + start
+        dist = _norms(centers[j] - centers[i])
         intra = (dist <= DISJOINT * (radii[i] + radii[j])) & (fams[i] == fams[j])
         exclusion = dist < np.maximum(radii[i], radii[j])
         for key, bad in (("intra_family_disjoint", intra), ("center_exclusion", exclusion)):
-            report[key] = {
-                "passed": not bad.any(),
-                "witnesses": list(zip(ids[i[bad]].tolist(), ids[j[bad]].tolist())),
-            }
-    for q in np.atleast_2d(bs.target):
-        if not len(kept) or not np.any(np.linalg.norm(centers - q, axis=-1) <= COVER * radii):
-            report["target_cover"]["passed"] = False
-            report["target_cover"]["witnesses"].append(tuple(q))
+            pairs[key] += zip(ids[i[bad]].tolist(), ids[j[bad]].tolist())
+    covered = _covered(bs.target, centers, COVER * radii)
+    report = {key: {"passed": not witnesses, "witnesses": witnesses} for key, witnesses in pairs.items()}
+    report["target_cover"] = {"passed": bool(covered.all()),
+                              "witnesses": [tuple(q) for q in bs.target[~covered]]}
     report["all_passed"] = all(
         report[key]["passed"]
         for key in ("intra_family_disjoint", "center_exclusion", "target_cover")
@@ -275,25 +349,24 @@ def verify_families(bs: BallSet, fa: FamilyAssignment):
 def double_balls(sources, offsets=None) -> BallSet:
     """Build the recentered set: each source B_rho(p) becomes B_{2 rho}(z)
     with z = p + offset, |offset| <= rho.  Used to exercise center_shift."""
+    sources = tuple(sources)
     shape = (len(sources), len(sources[0].center) if len(sources) else 0)
     if any(len(s.center) != shape[1] for s in sources):
         raise DomainError("all sources must share one dimension")
     offsets = np.zeros(shape) if offsets is None else np.asarray(offsets, dtype=float)
     if offsets.shape != shape:
         raise DomainError(f"need one offset per source, shape {shape}, got {offsets.shape}")
-    balls = []
-    for s, off in zip(sources, offsets):
-        if np.linalg.norm(off) > s.radius:
-            raise DomainError("recentering offset exceeds the source radius")
-        balls.append(
-            Ball(
-                center=tuple(np.asarray(s.center) + off),
-                radius=2.0 * s.radius,
-                ball_id=s.ball_id,
-            )
-        )
-    targets = np.array([s.center for s in sources])
-    return BallSet(balls=tuple(balls), target=targets, sources=tuple(sources))
+    centers = np.array([s.center for s in sources], dtype=float).reshape(shape)
+    radii = np.array([s.radius for s in sources], dtype=float)
+    doubled = centers + offsets, 2.0 * radii
+    # the first offending source decides: a too long offset, or a
+    # recentered ball that the validation of the set rejects
+    far = np.flatnonzero(_norms(offsets) > radii)
+    bad = _first_bad_ball(*doubled)
+    if len(far) and (bad is None or far[0] <= bad[0]):
+        raise DomainError("recentering offset exceeds the source radius")
+    ids = np.array([s.ball_id for s in sources])
+    return BallSet._of_arrays(*doubled, ids, target=centers, sources=sources)
 
 
 def center_shift(bs: BallSet, fa: FamilyAssignment) -> BallSet:
@@ -302,17 +375,14 @@ def center_shift(bs: BallSet, fa: FamilyAssignment) -> BallSet:
     if bs.sources is None:
         raise DataIntegrityError("ball set carries no source records")
     by_radius = {s.radius: s for s in bs.sources}
+    kept = np.array([fa.families.get(ball_id, 0) > 0 for ball_id in bs.ids.tolist()], dtype=bool)
     shifted = []
-    for b in bs.balls:
-        if fa.families.get(b.ball_id, 0) <= 0:
-            continue
-        src = by_radius.get(b.radius / 2.0)
+    for ball_id, half in zip(bs.ids[kept].tolist(), (bs.radii[kept] / 2.0).tolist()):
+        src = by_radius.get(half)
         if src is None:
-            raise DataIntegrityError(
-                f"kept ball {b.ball_id} has no source with radius {b.radius / 2.0}"
-            )
-        shifted.append(Ball(center=src.center, radius=src.radius, ball_id=b.ball_id))
-    return BallSet(balls=tuple(shifted), target=bs.target, sources=None)
+            raise DataIntegrityError(f"kept ball {ball_id} has no source with radius {half}")
+        shifted.append(Ball._make((src.center, src.radius, ball_id)))
+    return BallSet(balls=shifted, target=bs.target)
 
 
 # ---------------------------------------------------------------------------

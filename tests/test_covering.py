@@ -1,6 +1,11 @@
 """Tests for the greedy ball-family selection."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import covering as cv
-from conelab.errors import BoundExceededError, DataIntegrityError, DomainError
+from conelab.errors import BoundExceededError, DataIntegrityError, DomainError, ParameterError
+
+
+_FINITE = "ball center and radius must be finite"
+_POSITIVE = "ball radius must be positive"
 
 
 def _random_instance(trial, n=150, n_targets=20):
@@ -95,6 +104,103 @@ class TestBallSet:
             for i, (c, r) in enumerate(zip(centers, radii)):
                 cv.Ball(center=tuple(c), radius=r, ball_id=i)
 
+    @pytest.mark.parametrize("centers, radii, message", [
+        ([[0.0, 0.0], [np.nan, 1.0]], [1.0, 2.0], _FINITE),
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, 0.0], _POSITIVE),
+        ([[0.0, 0.0], [1.0, 1.0]], [np.inf, 1.0], _FINITE),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, np.nan]], [1.0, 0.0, 2.0], _POSITIVE),
+        ([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]], [1.0, 2.0, -1.0], _FINITE),
+        ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [-1.0, np.inf, 2.0], _POSITIVE),
+    ])
+    def test_first_bad_ball_named_by_its_own_check(self, centers, radii, message):
+        # several bad balls: the error is the one that the first of them, in
+        # input order, fails, from arrays as from unchecked Balls
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cv.make_ball_set(centers, radii)
+        balls = [cv.Ball._make((tuple(c), r, i)) for i, (c, r) in enumerate(zip(centers, radii))]
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cv.BallSet(balls=balls, target=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("balls, message", [
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 1.0, 1)], r"radii must be pairwise distinct \(perturb on input\)"),
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 2.0, 0)], "ball ids must be unique"),
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 2.0, 1)], "all centers must share one dimension"),
+        # the radii, then the ids, then the dimension
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 1.0, 0)], r"radii must be pairwise distinct \(perturb on input\)"),
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 1.0, 1)], r"radii must be pairwise distinct \(perturb on input\)"),
+        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 2.0, 0)], "ball ids must be unique"),
+    ])
+    def test_set_errors_in_order(self, balls, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cv.BallSet(balls=[cv.Ball(*b) for b in balls], target=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("target, shape", [
+        (np.zeros((2, 2, 2)), r"got shape \(2, 2, 2\)"),
+        ([[0.0, 0.0], [1.0]], "got a ragged or non-numeric list"),
+        ([["a", "b"]], "got a ragged or non-numeric list"),
+    ])
+    def test_malformed_target_rejected(self, target, shape):
+        with pytest.raises(DomainError, match=r"^target must be \(T, d\) points, " + shape):
+            cv.make_ball_set([[0, 0], [1, 1]], [1, 2], target=target)
+        balls = (cv.Ball((0.0, 0.0), 1.0, 0), cv.Ball((1.0, 1.0), 2.0, 1))
+        with pytest.raises(DomainError, match=r"^target must be \(T, d\) points, " + shape):
+            cv.BallSet(balls=balls, target=target)
+
+    def test_ragged_centers_rejected(self):
+        with pytest.raises(DomainError, match="^need \\(N, d\\) centers and N radii, got a ragged or non-numeric list$"):
+            cv.make_ball_set([[0.0, 0.0], [1.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("target", [(), [], np.zeros(0)])
+    def test_empty_target_has_no_points(self, target):
+        for bs in (cv.make_ball_set([[0.0, 0.0]], [1.0], target=target),
+                   cv.BallSet(balls=(cv.Ball((0.0, 0.0), 1.0, 0),), target=target)):
+            assert bs.target.shape == (0, 2)
+            assert cv.verify_families(bs, cv.assign_families(bs))["target_cover"]["witnesses"] == []
+
+    def test_scalar_target_is_one_point(self):
+        assert cv.make_ball_set([[0.0]], [1.0], target=2.0).target.tolist() == [[2.0]]
+        with pytest.raises(DomainError, match="^target dimension mismatch$"):
+            cv.make_ball_set([[0.0, 0.0]], [1.0], target=2.0)
+
+    def test_arrays_and_balls_give_one_set(self):
+        # a set from arrays and one from the same Balls: equal balls and
+        # arrays, and so equal families, errors, reports and JSON
+        bs, _ = _random_instance(5, n=200)
+        from_balls = cv.BallSet(balls=bs.balls, target=bs.target)
+        assert from_balls.balls == bs.balls
+        assert all(type(b) is cv.Ball for b in bs.balls)
+        for name in ("centers", "radii", "ids", "target"):
+            assert np.array_equal(getattr(from_balls, name), getattr(bs, name))
+        assert from_balls.dim == bs.dim
+        fa = cv.assign_families(bs, c_bound=200)
+        assert cv.assign_families(from_balls, c_bound=200) == fa
+        assert cv.verify_families(from_balls, fa) == cv.verify_families(bs, fa)
+        assert cv.ball_set_to_json(from_balls, fa) == cv.ball_set_to_json(bs, fa)
+        outcomes = [_assign_outcome(cv.assign_families, s, 1) for s in (bs, from_balls)]
+        assert isinstance(outcomes[0], tuple) and outcomes[0] == outcomes[1]
+
+    def test_balls_equal_checked_balls(self):
+        bs = cv.make_ball_set([[0.5, 1.5], [2.0, -1.0]], [0.25, 3.0])
+        assert bs.balls == (cv.Ball((0.5, 1.5), 0.25, 0), cv.Ball((2.0, -1.0), 3.0, 1))
+        assert [type(x) for b in bs.balls for x in b.center] == [float] * 4
+
+    def test_arrays_are_read_only_copies(self):
+        centers, radii = np.array([[0.0, 0.0], [5.0, 0.0]]), np.array([1.0, 2.0])
+        bs = cv.make_ball_set(centers, radii)
+        centers[0, 0] = radii[0] = 7.0
+        assert bs.centers[0, 0] == 0.0 and bs.radii[0] == 1.0
+        assert centers.flags.writeable
+        for array in (bs.centers, bs.radii, bs.ids, bs.target):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_by_id(self):
+        bs = cv.make_ball_set([[0.0, 0.0], [5.0, 0.0], [9.0, 0.0]], [1.0, 2.0, 3.0])
+        assert bs.by_id(1) == cv.Ball((5.0, 0.0), 2.0, 1)
+        assert bs.by_id(np.int64(2)).radius == 3.0
+        with pytest.raises(DataIntegrityError, match="no ball with id 3"):
+            bs.by_id(3)
+
 
 class TestAssignFamilies:
     def test_single_ball(self):
@@ -142,6 +248,26 @@ class TestAssignFamilies:
         witness = err.value.witness
         assert witness["ball"].ball_id == 0
         assert set(witness["blockers"]) == {1, 2}
+
+    @pytest.mark.parametrize("c_bound", [np.nan, np.inf, -np.inf, 2.5, "3", [3]])
+    def test_malformed_bound_rejected_before_any_work(self, c_bound, monkeypatch):
+        bs = cv.make_ball_set([[0.0, 0.0], [3.0, 0.0]], [1.0, 1.1])
+
+        def no_distances(diff):
+            raise AssertionError("distances computed before the bound was checked")
+
+        monkeypatch.setattr(cv, "_norms", no_distances)
+        with pytest.raises(ParameterError, match="family bound must be a whole number"):
+            cv.assign_families(bs, c_bound=c_bound)
+
+    def test_whole_bounds_accepted(self):
+        bs = cv.make_ball_set([[0.0, 0.0], [3.0, 0.0]], [1.0, 1.1])
+        for c_bound in (2, 2.0, np.int64(2), np.float64(2.0)):
+            fa = cv.assign_families(bs, c_bound=c_bound)
+            assert fa.families == {0: 2, 1: 1} and fa.c_bound == 2
+        for c_bound in (0, 0.0, -1):
+            with pytest.raises(BoundExceededError, match=f"ball 1 needs family 1 > bound {c_bound}$"):
+                cv.assign_families(bs, c_bound=c_bound)
 
     def test_witness_names_first_kept_blocker_of_each_family(self):
         # balls 0 and 1 share family 1 and both block ball 2
@@ -342,6 +468,23 @@ class TestCenterShift:
         with pytest.raises(DomainError, match="one offset per source"):
             cv.double_balls(src.balls, [0.7, 0.3])
 
+    @pytest.mark.parametrize("offsets, message", [
+        ([[np.nan, 0.0], [5.0, 0.0]], _FINITE),
+        ([[5.0, 0.0], [np.nan, 0.0]], "recentering offset exceeds the source radius"),
+        ([[0.0, 0.0], [np.inf, 0.0]], "recentering offset exceeds the source radius"),
+    ])
+    def test_first_offending_source_decides(self, offsets, message):
+        src = cv.make_ball_set([[0.0, 0.0], [5.0, 5.0]], [1.0, 2.0])
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cv.double_balls(src.balls, offsets)
+
+    def test_offset_of_exactly_the_radius_accepted(self):
+        src = cv.make_ball_set([[0.0, 0.0], [50.0, 0.0]], [5.0, 2.0])
+        doubled = cv.double_balls(src.balls, [[3.0, 4.0], [0.0, -2.0]])
+        assert doubled.balls == (cv.Ball((3.0, 4.0), 10.0, 0), cv.Ball((50.0, -2.0), 4.0, 1))
+        assert np.array_equal(doubled.target, src.centers)
+        assert doubled.sources == src.balls
+
 
 class TestJson:
     def test_round_trip_and_determinism(self):
@@ -443,6 +586,24 @@ def _corrupt(fa, seed):
         if rng.random() < 0.4:
             families[ball_id] = int(rng.integers(1, 4))
     return cv.FamilyAssignment(families=families, c_bound=fa.c_bound)
+
+
+def _greedy_keeps(n_kept, dim, seed):
+    """A crowded ball set on which the greedy rule keeps exactly ``n_kept``
+    balls: the balls of a larger one down to its ``n_kept``-th kept ball,
+    which the rule, taking balls in decreasing radius order, decides as in
+    the larger set."""
+    rng = np.random.default_rng(seed)
+    n = 3 * n_kept + 40
+    centers = rng.random((n, dim))
+    # radii up to 10^-1.3 in 2-D and 10^-1 in 3-D: the prefix holds ruled-out
+    # balls, and the larger set keeps at least 3 _ROWS + 5
+    top = -1.3 if dim == 2 else -1.0
+    bs = cv.make_ball_set(centers, 10.0 ** rng.uniform(-3.0, top, n), seed=seed)
+    fa = cv.assign_families(bs, c_bound=n)
+    kept = np.sort([b.radius for b in bs.balls if fa.families[b.ball_id]])[::-1]
+    keep = bs.radii >= kept[n_kept - 1]
+    return cv.make_ball_set(centers[keep], bs.radii[keep], target=centers[keep][:5])
 
 
 def _assign_outcome(assign, bs, c_bound):
@@ -552,6 +713,50 @@ class TestArrayKernels:
         for assignment in (fa, _corrupt(fa, 21)):
             assert cv.verify_families(bs, assignment) == _verify_reference(bs, assignment)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_kept", [cv._ROWS - 1, cv._ROWS, cv._ROWS + 1, 3 * cv._ROWS + 5])
+    def test_verify_block_boundaries(self, n_kept, dim):
+        bs = _greedy_keeps(n_kept, dim, seed=10 * n_kept + dim)
+        fa = cv.assign_families(bs, c_bound=len(bs.balls))
+        assert sum(f > 0 for f in fa.families.values()) == n_kept < len(bs.balls)
+        # every ruled-out ball revived: each one's center lies in a kept ball
+        revived = cv.FamilyAssignment({i: f or 1 + i % 3 for i, f in fa.families.items()}, fa.c_bound)
+        for assignment in (fa, _corrupt(fa, n_kept), revived):
+            assert cv.verify_families(bs, assignment) == _verify_reference(bs, assignment)
+        report = cv.verify_families(bs, revived)
+        assert report["intra_family_disjoint"]["witnesses"] and report["center_exclusion"]["witnesses"]
+
+    @pytest.mark.parametrize("scale", [2.0 ** -520, 2.0 ** -530])
+    def test_pairs_whose_squares_underflow(self, scale):
+        # centres and radii so small that squared coordinate differences are
+        # subnormal or zero: the screen must still keep every pair that the
+        # verifier's distances decide
+        rng = np.random.default_rng(8)
+        for dim in (1, 2, 3, 9):
+            centers = rng.random((40, dim)) * scale
+            radii = rng.permutation(np.arange(1, 41)) / 40 * scale / 6
+            bs = cv.BallSet(balls=[cv.Ball(tuple(c), float(r), k) for k, (c, r) in enumerate(zip(centers, radii))],
+                            target=np.zeros((0, dim)))
+            fa = cv.FamilyAssignment(families={k: 1 + k % 2 for k in range(40)}, c_bound=2)
+            report = cv.verify_families(bs, fa)
+            assert report == _verify_reference(bs, fa)
+            assert report["intra_family_disjoint"]["witnesses"]
+
+    def test_verify_scratch_memory_is_blockwise(self):
+        # 3000 kept balls make 4.5 million pairs, 36 MB for one int64 entry
+        # per pair; a block of _ROWS rows holds 1.5 MB per float array
+        rng = np.random.default_rng(3)
+        n = 3000
+        bs = cv.make_ball_set(rng.random((n, 3)), 10.0 ** rng.uniform(-4, -3, n))
+        fa = cv.FamilyAssignment(families={k: 1 + k % 24 for k in range(n)}, c_bound=24)
+        tracemalloc.start()
+        try:
+            cv.verify_families(bs, fa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * cv._ROWS * n
+
     def test_pairs_on_the_disjointness_threshold_are_kept(self):
         # two balls in 9-D whose centre distance, as np.linalg.norm rounds
         # it, is exactly 6 (r + r'): pdist rounds a few such pairs above the
@@ -580,3 +785,12 @@ class TestArrayKernels:
             assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]
             assert report == _verify_reference(bs, fa)
         assert found >= 50
+
+
+def test_import_loads_no_scipy():
+    # the covering kernels need numpy only
+    code = "import sys, conelab.covering; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(Path(cv.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"
