@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gamma as gamma_fn
 
 from .cones import DeformedCone, RadialProfile
 from .errors import (
@@ -199,6 +197,8 @@ class ObstacleProblem:
             raise DomainError("area profile must be positive")
 
     def minimizer_radius(self):
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             self.area, bounds=(self.inner, self.outer), method="bounded",
             options={"xatol": 1e-10},
@@ -241,6 +241,8 @@ def deflection_radius(b: BarrierSpec, bracket=(1e-6, 10.0)):
     positive (barrier side) to negative; agrees with the stationary radius
     of the area profile.  The 400-rung geometric ladder over the bracket is
     traced in one call; brentq refines its first flip."""
+    from scipy.optimize import brentq
+
     if b.mu <= 0:
         raise NoBarrierError("deflection radius needs mu > 0")
     lo, hi = bracket
@@ -348,6 +350,8 @@ def line_barrier(ls: LineBarrierSpec, x):
 def _axis_kernel_constant(e_line):
     """c(e) = integral (1+s^2)^{-(e+1)/2} ds, normalizing point kernels so the
     full-axis superposition reproduces the d^{-e} line kernel."""
+    from scipy.special import gamma as gamma_fn
+
     e_pt = e_line + 1.0
     return math.sqrt(math.pi) * gamma_fn((e_pt - 1.0) / 2.0) / gamma_fn(e_pt / 2.0)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.metadata
 import importlib.resources
 import io
 import json
@@ -628,6 +627,8 @@ class RunReport:
 
 
 def _version():
+    import importlib.metadata
+
     try:
         return importlib.metadata.version("conelab")
     except importlib.metadata.PackageNotFoundError:

@@ -218,6 +218,10 @@ def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
         raise DomainError("empty ball set: need at least one center and one radius")
     if len(radii) != len(centers):
         raise DomainError("need one radius per center")
+    # a subnormal radius is a fixed point of the relative perturbation below
+    tiny = np.finfo(float).tiny
+    if np.any((radii > 0) & (radii < tiny)):
+        raise DomainError(f"ball radii must be at least {tiny} (the smallest normal float)")
     rng = np.random.default_rng(seed)
     # a radius the perturbation cannot separate (0, inf, nan) is left for
     # the validation to reject, not looped on

@@ -21,6 +21,7 @@ Index conventions for derivative arrays:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,7 +46,8 @@ _BLOCK = 4096  # nodes per metric validation block
 class Chart:
     """Uniform rectangular coordinate chart.
 
-    axes: tuple of (min, max, sample count) per coordinate axis.
+    axes: tuple of (min, max, sample count) per coordinate axis; a count is
+    an integer, so that the spacings are those of the nodes.
     """
 
     axes: tuple
@@ -54,6 +56,8 @@ class Chart:
         if len(self.axes) < 2:
             raise DomainError("chart needs dimension >= 2")
         for lo, hi, cnt in self.axes:
+            if isinstance(cnt, bool) or not isinstance(cnt, numbers.Integral):
+                raise DomainError(f"sample counts must be integers, got {cnt!r}")
             if cnt < 5:
                 raise DomainError("need >= 5 samples per axis for interior stencils")
             if not hi > lo:

@@ -27,8 +27,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .cones import ConeSpec, RadialProfile
 from .errors import (
@@ -65,10 +63,10 @@ def indicial_exponent(c: ConeSpec, lam):
     Returns (alpha, conjugate_root).  lambda at the discriminant threshold
     gives the double root -(n-2)/2."""
     n = c.n
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise OutOfBandError("lambda must be positive in the working band")
     disc = (n - 2.0) ** 2 / 4.0 - (c.kappa + lam) * (c.p + c.q)
-    if disc < 0:
+    if not disc >= 0:
         raise ComplexIndicialError(
             f"complex indicial roots for lambda = {lam}",
             lambda_max=indicial_lambda_max(c),
@@ -182,6 +180,8 @@ def _on_grid(pp: PerronProblem, f: RadialProfile):
 
 def laplace_first_eigen(c: ConeSpec, r0, r1):
     """First Dirichlet eigenvalue of -Delta (radial part) on [r0, r1]."""
+    from scipy.linalg import eigh_tridiagonal
+
     # -v'' + ((n-2)^2/4) v = mu e^{2s} v after u = r^{-(n-2)/2} v
     s, diag, off = log_tridiagonal(r0, r1, 400, (c.n - 2.0) ** 2 / 4.0)
     scale = 1.0 / np.sqrt(np.exp(2.0 * s[1:-1]))
@@ -218,6 +218,8 @@ def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=_WINDOW_N
     condition r u'/u = alpha; bc_outer is ("dirichlet", value).
     Returns (r_nodes, values) on the coarse grid.
     """
+    from scipy.linalg import solve_banded
+
     kind, val = bc_inner
     if kind not in ("dirichlet", "robin"):
         raise DomainError(f"unknown boundary condition {kind}")
@@ -347,6 +349,8 @@ def _length_basis(pp: PerronProblem, m, robin):
     """The rows of ``_window_basis`` for windows of ``m`` grid steps: one
     solve on the first such window, [grid[0], grid[m]], projected onto its
     nodes by a not-a-knot spline in ln r."""
+    from scipy.interpolate import CubicSpline
+
     grid = pp.grid[: m + 1]
     r0, r1 = grid[0], grid[-1]
     if robin:

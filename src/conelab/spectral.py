@@ -16,10 +16,10 @@ cross-check lives with the tests (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
 from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
@@ -109,6 +109,8 @@ def log_tridiagonal(r0, r1, nodes, c):
 
 def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
     """Smallest Dirichlet eigenvalue/eigenfunction via the log-variable FD."""
+    from scipy.linalg import eigh_tridiagonal
+
     n = w.cone.n
     pot = (n - 2.0) ** 2 / 4.0 - w.kappa * (w.cone.p + w.cone.q)
     wgt = w.eps**2 + w.cone.p + w.cone.q
@@ -164,8 +166,10 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
     geometric schedule, so pairwise extrapolants converge fast; the error
     estimate is the gap between the last two.
     """
-    if m_max < 3:
-        raise ParameterError("m_max must be >= 3: the error estimate needs two extrapolants")
+    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 3:
+        raise ParameterError(
+            f"m_max must be an integer >= 3, got {m_max!r}: the error estimate needs two extrapolants"
+        )
     w = WeightedProblem(cone=c, eps=eps, annulus=(r_out * 4.0 ** (-m_max), r_out))
     ms = list(range(1, m_max + 1))
     lams = [dirichlet_eigen(w, m).lam for m in ms]

@@ -1,6 +1,10 @@
 """Tests for the scenario runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,33 @@ class TestBundledSuite:
         for path in cli.bundled_scenarios().values():
             data = cli.load_scenario(str(path))
             assert isinstance(data["seed"], int)
+
+
+#: bundled scenarios whose checks call no scipy routine
+SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "metric-core")
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy subpackages load on first use: importing the runner (and with it
+    # every library module) loads none, and neither does running a scenario
+    # whose checks need numpy only
+    code = (
+        "import json, sys\n"
+        "import conelab.cli as cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = {'import conelab.cli': scipy()}\n"
+        f"for name in {SCIPY_FREE!r}:\n"
+        f"    cli.run_scenario(cli.bundled_scenarios()[name], {str(tmp_path)!r})\n"
+        "    loaded[name] = scipy()\n"
+        "print(json.dumps(loaded))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    loaded = json.loads(out.stdout)
+    assert list(loaded) == ["import conelab.cli", *SCIPY_FREE]
+    assert loaded == dict.fromkeys(loaded, [])
 
 
 class TestMain:

@@ -64,6 +64,18 @@ class TestConstruction:
         with pytest.raises(DomainError):
             Chart(((0.0, 1.0, 4), (0.0, 1.0, 5)))
 
+    @pytest.mark.parametrize("count", [7.5, 7.0, True, "7", np.float64(9.0)])
+    def test_chart_counts_must_be_integers(self, count):
+        # a fractional count would give spacings 1/(count - 1) that are not
+        # those of the int(count) nodes of coords_1d
+        with pytest.raises(DomainError, match="integers"):
+            Chart(((0.0, 1.0, count),) * 3)
+
+    def test_chart_accepts_numpy_integer_counts(self):
+        chart = Chart(((0.0, 1.0, np.int64(7)),) * 3)
+        assert chart.shape == (7, 7, 7)
+        np.testing.assert_array_equal(chart.spacings, 1.0 / 6.0)
+
     def test_metric_must_be_symmetric(self):
         chart = _cube_chart(2, 0.0, 1.0, 5)
         g = np.broadcast_to(np.eye(2), chart.shape + (2, 2)).copy()

@@ -72,6 +72,11 @@ class TestIndicial:
         with pytest.raises(OutOfBandError):
             pn.indicial_exponent(simons, 0.0)
 
+    def test_nan_lambda_rejected(self, simons):
+        # NaN compares false both ways: it must not pass as a root pair
+        with pytest.raises(OutOfBandError):
+            pn.indicial_exponent(simons, float("nan"))
+
     def test_monotone_in_lambda(self, simons):
         lams = np.linspace(0.125, 0.8, 12)
         alphas = [pn.indicial_exponent(simons, l)[0] for l in lams]

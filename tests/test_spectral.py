@@ -86,6 +86,20 @@ class TestDirichletEigen:
         expected = (pot + (np.pi / np.log(4.0)) ** 2) / 6.0
         assert abs(sp.dirichlet_eigen(w, 1).lam - expected) < 2e-6
 
+    @pytest.mark.parametrize("c", catalog_cones(), ids=lambda c: f"{c.p}x{c.q}")
+    def test_exact_discrete_eigenvalue(self, c):
+        # the log-grid operator is Toeplitz tridiagonal: -1/h^2 off the
+        # diagonal and 2/h^2 + pot on it, over N - 2 interior nodes, so its
+        # smallest eigenvalue is pot + (4/h^2) sin^2(pi/(2(N-1))) exactly
+        n, N = c.n, sp._NODES
+        pot = (n - 2.0) ** 2 / 4.0 - c.kappa * (c.p + c.q)
+        for eps in (0.0, 0.5):
+            w = sp.WeightedProblem(cone=c, eps=eps, annulus=(1e-3, 1.0))
+            for m in range(1, 7):
+                h = m * np.log(4.0) / (N - 1)
+                exact = (pot + 4.0 / h**2 * np.sin(np.pi / (2.0 * (N - 1))) ** 2) / (eps**2 + c.p + c.q)
+                np.testing.assert_allclose(sp.dirichlet_eigen(w, m).lam, exact, rtol=1e-9, atol=0)
+
     def test_annulus_validation(self, simons):
         with pytest.raises(DomainError):
             sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1.0, 0.5))
@@ -142,6 +156,15 @@ class TestLambda0:
         # the error estimate compares two Richardson extrapolants
         with pytest.raises(ParameterError):
             sp.lambda0_detailed(simons, m_max=m_max)
+
+    @pytest.mark.parametrize("m_max", [3.5, 6.0, True, "6"])
+    def test_fractional_exhaustion_length_rejected(self, simons, m_max):
+        # the schedule is range(1, m_max + 1): only a whole count is one
+        with pytest.raises(ParameterError, match="integer"):
+            sp.lambda0_detailed(simons, m_max=m_max)
+
+    def test_numpy_integer_exhaustion_length_accepted(self, simons):
+        assert sp.lambda0_detailed(simons, m_max=np.int64(3)).schedule == (1, 2, 3)
 
 
 class TestEigenfunctionBelow:
