@@ -38,7 +38,7 @@ class ComplexIndicialError(ValueError):
 
 
 class BallTooLargeError(ValueError):
-    """Sub-annulus fails the first-eigenvalue admissibility margin."""
+    """Window longer than every sweep window, which the window solve does not resolve."""
 
 
 class NotSupersolutionError(ValueError):

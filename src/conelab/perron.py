@@ -15,8 +15,15 @@ The problem grid is uniform in s, and (LO) in s is invariant under
 translation, so a sweep window's unit-data solutions on its own grid nodes
 depend only on its length in grid steps and its inner condition (Dirichlet,
 or the indicial Robin condition at the tip).  The Perron sweep therefore
-solves one window per (length, inner condition) and one margin eigenvalue
-per length: mu_1 and sup q both scale as r_0^-2 under r -> t r.
+solves one window per (length, inner condition).
+
+Every window admits the comparison principle: with u = r^{-(n-2)/2} v, (LO)
+in s reads v_ss = disc v, disc = (n-2)^2/4 - (kappa + lambda)(p+q), and
+disc >= 0 on the whole band [1/8, lambda0) that ``PerronProblem`` accepts
+(lambda0 is the indicial threshold on catalog cones).  So the Dirichlet
+problem on a window of any width has a positive Green function (Protter &
+Weinberger, Maximum Principles in Differential Equations, ch. 1), and the
+sweep uses every window of its schedule.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .errors import (
     ResolutionError,
 )
 from .jets import Jet, jet_compose, jet_power
-from .spectral import lambda0_closed_form, log_tridiagonal, operator_value_jet, radial_operator_residual
+from .spectral import lambda0_closed_form, operator_value_jet, radial_operator_residual
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +114,10 @@ class PerronProblem:
             raise OutOfBandError("lambda must lie in [1/8, lambda0)")
         if not _is_index(self.nodes) or self.nodes < 2:
             raise ParameterError(f"nodes must be an integer >= 2, got {self.nodes!r}")
-        if any(i0 == i1 for i0, i1 in _window_schedule(self)):
+        schedule = _window_schedule(self)
+        if not schedule:
+            raise DomainError(f"domain {self.domain} is too narrow for any sweep window")
+        if any(i0 == i1 for i0, i1 in schedule):
             raise ParameterError(f"{self.nodes} nodes are too coarse: window ends coincide")
 
     @functools.cached_property
@@ -149,10 +159,9 @@ class SupersolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# admissibility margin and local solves
+# local solves
 # ---------------------------------------------------------------------------
 
-_MARGIN_FACTOR = 1.1
 #: tolerance of the comparison test, relative to the profile's maximum
 _SUPER_RTOL = 1e-7
 #: log width of the widest (level-0) sweep window, and the nodes of a window solve
@@ -178,36 +187,15 @@ def _on_grid(pp: PerronProblem, f: RadialProfile):
     return f.values
 
 
-def laplace_first_eigen(c: ConeSpec, r0, r1):
-    """First Dirichlet eigenvalue of -Delta (radial part) on [r0, r1]."""
-    from scipy.linalg import eigh_tridiagonal
-
-    # -v'' + ((n-2)^2/4) v = mu e^{2s} v after u = r^{-(n-2)/2} v
-    s, diag, off = log_tridiagonal(r0, r1, 400, (c.n - 2.0) ** 2 / 4.0)
-    scale = 1.0 / np.sqrt(np.exp(2.0 * s[1:-1]))
-    d = diag * scale**2
-    e = off * scale[:-1] * scale[1:]
-    vals = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
-    return float(vals[0])
-
-
-def margin_ratio(pp: PerronProblem, sub):
-    """mu_1(-Delta on sub) / sup q for radii ``sub``: admissible iff >= 1.1."""
-    r0, r1 = sub
-    if not (pp.domain[0] <= r0 < r1 <= pp.domain[1] * (1 + 1e-12)):
-        raise DomainError("sub-annulus not inside the problem domain")
-    mu1 = laplace_first_eigen(pp.cone, r0, r1)
-    sup_q = pp.coupling / r0**2
-    return mu1 / sup_q
-
-
-def _require_margin(pp: PerronProblem, win):
-    """Raise BallTooLargeError unless index window ``win`` passes the margin."""
-    sub = pp.grid[list(win)]
-    ratio = _length_margin(pp, win[1] - win[0])
-    if ratio < _MARGIN_FACTOR:
+def _require_scheduled_length(pp: PerronProblem, win):
+    """Raise BallTooLargeError if index window ``win`` has more grid steps
+    than the longest window of ``_window_schedule``: ``_solve_window``'s
+    nodes resolve only those widths."""
+    longest = max(i1 - i0 for i0, i1 in _window_schedule(pp))
+    if win[1] - win[0] > longest:
         raise BallTooLargeError(
-            f"sub-annulus [{sub[0]}, {sub[1]}] margin {ratio:.3f} < {_MARGIN_FACTOR}"
+            f"window {win} spans {win[1] - win[0]} grid steps, more than the longest "
+            f"sweep window's {longest}"
         )
 
 
@@ -262,12 +250,13 @@ def local_solve(pp: PerronProblem, win, boundary):
     """Unique two-point solution of (LO) with end values ``boundary`` on the
     problem-grid nodes of index window ``win = (i0, i1)``, from its basis.
 
-    The admissibility margin (first Laplace eigenvalue of the sub-annulus
-    exceeding sup q by factor 1.1) certifies uniqueness; violating it
-    raises BallTooLargeError and the caller must shrink the window.
+    The solution is unique on a window of any width (see the module
+    docstring); a window longer than every window of the sweep schedule
+    raises BallTooLargeError, since the window solve does not resolve it,
+    and the caller must shrink the window.
     """
     win = _index_window(pp, win)
-    _require_margin(pp, win)
+    _require_scheduled_length(pp, win)
     sl, rows = _window_basis(pp, win, False)
     a, b = boundary
     return RadialProfile(pp.grid[sl], a * rows[0] + b * rows[1], tag="solution")
@@ -314,21 +303,6 @@ def _window_schedule(pp: PerronProblem):
     return tuple(windows)
 
 
-@_per_problem
-def _length_margin(pp: PerronProblem, m):
-    """``margin_ratio`` of every index window of ``m`` grid steps, taken on
-    the first one: the ratio depends on r1/r0 only."""
-    return margin_ratio(pp, pp.grid[[0, m]])
-
-
-@_per_problem
-def _admissible_windows(pp: PerronProblem):
-    """The margin-admissible windows of ``_window_schedule``, as index pairs."""
-    return tuple(
-        win for win in _window_schedule(pp) if _length_margin(pp, win[1] - win[0]) >= _MARGIN_FACTOR
-    )
-
-
 def _window_basis(pp: PerronProblem, win, robin):
     """Unit-data solutions on the problem-grid nodes of index window ``win``.
 
@@ -367,7 +341,7 @@ def _length_basis(pp: PerronProblem, m, robin):
 
 
 def is_supersolution(pp: PerronProblem, f: RadialProfile):
-    """Defining comparison test: on every admissible index window the local
+    """Defining comparison test: on every scheduled index window the local
     solution (``_window_basis``) with f's end values must stay below f.
 
     The test is discrete on the problem grid, and f must be sampled there
@@ -378,7 +352,7 @@ def is_supersolution(pp: PerronProblem, f: RadialProfile):
         bad = int(np.argmin(v))
         return False, {"window": None, "reason": "not positive", "index": bad}
     scale = float(np.abs(v).max())
-    for win in _admissible_windows(pp):
+    for win in _window_schedule(pp):
         sl, rows = _window_basis(pp, win, False)
         excess = np.max(v[win[0]] * rows[0] + v[win[1]] * rows[1] - v[sl])
         if excess > _SUPER_RTOL * scale:
@@ -398,7 +372,7 @@ def lift(pp: PerronProblem, f: RadialProfile, win, check=True):
         ok, witness = is_supersolution(pp, f)
         if not ok:
             raise NotSupersolutionError(f"lift requires a supersolution: {witness}")
-        _require_margin(pp, win)
+        _require_scheduled_length(pp, win)
     sl, rows = _window_basis(pp, win, False)
     vals[sl] = np.minimum(vals[sl], vals[win[0]] * rows[0] + vals[win[1]] * rows[1])
     return RadialProfile(pp.grid, vals, tag=f.tag)
@@ -428,7 +402,6 @@ class PerronResult:
     iterations: int
     residual: float
     minimality_checks: tuple
-    windows: int
     last_decrement: float
 
 
@@ -452,9 +425,7 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
     for f in seeds if seeds is not None else [default_seed(pp)]:
         sset.add(f)
 
-    windows = sorted(_admissible_windows(pp), key=lambda w: w[0])
-    if not windows:
-        raise DomainError("no admissible sweep windows; domain too small")
+    windows = sorted(_window_schedule(pp), key=lambda w: w[0])
     lifts = [(win, win[0] == 0) + _window_basis(pp, win, win[0] == 0) for win in windows]
 
     vals = sset.minimum().values
@@ -500,7 +471,6 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
         iterations=sweeps,
         residual=residual,
         minimality_checks=checks,
-        windows=len(windows),
         last_decrement=dec,
     )
 
