@@ -3,10 +3,12 @@
 Elementary barriers are truncated multiples of the radial Green's function
 rho^{-(n-2)}; conformally deforming by phi+ = mu * green * chi + 1 pushes
 area minimizers off the tip.  The module measures the truncation penalty,
-the deflection radius Theta_mu and its scaling law, superposes elementary
-barriers along an axis Riemann--Stieltjes style over arrays of points (one
-anchor kernel gives the distances to every anchored axis), and runs tube
-mean-curvature checks on the superposition, one call per stencil offset.
+the threshold weight mu_h (in closed form: the scal condition is linear in
+mu at each sample), the deflection radius Theta_mu and its scaling law,
+superposes elementary barriers along an axis Riemann--Stieltjes style over
+arrays of points (one anchor kernel gives the distances to every anchored
+axis), and runs tube mean-curvature checks on the superposition in one
+pass, one call per stencil offset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from .cones import DeformedCone, RadialProfile
 from .errors import (
     DomainError,
-    IterationLimitError,
     NoBarrierError,
     ParameterError,
     ResampleError,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .grids import central_jet, conformal_coupling, conformal_shape_shift
 from .jets import Jet, jet_power, radial_laplacian
-from .perron import CutoffSpec
+from .perron import CutoffSpec, _is_index
 
 #: default sample band for scal and residual checks (deformed distance)
 _BAND = (1e-3, 10.0)
@@ -69,6 +70,23 @@ def green_laplacian_residual(d: DeformedCone, step=None):
 # elementary barriers
 # ---------------------------------------------------------------------------
 
+def _green_cutoff_jet(n, cutoff: CutoffSpec, rho):
+    """2-jet of green * chi(rho - 1) >= 0, the profile that a barrier
+    weights by mu (one-sided at the shell edges)."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
+        raise DomainError("deformed distance must be positive")
+    g = jet_power(rho, -(n - 2.0))
+    # clamping the cutoff argument to 0 below the shell freezes chi at 1
+    # with zero derivatives, reproducing the exact piecewise definition
+    t = np.clip(rho - 1.0, 0.0, None)
+    inside = rho < 1.0
+    targ = Jet(t, np.where(inside, 0.0, 1.0), np.zeros_like(t))
+    chi_outer = cutoff.jet(targ.f)
+    chi = Jet(chi_outer.f, chi_outer.d1 * targ.d1, chi_outer.d2 * targ.d1**2)
+    return g * chi
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
     """Truncated elementary barrier phi+ = mu * green * chi(rho - 1) + 1.
@@ -81,8 +99,8 @@ class BarrierSpec:
     cutoff: CutoffSpec
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ParameterError("barrier weight mu must be >= 0")
+        if not 0 <= self.mu < np.inf:
+            raise ParameterError(f"barrier weight mu must be finite and >= 0, got {self.mu!r}")
 
     @property
     def n(self):
@@ -90,18 +108,7 @@ class BarrierSpec:
 
     def jet(self, rho):
         """Piecewise-analytic 2-jet of phi+ (one-sided at the shell edges)."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho <= 0):
-            raise DomainError("deformed distance must be positive")
-        g = jet_power(rho, -(self.n - 2.0))
-        # clamping the cutoff argument to 0 below the shell freezes chi at 1
-        # with zero derivatives, reproducing the exact piecewise definition
-        t = np.clip(rho - 1.0, 0.0, None)
-        inside = rho < 1.0
-        targ = Jet(t, np.where(inside, 0.0, 1.0), np.zeros_like(t))
-        chi_outer = self.cutoff.jet(targ.f)
-        chi = Jet(chi_outer.f, chi_outer.d1 * targ.d1, chi_outer.d2 * targ.d1**2)
-        return g * chi * self.mu + 1.0
+        return _green_cutoff_jet(self.n, self.cutoff, rho) * self.mu + 1.0
 
 
 def truncate(b: BarrierSpec):
@@ -144,36 +151,35 @@ def scal_quantity(b: BarrierSpec, rho):
     return b.deformed.scal_rho2() - coupling * np.asarray(rho) ** 2 * lap / j.f
 
 
+def _positive_interval(pair, what):
+    """(lo, hi) as floats with 0 < lo < hi < inf, else DomainError."""
+    lo, hi = map(float, pair)
+    if not 0 < lo < hi < np.inf:
+        raise DomainError(f"{what} {pair} must satisfy 0 < lo < hi < inf")
+    return lo, hi
+
+
 def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND):
-    """Largest mu keeping scal(hat g) >= iota_H / (2 rho_hat^2) on the band,
-    found by bisection (the threshold constants are not given in closed
-    form anywhere; this makes the quantifier executable)."""
+    """Largest mu keeping scal(hat g) >= iota_H / (2 rho_hat^2) at 2000
+    geometric samples of the band, in closed form.
+
+    With G = green * chi >= 0 the barrier is u = 1 + mu G and Delta u =
+    mu Delta G, so at each sample the condition scal_quantity >= iota/2 reads
+    mu (coupling rho^2 Delta G - iota/2 G) <= iota/2: mu_h is the least
+    bound over the samples with a positive slope.  A band on which no slope
+    is positive (inside B_1 green is harmonic) has no finite mu_h."""
+    lo, hi = _positive_interval(band, "mu_h band")
     iota = d.scal_rho2()
     if iota <= 0:
         raise NoBarrierError("deformed cone must have positive scal for a barrier")
-    rho = np.geomspace(band[0], band[1], 2000)
-
-    def ok(mu):
-        q = scal_quantity(BarrierSpec(deformed=d, mu=mu, cutoff=cutoff), rho)
-        return bool(np.all(q >= iota / 2.0))
-
-    hi = 1.0
-    tries = 0
-    while ok(hi):
-        hi *= 2.0
-        tries += 1
-        if tries > 60:
-            raise IterationLimitError(
-                f"every mu up to {hi} keeps the threshold on {band}: no finite mu_h"
-            )
-    lo = 0.0
-    while hi - lo > 1e-10 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rho = np.geomspace(lo, hi, 2000)
+    n = d.base.n
+    shape = _green_cutoff_jet(n, cutoff, rho)
+    coupling = float(1 / conformal_coupling(n))
+    slope = coupling * rho**2 * radial_laplacian(shape, rho, n) - iota / 2.0 * shape.f
+    if not np.any(slope > 0):
+        raise DomainError(f"every mu keeps the threshold on {band}: no finite mu_h")
+    return float(np.min(iota / 2.0 / slope[slope > 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +251,7 @@ def deflection_radius(b: BarrierSpec, bracket=(1e-6, 10.0)):
 
     if b.mu <= 0:
         raise NoBarrierError("deflection radius needs mu > 0")
-    lo, hi = bracket
-    if min(lo, hi) <= 0:
-        raise DomainError(f"deflection bracket {bracket} must be positive")
+    lo, hi = _positive_interval(bracket, "deflection bracket")
     ladder = np.geomspace(lo, hi, 400)  # ladder[0] == lo exactly
     vals = sphere_trace(b, ladder)
     if vals[0] <= 0:
@@ -300,8 +304,8 @@ class LineBarrierSpec:
     def __post_init__(self):
         if self.n < 5:
             raise DomainError("ambient dimension must be >= 5")
-        if self.level < 1:
-            raise ParameterError("discretization level must be >= 1")
+        if not _is_index(self.level) or self.level < 1:
+            raise ParameterError(f"discretization level must be an integer >= 1, got {self.level!r}")
         if any(np.shape(p.direction) != (self.n,) for p in self.points):
             raise DomainError(f"anchor directions must have length n = {self.n}")
         if not all(0 < p.weight < np.inf for p in self.points):
@@ -420,19 +424,19 @@ def tube_barrier_check(
     """Check that the conformally deformed tube around the first anchored
     axis has strictly positive inward mean curvature at every sample.
 
-    Returns (ok, margin) with margin the minimal sampled trace.  Samples sit
-    on axial x transverse stations; if the check fails it is repeated once
-    at twice the resolution in both (the resolution policy) and that pass
-    decides.  Directions hitting another anchored axis raise a resample
-    error."""
+    Returns (ok, margin) with margin the minimal sampled trace over
+    axial x transverse stations, from one pass: a negative sampled trace
+    already witnesses the failure.  Directions hitting another anchored
+    axis raise a resample error."""
     ls = superposition.spec
     if not ls.points:
         raise DomainError("superposition needs at least one anchor")
     rho = float(tube_radius)
     if not (0 < rho < np.pi / 2):
         raise DomainError("tube radius must lie in (0, pi/2)")
-    if axial_samples < 1 or transverse_samples < 1:
-        raise ParameterError("the tube check needs at least one sample each way")
+    counts = (axial_samples, transverse_samples)
+    if not all(map(_is_index, counts)) or min(counts) < 1:
+        raise ParameterError(f"tube sample counts must be integers >= 1, got {counts}")
     n = ls.n
     units = ls.units()
     p, others = units[0], units[1:]
@@ -440,23 +444,19 @@ def tube_barrier_check(
     a0, b0 = superposition.segment
     coupling_half = float(1 / (2 * conformal_coupling(n)))
 
-    for scale in (1, 2):
-        rng = np.random.default_rng(seed)
-        axial = scale * axial_samples
-        t_vals = a0 + (np.arange(axial) + 0.5) / axial * (b0 - a0)
-        coeff = rng.normal(size=(scale * transverse_samples, n - 1))
-        # each row is normalized and mapped by its own dot and gemv, so a
-        # sample rounds as it would alone; v is (samples, 1, n)
-        unit = coeff / np.sqrt(np.vecdot(coeff, coeff))[:, None]
-        v = (basis.T @ unit[:, :, None]).transpose(0, 2, 1)
-        omega = lambda r: np.cos(r) * p + np.sin(r) * v
-        if np.any(sphere_distance(omega(rho), others) < 10 * _FD_STEP):
-            raise ResampleError("transverse sample hit another anchored axis")
-        at = lambda off: superposition(omega(rho + off[0] * _FD_STEP), t_vals)
-        u0, du, _ = central_jet(at, [_FD_STEP])
-        margin = (-(n - 2.0) / np.tan(rho) + coupling_half * (-du[0]) / u0).min()
-        if margin > 0:
-            break
+    rng = np.random.default_rng(seed)
+    t_vals = a0 + (np.arange(axial_samples) + 0.5) / axial_samples * (b0 - a0)
+    coeff = rng.normal(size=(transverse_samples, n - 1))
+    # each row is normalized and mapped by its own dot and gemv, so a
+    # sample rounds as it would alone; v is (samples, 1, n)
+    unit = coeff / np.sqrt(np.vecdot(coeff, coeff))[:, None]
+    v = (basis.T @ unit[:, :, None]).transpose(0, 2, 1)
+    omega = lambda r: np.cos(r) * p + np.sin(r) * v
+    if np.any(sphere_distance(omega(rho), others) < 10 * _FD_STEP):
+        raise ResampleError("transverse sample hit another anchored axis")
+    at = lambda off: superposition(omega(rho + off[0] * _FD_STEP), t_vals)
+    u0, du, _ = central_jet(at, [_FD_STEP])
+    margin = (-(n - 2.0) / np.tan(rho) + coupling_half * (-du[0]) / u0).min()
     return margin > 0, float(margin)
 
 

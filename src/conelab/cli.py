@@ -311,7 +311,7 @@ def check_green_identity(params, seed, gate):
 
 def check_truncation_penalty(params, seed, gate):
     """sup|Laplacian phi+| is linear in mu; the curvature condition holds
-    with margin below the bisected threshold weight."""
+    with margin below the closed-form threshold weight mu_h."""
     d = _deformed(make_cone(3, 3))
     cut = pn.make_cutoff(4.0, 1.0)
     mus = np.array([1e-4, 1e-3, 1e-2])

@@ -65,10 +65,6 @@ class IterationLimitError(ConvergenceError):
     """Sweep/iteration budget exhausted before the tolerance was met."""
 
 
-class SolverError(RuntimeError):
-    """Numerical solver failed (carries diagnostics in args)."""
-
-
 class DivergentDistanceError(DomainError):
     """Conformal factor not integrable down to the tip."""
 

@@ -518,25 +518,26 @@ class CutoffSpec:
 
 
 def make_cutoff(K, delta):
-    """CutoffSpec with rate max(2K, 4), certified on samples (ResolutionError
-    if a margin is not positive).  With u = 1/(1-t) > 1/2 the slope margin
-    u^2 (u^2 - 2u + 2 rate - K) + rate (rate - K) is positive: 2 rate - K >= 6.
-    A NaN margin fails the certificate."""
+    """CutoffSpec with rate max(2K, 4) and its four margins in closed form
+    (ResolutionError if one is not positive, NaN and overflow included).
+
+    chi = e^{-psi} > 0, so the four inequalities divided by chi are
+    conditions on psi alone.  With u = 1/(1-t) > 1/2, psi' = rate + u^2
+    increases in u, and so does each of chi''/chi = psi'^2 - 2u^3,
+    chi''/chi - K psi' and chi''/chi - K: their derivatives are
+    2u (2u^2 - 3u + c) with c >= 2 rate - K >= 6 > 9/8.  So each margin's
+    infimum on (-1, 1) is its value at u = 1/2, that is t -> -1."""
     if not (0 < K < np.inf and 0 < delta < np.inf):
         raise ParameterError("K and delta must be positive and finite")
     pole = 1.0
     rate = max(2.0 * K, 4.0)
-    one_m = 1.0 - np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 10000)
-    # chi = e^{-psi} > 0, so dividing the four inequalities by chi gives
-    # equivalent conditions on psi alone, immune to underflow near t = 1
-    dpsi = rate + pole / one_m**2
-    d2psi = 2.0 * pole / one_m**3
-    curv = dpsi**2 - d2psi  # = chi''/chi
+    dpsi = rate + pole / 4.0
+    curv = dpsi**2 - pole / 4.0  # = chi''/chi
     margins = {
-        "chi_prime_negative": float(dpsi.min()),
-        "chi_second_positive": float(curv.min()),
-        "ratio_vs_slope": float((curv - K * dpsi).min()),
-        "ratio_vs_value": float((curv - K).min()),
+        "chi_prime_negative": dpsi,
+        "chi_second_positive": curv,
+        "ratio_vs_slope": curv - K * dpsi,
+        "ratio_vs_value": curv - K,
     }
     if not all(v > 0 for v in margins.values()):
         raise ResolutionError(f"cutoff rate {rate} fails its margins for K = {K}: {margins}")

@@ -7,9 +7,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conelab.barrier import _FD_STEP, _orthonormal_complement, sphere_distance
+from conelab.barrier import _FD_STEP, BarrierSpec, _orthonormal_complement, scal_quantity, sphere_distance
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
-from conelab.errors import DomainError, ResampleError, SingularMetricError, SolverError
+from conelab.errors import ConvergenceError, DomainError, ResampleError, SingularMetricError
 from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
 from conelab.grids import _PIVOT_TOL, Chart, _inverse, _lowered, central_jet, conformal_coupling
 from conelab.jets import Jet
@@ -31,7 +31,7 @@ def shooting_eigen(w, r_in, r_out):
             rhs, (s0, s1), [0.0, 1.0], rtol=1e-12, atol=1e-14, dense_output=False
         )
         if not sol.success:
-            raise SolverError(f"shooting integration failed: {sol.message}")
+            raise ConvergenceError(f"shooting integration failed: {sol.message}")
         return sol.y[0, -1]
 
     lo = pot / wgt  # at/below the oscillation threshold: end value positive
@@ -45,7 +45,7 @@ def shooting_eigen(w, r_in, r_out):
         fhi = end_value(hi)
         tries += 1
         if tries > 32:
-            raise SolverError("shooting bracket did not converge", (lo, hi, flo, fhi))
+            raise ConvergenceError("shooting bracket did not converge", (lo, hi, flo, fhi))
     return brentq(end_value, lo, hi, xtol=1e-13)
 
 
@@ -138,29 +138,52 @@ def tube_check_pointwise(superposition, tube_radius, axial_samples=64,
     basis = _orthonormal_complement(p)
     a0, b0 = superposition.segment
     coupling_half = float(1 / (2 * conformal_coupling(n)))
-    for scale in (1, 2):
-        rng = np.random.default_rng(seed)
-        axial = scale * axial_samples
-        t_vals = a0 + (np.arange(axial) + 0.5) / axial * (b0 - a0)
-        margin = np.inf
-        for _ in range(scale * transverse_samples):
-            coeff = rng.normal(size=n - 1)
-            v = basis.T @ (coeff / np.linalg.norm(coeff))
-            omega = lambda r: np.cos(r) * p + np.sin(r) * v
-            for other in ls.points[1:]:
-                if sphere_distance(omega(rho), other.unit()) < 10 * _FD_STEP:
-                    raise ResampleError("transverse sample hit another anchored axis")
-            for t in t_vals:
-                u0 = superposition(omega(rho), t)
-                up = superposition(omega(rho + _FD_STEP), t)
-                um = superposition(omega(rho - _FD_STEP), t)
-                du = (up - um) / (2 * _FD_STEP)
-                trace = -(n - 2.0) / np.tan(rho) + coupling_half * (-du) / u0
-                margin = min(margin, trace)
-        ok = margin > 0
-        if ok:
-            break
-    return ok, float(margin)
+    rng = np.random.default_rng(seed)
+    t_vals = a0 + (np.arange(axial_samples) + 0.5) / axial_samples * (b0 - a0)
+    margin = np.inf
+    for _ in range(transverse_samples):
+        coeff = rng.normal(size=n - 1)
+        v = basis.T @ (coeff / np.linalg.norm(coeff))
+        omega = lambda r: np.cos(r) * p + np.sin(r) * v
+        for other in ls.points[1:]:
+            if sphere_distance(omega(rho), other.unit()) < 10 * _FD_STEP:
+                raise ResampleError("transverse sample hit another anchored axis")
+        for t in t_vals:
+            u0 = superposition(omega(rho), t)
+            up = superposition(omega(rho + _FD_STEP), t)
+            um = superposition(omega(rho - _FD_STEP), t)
+            du = (up - um) / (2 * _FD_STEP)
+            trace = -(n - 2.0) / np.tan(rho) + coupling_half * (-du) / u0
+            margin = min(margin, trace)
+    return margin > 0, float(margin)
+
+
+def mu_h_bisection(d, cutoff):
+    """``barrier.mu_h`` on its default band by doubling and bisection on the
+    same 2000 samples: the largest passing mu found, with the absolute
+    stopping test hi - lo <= 1e-10 * max(hi, 1)."""
+    iota = d.scal_rho2()
+    rho = np.geomspace(1e-3, 10.0, 2000)
+
+    def ok(mu):
+        q = scal_quantity(BarrierSpec(deformed=d, mu=mu, cutoff=cutoff), rho)
+        return bool(np.all(q >= iota / 2.0))
+
+    hi = 1.0
+    tries = 0
+    while ok(hi):
+        hi *= 2.0
+        tries += 1
+        if tries > 60:
+            raise ConvergenceError(f"every mu up to {hi} keeps the threshold")
+    lo = 0.0
+    while hi - lo > 1e-10 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def trace_a(tm):

@@ -550,6 +550,35 @@ class TestMakeCutoff:
         spec = pn.make_cutoff(K, 0.2)
         assert min(spec.margins.values()) > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.floats(0.0, 1e3, exclude_min=True))
+    @example(K=1e-300)
+    @example(K=2.0)
+    @example(K=1e3)
+    def test_margins_are_the_closed_form_infima(self, K):
+        spec = pn.make_cutoff(K, 1.0)
+        rate = max(2.0 * K, 4.0)
+        dpsi = rate + 0.25
+        curv = dpsi**2 - 0.25
+        assert spec.margins == {
+            "chi_prime_negative": dpsi,
+            "chi_second_positive": curv,
+            "ratio_vs_slope": curv - K * dpsi,
+            "ratio_vs_value": curv - K,
+        }
+        # the infimum at t -> -1 lies at or below every sample of (-1, 1)
+        one_m = 1.0 - np.linspace(-1.0, 1.0, 20001)[1:-1]
+        dpsi_t = rate + 1.0 / one_m**2
+        curv_t = dpsi_t**2 - 2.0 / one_m**3
+        sampled = {
+            "chi_prime_negative": dpsi_t,
+            "chi_second_positive": curv_t,
+            "ratio_vs_slope": curv_t - K * dpsi_t,
+            "ratio_vs_value": curv_t - K,
+        }
+        for name, values in sampled.items():
+            assert spec.margins[name] <= values.min()
+
     def test_endpoint_values(self):
         spec = pn.make_cutoff(3.0, 1.0)
         j = spec.jet(np.array([0.0, 1.0, 2.0]))
