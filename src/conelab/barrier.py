@@ -26,12 +26,14 @@ from .errors import (
     ResampleError,
     SingularPointError,
 )
-from .grids import central_jet, conformal_coupling, conformal_shape_shift
-from .jets import Jet, jet_power, radial_laplacian
-from .perron import CutoffSpec, _is_index
+from .grids import _is_index, _positive_interval, central_jet, conformal_coupling, conformal_shape_shift
+from .jets import Jet, jet_compose, jet_power, radial_laplacian
+from .perron import CutoffSpec
 
 #: default sample band for scal and residual checks (deformed distance)
 _BAND = (1e-3, 10.0)
+#: cap on the total anchor weight of a line barrier
+_WEIGHT_CAP = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +83,7 @@ def _green_cutoff_jet(n, cutoff: CutoffSpec, rho):
     # with zero derivatives, reproducing the exact piecewise definition
     t = np.clip(rho - 1.0, 0.0, None)
     inside = rho < 1.0
-    targ = Jet(t, np.where(inside, 0.0, 1.0), np.zeros_like(t))
-    chi_outer = cutoff.jet(targ.f)
-    chi = Jet(chi_outer.f, chi_outer.d1 * targ.d1, chi_outer.d2 * targ.d1**2)
-    return g * chi
+    return g * jet_compose(cutoff.jet, Jet(t, np.where(inside, 0.0, 1.0), np.zeros_like(t)))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def truncate(b: BarrierSpec):
     n = b.n
     rho = np.geomspace(1e-3, 10.0, 4000)
     j = b.jet(rho)
-    prof = RadialProfile(rho, j.f, tag="conformal-factor", jet_fn=b.jet)
+    prof = RadialProfile(rho, j.f, jet_fn=b.jet)
 
     shell = np.linspace(1.0 + 1e-9, 2.0 - 1e-9, 2000)
     js = b.jet(shell)
@@ -149,14 +148,6 @@ def scal_quantity(b: BarrierSpec, rho):
     lap = radial_laplacian(j, np.asarray(rho, dtype=float), b.n)
     coupling = float(1 / conformal_coupling(b.n))
     return b.deformed.scal_rho2() - coupling * np.asarray(rho) ** 2 * lap / j.f
-
-
-def _positive_interval(pair, what):
-    """(lo, hi) as floats with 0 < lo < hi < inf, else DomainError."""
-    lo, hi = map(float, pair)
-    if not 0 < lo < hi < np.inf:
-        raise DomainError(f"{what} {pair} must satisfy 0 < lo < hi < inf")
-    return lo, hi
 
 
 def mu_h(d: DeformedCone, cutoff: CutoffSpec, band=_BAND):
@@ -196,8 +187,7 @@ class ObstacleProblem:
     area: object  # vectorized callable rho -> A(rho) > 0
 
     def __post_init__(self):
-        if not (0 < self.inner < self.outer):
-            raise DomainError("need 0 < inner < outer")
+        _positive_interval((self.inner, self.outer), "obstacle radii")
         probes = np.geomspace(self.inner, self.outer, 64)
         if np.any(np.asarray(self.area(probes)) <= 0):
             raise DomainError("area profile must be positive")
@@ -299,7 +289,6 @@ class LineBarrierSpec:
     n: int
     points: tuple
     level: int = 64
-    weight_cap: float = 10.0
 
     def __post_init__(self):
         if self.n < 5:
@@ -311,10 +300,8 @@ class LineBarrierSpec:
         if not all(0 < p.weight < np.inf for p in self.points):
             raise ParameterError("weights must be positive and finite")
         total = sum(p.weight for p in self.points)
-        if total > self.weight_cap:
-            raise ParameterError(
-                f"total weight {total} exceeds the cap {self.weight_cap}"
-            )
+        if total > _WEIGHT_CAP:
+            raise ParameterError(f"total weight {total} exceeds the cap {_WEIGHT_CAP}")
 
     def units(self):
         """(anchors, n) unit directions of the anchored axes."""
@@ -402,8 +389,8 @@ class Superposition:
 
 
 def stieltjes_superpose(ls: LineBarrierSpec, segment=(0.0, 1.0)) -> Superposition:
-    if not segment[0] < segment[1]:
-        raise DomainError("segment must be nondegenerate")
+    if not -np.inf < segment[0] < segment[1] < np.inf:
+        raise DomainError(f"segment {segment} must be finite and nondegenerate")
     return Superposition(spec=ls, segment=segment)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IterationLimitError, ParameterError, ResolutionError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import AnalyticMetric, Chart, scal_from_jet
+from .grids import AnalyticMetric, Chart, _is_index, scal_from_jet
 from .jets import Jet, jet_compose
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -89,17 +89,15 @@ class BendProfile:
         return self.jet(t).f
 
 
-def build_h(k, delta, sigma=None) -> BendProfile:
-    """Construct and certify a BendProfile on [-sigma, sigma].
+def build_h(k, delta) -> BendProfile:
+    """Construct and certify a BendProfile on [-sigma, sigma], sigma = 2.5 delta.
 
     All profile invariants are checked on 10000 samples; the report holds
     the minima of the two stiffness ratio inequalities.  Each certificate
     test fails on NaN."""
     if not (0 < k < np.inf and 0 < delta < np.inf):
         raise ParameterError("k and delta must be positive and finite")
-    sigma = 2.5 * delta if sigma is None else float(sigma)
-    if not (0 < delta < sigma / 2.0):
-        raise DomainError("need 0 < delta < sigma/2")
+    sigma = 2.5 * delta
     bp = BendProfile(k=k, delta=delta, sigma=sigma, report={})
     t = np.linspace(-sigma, sigma, 10000)
     j = bp.jet(t)
@@ -204,8 +202,8 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201):
 
     The identification t <-> h(t) matches the leaves N_t of the two tubes;
     beyond the transition width the difference vanishes identically."""
-    if samples < 2:
-        raise ParameterError("scal_compare needs at least 2 samples")
+    if not _is_index(samples) or samples < 2:
+        raise ParameterError(f"scal_compare needs an integer number of samples >= 2, got {samples!r}")
     bent = bend_metric(tm, bp)
     angles = _center_angles(tm)
     ts = np.linspace(0.0, tm.sigma * (1.0 - 1e-9), samples)

@@ -2,8 +2,8 @@
 
 Scenarios are JSON files with a versioned schema and a mandatory seed; the
 runner dispatches to a registry of named checks, each of which declares
-the library operations it exercises (for the coverage audit over the
-bundled scenario suite) and states each of its bounds in one `Gate` call.
+the library operations it exercises (listed in each report's ``ops``) and
+states each of its bounds in one `Gate` call.
 Artifacts are deterministic: identical scenario plus seed gives
 byte-identical JSON/CSV output (no timestamps).  `conelab run` and
 `conelab report` exit 1 when a check fails, 2 on a config error and 3 on
@@ -223,7 +223,7 @@ def check_lambda0_simons(params, seed, gate):
     gate.above("lambda0", res.lambda0, hardy_floor=0.25)
     seq, slack = np.array(res.lambda_sequence), 1e-12
     gate.require(np.all(np.diff(seq) <= slack), monotone_slack=slack)
-    w = sp.WeightedProblem(cone=c, eps=0.0, annulus=(0.01, 1.0))
+    w = sp.WeightedProblem(cone=c, eps=0.0, r_out=1.0)
     gate.require(sp.dirichlet_eigen(w, 2).lam > 0 and sp.weight(c, 0.0, 2.0) == 6.0 / 4.0)
     return f"exhaustion sequence {list(np.round(seq, 6))}"
 
@@ -276,9 +276,8 @@ def check_crease(params, seed, gate):
     rstar = 0.3
     scale = rstar ** (a_fast - a_slow)
     g = np.geomspace(0.05, 1.0, 4000)
-    f1 = RadialProfile(g, g**a_fast, tag="supersolution", jet_fn=lambda x: jet_power(x, a_fast))
-    f2 = RadialProfile(g, scale * g**a_slow, tag="supersolution",
-                       jet_fn=lambda x: jet_power(x, a_slow) * scale)
+    f1 = RadialProfile(g, g**a_fast, jet_fn=lambda x: jet_power(x, a_fast))
+    f2 = RadialProfile(g, scale * g**a_slow, jet_fn=lambda x: jet_power(x, a_slow) * scale)
     out, rep = pn.crease_smooth(f1, f2, rstar, eta=0.05, K=10.0, cone=c)
     floor = 0.0
     gate.above("operator_margin", rep["margin"], margin_floor=floor)
@@ -488,12 +487,6 @@ CHECKS = {
         "bending.build_h", "bending.bend_metric", "bending.scal_compare",
         "bending.dominant_decomposition"}),
 }
-
-#: module -> operations, derived from the CHECKS labels; the bundled
-#: scenario suite must exercise each at least once (see scenario_coverage)
-_LABELS = [label.split(".", 1) for _, labels in CHECKS.values() for label in labels]
-OP_INVENTORY = {module: {op for m, op in _LABELS if m == module} for module, _ in _LABELS}
-
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
@@ -742,20 +735,6 @@ def bundled_scenarios():
     base = importlib.resources.files("conelab") / "scenarios"
     return {p.name[:-5]: p for p in sorted(base.iterdir(), key=lambda p: p.name)
             if p.name.endswith(".json")}
-
-
-def scenario_coverage(sources):
-    """Union of declared ops over the scenarios, keyed by module."""
-    seen = set()
-    for src in sources:
-        data = load_scenario(src)
-        for entry in data["checks"]:
-            seen |= CHECKS[entry["check"]][1]
-    cov = {}
-    for module, ops in OP_INVENTORY.items():
-        hit = {label.split(".", 1)[1] for label in seen if label.startswith(module + ".")}
-        cov[module] = {"covered": sorted(hit & ops), "missing": sorted(ops - hit)}
-    return cov
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import AnalyticMetric, Chart, conformal_coupling
+from .grids import AnalyticMetric, Chart, _is_index, conformal_coupling
 from .jets import Jet
 
 
@@ -58,15 +58,13 @@ class ConeSpec:
 class RadialProfile:
     """A scalar function of the radial coordinate, sampled on a grid.
 
-    ``tag`` records the interpretation (conformal-factor, eigenfunction,
-    green, supersolution, ...).  When an analytic 2-jet callable ``jet_fn``
-    (r -> Jet of (value, d/dr, d^2/dr^2)) is attached, residual checks use
-    exact derivatives instead of stencils.
+    When an analytic 2-jet callable ``jet_fn`` (r -> Jet of (value, d/dr,
+    d^2/dr^2)) is attached, residual checks use exact derivatives instead
+    of stencils.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    tag: str = "conformal-factor"
     jet_fn: object = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -85,11 +83,6 @@ class RadialProfile:
         """Linear interpolation onto arbitrary radii inside the grid."""
         return np.interp(np.asarray(r, dtype=float), self.grid, self.values)
 
-    @classmethod
-    def from_function(cls, grid, fn, tag="conformal-factor", jet_fn=None):
-        grid = np.asarray(grid, dtype=float)
-        return cls(grid, np.asarray(fn(grid), dtype=float), tag=tag, jet_fn=jet_fn)
-
 
 def _sphere_volume(d, radius):
     """Volume of the round d-sphere of given radius."""
@@ -98,8 +91,8 @@ def _sphere_volume(d, radius):
 
 def make_cone(p, q):
     """Catalog constructor; radii fixed by minimality of the link."""
-    if p < 1 or q < 1:
-        raise DomainError("sphere factor dimensions must be >= 1")
+    if not (_is_index(p) and _is_index(q) and p >= 1 and q >= 1):
+        raise DomainError(f"sphere factor dimensions must be integers >= 1, got ({p!r}, {q!r})")
     if p + q + 1 < 7:
         warnings.warn(
             f"cone ({p},{q}) has n = {p + q + 1} < 7: outside the "
@@ -132,28 +125,25 @@ def cone_scal(c: ConeSpec, r):
 
 
 # ---------------------------------------------------------------------------
-# deformed cones (constant conformal factor c0 * r^alpha on the link)
+# deformed cones (conformal factor r^alpha)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeformedCone:
-    """The cone metric conformally deformed by u = c0 * r^alpha.
+    """The cone metric conformally deformed by u = r^alpha.
 
     The deformed metric is again a cone: d rho^2 + (m rho)^2 g_link with
     slope m = 1 + 2 alpha/(n-2) and rho the deformed distance to the tip.
-    alpha = 0, c0 = 1 is the undeformed cone.
+    alpha = 0 is the undeformed cone.
     """
 
     base: ConeSpec
     alpha: float
-    c0: float = 1.0
 
     def __post_init__(self):
         n = self.base.n
         if not (-(n - 2) / 2.0 < self.alpha <= 0.0):
             raise DomainError("alpha must lie in (-(n-2)/2, 0]")
-        if self.c0 <= 0:
-            raise DomainError("c0 must be positive")
 
     @property
     def slope(self):
@@ -164,7 +154,7 @@ class DeformedCone:
         """Deformed distance to the tip as a function of the original radius."""
         n = self.base.n
         e = 1.0 + 2.0 * self.alpha / (n - 2.0)
-        return self.c0 ** (2.0 / (n - 2.0)) * np.asarray(r, dtype=float) ** e / e
+        return np.asarray(r, dtype=float) ** e / e
 
     def scal_rho2(self):
         """scal * rho^2 of the deformed cone (a constant).

@@ -204,7 +204,7 @@ class BallSet:
         return self.balls[self._positions[ball_id]]
 
 
-def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
+def make_ball_set(centers, radii, target=(), seed=0) -> BallSet:
     """Assemble a BallSet, perturbing tied radii deterministically from the
     seed so the decreasing-radius order is total."""
     try:
@@ -227,7 +227,7 @@ def make_ball_set(centers, radii, target=(), seed=0, sources=None) -> BallSet:
     # the validation to reject, not looped on
     while np.unique(radii).size != radii.size and np.all((radii > 0) & np.isfinite(radii)):
         radii = radii * (1.0 + 1e-9 * rng.random(len(radii)))
-    return BallSet._of_arrays(centers, radii, np.arange(len(radii)), target, sources)
+    return BallSet._of_arrays(centers, radii, np.arange(len(radii)), target)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,22 @@ _PIVOT_TOL = 1e-12
 _BLOCK = 4096  # nodes per metric validation block
 
 
+def _is_index(i):
+    """i is an integer, and not a bool."""
+    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
+
+
+def _positive_interval(pair, what):
+    """(lo, hi) as floats with 0 < lo < hi < inf, else DomainError."""
+    try:
+        lo, hi = map(float, pair)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} {pair!r} must be a pair of numbers") from None
+    if not 0 < lo < hi < np.inf:
+        raise DomainError(f"{what} {pair} must satisfy 0 < lo < hi < inf")
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # charts and fields
 # ---------------------------------------------------------------------------
@@ -56,12 +72,12 @@ class Chart:
         if len(self.axes) < 2:
             raise DomainError("chart needs dimension >= 2")
         for lo, hi, cnt in self.axes:
-            if isinstance(cnt, bool) or not isinstance(cnt, numbers.Integral):
+            if not _is_index(cnt):
                 raise DomainError(f"sample counts must be integers, got {cnt!r}")
             if cnt < 5:
                 raise DomainError("need >= 5 samples per axis for interior stencils")
-            if not hi > lo:
-                raise DomainError("axis bounds must be increasing")
+            if not -np.inf < lo < hi < np.inf:
+                raise DomainError("axis bounds must be finite and increasing")
 
     @property
     def dim(self):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
+from .grids import _is_index, _positive_interval
 from .jets import Jet, jet_compose, jet_power
 from .spectral import lambda0_closed_form, operator_value_jet, radial_operator_residual
 
@@ -105,11 +105,9 @@ class PerronProblem:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r_in, r_out = self.domain
-        if not (0 < r_in < r_out):
-            raise DomainError("need 0 < r_in < r_out")
-        if self.boundary_value <= 0:
-            raise DomainError("boundary value must be positive")
+        _positive_interval(self.domain, "domain")
+        if not 0 < self.boundary_value < np.inf:
+            raise DomainError(f"boundary value must be positive and finite, got {self.boundary_value!r}")
         if not (0.125 <= self.lam < lambda0_closed_form(self.cone)):
             raise OutOfBandError("lambda must lie in [1/8, lambda0)")
         if not _is_index(self.nodes) or self.nodes < 2:
@@ -155,7 +153,7 @@ class SupersolutionSet:
         if not self.members:
             raise DomainError("empty supersolution set")
         vals = np.min([m.values for m in self.members], axis=0)
-        return RadialProfile(self.problem.grid, vals, tag="supersolution")
+        return RadialProfile(self.problem.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +165,6 @@ _SUPER_RTOL = 1e-7
 #: log width of the widest (level-0) sweep window, and the nodes of a window solve
 _WINDOW_WIDTH = math.log(2.0)
 _WINDOW_NODES = 1001
-
-
-def _is_index(i):
-    return isinstance(i, numbers.Integral) and not isinstance(i, bool)
 
 
 def _index_window(pp: PerronProblem, win):
@@ -259,7 +253,7 @@ def local_solve(pp: PerronProblem, win, boundary):
     _require_scheduled_length(pp, win)
     sl, rows = _window_basis(pp, win, False)
     a, b = boundary
-    return RadialProfile(pp.grid[sl], a * rows[0] + b * rows[1], tag="solution")
+    return RadialProfile(pp.grid[sl], a * rows[0] + b * rows[1])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +369,7 @@ def lift(pp: PerronProblem, f: RadialProfile, win, check=True):
         _require_scheduled_length(pp, win)
     sl, rows = _window_basis(pp, win, False)
     vals[sl] = np.minimum(vals[sl], vals[win[0]] * rows[0] + vals[win[1]] * rows[1])
-    return RadialProfile(pp.grid, vals, tag=f.tag)
+    return RadialProfile(pp.grid, vals)
 
 
 def default_seed(pp: PerronProblem) -> RadialProfile:
@@ -389,7 +383,6 @@ def default_seed(pp: PerronProblem) -> RadialProfile:
     return RadialProfile(
         grid,
         b * (grid / r_out) ** beta,
-        tag="supersolution",
         jet_fn=lambda x: jet_power(x, beta) * (b * r_out**-beta),
     )
 
@@ -418,8 +411,8 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
     measured, on the refinement of ``pp.grid`` by the smallest stride at
     window-solve resolution; the profile is every stride-th node of it.
     """
-    if max_sweeps < 1:
-        raise ParameterError("max_sweeps must be >= 1")
+    if not _is_index(max_sweeps) or max_sweeps < 1:
+        raise ParameterError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     alpha, _ = indicial_exponent(pp.cone, pp.lam)
     sset = SupersolutionSet(pp, [])
     for f in seeds if seeds is not None else [default_seed(pp)]:
@@ -465,7 +458,7 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
     )
     c_fit = pp.boundary_value / pp.domain[1] ** alpha
     return PerronResult(
-        profile=RadialProfile(pp.grid, polished, tag="solution"),
+        profile=RadialProfile(pp.grid, polished),
         alpha=alpha,
         c=c_fit,
         iterations=sweeps,
@@ -638,7 +631,7 @@ def crease_smooth(f1: RadialProfile, f2: RadialProfile, crossing, eta, K, cone: 
             f"operator inequality fails after blending (margin {margin}); "
             "increase K or decrease eta"
         )
-    out = RadialProfile(grid, jout.f, tag="supersolution", jet_fn=blend_jet)
+    out = RadialProfile(grid, jout.f, jet_fn=blend_jet)
     return out, {
         "gap": gap,
         "delta": delta,

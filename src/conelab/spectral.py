@@ -10,19 +10,22 @@ Schroedinger form
 
     -v'' + [ (n-2)^2/4 - kappa (p+q) ] v = lambda (eps^2 + p + q) v,
 
-which the finite-difference solver discretizes.  The independent shooting
-cross-check lives with the tests (``tests/oracles.py``).
+which the finite-difference solver discretizes.  A ``WeightedProblem``
+fixes only the outer radius r_out: its Dirichlet problems run on the
+exhaustion annuli K_m = [r_out 4^{-m}, r_out], m = 1, 2, ..., whose inner
+radii tend to the tip.  The independent shooting cross-check lives with
+the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
 from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
+from .grids import _is_index
 from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
@@ -31,18 +34,18 @@ _NODES = 2000
 
 @dataclass(frozen=True)
 class WeightedProblem:
-    """Weighted eigenproblem data on an annulus."""
+    """Weighted eigenproblem data: the exhaustion annuli K_m all end at the
+    outer radius ``r_out`` (see ``exhaustion_annulus``)."""
 
     cone: ConeSpec
     eps: float
-    annulus: tuple
+    r_out: float
 
     def __post_init__(self):
-        r_in, r_out = self.annulus
-        if not (0 < r_in < r_out):
-            raise DomainError("need 0 < r_in < r_out")
-        if self.eps < 0:
-            raise DomainError("eps must be >= 0")
+        if not 0 < self.r_out < np.inf:
+            raise DomainError(f"outer radius must be positive and finite, got {self.r_out!r}")
+        if not 0 <= self.eps < np.inf:
+            raise DomainError(f"eps must be finite and >= 0, got {self.eps!r}")
 
     @property
     def kappa(self):
@@ -93,10 +96,9 @@ def rayleigh(c: ConeSpec, f: RadialProfile, eps):
 
 def exhaustion_annulus(w: WeightedProblem, m):
     """K_m = [r_out * 4^{-m}, r_out]: the geometric exhaustion schedule."""
-    if m < 1:
-        raise DomainError("exhaustion index must be >= 1")
-    r_out = w.annulus[1]
-    return (r_out * 4.0 ** (-m), r_out)
+    if not _is_index(m) or m < 1:
+        raise DomainError(f"exhaustion index must be an integer >= 1, got {m!r}")
+    return (w.r_out * 4.0 ** (-m), w.r_out)
 
 
 def log_tridiagonal(r0, r1, nodes, c):
@@ -135,7 +137,7 @@ def dirichlet_eigen(w: WeightedProblem, m) -> EigenResult:
     n = w.cone.n
     mass = np.trapezoid(weight(w.cone, w.eps, r[band]) * u[band] ** 2 * r[band] ** (n - 1), r[band])
     u = u / np.sqrt(mass)
-    return EigenResult(lam=lam, profile=RadialProfile(r, u, tag="eigenfunction"), m=m)
+    return EigenResult(lam=lam, profile=RadialProfile(r, u), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +168,11 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
     geometric schedule, so pairwise extrapolants converge fast; the error
     estimate is the gap between the last two.
     """
-    if isinstance(m_max, bool) or not isinstance(m_max, numbers.Integral) or m_max < 3:
+    if not _is_index(m_max) or m_max < 3:
         raise ParameterError(
             f"m_max must be an integer >= 3, got {m_max!r}: the error estimate needs two extrapolants"
         )
-    w = WeightedProblem(cone=c, eps=eps, annulus=(r_out * 4.0 ** (-m_max), r_out))
+    w = WeightedProblem(cone=c, eps=eps, r_out=r_out)
     ms = list(range(1, m_max + 1))
     lams = [dirichlet_eigen(w, m).lam for m in ms]
     if np.any(np.diff(lams) > 1e-12):
@@ -210,9 +212,7 @@ def eigenfunction_below(c: ConeSpec, lam):
 
     alpha, _ = indicial_exponent(c, lam)
     r = np.geomspace(0.01, 1.0, 2000)
-    return RadialProfile(
-        r, r**alpha, tag="eigenfunction", jet_fn=lambda x: jet_power(x, alpha)
-    )
+    return RadialProfile(r, r**alpha, jet_fn=lambda x: jet_power(x, alpha))
 
 
 def operator_value_jet(c: ConeSpec, j: Jet, r):

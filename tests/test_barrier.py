@@ -655,3 +655,29 @@ class TestDimshift:
         # -(kappa_n - kappa_{n-1}) a^2 c
         rep = br.dimshift_scal_sign(2.0, 7, a=3.0)
         assert np.isclose(rep["residual_shift"], -float(rep["margin_coefficient"]) * 9.0 * 2.0)
+
+
+def _obstacle(inner, outer):
+    return br.ObstacleProblem(inner=inner, outer=outer, area=lambda r: r)
+
+
+def _superpose(segment):
+    anchor = br.LinePoint(direction=tuple(_axis_point(7)), weight=1.0)
+    return br.stieltjes_superpose(br.LineBarrierSpec(n=7, points=(anchor,), level=8), segment)
+
+
+#: malformed input -> (call, the typed error it raises)
+_MALFORMED = {
+    "obstacle-outer-inf": (lambda: _obstacle(0.1, np.inf), DomainError),
+    "obstacle-inner-nan": (lambda: _obstacle(np.nan, 1.0), DomainError),
+    "segment-inf-end": (lambda: _superpose((0.0, np.inf)), DomainError),
+    "segment-inf-start": (lambda: _superpose((-np.inf, 0.0)), DomainError),
+    "segment-nan-end": (lambda: _superpose((0.0, np.nan)), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    call, error = _MALFORMED[case]
+    with pytest.raises(error):
+        call()

@@ -94,8 +94,6 @@ class TestBuildH:
             bd.build_h(0.0, 0.2)
         with pytest.raises(ParameterError):
             bd.build_h(1.0, -0.2)
-        with pytest.raises(DomainError):
-            bd.build_h(1.0, 0.3, sigma=0.5)
 
     @pytest.mark.parametrize("k, delta", [(np.nan, 0.2), (np.inf, 0.2), (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_parameters_rejected(self, k, delta):
@@ -543,3 +541,22 @@ class TestStencilCrossCheck:
         exact0 = 2.0 * bp.jet(np.array([0.0])).d2[0] / (r0 - bp(np.array([0.0]))[0])
         ratio = abs(vals[0] - exact0) / abs(vals[1] - exact0)
         assert 1.7 < ratio < 2.5
+
+
+def _compare(samples):
+    return bd.scal_compare(bd.sphere_tube(4, theta0=0.9, sigma=0.45), bd.build_h(2.0, 0.2), samples=samples)
+
+
+#: malformed input -> (call, the typed error it raises)
+_MALFORMED = {
+    "samples-fraction": (lambda: _compare(3.5), ParameterError),
+    "samples-str": (lambda: _compare("3"), ParameterError),
+    "samples-bool": (lambda: _compare(True), ParameterError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    call, error = _MALFORMED[case]
+    with pytest.raises(error):
+        call()

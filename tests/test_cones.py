@@ -83,7 +83,7 @@ class TestDeformedCone:
     def test_alpha_zero_is_plain_cone(self):
         with pytest.warns(UserWarning, match=r"cone \(1,1\) has n = 3 < 7"):
             c = make_cone(1, 1)
-        d = DeformedCone(c, alpha=0.0, c0=1.0)
+        d = DeformedCone(c, alpha=0.0)
         assert d.slope == 1.0
         m = deformed_metric(d, rho_range=(0.8, 1.2), count=5)
         g = MetricField.from_function(m.chart, m.metric_fn).g
@@ -234,5 +234,22 @@ class TestRadialProfile:
             RadialProfile(np.array([1.0, 2.0]), np.array([np.inf, 0.0]))
 
     def test_interpolation(self):
-        prof = RadialProfile.from_function(np.linspace(1, 2, 11), lambda r: 2 * r)
+        grid = np.linspace(1, 2, 11)
+        prof = RadialProfile(grid, 2 * grid)
         assert np.isclose(prof(1.55), 3.1)
+
+
+#: malformed input -> (call, the typed error it raises)
+_MALFORMED = {
+    "p-fraction": (lambda: make_cone(2.5, 3), DomainError),
+    "q-fraction": (lambda: make_cone(3, 2.5), DomainError),
+    "p-bool": (lambda: make_cone(True, 3), DomainError),
+    "p-zero": (lambda: make_cone(0, 3), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    call, error = _MALFORMED[case]
+    with pytest.raises(error):
+        call()

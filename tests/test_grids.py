@@ -942,3 +942,21 @@ def test_constant_rescale_property(scale):
     s0 = scalar_curvature(MetricField(chart, base), (8, 8))
     s1 = scalar_curvature(MetricField(chart, scale * base), (8, 8))
     assert np.isclose(s1, s0 / scale, rtol=1e-6)
+
+
+#: malformed chart axes -> the typed error they raise
+_MALFORMED = {
+    "axis-inf-end": ((0.0, np.inf, 5), DomainError),
+    "axis-inf-start": ((-np.inf, 0.0, 5), DomainError),
+    "axis-nan-end": ((0.0, np.nan, 5), DomainError),
+    "axis-reversed": ((1.0, 0.0, 5), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    # an infinite axis gave infinite spacings, and the flat metric's
+    # stencils a scalar curvature of 0.0
+    axis, error = _MALFORMED[case]
+    with pytest.raises(error, match="finite and increasing"):
+        Chart((axis, (0.0, 1.0, 5)))

@@ -1,6 +1,8 @@
 """Tests for the Perron machinery: local solves, supersolutions, minimal
 solutions, indicial exponents, cutoffs and crease smoothing."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,7 +202,7 @@ class TestIsSupersolution:
     def test_exact_solution_passes(self, problem, simons):
         alpha, _ = pn.indicial_exponent(simons, problem.lam)
         grid = problem.grid
-        f = RadialProfile(grid, grid**alpha, tag="supersolution")
+        f = RadialProfile(grid, grid**alpha)
         ok, witness = pn.is_supersolution(problem, f)
         assert ok and witness is None
 
@@ -210,7 +212,7 @@ class TestIsSupersolution:
 
     def test_constant_fails_with_witness(self, problem):
         grid = problem.grid
-        f = RadialProfile(grid, np.ones_like(grid), tag="supersolution")
+        f = RadialProfile(grid, np.ones_like(grid))
         ok, witness = pn.is_supersolution(problem, f)
         assert not ok
         assert witness["excess"] > 0
@@ -221,7 +223,7 @@ class TestIsSupersolution:
         # the constant with the wrong sign
         alpha, _ = pn.indicial_exponent(simons, problem.lam)
         grid = problem.grid
-        f = RadialProfile(grid, grid**alpha + 0.5, tag="supersolution")
+        f = RadialProfile(grid, grid**alpha + 0.5)
         ok, witness = pn.is_supersolution(problem, f)
         assert not ok and witness["excess"] > 0
 
@@ -229,7 +231,7 @@ class TestIsSupersolution:
         grid = problem.grid
         vals = np.ones_like(grid)
         vals[3] = -1.0
-        ok, witness = pn.is_supersolution(problem, RadialProfile(grid, vals, tag="supersolution"))
+        ok, witness = pn.is_supersolution(problem, RadialProfile(grid, vals))
         assert not ok and witness["reason"] == "not positive"
 
 
@@ -255,7 +257,7 @@ class TestLift:
 
     def test_rejects_non_supersolution(self, problem):
         grid = problem.grid
-        f = RadialProfile(grid, np.ones_like(grid), tag="supersolution")
+        f = RadialProfile(grid, np.ones_like(grid))
         with pytest.raises(NotSupersolutionError):
             pn.lift(problem, f, _nodes(problem, (0.25, 0.5)))
 
@@ -315,7 +317,7 @@ class TestWindowBasis:
         # returns the local solution there
         vals = np.full_like(grid, 1e9)
         vals[list(win)] = a, b
-        f = RadialProfile(grid, vals, tag="supersolution")
+        f = RadialProfile(grid, vals)
         lifted = pn.lift(pp, f, win, check=False)
         # the basis is solved on the first window of its length (see
         # test_basis_is_keyed_on_window_length for the window's own ends)
@@ -350,8 +352,7 @@ class TestWindowBasis:
         # t outside [0, 1] and the ripple give both verdicts
         alpha_p, alpha_m = pn.indicial_exponent(pp.cone, pp.lam)
         beta = alpha_m + t * (alpha_p - alpha_m)
-        seed = RadialProfile(grid, grid**beta * (1.0 + wiggle * np.sin(7.0 * np.log(grid))),
-                             tag="supersolution")
+        seed = RadialProfile(grid, grid**beta * (1.0 + wiggle * np.sin(7.0 * np.log(grid))))
         for f in (seed, pn.lift(pp, seed, win, check=False)):
             ok, witness = pn.is_supersolution(pp, f)
             assert (ok, witness and witness["window"]) == _reference_is_supersolution(pp, f)
@@ -383,7 +384,7 @@ class TestWindowBasis:
         pp = pn.PerronProblem(cone=make_cone(3, 3), lam=0.2, domain=(0.02, 1.0),
                               boundary_value=1.0, nodes=400)
         grid = np.geomspace(0.02, 1.0, 777)
-        hardy = RadialProfile(grid, grid ** (-(pp.cone.n - 2.0) / 2.0), tag="supersolution")
+        hardy = RadialProfile(grid, grid ** (-(pp.cone.n - 2.0) / 2.0))
         with pytest.raises(DomainError):
             pn.is_supersolution(pp, hardy)
         with pytest.raises(DomainError):
@@ -402,7 +403,7 @@ class TestWindowBasis:
         fine = np.geomspace(0.02, 1.0, 10 * (pp.nodes - 1) + 1)
         vals = fine ** (-(pp.cone.n - 2.0) / 2.0)
         vals[10 * 200 + 5] *= 1e-3  # halfway between problem-grid nodes 200 and 201
-        dipped = RadialProfile(fine, vals, tag="supersolution")
+        dipped = RadialProfile(fine, vals)
         with pytest.raises(DomainError):
             pn.perron_minimal_detailed(pp, seeds=[dipped])
 
@@ -413,7 +414,7 @@ class TestSupersolutionSet:
         grid = problem.grid
         s = pn.SupersolutionSet(problem)
         s.add(pn.default_seed(problem))
-        s.add(RadialProfile(grid, 2.0 * grid**alpha, tag="supersolution"))
+        s.add(RadialProfile(grid, 2.0 * grid**alpha))
         m = s.minimum()
         assert np.all(m.values <= s.members[0].values + 1e-12)
         assert np.all(m.values <= s.members[1].values + 1e-12)
@@ -422,7 +423,7 @@ class TestSupersolutionSet:
         s = pn.SupersolutionSet(problem)
         grid = problem.grid
         with pytest.raises(NotSupersolutionError):
-            s.add(RadialProfile(grid, np.ones_like(grid) + grid, tag="supersolution"))
+            s.add(RadialProfile(grid, np.ones_like(grid) + grid))
 
     def test_empty_minimum(self, problem):
         with pytest.raises(DomainError):
@@ -469,7 +470,7 @@ class TestPerronMinimal:
         grid = problem.grid
         seeds = [
             pn.default_seed(problem),
-            RadialProfile(grid, 3.0 * grid**alpha, tag="supersolution"),
+            RadialProfile(grid, 3.0 * grid**alpha),
         ]
         res = pn.perron_minimal_detailed(problem, seeds=seeds)
         assert all(res.minimality_checks)
@@ -635,9 +636,9 @@ def _crossing_pair(c, rstar=0.3, r_lo=0.05, r_hi=1.0):
     a_slow, _ = pn.indicial_exponent(c, pn.indicial_lambda_max(c) / 2.0)
     scale = rstar ** (a_fast - a_slow)
     g = np.geomspace(r_lo, r_hi, 4000)
-    f1 = RadialProfile(g, g**a_fast, tag="supersolution", jet_fn=lambda x: jet_power(x, a_fast))
+    f1 = RadialProfile(g, g**a_fast, jet_fn=lambda x: jet_power(x, a_fast))
     f2 = RadialProfile(
-        g, scale * g**a_slow, tag="supersolution",
+        g, scale * g**a_slow,
         jet_fn=lambda x: jet_power(x, a_slow) * scale,
     )
     return f1, f2
@@ -697,7 +698,7 @@ class TestCreaseSmooth:
 
     def test_needs_jets(self, simons, problem):
         g = problem.grid
-        bare = RadialProfile(g, g**-1.0, tag="supersolution")
+        bare = RadialProfile(g, g**-1.0)
         with pytest.raises(DomainError):
             pn.crease_smooth(bare, bare, 0.3, eta=0.05, K=10.0, cone=simons)
 
@@ -706,3 +707,37 @@ class TestCreaseSmooth:
             f1, f2 = _crossing_pair(c)
             _, rep = pn.crease_smooth(f1, f2, 0.3, eta=0.02, K=8.0, cone=c)
             assert rep["margin"] > 0
+
+
+def _problem(**change):
+    return pn.PerronProblem(**{"cone": make_cone(3, 3), "lam": 0.125, "domain": (0.01, 1.0),
+                               "boundary_value": 1.0, **change})
+
+
+#: malformed input -> (call, the typed error it raises)
+_MALFORMED = {
+    "domain-infinite-end": (lambda: _problem(domain=(0.01, np.inf)), DomainError),
+    "domain-nan-start": (lambda: _problem(domain=(np.nan, 1.0)), DomainError),
+    "domain-not-a-pair": (lambda: _problem(domain=1.0), DomainError),
+    "boundary-value-inf": (lambda: _problem(boundary_value=np.inf), DomainError),
+    "boundary-value-nan": (lambda: _problem(boundary_value=np.nan), DomainError),
+    "max-sweeps-nan": (lambda: pn.perron_minimal_detailed(_problem(), max_sweeps=np.nan), ParameterError),
+    "max-sweeps-str": (lambda: pn.perron_minimal_detailed(_problem(), max_sweeps="3"), ParameterError),
+    "max-sweeps-fraction": (lambda: pn.perron_minimal_detailed(_problem(), max_sweeps=2.5), ParameterError),
+    "max-sweeps-bool": (lambda: pn.perron_minimal_detailed(_problem(), max_sweeps=True), ParameterError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    call, error = _MALFORMED[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_infinite_domain_raises_at_once():
+    # the sweep schedule over an infinite domain would never end
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        _problem(domain=(0.01, np.inf))
+    assert time.perf_counter() - start < 1.0

@@ -40,39 +40,39 @@ class TestRayleigh:
         r = np.geomspace(0.01, 1.0, 4000)
         s = np.log(r)
         hat = (s - s[0]) * (s[-1] - s) * r ** (-(simons.n - 2) / 2)
-        q = sp.rayleigh(simons, RadialProfile(r, hat, tag="eigenfunction"), 0.0)
+        q = sp.rayleigh(simons, RadialProfile(r, hat), 0.0)
         assert q > sp.lambda0_closed_form(simons) - 1e-12
 
     def test_scale_invariance(self, simons):
         r = np.geomspace(0.1, 1.0, 2000)
         s = np.log(r)
         v = np.sin(np.pi * (s - s[0]) / (s[-1] - s[0]))
-        q1 = sp.rayleigh(simons, RadialProfile(r, v, tag="eigenfunction"), 0.0)
-        q2 = sp.rayleigh(simons, RadialProfile(7 * r, v, tag="eigenfunction"), 0.0)
-        q3 = sp.rayleigh(simons, RadialProfile(r, 5 * v, tag="eigenfunction"), 0.0)
+        q1 = sp.rayleigh(simons, RadialProfile(r, v), 0.0)
+        q2 = sp.rayleigh(simons, RadialProfile(7 * r, v), 0.0)
+        q3 = sp.rayleigh(simons, RadialProfile(r, 5 * v), 0.0)
         assert np.isclose(q1, q2, rtol=1e-10)
         assert np.isclose(q1, q3, rtol=1e-12)
 
     def test_requires_vanishing_ends(self, simons):
         r = np.geomspace(0.1, 1.0, 100)
         with pytest.raises(DomainError):
-            sp.rayleigh(simons, RadialProfile(r, np.ones_like(r), tag="eigenfunction"), 0.0)
+            sp.rayleigh(simons, RadialProfile(r, np.ones_like(r)), 0.0)
 
 
 class TestDirichletEigen:
     def test_positive_and_monotone_in_m(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1e-4, 1.0))
+        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
         lams = [sp.dirichlet_eigen(w, m).lam for m in (1, 2, 3, 4)]
         assert all(l > 0 for l in lams)
         assert np.all(np.diff(lams) < 0)
 
     def test_eigenfunction_positive(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1e-3, 1.0))
+        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
         res = sp.dirichlet_eigen(w, 2)
         assert res.profile.values[1:-1].min() > 0
 
     def test_fd_matches_shooting(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1e-3, 1.0))
+        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
         for m in (1, 2):
             r_in, r_out = sp.exhaustion_annulus(w, m)
             fd = sp.dirichlet_eigen(w, m).lam
@@ -81,7 +81,7 @@ class TestDirichletEigen:
 
     def test_closed_form_first_annulus(self, simons):
         # constant-coefficient log form: lambda_1 = (pot + (pi/ln 4)^2)/wgt
-        w = sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1e-3, 1.0))
+        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
         pot = (simons.n - 2) ** 2 / 4 - simons.kappa * 6
         expected = (pot + (np.pi / np.log(4.0)) ** 2) / 6.0
         assert abs(sp.dirichlet_eigen(w, 1).lam - expected) < 2e-6
@@ -94,16 +94,14 @@ class TestDirichletEigen:
         n, N = c.n, sp._NODES
         pot = (n - 2.0) ** 2 / 4.0 - c.kappa * (c.p + c.q)
         for eps in (0.0, 0.5):
-            w = sp.WeightedProblem(cone=c, eps=eps, annulus=(1e-3, 1.0))
+            w = sp.WeightedProblem(cone=c, eps=eps, r_out=1.0)
             for m in range(1, 7):
                 h = m * np.log(4.0) / (N - 1)
                 exact = (pot + 4.0 / h**2 * np.sin(np.pi / (2.0 * (N - 1))) ** 2) / (eps**2 + c.p + c.q)
                 np.testing.assert_allclose(sp.dirichlet_eigen(w, m).lam, exact, rtol=1e-9, atol=0)
 
     def test_annulus_validation(self, simons):
-        with pytest.raises(DomainError):
-            sp.WeightedProblem(cone=simons, eps=0.0, annulus=(1.0, 0.5))
-        w = sp.WeightedProblem(cone=simons, eps=0.0, annulus=(0.5, 1.0))
+        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
         with pytest.raises(DomainError):
             sp.exhaustion_annulus(w, 0)
 
@@ -175,7 +173,7 @@ class TestEigenfunctionBelow:
 
     def test_stencil_residual_small(self, simons):
         prof = sp.eigenfunction_below(simons, 0.125)
-        sampled = RadialProfile(prof.grid, prof.values, tag="eigenfunction")
+        sampled = RadialProfile(prof.grid, prof.values)
         assert sp.radial_operator_residual(simons, 0.125, sampled) < 1e-8
 
     def test_band_enforced(self, simons):
@@ -195,3 +193,28 @@ def test_residual_detects_wrong_lambda():
     good = sp.radial_operator_residual(c, 0.3, prof)
     bad = sp.radial_operator_residual(c, 0.4, prof)
     assert good < 1e-12 < bad
+
+
+def _problem(**change):
+    return sp.WeightedProblem(**{"cone": make_cone(3, 3), "eps": 0.0, "r_out": 1.0, **change})
+
+
+#: malformed input -> (call, the typed error it raises)
+_MALFORMED = {
+    "r-out-zero": (lambda: _problem(r_out=0.0), DomainError),
+    "r-out-negative": (lambda: _problem(r_out=-1.0), DomainError),
+    "r-out-inf": (lambda: _problem(r_out=np.inf), DomainError),
+    "r-out-nan": (lambda: _problem(r_out=np.nan), DomainError),
+    "eps-nan": (lambda: _problem(eps=np.nan), DomainError),
+    "eps-inf": (lambda: _problem(eps=np.inf), DomainError),
+    "index-nan": (lambda: sp.dirichlet_eigen(_problem(), np.nan), DomainError),
+    "index-fraction": (lambda: sp.dirichlet_eigen(_problem(), 1.5), DomainError),
+    "index-bool": (lambda: sp.dirichlet_eigen(_problem(), True), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_raises_typed_error(case):
+    call, error = _MALFORMED[case]
+    with pytest.raises(error):
+        call()
