@@ -26,7 +26,7 @@ from .errors import (
     ResampleError,
     SingularPointError,
 )
-from .grids import _is_index, _positive_interval, central_jet, conformal_coupling, conformal_shape_shift
+from .grids import _is_index, _positive, _positive_interval, central_jet, conformal_coupling, conformal_shape_shift
 from .jets import Jet, jet_compose, jet_power, radial_laplacian
 from .perron import CutoffSpec
 
@@ -34,6 +34,9 @@ from .perron import CutoffSpec
 _BAND = (1e-3, 10.0)
 #: cap on the total anchor weight of a line barrier
 _WEIGHT_CAP = 10.0
+#: cap on the Riemann--Stieltjes stations of a superposition (8 MB of
+#: kernel values per evaluated point)
+_MAX_STATIONS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +45,7 @@ _WEIGHT_CAP = 10.0
 
 def green(n, rho):
     """Radial Green's function rho^{-(n-2)} of the deformed-cone Laplacian."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("deformed distance must be positive")
+    rho = _positive(rho, "deformed distance")
     return rho ** -(n - 2.0)
 
 
@@ -75,9 +76,7 @@ def green_laplacian_residual(d: DeformedCone, step=None):
 def _green_cutoff_jet(n, cutoff: CutoffSpec, rho):
     """2-jet of green * chi(rho - 1) >= 0, the profile that a barrier
     weights by mu (one-sided at the shell edges)."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise DomainError("deformed distance must be positive")
+    rho = _positive(rho, "deformed distance")
     g = jet_power(rho, -(n - 2.0))
     # clamping the cutoff argument to 0 below the shell freezes chi at 1
     # with zero derivatives, reproducing the exact piecewise definition
@@ -206,8 +205,6 @@ def area_profile(b: BarrierSpec, rho):
     """A(rho) = (phi+)^{2(n-1)/(n-2)} rho^{n-1} vol(link) for the deformed
     cone's link."""
     rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr <= 0):
-        raise DomainError("rho must be positive")
     n = b.n
     vol = b.deformed.base.link_volume * b.deformed.slope ** (n - 1)
     u = b.jet(rho_arr).f
@@ -355,6 +352,13 @@ class Superposition:
     spec: LineBarrierSpec
     segment: tuple = (0.0, 1.0)
 
+    def __post_init__(self):
+        segment = self.segment
+        if not -np.inf < segment[0] < segment[1] < np.inf:
+            raise DomainError(f"segment {segment} must be finite and nondegenerate")
+        if round((segment[1] - segment[0]) * self.spec.level) > _MAX_STATIONS:
+            raise ParameterError(f"segment {segment} at level {self.spec.level} exceeds {_MAX_STATIONS} stations")
+
     def stations(self):
         a, b_end = self.segment
         l = self.spec.level
@@ -389,8 +393,6 @@ class Superposition:
 
 
 def stieltjes_superpose(ls: LineBarrierSpec, segment=(0.0, 1.0)) -> Superposition:
-    if not -np.inf < segment[0] < segment[1] < np.inf:
-        raise DomainError(f"segment {segment} must be finite and nondegenerate")
     return Superposition(spec=ls, segment=segment)
 
 

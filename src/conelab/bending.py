@@ -43,7 +43,6 @@ class BendProfile:
 
     k: float
     delta: float
-    sigma: float
     report: dict
 
     def _psi(self, s):
@@ -98,7 +97,7 @@ def build_h(k, delta) -> BendProfile:
     if not (0 < k < np.inf and 0 < delta < np.inf):
         raise ParameterError("k and delta must be positive and finite")
     sigma = 2.5 * delta
-    bp = BendProfile(k=k, delta=delta, sigma=sigma, report={})
+    bp = BendProfile(k=k, delta=delta, report={})
     t = np.linspace(-sigma, sigma, 10000)
     j = bp.jet(t)
     h, hp, hpp = j.f, j.d1, j.d2
@@ -121,7 +120,7 @@ def build_h(k, delta) -> BendProfile:
         and report["identity_tail"] <= 0
     ):
         raise ResolutionError(f"bend profile invariants failed: {report}")
-    return BendProfile(k=k, delta=delta, sigma=sigma, report=report)
+    return BendProfile(k=k, delta=delta, report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import ConfigError
 from .fields import TrigField, flat_metric
 from .grids import (
     Chart,
+    _is_index,
     christoffel,
     conformal_deform,
     conformal_scal,
@@ -488,10 +489,6 @@ CHECKS = {
         "bending.dominant_decomposition"}),
 }
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_positive(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < float("inf")
 
@@ -500,7 +497,7 @@ def _is_nested_counts(v):
     return (
         isinstance(v, (list, tuple))
         and len(v) >= 2
-        and all(_is_int(c) and 7 <= c <= MAX_COUNT and c % 2 == 1 for c in v)
+        and all(_is_index(c) and 7 <= c <= MAX_COUNT and c % 2 == 1 for c in v)
         and all(a < b for a, b in zip(v, v[1:]))
         and all((c - 1) % (v[0] - 1) == 0 for c in v)
     )
@@ -510,16 +507,16 @@ def _is_nested_counts(v):
 #: listed takes no params
 PARAMS = {
     "conformal-consistency": {
-        "factors": (5, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        "factors": (5, lambda v: _is_index(v) and v >= 1, "an integer >= 1"),
         "counts": ((17, 33), _is_nested_counts,
                    f"a list of at least two increasing odd integers in [7, {MAX_COUNT}], "
                    "each c with c - 1 a multiple of the first count minus 1"),
     },
-    "theta-scaling": {"n": (7, lambda v: _is_int(v) and v in (7, 8), "7 or 8")},
+    "theta-scaling": {"n": (7, lambda v: _is_index(v) and v in (7, 8), "7 or 8")},
     "covering-random": {
-        "instances": (20, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+        "instances": (20, lambda v: _is_index(v) and v >= 1, "an integer >= 1"),
         # each instance draws 10 target centres from its balls
-        "balls": (120, lambda v: _is_int(v) and v >= 10, "an integer >= 10"),
+        "balls": (120, lambda v: _is_index(v) and v >= 10, "an integer >= 10"),
     },
     "bending-sphere": {
         "theta0": (1.2, _is_positive, "a number > 0"),
@@ -533,7 +530,7 @@ PARAMS = {
 # ---------------------------------------------------------------------------
 
 def load_scenario(source):
-    """Parse and validate a scenario (path, JSON text, or dict).
+    """Parse and validate a scenario (a path or a dict).
 
     Raises ConfigError on any schema violation; nothing is executed or
     written on the error path."""
@@ -541,8 +538,8 @@ def load_scenario(source):
         data = source
     else:
         try:
-            text = Path(source).read_text() if os.path.exists(str(source)) else str(source)
-        except (OSError, ValueError) as exc:
+            text = Path(source).read_text()
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot read scenario {source}: {exc}") from exc
         try:
             data = json.loads(text)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DivergentDistanceError, DomainError
 from .fields import round_sphere_factors, warped_product_metric
-from .grids import AnalyticMetric, Chart, _is_index, conformal_coupling
+from .grids import AnalyticMetric, Chart, _is_index, _positive, conformal_coupling
 from .jets import Jet
 
 
@@ -113,9 +113,7 @@ def catalog_cones():
 
 def second_form_norm2(c: ConeSpec, r):
     """|A|^2(r) = (p+q)/r^2 for catalog cones."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
+    r = _positive(r, "radius")
     return (c.p + c.q) / r**2
 
 
@@ -152,9 +150,7 @@ class DeformedCone:
 
     def rho_of_r(self, r):
         """Deformed distance to the tip as a function of the original radius."""
-        n = self.base.n
-        e = 1.0 + 2.0 * self.alpha / (n - 2.0)
-        return np.asarray(r, dtype=float) ** e / e
+        return deformed_distance(self.base, self.alpha, r)
 
     def scal_rho2(self):
         """scal * rho^2 of the deformed cone (a constant).
@@ -189,9 +185,7 @@ def deformed_distance(c: ConeSpec, beta, r):
         raise DivergentDistanceError(
             f"exponent 1+2beta/(n-2) = {e} <= 0: factor not integrable at the tip"
         )
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
+    r = _positive(r, "radius")
     return r**e / e
 
 

@@ -1,9 +1,9 @@
 """Greedy family selection on finite synthetic ball sets.
 
 A ``BallSet`` holds its balls as arrays, ``centers`` (N, d), ``radii`` (N,)
-and ``ids`` (N,), validated once when the set is built, whether from arrays
-(``make_ball_set``) or from a tuple of ``Ball``s.  Its ``balls`` tuple is
-built from the validated arrays on first use.
+and ``ids`` (N,), validated once by its one constructor; ``make_ball_set``
+breaks radius ties and numbers the balls before calling it.  Its ``balls``
+tuple of ``Ball`` records is read from the validated arrays on first use.
 
 Balls are processed in decreasing radius order (the finite surrogate of a
 well-ordering of the radii).  A ball whose center already lies in a kept
@@ -55,18 +55,8 @@ _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 C_BOUND_DEFAULTS = {2: 12, 3: 24}
 
 
-class Ball(namedtuple("Ball", "center radius ball_id")):
-    """One ball.  The constructor validates; ``Ball._make`` does not, and
-    is only used on values that a ``BallSet`` validates."""
-
-    __slots__ = ()
-
-    def __new__(cls, center, radius, ball_id):
-        if not (math.isfinite(radius) and all(map(math.isfinite, center))):
-            raise DomainError("ball center and radius must be finite")
-        if radius <= 0:
-            raise DomainError("ball radius must be positive")
-        return super().__new__(cls, center, radius, ball_id)
+#: one ball, a record read from the validated arrays of a ``BallSet``
+Ball = namedtuple("Ball", "center radius ball_id")
 
 
 def _norms(diff):
@@ -106,9 +96,21 @@ def _covered(points, centers, reach):
     return covered
 
 
+def _ball_arrays(centers, radii):
+    """(N, d) centers and (N,) radii as new float arrays, else DomainError."""
+    try:
+        centers = np.atleast_2d(np.array(centers, dtype=float))
+        radii = np.array(radii, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("need (N, d) centers and N radii, got a ragged or non-numeric list") from None
+    if centers.ndim != 2 or radii.ndim != 1:
+        raise DomainError(f"need (N, d) centers and N radii, got shapes {centers.shape} and {radii.shape}")
+    return centers, radii
+
+
 def _first_bad_ball(centers, radii):
-    """Index and message of the first ball, in input order, that ``Ball``
-    would reject, or None."""
+    """Index and message of the first ball, in input order, with a
+    non-finite center or radius or a non-positive radius, or None."""
     finite = np.isfinite(radii) & np.isfinite(centers).all(axis=1)
     bad = ~finite | (radii <= 0)
     if not bad.any():
@@ -117,48 +119,32 @@ def _first_bad_ball(centers, radii):
     return k, "ball center and radius must be finite" if not finite[k] else "ball radius must be positive"
 
 
-def _check_distinct(radii, ids):
-    if np.unique(radii).size != radii.size:
-        raise DomainError("radii must be pairwise distinct (perturb on input)")
-    if len(set(ids.tolist())) != ids.size:
-        raise DomainError("ball ids must be unique")
-
-
 class BallSet:
     """Finite ball collection with target points to cover.
 
-    ``BallSet(balls, target)`` builds the set from a tuple of ``Ball``s,
-    ``make_ball_set`` from arrays; either way the arrays ``centers``,
-    ``radii`` and ``ids`` are validated once, here: finite centers, positive
-    and pairwise distinct radii, unique ids, one dimension, and every target
-    point within the cover enlargement of some ball.  ``sources`` optionally
-    records the pre-recentering balls (radius half, center within the source
-    radius) for the center-shift step.
+    ``BallSet(centers, radii, ids, target, sources)`` is the one
+    constructor.  It validates the arrays once: (N, d) centers, one radius
+    and one id per center, finite centers, positive and pairwise distinct
+    radii, unique ids, and every target point within the cover enlargement
+    of some ball.  ``sources`` optionally records the pre-recentering
+    balls (radius half, center within the source radius) for the
+    center-shift step.
     """
 
-    def __init__(self, balls, target, sources=None):
-        balls = tuple(balls)
-        radii = np.array([b.radius for b in balls], dtype=float)
-        ids = np.array([b.ball_id for b in balls])
-        dims = {len(b.center) for b in balls}
-        if len(dims) > 1:
-            _check_distinct(radii, ids)
-            raise DomainError("all centers must share one dimension")
-        centers = np.array([b.center for b in balls], dtype=float).reshape(len(balls), dims.pop() if dims else 0)
-        self._validate(centers, radii, ids, target, sources)
-        self.__dict__["balls"] = balls  # the cached value of the balls property
-
-    @classmethod
-    def _of_arrays(cls, centers, radii, ids, target, sources=None):
-        bs = cls.__new__(cls)
-        bs._validate(np.array(centers, dtype=float), np.array(radii, dtype=float), np.array(ids), target, sources)
-        return bs
-
-    def _validate(self, centers, radii, ids, target, sources):
+    def __init__(self, centers, radii, ids, target=(), sources=None):
+        centers, radii = _ball_arrays(centers, radii)
+        ids = np.array(ids)
+        if len(radii) != len(centers):
+            raise DomainError("need one radius per center")
+        if ids.shape != radii.shape:
+            raise DomainError("need one id per ball")
         bad = _first_bad_ball(centers, radii)
         if bad is not None:
             raise DomainError(bad[1])
-        _check_distinct(radii, ids)
+        if np.unique(radii).size != radii.size:
+            raise DomainError("radii must be pairwise distinct (perturb on input)")
+        if len(set(ids.tolist())) != ids.size:
+            raise DomainError("ball ids must be unique")
         try:
             target = np.array(target, dtype=float)
         except (TypeError, ValueError):
@@ -185,8 +171,8 @@ class BallSet:
 
     @cached_property
     def balls(self):
-        # tuple.__new__, mapped from C, skips the check of Ball.__new__ that
-        # the arrays have passed, and the Python frame per ball of Ball._make
+        # tuple.__new__, mapped from C, skips the Python frame per ball of
+        # Ball._make
         fields = zip(map(tuple, self.centers.tolist()), self.radii.tolist(), self.ids.tolist())
         return tuple(map(tuple.__new__, repeat(Ball), fields))
 
@@ -205,19 +191,12 @@ class BallSet:
 
 
 def make_ball_set(centers, radii, target=(), seed=0) -> BallSet:
-    """Assemble a BallSet, perturbing tied radii deterministically from the
-    seed so the decreasing-radius order is total."""
-    try:
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        radii = np.asarray(radii, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("need (N, d) centers and N radii, got a ragged or non-numeric list") from None
-    if centers.ndim != 2 or radii.ndim != 1:
-        raise DomainError(f"need (N, d) centers and N radii, got shapes {centers.shape} and {radii.shape}")
+    """Assemble a BallSet with ids 0..N-1, perturbing tied radii
+    deterministically from the seed so the decreasing-radius order is
+    total."""
+    centers, radii = _ball_arrays(centers, radii)
     if not centers.size or not radii.size:
         raise DomainError("empty ball set: need at least one center and one radius")
-    if len(radii) != len(centers):
-        raise DomainError("need one radius per center")
     # a subnormal radius is a fixed point of the relative perturbation below
     tiny = np.finfo(float).tiny
     if np.any((radii > 0) & (radii < tiny)):
@@ -227,7 +206,7 @@ def make_ball_set(centers, radii, target=(), seed=0) -> BallSet:
     # the validation to reject, not looped on
     while np.unique(radii).size != radii.size and np.all((radii > 0) & np.isfinite(radii)):
         radii = radii * (1.0 + 1e-9 * rng.random(len(radii)))
-    return BallSet._of_arrays(centers, radii, np.arange(len(radii)), target)
+    return BallSet(centers, radii, np.arange(len(radii)), target)
 
 
 @dataclass(frozen=True)
@@ -369,8 +348,7 @@ def double_balls(sources, offsets=None) -> BallSet:
     bad = _first_bad_ball(*doubled)
     if len(far) and (bad is None or far[0] <= bad[0]):
         raise DomainError("recentering offset exceeds the source radius")
-    ids = np.array([s.ball_id for s in sources])
-    return BallSet._of_arrays(*doubled, ids, target=centers, sources=sources)
+    return BallSet(*doubled, [s.ball_id for s in sources], target=centers, sources=sources)
 
 
 def center_shift(bs: BallSet, fa: FamilyAssignment) -> BallSet:
@@ -385,8 +363,9 @@ def center_shift(bs: BallSet, fa: FamilyAssignment) -> BallSet:
         src = by_radius.get(half)
         if src is None:
             raise DataIntegrityError(f"kept ball {ball_id} has no source with radius {half}")
-        shifted.append(Ball._make((src.center, src.radius, ball_id)))
-    return BallSet(balls=shifted, target=bs.target)
+        shifted.append(src)
+    centers = [s.center for s in shifted] or np.zeros((0, bs.dim))
+    return BallSet(centers, [s.radius for s in shifted], bs.ids[kept], bs.target)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,15 @@ def _positive_interval(pair, what):
     return lo, hi
 
 
+def _positive(x, what):
+    """x as a float array with every entry 0 < x < inf, else DomainError
+    (NaN included)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 < x) & (x < np.inf)):
+        raise DomainError(f"{what} must be positive and finite")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # charts and fields
 # ---------------------------------------------------------------------------
@@ -362,8 +371,7 @@ def conformal_scal(scal_g, u, lap_u, n):
     """Scalar curvature of u^{4/(n-2)} g from the transformation law, elementwise."""
     if n < 3:
         raise DomainError("transformation law needs n >= 3")
-    if np.any(np.asarray(u) <= 0):
-        raise DomainError("conformal factor must be positive")
+    _positive(u, "conformal factor")
     c = float(1 / conformal_coupling(n))
     return u ** (-(n + 2.0) / (n - 2.0)) * (-c * lap_u + scal_g * u)
 
@@ -380,9 +388,7 @@ def conformal_deform(m, u, n=None):
     n = m.chart.dim if n is None else n
     if n < 3:
         raise DomainError("conformal exponent needs n >= 3")
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("conformal factor must be positive at every node")
+    u = _positive(u, "conformal factor")
     if isinstance(m, AnalyticMetric):
         m = MetricField.from_function(m.chart, m.metric_fn)
     factor = u ** (4.0 / (n - 2.0))
@@ -450,9 +456,7 @@ def conformal_shape_shift(secondform, g_restriction, u, grad_u, normal, n):
     (..., n) are batch axes, broadcast against the forms (..., n-1, n-1);
     each batch entry equals the unbatched call on it.
     """
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("conformal factor must be positive")
+    u = _positive(u, "conformal factor")
     nshift = np.sum(np.asarray(grad_u, dtype=float) * np.asarray(normal, dtype=float), axis=-1) / u
     return np.asarray(secondform, dtype=float) - ((2.0 / (n - 2.0)) * nshift)[..., None, None] * (
         np.asarray(g_restriction, dtype=float)

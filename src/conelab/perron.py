@@ -481,14 +481,12 @@ class CutoffSpec:
     """chi with chi(0) = 1, chi = 0 on [1, inf), chi' < 0, chi'' > 0 and the
     two ratio inequalities chi'' >= -K chi' and chi'' >= K chi on (-1, 1).
 
-    Construction: chi = exp(-(M t + d t/(1-t))) for t < 1, zero beyond; the
+    Construction: chi = exp(-(M t + t/(1-t))) for t < 1, zero beyond; the
     extra linear rate M = max(2K, 4) gives both ratio inequalities a margin.
     """
 
-    K: float
     delta: float
     rate: float
-    pole: float
     margins: dict
 
     def jet(self, t):
@@ -496,9 +494,9 @@ class CutoffSpec:
         below = t < 1.0
         ts = np.where(below, t, 0.0)
         one_m = 1.0 - ts
-        psi = np.minimum(self.rate * ts + self.pole * ts / one_m, 700.0)
-        dpsi = self.rate + self.pole / one_m**2
-        d2psi = 2.0 * self.pole / one_m**3
+        psi = np.minimum(self.rate * ts + ts / one_m, 700.0)
+        dpsi = self.rate + 1.0 / one_m**2
+        d2psi = 2.0 / one_m**3
         chi = np.exp(-psi)
         d1 = -dpsi * chi
         d2 = (dpsi**2 - d2psi) * chi
@@ -522,10 +520,9 @@ def make_cutoff(K, delta):
     infimum on (-1, 1) is its value at u = 1/2, that is t -> -1."""
     if not (0 < K < np.inf and 0 < delta < np.inf):
         raise ParameterError("K and delta must be positive and finite")
-    pole = 1.0
     rate = max(2.0 * K, 4.0)
-    dpsi = rate + pole / 4.0
-    curv = dpsi**2 - pole / 4.0  # = chi''/chi
+    dpsi = rate + 0.25
+    curv = dpsi**2 - 0.25  # = chi''/chi
     margins = {
         "chi_prime_negative": dpsi,
         "chi_second_positive": curv,
@@ -534,7 +531,7 @@ def make_cutoff(K, delta):
     }
     if not all(v > 0 for v in margins.values()):
         raise ResolutionError(f"cutoff rate {rate} fails its margins for K = {K}: {margins}")
-    return CutoffSpec(K=K, delta=delta, rate=rate, pole=pole, margins=margins)
+    return CutoffSpec(delta=delta, rate=rate, margins=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +575,7 @@ def crease_smooth(f1: RadialProfile, f2: RadialProfile, crossing, eta, K, cone: 
         raise NoCreaseError(f"normal-derivative gap {gap} <= 0")
 
     chi = make_cutoff(K, 1.0)
-    psi0 = chi.rate + chi.pole  # = -chi'(0)
+    psi0 = chi.rate + 1.0  # = -chi'(0)
     delta = 2.0 * eta * psi0 / gap
     r_lo, r_hi = rstar - delta, rstar + delta
     if r_lo <= max(f1.grid[0], f2.grid[0]) or r_hi >= min(f1.grid[-1], f2.grid[-1]):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
 from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
-from .grids import _is_index
+from .grids import _is_index, _positive
 from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
@@ -66,9 +66,7 @@ class EigenResult:
 
 def weight(c: ConeSpec, eps, r):
     """Smoothed weight (eps^2 + p + q)/r^2 (distance to the tip is r)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("radius must be positive")
+    r = _positive(r, "radius")
     return (eps**2 + c.p + c.q) / r**2
 
 

@@ -661,9 +661,13 @@ def _obstacle(inner, outer):
     return br.ObstacleProblem(inner=inner, outer=outer, area=lambda r: r)
 
 
-def _superpose(segment):
+def _line_spec():
     anchor = br.LinePoint(direction=tuple(_axis_point(7)), weight=1.0)
-    return br.stieltjes_superpose(br.LineBarrierSpec(n=7, points=(anchor,), level=8), segment)
+    return br.LineBarrierSpec(n=7, points=(anchor,), level=8)
+
+
+def _superpose(segment):
+    return br.stieltjes_superpose(_line_spec(), segment)
 
 
 #: malformed input -> (call, the typed error it raises)
@@ -673,6 +677,9 @@ _MALFORMED = {
     "segment-inf-end": (lambda: _superpose((0.0, np.inf)), DomainError),
     "segment-inf-start": (lambda: _superpose((-np.inf, 0.0)), DomainError),
     "segment-nan-end": (lambda: _superpose((0.0, np.nan)), DomainError),
+    # 8e12 stations: evaluating one point allocated 58.2 TiB
+    "segment-beyond-station-cap": (lambda: _superpose((0.0, 1e12)), ParameterError),
+    "superposition-beyond-station-cap": (lambda: br.Superposition(_line_spec(), (0.0, 1e12)), ParameterError),
 }
 
 
@@ -681,3 +688,9 @@ def test_malformed_input_raises_typed_error(case):
     call, error = _MALFORMED[case]
     with pytest.raises(error):
         call()
+
+
+def test_station_cap_is_inclusive():
+    assert _superpose((0.0, br._MAX_STATIONS / 8)).stations().size == br._MAX_STATIONS
+    with pytest.raises(ParameterError, match="stations"):
+        _superpose((0.0, br._MAX_STATIONS / 8 + 1.0))

@@ -32,7 +32,7 @@ def _parts(j):
 class TestBuildH:
     def test_profile_invariants_on_dense_sample(self):
         bp = bd.build_h(3.0, 0.25)
-        t = np.linspace(-bp.sigma, bp.sigma, 10001)
+        t = np.linspace(-2.5 * bp.delta, 2.5 * bp.delta, 10001)
         h, hp, hpp = _parts(bp.jet(t))
         assert h.min() > 0
         assert np.abs(hp).max() <= 1.0
@@ -127,7 +127,7 @@ class TestJetQuadrature:
         data=st.data(),
     )
     def test_bit_identical_to_full_quadrature(self, k, delta, scalar, shape, data):
-        bp = bd.BendProfile(k=k, delta=delta, sigma=2.5 * delta, report={})
+        bp = bd.BendProfile(k=k, delta=delta, report={})
         array = data.draw(hnp.arrays(float, shape, elements=_MULTIPLES))
         for t in (scalar * delta, np.float64(scalar * delta), array * delta):
             got, want = bp.jet(t), bend_jet_full_quadrature(bp, t)
@@ -139,8 +139,8 @@ class TestJetQuadrature:
     def test_bit_identical_on_the_certificate_samples(self, k):
         # build_h's 10000 samples and both transition ends, up to k = 2^18,
         # where the rate psi is steepest
-        bp = bd.BendProfile(k=k, delta=0.2, sigma=0.5, report={})
-        t = np.concatenate((np.linspace(-bp.sigma, bp.sigma, 10000), [bp.delta, -bp.delta]))
+        bp = bd.BendProfile(k=k, delta=0.2, report={})
+        t = np.concatenate((np.linspace(-0.5, 0.5, 10000), [bp.delta, -bp.delta]))
         for g, w in zip(_parts(bp.jet(t)), _parts(bend_jet_full_quadrature(bp, t))):
             assert g.tobytes() == w.tobytes()
 

@@ -62,9 +62,11 @@ class TestScenarioSchema:
         with pytest.raises(ConfigError):
             cli.load_scenario(_scenario(checks=("no-such-check",)))
 
-    def test_invalid_json_text_rejected(self):
-        with pytest.raises(ConfigError):
-            cli.load_scenario("{not json")
+    def test_invalid_json_text_rejected(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(ConfigError, match="^scenario is not valid JSON: "):
+            cli.load_scenario(str(bad))
 
     def test_no_partial_artifacts_on_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -350,6 +352,12 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_run_missing_file_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "nosuch.json", "--output", "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read scenario nosuch.json: ")
+        assert not any(tmp_path.iterdir())
+
     def test_run_directory_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert cli.main(["run", str(tmp_path), "--output", str(out)]) == 2
@@ -362,7 +370,9 @@ class TestMain:
             return [][0]
 
         monkeypatch.setitem(cli.CHECKS, "dimshift", (broken, set()))
-        assert cli.main(["run", json.dumps(_scenario(name="broken")), "--output", str(tmp_path)]) == 3
+        scen = tmp_path / "broken.json"
+        scen.write_text(json.dumps(_scenario(name="broken")))
+        assert cli.main(["run", str(scen), "--output", str(tmp_path)]) == 3
         data = json.loads((tmp_path / "broken.report.json").read_text())
         assert data["status"] == "error"
         assert data["checks"][0]["status"] == "error"

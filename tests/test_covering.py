@@ -14,6 +14,8 @@ from conelab.errors import BoundExceededError, DataIntegrityError, DomainError, 
 
 _FINITE = "ball center and radius must be finite"
 _POSITIVE = "ball radius must be positive"
+_TIED = r"radii must be pairwise distinct \(perturb on input\)"
+_RAGGED = r"need \(N, d\) centers and N radii, got a ragged or non-numeric list"
 
 
 def _random_instance(trial, n=150, n_targets=20):
@@ -51,12 +53,9 @@ class TestBallSet:
         with pytest.raises(DomainError):
             cv.make_ball_set([[0.0, 0.0]], [1.0], target=[[0.0, 0.0, 0.0]])
         with pytest.raises(DomainError):
-            cv.BallSet(
-                balls=(cv.Ball((0.0, 0.0), 1.0, 0), cv.Ball((1.0, 0.0), 1.0, 1)),
-                target=np.zeros((0, 2)),
-            )
+            cv.BallSet([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0, 1], target=np.zeros((0, 2)))
         with pytest.raises(DomainError):
-            cv.BallSet(balls=(), target=np.array([[0.0, 0.0]]))
+            cv.BallSet(np.zeros((0, 2)), [], [], target=np.array([[0.0, 0.0]]))
 
     def test_uncoverable_error_names_first_uncovered_target(self):
         with pytest.raises(DomainError, match=r"target point \[ 7\. -1\.\] not coverable"):
@@ -108,9 +107,6 @@ class TestBallSet:
     def test_non_finite_input_rejected(self, centers, radii):
         with pytest.raises(DomainError):
             cv.make_ball_set(centers, radii)
-        with pytest.raises(DomainError):
-            for i, (c, r) in enumerate(zip(centers, radii)):
-                cv.Ball(center=tuple(c), radius=r, ball_id=i)
 
     @pytest.mark.parametrize("centers, radii, message", [
         ([[0.0, 0.0], [np.nan, 1.0]], [1.0, 2.0], _FINITE),
@@ -122,25 +118,29 @@ class TestBallSet:
     ])
     def test_first_bad_ball_named_by_its_own_check(self, centers, radii, message):
         # several bad balls: the error is the one that the first of them, in
-        # input order, fails, from arrays as from unchecked Balls
+        # input order, fails, through make_ball_set as through the constructor
         with pytest.raises(DomainError, match=f"^{message}$"):
             cv.make_ball_set(centers, radii)
-        balls = [cv.Ball._make((tuple(c), r, i)) for i, (c, r) in enumerate(zip(centers, radii))]
         with pytest.raises(DomainError, match=f"^{message}$"):
-            cv.BallSet(balls=balls, target=np.zeros((0, 2)))
+            cv.BallSet(centers, radii, range(len(radii)), target=np.zeros((0, 2)))
 
     @pytest.mark.parametrize("balls, message", [
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 1.0, 1)], r"radii must be pairwise distinct \(perturb on input\)"),
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 2.0, 0)], "ball ids must be unique"),
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 2.0, 1)], "all centers must share one dimension"),
-        # the radii, then the ids, then the dimension
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0), 1.0, 0)], r"radii must be pairwise distinct \(perturb on input\)"),
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 1.0, 1)], r"radii must be pairwise distinct \(perturb on input\)"),
-        ([((0.0, 0.0), 1.0, 0), ((1.0, 0.0, 0.0), 2.0, 0)], "ball ids must be unique"),
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0, 1], ()), _TIED),
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], [0, 0], ()), "ball ids must be unique"),
+        (([[0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 2.0], [0, 1], ()), _RAGGED),
+        # the shapes, then the bad balls, then the radii, then the ids, then
+        # the target
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0, 0], ()), _TIED),
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], [0, 1], [[9.0, 9.0]]), _TIED),
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0, 2.0], [0, 0], [[9.0, 9.0]]), "ball ids must be unique"),
+        (([[0.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0], [0, 0], ()), _RAGGED),
+        (([[0.0, 0.0], [1.0, 0.0]], [1.0], [0], ()), "need one radius per center"),
+        (([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], [0], ()), "need one id per ball"),
+        (([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], [0, 0], ()), _POSITIVE),
     ])
     def test_set_errors_in_order(self, balls, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
-            cv.BallSet(balls=[cv.Ball(*b) for b in balls], target=np.zeros((0, 2)))
+            cv.BallSet(*balls)
 
     @pytest.mark.parametrize("target, shape", [
         (np.zeros((2, 2, 2)), r"got shape \(2, 2, 2\)"),
@@ -150,18 +150,17 @@ class TestBallSet:
     def test_malformed_target_rejected(self, target, shape):
         with pytest.raises(DomainError, match=r"^target must be \(T, d\) points, " + shape):
             cv.make_ball_set([[0, 0], [1, 1]], [1, 2], target=target)
-        balls = (cv.Ball((0.0, 0.0), 1.0, 0), cv.Ball((1.0, 1.0), 2.0, 1))
         with pytest.raises(DomainError, match=r"^target must be \(T, d\) points, " + shape):
-            cv.BallSet(balls=balls, target=target)
+            cv.BallSet([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], [0, 1], target=target)
 
     def test_ragged_centers_rejected(self):
-        with pytest.raises(DomainError, match="^need \\(N, d\\) centers and N radii, got a ragged or non-numeric list$"):
+        with pytest.raises(DomainError, match=f"^{_RAGGED}$"):
             cv.make_ball_set([[0.0, 0.0], [1.0]], [1.0, 2.0])
 
     @pytest.mark.parametrize("target", [(), [], np.zeros(0)])
     def test_empty_target_has_no_points(self, target):
         for bs in (cv.make_ball_set([[0.0, 0.0]], [1.0], target=target),
-                   cv.BallSet(balls=(cv.Ball((0.0, 0.0), 1.0, 0),), target=target)):
+                   cv.BallSet([[0.0, 0.0]], [1.0], [0], target=target)):
             assert bs.target.shape == (0, 2)
             assert cv.verify_families(bs, cv.assign_families(bs))["target_cover"]["witnesses"] == []
 
@@ -170,26 +169,10 @@ class TestBallSet:
         with pytest.raises(DomainError, match="^target dimension mismatch$"):
             cv.make_ball_set([[0.0, 0.0]], [1.0], target=2.0)
 
-    def test_arrays_and_balls_give_one_set(self):
-        # a set from arrays and one from the same Balls: equal balls and
-        # arrays, and so equal families, errors, reports and JSON
-        bs, _ = _random_instance(5, n=200)
-        from_balls = cv.BallSet(balls=bs.balls, target=bs.target)
-        assert from_balls.balls == bs.balls
-        assert all(type(b) is cv.Ball for b in bs.balls)
-        for name in ("centers", "radii", "ids", "target"):
-            assert np.array_equal(getattr(from_balls, name), getattr(bs, name))
-        assert from_balls.dim == bs.dim
-        fa = cv.assign_families(bs, c_bound=200)
-        assert cv.assign_families(from_balls, c_bound=200) == fa
-        assert cv.verify_families(from_balls, fa) == cv.verify_families(bs, fa)
-        assert cv.ball_set_to_json(from_balls, fa) == cv.ball_set_to_json(bs, fa)
-        outcomes = [_assign_outcome(cv.assign_families, s, 1) for s in (bs, from_balls)]
-        assert isinstance(outcomes[0], tuple) and outcomes[0] == outcomes[1]
-
     def test_balls_equal_checked_balls(self):
         bs = cv.make_ball_set([[0.5, 1.5], [2.0, -1.0]], [0.25, 3.0])
         assert bs.balls == (cv.Ball((0.5, 1.5), 0.25, 0), cv.Ball((2.0, -1.0), 3.0, 1))
+        assert all(type(b) is cv.Ball for b in bs.balls)
         assert [type(x) for b in bs.balls for x in b.center] == [float] * 4
 
     def test_arrays_are_read_only_copies(self):
@@ -305,9 +288,8 @@ class TestAssignFamilies:
             # the neighbour pairs sit exactly on the center-exclusion
             # threshold; the verifier must decide them as that norm does
             centers = rng.random((60, dim)) * 10.0 ** rng.uniform(-3, 3)
-            balls = tuple(cv.Ball(tuple(c), float(np.linalg.norm(c - centers[(k + 1) % 60])), k)
-                          for k, c in enumerate(centers))
-            bs = cv.BallSet(balls=balls, target=np.zeros((0, dim)))
+            radii = [np.linalg.norm(c - centers[(k + 1) % 60]) for k, c in enumerate(centers)]
+            bs = cv.BallSet(centers, radii, range(60), target=np.zeros((0, dim)))
             fa = cv.FamilyAssignment(families={k: 1 + k % 2 for k in range(60)}, c_bound=2)
             assert cv.verify_families(bs, fa) == _verify_reference(bs, fa)
 
@@ -336,9 +318,8 @@ class TestAssignFamilies:
         bs, _ = _random_instance(23, n=60, n_targets=5)
         fa = cv.assign_families(bs, c_bound=100)
         smallest = min(b.radius for b in bs.balls)
-        extra = cv.Ball(center=(0.5, 0.5) if bs.dim == 2 else (0.5, 0.5, 0.5),
-                        radius=smallest / 2.0, ball_id=10_000)
-        grown = cv.BallSet(balls=bs.balls + (extra,), target=bs.target)
+        grown = cv.BallSet(np.vstack([bs.centers, np.full(bs.dim, 0.5)]), np.append(bs.radii, smallest / 2.0),
+                           np.append(bs.ids, 10_000), target=bs.target)
         fa2 = cv.assign_families(grown, c_bound=100)
         for b in bs.balls:
             assert fa2.families[b.ball_id] == fa.families[b.ball_id]
@@ -385,7 +366,7 @@ class TestVerifyFamilies:
         assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]
 
     def test_empty_vacuous_pass(self):
-        bs = cv.BallSet(balls=(), target=np.zeros((0, 2)))
+        bs = cv.BallSet(np.zeros((0, 2)), [], [], target=np.zeros((0, 2)))
         report = cv.verify_families(bs, cv.FamilyAssignment(families={}, c_bound=12))
         assert report["all_passed"]
 
@@ -436,16 +417,13 @@ class TestCenterShift:
     def test_unmatched_radius_raises(self):
         _, doubled = self._sources()
         fa = cv.assign_families(doubled, c_bound=50)
-        bad = cv.BallSet(
-            balls=doubled.balls,
-            target=doubled.target,
-            sources=tuple(doubled.sources[:-1]),
-        )
+        bad = cv.BallSet(doubled.centers, doubled.radii, doubled.ids, doubled.target,
+                         sources=tuple(doubled.sources[:-1]))
         kept = {i for i, f in fa.families.items() if f > 0}
         if doubled.sources[-1].ball_id in kept:
             with pytest.raises(DataIntegrityError):
                 cv.center_shift(bad, fa)
-        missing = cv.BallSet(balls=doubled.balls, target=doubled.target)
+        missing = cv.BallSet(doubled.centers, doubled.radii, doubled.ids, doubled.target)
         with pytest.raises(DataIntegrityError):
             cv.center_shift(missing, fa)
 
@@ -743,8 +721,7 @@ class TestArrayKernels:
         for dim in (1, 2, 3, 9):
             centers = rng.random((40, dim)) * scale
             radii = rng.permutation(np.arange(1, 41)) / 40 * scale / 6
-            bs = cv.BallSet(balls=[cv.Ball(tuple(c), float(r), k) for k, (c, r) in enumerate(zip(centers, radii))],
-                            target=np.zeros((0, dim)))
+            bs = cv.BallSet(centers, radii, range(40), target=np.zeros((0, dim)))
             fa = cv.FamilyAssignment(families={k: 1 + k % 2 for k in range(40)}, c_bound=2)
             report = cv.verify_families(bs, fa)
             assert report == _verify_reference(bs, fa)
@@ -786,8 +763,7 @@ class TestArrayKernels:
             else:
                 continue
             found += 1
-            bs = cv.BallSet(balls=(cv.Ball(tuple(p), r[0], 0), cv.Ball(tuple(q), r[1], 1)),
-                            target=np.zeros((0, 9)))
+            bs = cv.BallSet([p, q], r, [0, 1], target=np.zeros((0, 9)))
             fa = cv.FamilyAssignment(families={0: 1, 1: 1}, c_bound=1)
             report = cv.verify_families(bs, fa)
             assert report["intra_family_disjoint"]["witnesses"] == [(0, 1)]

@@ -1,13 +1,14 @@
 """Tests for the finite-difference Riemannian calculus core."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conelab import grids
+from conelab import barrier, cones, grids, spectral
 from conelab.cones import DeformedCone, deformed_metric, make_cone
 from conelab.errors import (
     BoundaryMarginError,
@@ -960,3 +961,37 @@ def test_malformed_input_raises_typed_error(case):
     axis, error = _MALFORMED[case]
     with pytest.raises(error, match="finite and increasing"):
         Chart((axis, (0.0, 1.0, 5)))
+
+
+def _barrier():
+    from conelab.barrier import BarrierSpec
+    from conelab.perron import make_cutoff
+
+    return BarrierSpec(deformed=DeformedCone(make_cone(3, 3), alpha=-0.5), mu=1.0, cutoff=make_cutoff(4.0, 1.0))
+
+
+#: every input that must satisfy 0 < x < inf at every entry
+_POSITIVE_INPUTS = {
+    "green": lambda x: barrier.green(7, x),
+    "barrier-jet": lambda x: _barrier().jet(x),
+    "area_profile": lambda x: barrier.area_profile(_barrier(), x),
+    "sphere_trace": lambda x: barrier.sphere_trace(_barrier(), x),
+    "weight": lambda x: spectral.weight(make_cone(3, 3), 0.0, x),
+    "second_form_norm2": lambda x: cones.second_form_norm2(make_cone(3, 3), x),
+    "cone_scal": lambda x: cones.cone_scal(make_cone(3, 3), x),
+    "deformed_distance": lambda x: cones.deformed_distance(make_cone(3, 3), -0.5, x),
+    "rho_of_r": lambda x: DeformedCone(make_cone(3, 3), alpha=-0.5).rho_of_r(x),
+    "conformal_scal": lambda u: conformal_scal(1.0, u, 0.0, 3),
+    "conformal_deform": lambda u: conformal_deform(flat_metric(Chart(((0.0, 1.0, 5),) * 3)), u),
+    "conformal_shape_shift": lambda u: conformal_shape_shift(np.eye(2), np.eye(2), u, np.zeros(3), np.eye(3)[0], 3),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("case", sorted(_POSITIVE_INPUTS))
+def test_non_positive_or_non_finite_input_rejected(case, bad):
+    # a NaN passed every x <= 0 test and came back as NaN, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be positive and finite$"):
+            _POSITIVE_INPUTS[case](np.array([1.0, bad]))
