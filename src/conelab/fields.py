@@ -42,7 +42,7 @@ class TrigField:
         amps = rng.uniform(0.05, 0.25, size=3)
         waves = rng.uniform(-2.0, 2.0, size=(3, dim))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        base = 1.0 + amps.sum()  # guarantees u >= 1 - sum|amp| ... >= 0.5
+        base = 1.0 + amps.sum()  # u >= base - sum(amps) = 1
         return cls(base, amps, waves, phases)
 
     def _args(self, x):

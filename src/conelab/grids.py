@@ -1,14 +1,17 @@
 """Finite-difference Riemannian calculus on structured grids.
 
 A metric on a uniform rectangular chart has one of two representations:
-a MetricField holds the components sampled at every node, validated on
+a MetricField holds a base g sampled at every node and one factor per
+node, the metric at node k being factor[k] * g[k], validated on
 construction; an AnalyticMetric holds one exact callback that returns g
 and its first and second derivatives of the orders asked for, and g is
 validated at each point it is evaluated.
-Validation takes the nodes in blocks of _BLOCK, in three passes over the
-blocks (finite, symmetric, positive definite), so its working memory does
-not grow with the node count and its first failed test is the one a
-single pass over all nodes would fail.
+Validation takes the nodes of g in blocks of _BLOCK, in three passes over
+the blocks (finite, symmetric, positive definite) that each give one value
+per node; a node's factor f decides on them, since the Cholesky factor of
+f g is sqrt(f) L_g.  So the product is never formed or factored, working
+memory does not grow with the node count, and the first failed test is
+the one a single pass over all nodes of the product would fail.
 Christoffel symbols and scalar curvature are assembled from the metric
 2-jet, which comes from 2nd-order central stencils of the samples or from
 the jet callback, at grid nodes of shape (..., n): one node is a batch of
@@ -128,61 +131,103 @@ class Chart:
         return p
 
 
-def _min_cholesky_pivot(a, scratch):
-    """Smallest Cholesky pivot of the (n, n, B) stack a, whose a[i, j] is
-    entry ij of every node; the factor of the lower triangle is built
-    column by column over all B nodes at once, in the first a.size
+def _cholesky_pivots(a, scratch):
+    """Smallest Cholesky pivot of each node of the (n, n, B) stack a, whose
+    a[i, j] is entry ij of every node; the factor of the lower triangle is
+    built column by column over all B nodes at once, in the first a.size
     entries of scratch (each entry read is written first)."""
     n = a.shape[0]
     chol = scratch[:a.size].reshape(a.shape)
-    pivot = np.inf
+    pivot = np.full(a.shape[2], np.inf)
     for j in range(n):
         col = a[j:, j] - np.einsum("ikb,kb->ib", chol[j:, :j], chol[j, :j])
         if not (col[0] > 0).all():
             raise SingularMetricError("metric not positive definite")
         piv = np.sqrt(col[0])
         chol[j:, j] = col / piv
-        pivot = min(pivot, piv.min(initial=np.inf))
+        np.minimum(pivot, piv, out=pivot)
     return pivot
 
 
-def _check_metric(g):
-    """Every (n, n) block of g is finite, symmetric to 1e-12 and positive
-    definite with Cholesky pivots above 1e-12.
+def _distinct(a, axes):
+    """a with each of its first ``axes`` axes of stride 0 (a broadcast
+    view, one node's memory at every index) cut to its first index."""
+    node_axes = zip(a.strides[:axes], a.shape)
+    return a[tuple(slice(1) if stride == 0 and size else slice(None) for stride, size in node_axes)]
 
-    The nodes are taken _BLOCK at a time, so every temporary and the one
-    Cholesky scratch array hold at most _BLOCK nodes.  Three passes over
-    the blocks test finiteness, then symmetry (the strict upper triangle
-    against its mirror), then the Cholesky factor; the pivot tolerance is
-    tested once every node has factored.  So the first failed test over
-    all nodes names the error, whatever block it fails in.
 
-    A node axis of stride 0 (a broadcast view) holds one node's memory at
-    every index, so it is collapsed to its first index: each distinct node
-    is validated once, and the decision is the same as over the copy."""
+def _per_node(g, test):
+    """test(a) over the (n, n) nodes of g in blocks of _BLOCK nodes, each
+    block a of shape (n, n, B) with a[i, j] entry ij of every node: one
+    value per node, of shape g.shape[:-2]."""
+    nodes = g.reshape((-1,) + g.shape[-2:])
+    out = np.empty(len(nodes))
+    for s in range(0, len(nodes), _BLOCK):
+        out[s:s + _BLOCK] = test(nodes[s:s + _BLOCK].transpose(1, 2, 0))
+    return out.reshape(g.shape[:-2])
+
+
+def _check_metric(g, factor=1.0):
+    """factor * g, factor[k] * g[k] at node k, is finite, symmetric to
+    1e-12 and positive definite with Cholesky pivots above 1e-12 at every
+    node; factor broadcasts against the node axes of g.
+
+    Three passes over blocks of _BLOCK nodes of g give one value per node,
+    and the node's factor f decides on it: f max|g| finite, then |f| times
+    the largest asymmetry of g at most 1e-12, then f > 0 and g positive
+    definite, then sqrt(f) times the smallest pivot of g above 1e-12 once
+    every node has factored.  These are the tests of f g up to the rounding
+    of the product, so the first failed test over all nodes names the
+    error, whatever block it fails in.
+
+    A node axis of stride 0 in g or in factor is collapsed to its first
+    index: each distinct node is validated once, and the decision is the
+    same as over the copy."""
     n = g.shape[-1]
-    node_axes = zip(g.strides[:-2], g.shape)
-    g = g[tuple(0 if stride == 0 and size else slice(None) for stride, size in node_axes)]
-    nodes = g.reshape(-1, n, n)
-    blocks = [nodes[s:s + _BLOCK] for s in range(0, len(nodes), _BLOCK)]
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise DomainError("metric not finite at every node")
-    iu, ju = np.triu_indices(n, 1)
-    if any(np.abs(b[:, iu, ju] - b[:, ju, iu]).max(initial=0.0) > 1e-12 for b in blocks):
-        raise DomainError("metric not symmetric at every node")
-    scratch = np.zeros(blocks[0].size) if blocks else None
-    pivot = min((_min_cholesky_pivot(b.transpose(1, 2, 0), scratch) for b in blocks), default=np.inf)
-    if pivot <= _PIVOT_TOL:
+    g = _distinct(g, g.ndim - 2)
+    f = _distinct(np.asarray(factor, dtype=float), np.ndim(factor))
+    iu, ju = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # strict upper triangle
+    # an overflow to inf, or 0 * inf, is what the first test detects
+    with np.errstate(over="ignore", invalid="ignore"):
+        # max|g| per node: a C-ordered |block| reduces over its leading
+        # (entry) axes, one vector operation per entry
+        if not np.isfinite(f * _per_node(g, lambda a: np.abs(a, order="C").max((0, 1)))).all():
+            raise DomainError("metric not finite at every node")
+        asym = _per_node(g, lambda a: np.abs(a[iu, ju] - a[ju, iu]).max(0, initial=0.0))
+        if (np.abs(f) * asym > 1e-12).any():
+            raise DomainError("metric not symmetric at every node")
+    if not (f > 0).all():
+        raise SingularMetricError("metric not positive definite")
+    scratch = np.zeros(min(g.size // (n * n), _BLOCK) * n * n)
+    pivot = _per_node(g, lambda a: _cholesky_pivots(a, scratch))
+    if not (np.sqrt(f) * pivot > _PIVOT_TOL).all():
         raise SingularMetricError("metric pivot below tolerance 1e-12")
+
+
+def _node_values(chart, x, what):
+    """x as a read-only float array of chart.shape: a scalar is one value
+    at every node (a stride-0 view), and an array must have exactly that
+    shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim and x.shape != chart.shape:
+        raise DomainError(f"{what} has shape {x.shape}, expected a scalar or {chart.shape}")
+    return np.broadcast_to(x, chart.shape)
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Metric components sampled on a chart; g has shape chart.shape + (n, n)
-    and is validated at every node on construction."""
+    """Metric sampled on a chart: factor[k] * g[k] at node k.
+
+    g has shape chart.shape + (n, n).  factor is a scalar or an array of
+    exactly chart.shape; it is stored with chart.shape (a scalar as a
+    stride-0 view), and is 1 for a field built without one.  Both are kept
+    as read-only views, and the metric is validated at every node on
+    construction without forming the product; stencils form it at the
+    nodes they read."""
 
     chart: Chart
     g: np.ndarray
+    factor: np.ndarray = 1.0
 
     # no callbacks: a sampled field's jets come from its samples (the
     # perfbench tracer reads these names on every field it wraps)
@@ -193,7 +238,9 @@ class MetricField:
         expected = self.chart.shape + (n, n)
         if self.g.shape != expected:
             raise DomainError(f"g has shape {self.g.shape}, expected {expected}")
-        _check_metric(self.g)
+        object.__setattr__(self, "g", np.broadcast_to(self.g, expected))
+        object.__setattr__(self, "factor", _node_values(self.chart, self.factor, "factor"))
+        _check_metric(self.g, self.factor)
 
     @classmethod
     def from_function(cls, chart, fn):
@@ -325,21 +372,22 @@ def central_jet(sample, h):
     return f, df, d2f
 
 
-def _stencil_jet(values, p, h):
-    """central_jet of grid samples at nodes p (..., n): one index gather per
-    offset, from the node axis moved to the front once."""
+def _stencil_jet(at, p, h):
+    """central_jet of grid samples at nodes p (..., n), where ``at(index)``
+    gathers the samples at an index tuple: one gather per offset, from the
+    node axis moved to the front once."""
     axes_first = np.moveaxis(p, -1, 0)
     column = (-1,) + (1,) * (p.ndim - 1)
-    return central_jet(lambda offset: values[tuple(axes_first + offset.reshape(column))], h)
+    return central_jet(lambda offset: at(tuple(axes_first + offset.reshape(column))), h)
 
 
 def metric_jet(m, p):
     """(g, dg, d2g) of the metric at grid nodes p (..., n), the derivative
     axes behind the batch axes: exact for an AnalyticMetric, central
-    stencils of the samples for a MetricField."""
+    stencils of the samples factor * g for a MetricField."""
     if isinstance(m, AnalyticMetric):
         return m.jet(m.chart.node_coords(p))
-    g, dg, d2g = _stencil_jet(m.g, p, m.chart.spacings)
+    g, dg, d2g = _stencil_jet(lambda i: m.factor[i][..., None, None] * m.g[i], p, m.chart.spacings)
     return g, np.moveaxis(dg, 0, -3), np.moveaxis(d2g, (0, 1), (-4, -3))
 
 
@@ -377,23 +425,26 @@ def conformal_scal(scal_g, u, lap_u, n):
 
 
 def conformal_deform(m, u, n=None):
-    """Componentwise g -> u^{4/(n-2)} g for a positive scalar field u.
+    """Componentwise g -> u^{4/(n-2)} g for a positive scalar field u, a
+    scalar or an array of exactly the chart's shape.
 
-    u may be a scalar or an array over the grid nodes.  The output is a
-    sampled MetricField (stencil path), since u is given by samples; an
-    AnalyticMetric input is first sampled over its whole chart.  ``n``
-    defaults to the chart dimension; pass it explicitly on dimensionally
-    reduced grids (radial sections of higher-dimensional metrics).
+    The output is a sampled MetricField (stencil path), since u is given by
+    samples: the base g of m, shared, and the factor of m times u^{4/(n-2)},
+    one float per node, validated without a second Cholesky factorization.
+    Deforming a deformed field multiplies the factors first, which may move
+    a last bit against deforming the product g f1 by f2; no caller deforms
+    twice.  An AnalyticMetric input is first sampled over its whole chart.
+    ``n`` defaults to the chart dimension; pass it explicitly on
+    dimensionally reduced grids (radial sections of higher-dimensional
+    metrics).
     """
     n = m.chart.dim if n is None else n
     if n < 3:
         raise DomainError("conformal exponent needs n >= 3")
-    u = _positive(u, "conformal factor")
+    power = _node_values(m.chart, _positive(u, "conformal factor") ** (4.0 / (n - 2.0)), "conformal factor")
     if isinstance(m, AnalyticMetric):
         m = MetricField.from_function(m.chart, m.metric_fn)
-    factor = u ** (4.0 / (n - 2.0))
-    g = m.g * factor[..., None, None] if factor.ndim else m.g * factor
-    return MetricField(m.chart, g)
+    return MetricField(m.chart, m.g, m.factor * power)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +456,7 @@ def _scalar_jet(m, f, p):
     if hasattr(f, "grad") and hasattr(f, "hess"):
         x = m.chart.node_coords(p)
         return np.asarray(f.grad(x), dtype=float), np.asarray(f.hess(x), dtype=float)
-    _, df, d2f = _stencil_jet(np.asarray(f, dtype=float), p, m.chart.spacings)
+    _, df, d2f = _stencil_jet(np.asarray(f, dtype=float).__getitem__, p, m.chart.spacings)
     return df, d2f
 
 

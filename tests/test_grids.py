@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conelab import barrier, cones, grids, spectral
@@ -56,6 +56,11 @@ def _center(chart):
     return tuple(s // 2 for s in chart.shape)
 
 
+def _metric(m):
+    """The metric of a MetricField at every node, as one array."""
+    return m.factor[..., None, None] * m.g
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -97,12 +102,14 @@ class TestConstruction:
             MetricField(chart, g)
 
     def test_one_representation_per_field_type(self):
-        assert [f.name for f in dataclasses.fields(MetricField)] == ["chart", "g"]
+        assert [f.name for f in dataclasses.fields(MetricField)] == ["chart", "g", "factor"]
         assert [f.name for f in dataclasses.fields(AnalyticMetric)] == ["chart", "jet_fn"]
         # a sampled field reports no callbacks, and sampling drops them
         chart = _cube_chart(2, 1.0, 2.0, 5)
         m = MetricField.from_function(chart, polar_metric(chart).metric_fn)
         assert (m.metric_fn, m.dmetric_fn, m.d2metric_fn) == (None, None, None)
+        # a field built without a factor has 1 at every node, stored once
+        assert m.factor.shape == chart.shape and m.factor.strides == (0, 0) and (m.factor == 1.0).all()
 
 
 #: a bad value of g, and the error the symmetric-plus-pivot rule raises for it
@@ -361,8 +368,131 @@ def test_conformal_deform_of_view_equals_copy():
     copied = MetricField(chart, view.g.copy())
     for factor in (u, 1.7):
         a, b = conformal_deform(view, factor), conformal_deform(copied, factor)
-        assert a.g.tobytes() == b.g.tobytes()
+        assert _metric(a).tobytes() == _metric(b).tobytes()
         assert scalar_curvature(a, (4, 4, 4)) == scalar_curvature(b, (4, 4, 4))
+
+
+def _outcome(build):
+    """None if build() passes, else the (type, message) of its metric error."""
+    try:
+        build()
+    except (DomainError, SingularMetricError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _near(x, threshold):
+    """Some positive finite entry of x lies within 1e-9 relative of threshold."""
+    x = x[np.isfinite(x) & (x > 0)]
+    return bool((np.abs(np.log(x) - np.log(threshold)) < 1e-9).any())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "indefinite", "asymmetric", "within-tolerance", "near-singular", "non-finite"]),
+    n=st.sampled_from([2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    # half the scales where the tolerances of the bases lie
+    log_scale=st.one_of(st.floats(-30.0, 200.0), st.floats(-30.0, 10.0)),
+    spread=st.sampled_from([0.0, 0.0, 0.3, 0.3, 230.0]),
+    spoil=st.sampled_from([None, None, None, 0.0, -1.0, np.inf]),
+)
+def test_factor_form_decides_like_the_materialized_product(kind, n, seed, log_scale, spread, spoil):
+    """MetricField(chart, g, f) raises the class and message of the full
+    check on the product f g, or passes like it, and its scal is the
+    product's bit for bit.  f spans 1e-30 to 1e200 and, with the widest
+    spread, overflows to inf; ``spoil`` puts 0, -f or inf at one node."""
+    chart = Chart(((0.0, 1.0, 7), (0.0, 1.0, 9)) if n == 2 else ((0.0, 1.0, 7),) * 2 + ((0.0, 1.0, 8),))
+    rng = np.random.default_rng(seed)
+    batch = int(np.prod(chart.shape))
+    if kind == "non-finite":
+        g = _metric_batch("spd", n, batch, seed)
+        g[rng.integers(batch), rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    else:
+        g = _metric_batch(kind, n, batch, seed)
+    with np.errstate(over="ignore"):
+        f = 10.0 ** (log_scale + spread * rng.uniform(0.0, 1.0, batch))
+    # rounding at a tie may differ between f g and its tests on g: keep away
+    # (a non-finite node fails the first test whatever its f)
+    tested = np.where(np.isfinite(g).all((1, 2), keepdims=True), g, np.eye(n))
+    scale = np.abs(tested).max((1, 2))
+    asym = np.abs(tested - tested.swapaxes(1, 2)).max((1, 2))
+    pivot = np.array([np.diag(np.linalg.cholesky(b)).min() if np.linalg.eigvalsh(b).min() > 0 else np.nan
+                      for b in tested])
+    if spoil is not None:
+        # at the most asymmetric node, where the sign of f meets the symmetry test
+        k = np.argmax(asym)
+        f[k] = spoil * f[k] if spoil < 0 else spoil
+    with np.errstate(over="ignore", invalid="ignore"):
+        assume(not _near(f * scale, np.finfo(float).max))
+        assume(not _near(np.abs(f) * asym, 1e-12))
+        assume(not _near(np.sqrt(f) * pivot, 1e-12))
+        product = f[:, None, None] * g
+    g, f, product = g.reshape(chart.shape + (n, n)), f.reshape(chart.shape), product.reshape(chart.shape + (n, n))
+    expected = _outcome(lambda: MetricField(chart, product))
+    assert _outcome(lambda: MetricField(chart, g, f)) == expected
+    if expected is None:
+        nodes = np.stack(np.meshgrid(*[np.arange(3, c - 3) for c in chart.shape], indexing="ij"), -1)
+        with np.errstate(all="ignore"):
+            got, want = (scalar_curvature(MetricField(chart, *args), nodes) for args in ((g, f), (product,)))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_identity_base_pivots_are_sqrt_factor():
+    # the Cholesky factor of f I is sqrt(f) I to the bit, so the factor form
+    # decides the pivot tolerance exactly, also at the tie sqrt(f) = 1e-12
+    f = np.concatenate([10.0 ** np.linspace(-30.0, 200.0, 47),
+                        np.nextafter(1e-24, [0.0, 1e-24, 1.0])])
+    product = f[:, None, None] * np.eye(3)
+    pivots = grids._per_node(product, lambda a: grids._cholesky_pivots(a, np.zeros(product.size)))
+    assert pivots.tobytes() == np.sqrt(f).tobytes()
+    chart = _cube_chart(3, 0.0, 1.0, 5)
+    eye = flat_metric(chart).g
+    for fk in f:
+        assert _outcome(lambda: MetricField(chart, eye, fk)) == _outcome(
+            lambda: MetricField(chart, np.broadcast_to(fk * np.eye(3), eye.shape)))
+
+
+def test_deformed_flat_metric_stores_one_float_per_node():
+    # the deformed 97^3 flat metric once held a fresh (97^3, 3, 3) product
+    chart = _cube_chart(3, 0.0, 1.0, 97)
+    u = np.linspace(1.0, 2.0, 97**3).reshape(chart.shape)
+    m = conformal_deform(flat_metric(chart), u)
+    assert m.factor.nbytes == 8 * 97**3 and m.factor.strides == (8 * 97**2, 8 * 97, 8)
+    assert m.g.strides[:3] == (0, 0, 0)
+    np.testing.assert_array_equal(m.factor, u**4)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 5), (4, 4, 4), (5, 5, 5, 1)])
+@pytest.mark.parametrize("build", ["conformal_deform", "MetricField"])
+def test_mis_shaped_factor_rejected(build, shape):
+    # (5,) and (5, 5) were broadcast along the last node axes, and (4, 4, 4)
+    # raised a bare numpy ValueError
+    chart = _cube_chart(3, 0.0, 1.0, 5)
+    flat = flat_metric(chart)
+    with pytest.raises(DomainError) as info:
+        if build == "conformal_deform":
+            conformal_deform(flat, np.full(shape, 2.0))
+        else:
+            MetricField(chart, flat.g, np.full(shape, 2.0))
+    assert f"{shape}" in str(info.value) and f"{chart.shape}" in str(info.value)
+
+
+def test_sampled_fields_are_read_only():
+    # a write into a deformed field's g once turned a validated metric
+    # indefinite at a node, and scalar_curvature read it without an error
+    chart = _cube_chart(3, 0.0, 1.0, 9)
+    u = TrigField.random(3, seed=5).value(chart.mesh())
+    fields = {
+        "deformed": conformal_deform(flat_metric(chart), u),
+        "deformed-analytic": conformal_deform(cylinder_metric(3), 1.5),
+        "from_function": MetricField.from_function(chart, lambda x: np.eye(3) + 0.0 * x[..., None]),
+        "given": MetricField(chart, np.asarray(flat_metric(chart).g).copy(), u.copy()),
+    }
+    for m in fields.values():
+        for a in (m.g, m.factor):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(4,) * 3] = -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +913,7 @@ class TestConformalDeform:
     def test_identity_factor(self):
         m = flat_metric(_cube_chart(3, 0.0, 1.0, 7))
         out = conformal_deform(m, np.ones(m.chart.shape))
-        np.testing.assert_array_equal(out.g, m.g)
+        np.testing.assert_array_equal(_metric(out), m.g)
 
     def test_rejects_nonpositive(self):
         m = flat_metric(_cube_chart(2, 0.0, 1.0, 5))
@@ -829,8 +959,8 @@ class TestConformalDeform:
         n = 4
         out = conformal_deform(m, rho ** (-(n - 2.0) / 2.0), n=n)
         # u^{4/(n-2)} = rho^{-2}: g_rhorho * rho^2 becomes constant = 1
-        np.testing.assert_allclose(out.g[..., 0, 0] * rho**2, 1.0)
-        np.testing.assert_allclose(out.g[..., 1, 1], 1.0)
+        np.testing.assert_allclose(_metric(out)[..., 0, 0] * rho**2, 1.0)
+        np.testing.assert_allclose(_metric(out)[..., 1, 1], 1.0)
 
 
 # ---------------------------------------------------------------------------
