@@ -24,6 +24,8 @@ from .grids import AnalyticMetric, Chart, _is_index, scal_from_jet
 from .jets import Jet, jet_compose
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+#: inside points per block of the profile's tail quadrature
+_TAIL_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,10 @@ class BendProfile:
     delta: float
     report: dict
 
+    def __post_init__(self):
+        if not (0 < self.k < np.inf and 0 < self.delta < np.inf):
+            raise ParameterError("k and delta must be positive and finite")
+
     def _psi(self, s):
         return self.k * self.delta * s / (self.delta - s)
 
@@ -56,11 +62,11 @@ class BendProfile:
         closed-form h' (accurate to ~1e-15 on these smooth integrands).
 
         h = |t| exactly for |t| >= delta, so the quadrature runs only over
-        the points with |t| < delta.  Each point's weighted sum is a sum
-        along its own row, so its h does not depend on the other points of
-        the call.  The quadrature works in place in one (points, nodes)
-        array and one scratch array of the same shape, with the arithmetic
-        of ``_psi``, so h is the same to the bit."""
+        the points with |t| < delta, ``_TAIL_ROWS`` of them at a time.  Each
+        point's weighted sum is a sum along its own row, so its h does not
+        depend on the other points of the call or on the blocking.  Every
+        block works in place in the same two (block, nodes) scratch arrays,
+        with the arithmetic of ``_psi``, so h is the same to the bit."""
         t = np.asarray(t, dtype=float)
         cap = self.delta * (1.0 - 1e-14)
         s = np.minimum(np.abs(t), cap)
@@ -69,19 +75,27 @@ class BendProfile:
         hp = np.sign(t) * (1.0 - decay)
         hpp = np.where(inside, self._dpsi(s) * decay, 0.0)
         # tail(s) = integral_s^delta e^{-psi}, so h = |t| + tail(|t|)
-        half = (self.delta - s[inside]) / 2.0
-        mid = (self.delta + s[inside]) / 2.0
-        x = np.multiply(half[:, None], _GAUSS_NODES)
-        np.add(mid[:, None], x, out=x)
-        np.minimum(x, cap, out=x)
-        rate = np.subtract(self.delta, x)  # psi(x) = (k delta) x / (delta - x)
-        np.multiply(self.k * self.delta, x, out=x)
-        np.divide(x, rate, out=x)
-        np.negative(x, out=x)
-        np.exp(x, out=x)
-        np.multiply(x, _GAUSS_WEIGHTS, out=x)
+        s_in = s[inside]
+        tail_in = np.empty(s_in.shape)
+        x = np.empty((min(s_in.size, _TAIL_ROWS), _GAUSS_NODES.size))
+        rate = np.empty(x.shape)
+        for i in range(0, s_in.size, _TAIL_ROWS):
+            si = s_in[i:i + _TAIL_ROWS]
+            xb, rb = x[:si.size], rate[:si.size]
+            half = (self.delta - si) / 2.0
+            mid = (self.delta + si) / 2.0
+            np.multiply(half[:, None], _GAUSS_NODES, out=xb)
+            np.add(mid[:, None], xb, out=xb)
+            np.minimum(xb, cap, out=xb)
+            np.subtract(self.delta, xb, out=rb)  # psi(x) = (k delta) x / (delta - x)
+            np.multiply(self.k * self.delta, xb, out=xb)
+            np.divide(xb, rb, out=xb)
+            np.negative(xb, out=xb)
+            np.exp(xb, out=xb)
+            np.multiply(xb, _GAUSS_WEIGHTS, out=xb)
+            np.multiply(half, xb.sum(-1), out=tail_in[i:i + _TAIL_ROWS])
         tail = np.zeros(s.shape)
-        tail[inside] = half * x.sum(-1)
+        tail[inside] = tail_in
         return Jet(np.abs(t) + tail, hp, hpp)
 
     def __call__(self, t):
@@ -93,9 +107,7 @@ def build_h(k, delta) -> BendProfile:
 
     All profile invariants are checked on 10000 samples; the report holds
     the minima of the two stiffness ratio inequalities.  Each certificate
-    test fails on NaN."""
-    if not (0 < k < np.inf and 0 < delta < np.inf):
-        raise ParameterError("k and delta must be positive and finite")
+    test fails on NaN.  k and delta are checked by BendProfile itself."""
     sigma = 2.5 * delta
     bp = BendProfile(k=k, delta=delta, report={})
     t = np.linspace(-sigma, sigma, 10000)
@@ -221,15 +233,16 @@ def scal_compare(tm: TubeMetric, bp: BendProfile, samples=201):
 
 
 def stiffness_search(tm: TubeMetric, delta, cap=2.0**20, samples=201):
-    """Doubling search from k = 1 for the smallest certified stiffness k*
-    with min scal difference >= 0.  Returns k* and the scal_compare report
-    of k*, which also holds the certified profile under "profile"."""
+    """Doubling search from k = 1 for the smallest stiffness k* with min
+    scal difference >= 0.  Each candidate is compared with an uncertified
+    profile; only k* is certified, by one ``build_h``.  Returns k* and the
+    scal_compare report of k*, which also holds the certified profile under
+    "profile"."""
     k = 1.0
     while k <= cap:
-        bp = build_h(k, delta)
-        rep = scal_compare(tm, bp, samples=samples)
+        rep = scal_compare(tm, BendProfile(k=k, delta=delta, report={}), samples=samples)
         if rep["min_diff"] >= 0:
-            return k, {**rep, "profile": bp}
+            return k, {**rep, "profile": build_h(k, delta)}
         k *= 2.0
     raise IterationLimitError(f"no certified stiffness below the cap {cap}")
 

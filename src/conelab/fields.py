@@ -47,10 +47,13 @@ class TrigField:
 
     def _args(self, x):
         x = np.asarray(x, dtype=float)
-        return np.tensordot(x, self.waves, axes=([-1], [1])) + self.phases  # (..., m)
+        args = np.tensordot(x, self.waves, axes=([-1], [1]))  # (..., m)
+        args += self.phases
+        return args
 
     def value(self, x):
-        return self.base + np.cos(self._args(x)) @ self.amps
+        args = self._args(x)
+        return self.base + np.cos(args, out=args) @ self.amps
 
     def grad(self, x):
         s = np.sin(self._args(x)) * self.amps  # (..., m)

@@ -109,8 +109,8 @@ class Chart:
 
     def mesh(self):
         """Coordinates at all nodes, shape grid_shape + (dim,)."""
-        grids = np.meshgrid(*[self.coords_1d(i) for i in range(self.dim)], indexing="ij")
-        return np.stack(grids, axis=-1)
+        grids = np.meshgrid(*[self.coords_1d(i) for i in range(self.dim)], indexing="ij", copy=False)
+        return np.stack(grids, axis=-1)  # one copy, from broadcast views
 
     def node_coords(self, p):
         """Coordinates of the grid nodes p, shape (..., dim)."""

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from conelab.barrier import _FD_STEP, BarrierSpec, _orthonormal_complement, scal_quantity, sphere_distance
-from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric
-from conelab.errors import ConvergenceError, DomainError, ResampleError, SingularMetricError
+from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric, build_h, scal_compare
+from conelab.errors import ConvergenceError, DomainError, IterationLimitError, ResampleError, SingularMetricError
 from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
 from conelab.grids import _PIVOT_TOL, Chart, _inverse, _lowered, central_jet, conformal_coupling
 from conelab.jets import Jet
@@ -124,6 +124,19 @@ def bend_jet_full_quadrature(bp, t):
     vals = np.exp(-bp._psi(np.minimum(nodes, bp.delta * (1.0 - 1e-14))))
     tail = half * (vals * _GAUSS_WEIGHTS).sum(-1)
     return Jet(np.abs(t) + np.where(inside, tail, 0.0), hp, hpp)
+
+
+def stiffness_search_certify_each(tm, delta, cap=2.0**20, samples=201):
+    """`bending.stiffness_search` with every candidate profile certified by
+    `build_h` before its scal comparison."""
+    k = 1.0
+    while k <= cap:
+        bp = build_h(k, delta)
+        rep = scal_compare(tm, bp, samples=samples)
+        if rep["min_diff"] >= 0:
+            return k, {**rep, "profile": bp}
+        k *= 2.0
+    raise IterationLimitError(f"no certified stiffness below the cap {cap}")
 
 
 def tube_check_pointwise(superposition, tube_radius, axial_samples=64,

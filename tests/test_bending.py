@@ -1,5 +1,7 @@
 """Tests for the tube-bending module."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,13 @@ from conelab.errors import (
 )
 from conelab.grids import AnalyticMetric, MetricField, scalar_curvature
 from conelab.jets import Jet, jet_compose
-from oracles import bend_jet_full_quadrature, cross_section_tube, cylinder_tube, trace_a
+from oracles import (
+    bend_jet_full_quadrature,
+    cross_section_tube,
+    cylinder_tube,
+    stiffness_search_certify_each,
+    trace_a,
+)
 
 
 def _parts(j):
@@ -100,6 +108,11 @@ class TestBuildH:
         with pytest.raises(ParameterError):
             bd.build_h(k, delta)
 
+    @pytest.mark.parametrize("k", [np.inf, 0.0, np.nan])
+    def test_uncertified_profile_validates_its_parameters(self, k):
+        with pytest.raises(ParameterError):
+            bd.BendProfile(k=k, delta=0.2, report={})
+
     def test_nan_report_fails_the_certificate(self, monkeypatch):
         # a profile whose samples are NaN certifies nothing
         jet = bd.BendProfile.jet
@@ -143,6 +156,40 @@ class TestJetQuadrature:
         t = np.concatenate((np.linspace(-0.5, 0.5, 10000), [bp.delta, -bp.delta]))
         for g, w in zip(_parts(bp.jet(t)), _parts(bend_jet_full_quadrature(bp, t))):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    @pytest.mark.parametrize("k", [1.0, 2.0**18])
+    @pytest.mark.parametrize("count", [0, 1, bd._TAIL_ROWS - 1, bd._TAIL_ROWS, bd._TAIL_ROWS + 1,
+                                       2 * bd._TAIL_ROWS + 7])
+    def test_bit_identical_across_tail_blocks(self, count, k, two_d):
+        # `count` points with |t| < delta, shuffled among points outside,
+        # fill the tail blocks exactly, leave one row over or leave a
+        # partial last block
+        bp = bd.BendProfile(k=k, delta=0.2, report={})
+        inside = np.linspace(-0.999, 0.999, count) * bp.delta
+        outside = np.array([1.0, -1.0, 1.7, -2.5, 3.0, 2.0][:5 + (count + 1) % 2]) * bp.delta
+        t = np.random.default_rng(count).permutation(np.concatenate((inside, outside)))
+        if two_d:
+            t = t.reshape(2, -1)
+        assert np.count_nonzero(np.abs(t) < bp.delta) == count
+        for g, w in zip(_parts(bp.jet(t)), _parts(bend_jet_full_quadrature(bp, t))):
+            assert g.shape == w.shape == t.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_tail_scratch_does_not_grow_with_the_points(self):
+        # the tail's (block, nodes) scratch is reused by every block: the
+        # peak allocation is the two scratch arrays plus a few arrays of
+        # one float per point, far below one (points, nodes) array
+        bp = bd.BendProfile(k=2.0, delta=0.2, report={})
+        t = np.linspace(-0.19, 0.19, 20000)
+        tracemalloc.start()
+        try:
+            bp.jet(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scratch = 2 * bd._TAIL_ROWS * bd._GAUSS_NODES.size * 8
+        assert peak <= scratch + 16 * t.nbytes < t.nbytes * bd._GAUSS_NODES.size
 
     def test_special_points_on_one_array(self):
         bp = bd.build_h(3.0, 0.25)
@@ -434,6 +481,36 @@ class TestStiffnessSearch:
         tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
         with pytest.raises(ParameterError):
             bd.stiffness_search(tm, delta=0.2, samples=samples)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.2, np.nan, np.inf])
+    def test_bad_delta_rejected_before_any_work(self, delta, monkeypatch):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+
+        def no_compare(*args, **kwargs):
+            raise AssertionError("scal compared before delta was checked")
+
+        monkeypatch.setattr(bd, "scal_compare", no_compare)
+        with pytest.raises(ParameterError):
+            bd.stiffness_search(tm, delta=delta, samples=61)
+
+    @settings(max_examples=30, deadline=None)
+    @given(theta0=st.floats(0.5, 1.45), delta=st.floats(0.05, 0.4), samples=st.sampled_from([31, 61]))
+    def test_matches_the_search_that_certifies_every_candidate(self, theta0, delta, samples):
+        # one certificate per search, at k*, and the same k*, scal
+        # differences and certificate as certifying every candidate
+        tm = bd.sphere_tube(4, theta0=theta0, sigma=0.45)
+        want_k, want = stiffness_search_certify_each(tm, delta, samples=samples)
+        certified = []
+        build_h = bd.build_h
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bd, "build_h", lambda k, d: certified.append(k) or build_h(k, d))
+            k, rep = bd.stiffness_search(tm, delta, samples=samples)
+        assert certified == [k] == [want_k]
+        for key in ("t", "diff"):
+            assert rep[key].tobytes() == want[key].tobytes()
+        for key in ("min_diff", "argmin_t", "tail_max_abs"):
+            assert rep[key] == want[key]
+        assert rep["profile"] == want["profile"]
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,37 @@ def test_sampled_fields_are_read_only():
                 a[(4,) * 3] = -1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_mesh_and_trig_field_equal_out_of_place_formulas(dim, seed):
+    """Chart.mesh and every TrigField accessor, which work in place, equal
+    the out-of-place formulas to the byte on a mesh, a slice of it and one
+    point."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 1.0, size=dim)
+    chart = Chart(tuple((a, a + rng.uniform(0.1, 3.0), int(rng.integers(5, 9))) for a in lo))
+    mesh = chart.mesh()
+    grids_ = np.meshgrid(*[chart.coords_1d(i) for i in range(dim)], indexing="ij")
+    assert mesh.tobytes() == np.stack(grids_, axis=-1).tobytes()
+    assert mesh.shape == chart.shape + (dim,)
+
+    u = TrigField.random(dim, seed=seed)
+    kk = np.einsum("mi,mj->mij", u.waves, u.waves)
+    k2 = np.einsum("mi,mi->m", u.waves, u.waves)
+    for x in (mesh, mesh[1:4, 2], mesh[(2,) * dim]):
+        args = np.tensordot(x, u.waves, axes=([-1], [1])) + u.phases
+        want = {
+            "value": u.base + np.cos(args) @ u.amps,
+            "grad": -np.tensordot(np.sin(args) * u.amps, u.waves, axes=([-1], [0])),
+            "hess": -np.tensordot(np.cos(args) * u.amps, kk, axes=([-1], [0])),
+            "laplacian": -(np.cos(args) * u.amps) @ k2,
+        }
+        for name, w in want.items():
+            got = getattr(u, name)(x)
+            assert np.shape(got) == np.shape(w)
+            assert np.asarray(got).tobytes() == np.asarray(w).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # christoffel symbols
 # ---------------------------------------------------------------------------
