@@ -457,46 +457,3 @@ def _orthonormal_complement(p):
     cols = np.where(np.abs(np.diag(r)) > 1e-10)[0]
     return q[:, cols].T
 
-
-# ---------------------------------------------------------------------------
-# dimension-shift margin
-# ---------------------------------------------------------------------------
-
-def dimshift_margin_exact(n):
-    """kappa_n - kappa_{n-1} as an exact rational; equals 1/(4(n-1)(n-2))."""
-    if n < 4:
-        raise DomainError("need n >= 4 for the dimension shift")
-    return conformal_coupling(n) - conformal_coupling(n - 1)
-
-
-def dimshift_scal_sign(c_value, n, a=1.0):
-    """Sign report for dropping the radial dimension in the link equation.
-
-    The coupling gap kappa_n - kappa_{n-1} is exactly 1/(4(n-1)(n-2)); for
-    the constant link mode the residual of the lower-dimensional operator
-    shifts by exactly -(kappa_n - kappa_{n-1}) a^2 c, so positive c means
-    the (n-1)-dimensional residual moves strictly negative (the inequality
-    the barrier anchoring needs)."""
-    gap = dimshift_margin_exact(n)
-    margin = float(gap) * a**2 * float(c_value)
-    return {
-        "n": n,
-        "kappa_n": conformal_coupling(n),
-        "kappa_prev": conformal_coupling(n - 1),
-        "margin_coefficient": gap,
-        "margin": margin,
-        "residual_shift": -margin,
-        "sign": "negative" if margin > 0 else "nonnegative",
-    }
-
-
-def dimshift_table(n_range=range(5, 13)):
-    """Exact margin table; the n^2-scaled margins approach 1/4 from below."""
-    return [
-        {
-            "n": n,
-            "margin_coefficient": dimshift_margin_exact(n),
-            "n2_scaled": dimshift_margin_exact(n) * n * n,
-        }
-        for n in n_range
-    ]

@@ -237,7 +237,9 @@ def stiffness_search(tm: TubeMetric, delta, cap=2.0**20, samples=201):
     scal difference >= 0.  Each candidate is compared with an uncertified
     profile; only k* is certified, by one ``build_h``.  Returns k* and the
     scal_compare report of k*, which also holds the certified profile under
-    "profile"."""
+    "profile".  A delta outside (0, inf) or a cap below 1 is a ParameterError."""
+    if not (0 < delta < np.inf and cap >= 1):
+        raise ParameterError(f"need 0 < delta < inf and cap >= 1, got delta {delta!r} and cap {cap!r}")
     k = 1.0
     while k <= cap:
         rep = scal_compare(tm, BendProfile(k=k, delta=delta, report={}), samples=samples)

@@ -34,8 +34,8 @@ from . import covering as cv
 from . import errors
 from . import perron as pn
 from . import spectral as sp
-from .cones import DeformedCone, RadialProfile, cone_scal, link_diameter, make_cone, second_form_norm2
-from .cones import catalog_cones, deformed_distance, deformed_metric, distortion_bounds
+from .cones import DeformedCone, RadialProfile, catalog_cones, cone_scal, deformed_metric, make_cone
+from .cones import second_form_norm2
 from .errors import ConfigError
 from .fields import TrigField, flat_metric
 from .grids import (
@@ -157,46 +157,69 @@ def check_conformal_consistency(params, seed, gate):
 
 
 def check_shape_shift(params, seed, gate):
-    """Round-sphere second form in flat space plus the conformal shift of
-    the second fundamental form (exact arithmetic identity)."""
-    dim, radius = 3, 1.0
-    chart = _cube_chart(dim, radius / np.sqrt(dim) - 0.2, radius / np.sqrt(dim) + 0.2, 9)
-    m = flat_metric(chart)
-    p = _center(chart)
-    x = chart.node_coords(p)
-    r = float(np.linalg.norm(x))
-    mesh = chart.mesh()
-    f = np.linalg.norm(mesh, axis=-1)
-    form, trace = level_set_shape(m, f, p)
-    h = chart.spacings.max()
-    gate.below("trace_error", abs(trace - (dim - 1.0) / r), trace=50.0 * h**2)
-    # the shift with normal-direction slope s subtracts (2/(n-2)) s g exactly
-    rng = np.random.default_rng(seed)
-    s = float(rng.uniform(0.5, 2.0))
-    shifted = conformal_shape_shift(form, np.eye(dim - 1), 1.0, s * np.array([1.0, 0, 0]),
-                                    np.array([1.0, 0, 0]), dim)
-    shift_err = np.abs(shifted - (form - 2.0 / (dim - 2.0) * s * np.eye(dim - 1))).max()
-    gate.equals("shift_error", shift_err, shift=0.0)
-    return "sphere level set in flat 3-space"
+    """Round-sphere second form in flat space, and its conformal shift
+    against the second form in the deformed metric u^4 delta: the
+    difference shrinks at second order in the step."""
+    dim, centre = 3, 1.0 / np.sqrt(3.0)
+    wave = np.random.default_rng(seed).uniform(-0.5, 0.5, dim)
+    errs = []
+    for count in (9, 17):
+        chart = _cube_chart(dim, centre - 0.2, centre + 0.2, count)
+        m, p, mesh = flat_metric(chart), _center(chart), chart.mesh()
+        x, f = chart.node_coords(p), np.linalg.norm(mesh, axis=-1)
+        r, h = float(np.linalg.norm(x)), float(chart.spacings.max())
+        form, trace = level_set_shape(m, f, p)
+        if not errs:
+            gate.below("trace_error", abs(trace - (dim - 1.0) / r), trace=50.0 * h**2)
+        u = 1.0 + 0.4 * np.sin(mesh @ wave)
+        # one frame for both: level_set_shape's frame in u^{4/(n-2)} delta is
+        # the flat one over u^{2/(n-2)}; the distance sphere's normal is inward
+        deformed = u[p] ** (2.0 / (dim - 2.0)) * level_set_shape(conformal_deform(m, u), f, p)[0]
+        shifted = conformal_shape_shift(form, np.eye(dim - 1), u[p], 0.4 * np.cos(x @ wave) * wave, -x / r, dim)
+        errs.append(np.abs(deformed - shifted).max())
+    # halving the step shrinks a second-order difference 4x
+    gate.between("shift_ratio", errs[0] / errs[1], ratio_band=(3.5, 4.5))
+    gate.below("shift_error", errs[1], shift=50.0 * h**2)
+    return f"sphere level set in flat 3-space, u = 1 + 0.4 sin({np.round(wave, 6).tolist()} . x)"
+
+
+def _quadric_shape(c, r, rng):
+    """Shape operators P Hess F P / |grad F| of the cone {F = 0},
+    F = q|x|^2 - p|y|^2 on R^{p+1} x R^{q+1}, at one random point
+    r (a w1, b w2) per radius, w1 and w2 unit vectors; P projects onto the
+    tangent space there."""
+    w = [rng.normal(size=(r.size, k)) for k in (c.p + 1, c.q + 1)]
+    points = r[:, None] * np.hstack([s * v / np.linalg.norm(v, axis=1, keepdims=True) for s, v in zip((c.a, c.b), w)])
+    hess = np.diag(np.repeat([2.0 * c.q, -2.0 * c.p], [c.p + 1, c.q + 1]))
+    grad = points @ hess
+    norm = np.linalg.norm(grad, axis=1)[:, None, None]
+    proj = np.eye(c.n + 1) - grad[:, :, None] * grad[:, None, :] / norm**2
+    return proj @ hess @ proj / norm
 
 
 def check_cone_catalog(params, seed, gate):
-    """Closed-form identities across the cone catalog."""
-    worst = 0.0
+    """The catalog's curvature against the quadric {q|x|^2 = p|y|^2} at
+    seeded cone points: its shape operator is traceless and gives |A|^2,
+    scal = -|A|^2 and, by the Gauss equation in S^n, the link's scal."""
+    rng, r = np.random.default_rng(seed), np.geomspace(0.1, 10.0, 7)
+    worst = np.zeros(4)
     for c in catalog_cones():
-        r = np.geomspace(0.1, 10.0, 7)
-        worst = max(worst, float(np.abs(cone_scal(c, r) * r**2 + (c.p + c.q)).max()))
-        worst = max(worst, float(np.abs(second_form_norm2(c, r) * r**2 - (c.p + c.q)).max()))
-        worst = max(worst, abs(link_diameter(c) - np.pi))
-    gate.below("max_identity_error", worst, identity=1e-12)
+        shape = _quadric_shape(c, r, rng)
+        a2r2 = np.sum(shape**2, axis=(1, 2)) * r**2
+        gauss = (c.n - 1.0) * (c.n - 2.0) - a2r2
+        errs = [np.trace(shape, axis1=1, axis2=2) * r, second_form_norm2(c, r) * r**2 / a2r2 - 1.0,
+                cone_scal(c, r) * r**2 / a2r2 + 1.0, c.link_scal / gauss - 1.0]
+        worst = np.maximum(worst, np.abs(errs).max(axis=1))
+    for name, value in zip(("mean_curvature_r", "second_form_error", "scal_error", "link_scal_error"), worst):
+        gate.below(name, value, identity=1e-12)
     extra, radius_tol = make_cone(3, 3), 1e-15
     gate.require(extra.n == 7 and abs(extra.a - np.sqrt(0.5)) < radius_tol, radius=radius_tol)
-    return "scal r^2 and |A|^2 r^2 identities on all catalog cones"
+    return "mean curvature, |A|^2 r^2, scal r^2 and link scal against the quadric on all catalog cones"
 
 
 def check_deformed_cone(params, seed, gate):
     """Deformed-cone metric curvature matches the warped closed form, and
-    the distance/distortion bookkeeping is consistent."""
+    the deformed distance matches quadrature of its length element."""
     d = _deformed(make_cone(3, 3))
     m = deformed_metric(d)
     p = _center(m.chart)
@@ -206,10 +229,12 @@ def check_deformed_cone(params, seed, gate):
     # the interior stencil margin in dimension 7)
     scal = scal_from_jet(*m.jet(x))
     gate.below("scal_error", abs(scal - d.scal_rho2() / rho**2), scal=1e-8)
-    r = 1.7
-    gate.below("distance_error", abs(deformed_distance(d.base, d.alpha, r) - d.rho_of_r(r)), distance=1e-13)
-    lo, hi = distortion_bounds(1.0, 0.1, 0.2, 0.5, 2.0)
-    gate.require(lo <= hi)
+    # u^{4/(n-2)} dr^2 with u = r^alpha has the length element t^{2 alpha/(n-2)} dt;
+    # Gauss-Legendre nodes and weights on [0.5, 1.7]
+    t, w = np.polynomial.legendre.leggauss(24)
+    t, w = 1.1 + 0.6 * t, 0.6 * w
+    length = w @ t ** (2.0 * d.alpha / (d.base.n - 2.0))
+    gate.below("distance_error", abs(d.rho_of_r(1.7) - d.rho_of_r(0.5) - length), distance=1e-13)
     return f"alpha = {d.alpha}"
 
 
@@ -381,19 +406,6 @@ def check_line_superposition(params, seed, gate):
     return "first-order level refinement 32 -> 64"
 
 
-def check_dimshift(params, seed, gate):
-    """Coupling-constant margin table matches exact fraction arithmetic."""
-    rows = br.dimshift_table(range(5, 13))
-    # both sides are Fractions, so a zero error is exact equality
-    worst = max(abs(br.dimshift_scal_sign(1.0, row["n"])["margin_coefficient"]
-                    - br.dimshift_margin_exact(row["n"])) for row in rows)
-    gate.equals("max_table_error", worst, table=0.0)
-    scaled = [row["n2_scaled"] for row in rows]
-    gate.above("smallest_scaled_margin", min(scaled), scaled_floor=0.25)
-    gate.require(np.all(np.diff(scaled) < 0))
-    return "n = 5..12"
-
-
 def check_covering_random(params, seed, gate):
     """Greedy families on random instances: all derived properties pass,
     the recentering round-trip is exact, and runs are byte-deterministic."""
@@ -462,10 +474,9 @@ CHECKS = {
         "metric-core.level_set_shape", "metric-core.conformal_shape_shift"}),
     "cone-catalog": (check_cone_catalog, {
         "cone-catalog.make_cone", "cone-catalog.cone_scal",
-        "cone-catalog.second_form_norm2", "cone-catalog.link_diameter"}),
+        "cone-catalog.second_form_norm2"}),
     "deformed-cone": (check_deformed_cone, {
-        "cone-catalog.deformed_metric", "cone-catalog.deformed_distance",
-        "cone-catalog.distortion_bounds"}),
+        "cone-catalog.deformed_metric", "cone-catalog.deformed_distance"}),
     "lambda0-simons": (check_lambda0_simons, {
         "spectral.lambda0", "spectral.dirichlet_eigen", "spectral.weight"}),
     "spectral-band": (check_spectral_band, {
@@ -481,7 +492,6 @@ CHECKS = {
         "barrier.deflection_radius", "barrier.area_profile"}),
     "line-superposition": (check_line_superposition, {
         "barrier.line_barrier", "barrier.stieltjes_superpose", "barrier.tube_barrier_check"}),
-    "dimshift": (check_dimshift, {"barrier.dimshift_scal_sign"}),
     "covering-random": (check_covering_random, {
         "covering.assign_families", "covering.verify_families", "covering.center_shift"}),
     "bending-sphere": (check_bending_sphere, {

@@ -188,21 +188,3 @@ def deformed_distance(c: ConeSpec, beta, r):
     r = _positive(r, "radius")
     return r**e / e
 
-
-def distortion_bounds(rho_original, theta_plus, theta_minus, k1, k2):
-    """Two-sided bracket k1 d^{1-theta+} < d_tilde <= k2 d^{1-theta-}."""
-    if not (0 <= theta_plus <= theta_minus < 1):
-        raise DomainError("need 0 <= theta_plus <= theta_minus < 1")
-    if not (0 < k1 <= k2):
-        raise DomainError("need k2 >= k1 > 0")
-    d = np.asarray(rho_original, dtype=float)
-    return k1 * d ** (1.0 - theta_plus), k2 * d ** (1.0 - theta_minus)
-
-
-def link_diameter(c: ConeSpec):
-    """Intrinsic diameter of S^p(a) x S^q(b) = sqrt((pi a)^2 + (pi b)^2).
-
-    With the minimality radii a^2 + b^2 = 1 this is pi for every catalog
-    cone (antipodal pairs in both factors realize it).
-    """
-    return math.sqrt((math.pi * c.a) ** 2 + (math.pi * c.b) ** 2)

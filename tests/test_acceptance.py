@@ -3,7 +3,7 @@
 `cli.CHECKS` is the single implementation of the headline properties; each
 check carries its own pinned bounds.  This file only drives it through
 `cli.run_scenario` (bundled scenarios at their shipped seeds, heavier inputs
-from the declared `cli.PARAMS` keys, and six properties under their own test
+from the declared `cli.PARAMS` keys, and five properties under their own test
 names) and asserts that every check reports pass.
 """
 
@@ -69,10 +69,6 @@ def test_truncation_penalty_slope_and_curvature_margin(tmp_path):
 
 def test_superposition_first_order_and_tube_margins(tmp_path):
     _bundled_check_passes("superposition", "line-superposition", tmp_path)
-
-
-def test_dimension_shift_margin_table_exact(tmp_path):
-    _bundled_check_passes("superposition", "dimshift", tmp_path)
 
 
 def test_every_check_in_a_bundled_scenario():

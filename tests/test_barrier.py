@@ -626,37 +626,6 @@ class TestTubeCheck:
             br.tube_barrier_check(sup, 2.0)
 
 
-class TestDimshift:
-    def test_n7_margin(self):
-        rep = br.dimshift_scal_sign(1.0, 7)
-        from fractions import Fraction
-
-        assert rep["kappa_n"] == Fraction(5, 24)
-        assert rep["kappa_prev"] == Fraction(1, 5)
-        assert rep["margin_coefficient"] == Fraction(1, 120)
-        assert rep["sign"] == "negative"
-
-    def test_exact_closed_form(self):
-        from fractions import Fraction
-
-        for n in range(5, 13):
-            assert br.dimshift_margin_exact(n) == Fraction(1, 4 * (n - 1) * (n - 2))
-
-    def test_table(self):
-        table = br.dimshift_table()
-        assert [row["n"] for row in table] == list(range(5, 13))
-        scaled = [row["n2_scaled"] for row in table]
-        # n^2-scaled margins decrease toward the limit 1/4 from above
-        assert all(s > 0.25 for s in scaled)
-        assert all(b < a for a, b in zip(scaled, scaled[1:]))
-
-    def test_constant_mode_residual_shift(self):
-        # substituting the constant link mode: the residual changes by exactly
-        # -(kappa_n - kappa_{n-1}) a^2 c
-        rep = br.dimshift_scal_sign(2.0, 7, a=3.0)
-        assert np.isclose(rep["residual_shift"], -float(rep["margin_coefficient"]) * 9.0 * 2.0)
-
-
 def _obstacle(inner, outer):
     return br.ObstacleProblem(inner=inner, outer=outer, area=lambda r: r)
 

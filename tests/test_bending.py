@@ -490,8 +490,17 @@ class TestStiffnessSearch:
             raise AssertionError("scal compared before delta was checked")
 
         monkeypatch.setattr(bd, "scal_compare", no_compare)
-        with pytest.raises(ParameterError):
-            bd.stiffness_search(tm, delta=delta, samples=61)
+        # below a cap of 1 no candidate is compared: delta is checked first
+        for cap in (2.0**20, 0.5):
+            with pytest.raises(ParameterError):
+                bd.stiffness_search(tm, delta=delta, cap=cap, samples=61)
+
+    @pytest.mark.parametrize("cap", [np.nan, 0.5, -1.0])
+    def test_bad_cap_rejected_before_any_work(self, cap, monkeypatch):
+        tm = bd.sphere_tube(4, theta0=1.2, sigma=0.45)
+        monkeypatch.setattr(bd, "scal_compare", lambda *a, **k: pytest.fail("scal compared before cap was checked"))
+        with pytest.raises(ParameterError, match="cap"):
+            bd.stiffness_search(tm, delta=0.2, cap=cap, samples=61)
 
     @settings(max_examples=30, deadline=None)
     @given(theta0=st.floats(0.5, 1.45), delta=st.floats(0.05, 0.4), samples=st.sampled_from([31, 61]))

@@ -1,7 +1,9 @@
 """Tests for the scenario runner."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conelab
 from conelab import barrier, cli
 from conelab.errors import ConfigError
 
 
-def _scenario(name="quick", seed=7, checks=("dimshift",), params=None):
+def _scenario(name="quick", seed=7, checks=("cone-catalog",), params=None):
     return {
         "schema_version": 1,
         "name": name,
@@ -34,7 +37,7 @@ class TestScenarioSchema:
             {"seed": None},
             {"seed": "42"},
             {"name": ""},
-            {"checks": "dimshift"},
+            {"checks": "cone-catalog"},
             {"name": "../../evil"},
             {"seed": True},
         ],
@@ -94,6 +97,15 @@ def test_conformal_order_in_band_over_seeds():
         assert gate.passed, (seed, gate.measured)
 
 
+def test_shape_shift_ratio_in_band_over_seeds():
+    """The second-order ratio of shape-shift lies in its band, and its
+    error under its bound, over 50 seeds drawn from a fixed generator."""
+    for seed in np.random.default_rng(20261019).integers(0, 2**31 - 1, 50):
+        gate = cli.Gate()
+        cli.check_shape_shift({}, int(seed), gate)
+        assert gate.passed, (seed, gate.measured)
+
+
 class TestRun:
     def test_run_writes_deterministic_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -112,13 +124,13 @@ class TestRun:
         assert all(c["wall_time"] >= 0 for c in rep.checks)
 
     def test_wall_times_go_to_the_timing_sidecar(self, tmp_path):
-        rep = cli.run_scenario(_scenario(checks=("dimshift", "cone-catalog")), output_root=tmp_path)
+        rep = cli.run_scenario(_scenario(checks=("cone-catalog", "deformed-cone")), output_root=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "quick.checks.csv", "quick.report.json", "quick.timing.json"]
         timing = json.loads((tmp_path / "quick.timing.json").read_text())
         assert timing == {"scenario": "quick",
                           "checks": [{"name": c["name"], "wall_time": c["wall_time"]} for c in rep.checks]}
-        assert [c["name"] for c in timing["checks"]] == ["dimshift", "cone-catalog"]
+        assert [c["name"] for c in timing["checks"]] == ["cone-catalog", "deformed-cone"]
 
     def test_module_error_recorded_as_failure(self, tmp_path):
         # a core radius inside the tube depth is valid input the library
@@ -136,7 +148,7 @@ class TestRun:
 
     def test_ops_recorded(self, tmp_path):
         rep = cli.run_scenario(_scenario(), output_root=tmp_path)
-        assert rep.ops == ["barrier.dimshift_scal_sign"]
+        assert rep.ops == ["cone-catalog.cone_scal", "cone-catalog.make_cone", "cone-catalog.second_form_norm2"]
 
 
 class TestGate:
@@ -255,6 +267,55 @@ class TestBundledSuite:
             assert isinstance(data["seed"], int)
 
 
+def test_every_op_label_names_a_library_callable():
+    # a label is "<area>.<name>": some library module has a callable <name>
+    modules = [importlib.import_module(f"conelab.{info.name}") for info in pkgutil.iter_modules(conelab.__path__)]
+    labels = sorted({op for _, ops in cli.CHECKS.values() for op in ops})
+    stale = [op for op in labels
+             if not any(callable(getattr(m, op.split(".", 1)[1], None)) for m in modules if m is not cli)]
+    assert labels and not stale
+
+
+def _scale_everywhere(monkeypatch, target, factor):
+    """Multiply the result of conelab `target` ("module.function" or
+    "module.Class.property") by `factor`; a function is replaced in every
+    namespace that binds it, since the runner binds names at import."""
+    module, name = target.split(".", 1)
+    owner = importlib.import_module(f"conelab.{module}")
+    if "." in name:
+        cls_name, name = name.split(".")
+        owner = getattr(owner, cls_name)
+        fget = vars(owner)[name].fget
+        monkeypatch.setattr(owner, name, property(lambda self: fget(self) * factor))
+        return
+    original = getattr(owner, name)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "conelab":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, lambda *a, **k: original(*a, **k) * factor)
+
+
+@pytest.mark.parametrize(
+    "target, scenario, check",
+    [
+        ("cones.cone_scal", "cone-catalog", "cone-catalog"),
+        ("cones.second_form_norm2", "cone-catalog", "cone-catalog"),
+        ("cones.ConeSpec.link_scal", "cone-catalog", "cone-catalog"),
+        ("grids.conformal_shape_shift", "metric-core", "shape-shift"),
+        ("cones.deformed_distance", "cone-catalog", "deformed-cone"),
+    ],
+)
+def test_result_off_by_1e_6_fails_its_bundled_check(target, scenario, check, tmp_path, monkeypatch):
+    # each gate compares with an oracle that shares no formula with the
+    # code it checks, so at the bundled seed a relative error of 1e-6 fails
+    data = cli.load_scenario(str(cli.bundled_scenarios()[scenario]))
+    data["checks"] = [entry for entry in data["checks"] if entry["check"] == check]
+    _scale_everywhere(monkeypatch, target, 1.0 + 1e-6)
+    (record,) = cli.run_scenario(data, output_root=tmp_path).checks
+    assert record["status"] == "fail", record["measured"]
+
+
 #: bundled scenarios whose checks call no scipy routine
 SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "metric-core")
 
@@ -336,7 +397,7 @@ class TestMain:
             lambda data: json.dumps({k: v for k, v in data.items() if k != "seed"}),
             lambda data: json.dumps({k: v for k, v in data.items() if k != "checks"}),
             lambda data: json.dumps([data]),
-            lambda data: json.dumps(dict(data, checks=[{"name": "dimshift"}])),
+            lambda data: json.dumps(dict(data, checks=[{"name": "cone-catalog"}])),
             lambda data: json.dumps(dict(data, checks=[dict(data["checks"][0], measured=[])])),
             lambda data: "{not json",
         ],
@@ -369,7 +430,7 @@ class TestMain:
         def broken(params, seed, gate):
             return [][0]
 
-        monkeypatch.setitem(cli.CHECKS, "dimshift", (broken, set()))
+        monkeypatch.setitem(cli.CHECKS, "cone-catalog", (broken, set()))
         scen = tmp_path / "broken.json"
         scen.write_text(json.dumps(_scenario(name="broken")))
         assert cli.main(["run", str(scen), "--output", str(tmp_path)]) == 3
@@ -405,7 +466,7 @@ class TestMain:
             ("bending-sphere", {"theta0": 0.0}),
             ("bending-sphere", {"delta": -0.2}),
             ("theta-scaling", {"m": 7}),
-            ("dimshift", {"n": 7}),
+            ("cone-catalog", {"n": 7}),
             # the grid holds count^3 nodes: an oversized count is refused
             # before anything is allocated
             ("conformal-consistency", {"counts": [17, 1025]}),

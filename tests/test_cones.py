@@ -1,9 +1,13 @@
 """Tests for the minimal-cone catalog."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conelab import cones
+from conelab import cli
 from conelab.cones import (
     CATALOG,
     ConeSpec,
@@ -13,8 +17,6 @@ from conelab.cones import (
     cone_scal,
     deformed_distance,
     deformed_metric,
-    distortion_bounds,
-    link_diameter,
     make_cone,
     second_form_norm2,
 )
@@ -173,23 +175,10 @@ class TestDeformedDistance:
 
 
 class TestDistortionBounds:
-    def test_degenerate_bracket(self):
-        lo, hi = distortion_bounds(2.0, 0.3, 0.3, 1.5, 1.5)
-        assert np.isclose(lo, hi)
-
-    def test_undeformed(self):
-        lo, hi = distortion_bounds(0.37, 0.0, 0.0, 1.0, 1.0)
-        assert np.isclose(lo, 0.37) and np.isclose(hi, 0.37)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(DomainError):
-            distortion_bounds(1.0, 0.5, 0.3, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            distortion_bounds(1.0, 0.2, 0.3, 2.0, 1.0)
-
     def test_measured_distance_inside_bracket(self):
         # deformed_distance for beta in (-(n-2)/2, 0) sits inside the bracket
-        # with theta± = -2 beta/(n-2) ± small slack and k = 1/(1+2beta/(n-2))
+        # k1 r^{1-theta+} < rho <= k2 r^{1-theta-} with theta± = -2 beta/(n-2)
+        # ± small slack and k = 1/(1+2beta/(n-2))
         c = make_cone(3, 3)
         beta = -0.43845
         e = 1.0 + 2.0 * beta / (c.n - 2.0)
@@ -197,31 +186,26 @@ class TestDistortionBounds:
         k = 1.0 / e
         r = np.logspace(-3, 0, 25)
         rho = deformed_distance(c, beta, r)
-        lo, hi = distortion_bounds(r, theta * 0.999, theta, k * 0.999, k * 1.000001)
+        lo, hi = k * 0.999 * r ** (1.0 - theta * 0.999), k * 1.000001 * r ** (1.0 - theta)
         assert np.all(rho > lo) and np.all(rho <= hi)
 
 
-class TestLinkDiameter:
-    def test_always_pi_on_catalog(self):
-        for c in catalog_cones():
-            assert np.isclose(link_diameter(c), np.pi, atol=1e-12)
-
-    def test_sampled_oracle(self):
-        # product-metric distances d = sqrt(d_p^2 + d_q^2) over random pairs
-        # never exceed the formula and approach it at antipodes
-        rng = np.random.default_rng(3)
-        c = make_cone(3, 3)
-        dp = c.a * rng.uniform(0, np.pi, 4000)
-        dq = c.b * rng.uniform(0, np.pi, 4000)
-        sampled = np.sqrt(dp**2 + dq**2)
-        diam = link_diameter(c)
-        assert sampled.max() <= diam + 1e-12
-        antipodal = np.sqrt((np.pi * c.a) ** 2 + (np.pi * c.b) ** 2)
-        assert np.isclose(antipodal, diam)
-
-    def test_finite_positive(self):
-        for c in catalog_cones():
-            assert 0 < link_diameter(c) < np.inf
+class TestQuadricOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 6), q=st.integers(1, 6), r=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+    def test_curvature_matches_the_quadric(self, p, q, r, seed):
+        # the shape operator of {q|x|^2 = p|y|^2} at a random cone point is
+        # traceless and gives |A|^2, scal and, by the Gauss equation, the
+        # link's scal, beyond the four catalog cones
+        low = pytest.warns(UserWarning, match="outside the area-minimizing regime")
+        with low if p + q + 1 < 7 else contextlib.nullcontext():
+            c = make_cone(p, q)
+        (shape,) = cli._quadric_shape(c, np.array([r]), np.random.default_rng(seed))
+        a2r2 = np.sum(shape**2) * r**2
+        assert abs(np.trace(shape)) * r < 1e-12
+        assert second_form_norm2(c, r) * r**2 == pytest.approx(a2r2, rel=1e-12)
+        assert cone_scal(c, r) * r**2 == pytest.approx(-a2r2, rel=1e-12)
+        assert c.link_scal == pytest.approx((c.n - 1) * (c.n - 2) - a2r2, rel=1e-12, abs=1e-12)
 
 
 class TestRadialProfile:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -938,6 +939,12 @@ class TestConformalCoupling:
         assert float(kappa) == (n - 2) / (4.0 * (n - 1))
         assert float(1 / kappa) == 4.0 * (n - 1) / (n - 2)
         assert float(1 / (2 * kappa)) == 2.0 * (n - 1) / (n - 2)
+
+    def test_dimension_shift_gap_is_exact(self):
+        # dropping the radial dimension lowers the coupling by exactly
+        # 1/(4(n-1)(n-2))
+        for n in range(5, 13):
+            assert grids.conformal_coupling(n) - grids.conformal_coupling(n - 1) == Fraction(1, 4 * (n - 1) * (n - 2))
 
 
 class TestConformalDeform:
