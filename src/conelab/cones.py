@@ -3,8 +3,10 @@
 A catalog cone C is the cone over S^p(a) x S^q(b) inside the unit sphere
 S^n, with a = sqrt(p/(p+q)), b = sqrt(q/(p+q)) (the minimality condition)
 and hypersurface dimension n = p + q + 1.  On these cones every radial
-problem reduces to an exactly solvable Euler equation, which makes them
-independent oracles for the other modules.
+problem reduces to an exactly solvable Euler equation whose coefficients
+are n and a2 = |A|^2 r^2 (``ConeSpec.a2``, which is p + q = n - 1 on a
+product of spheres), which makes them independent oracles for the other
+modules.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ class ConeSpec:
 
     @property
     def link_dim(self):
+        return self.p + self.q
+
+    @property
+    def a2(self):
+        """|A|^2 r^2, the constant that every radial reduction reads."""
         return self.p + self.q
 
     @property
@@ -112,9 +119,9 @@ def catalog_cones():
 
 
 def second_form_norm2(c: ConeSpec, r):
-    """|A|^2(r) = (p+q)/r^2 for catalog cones."""
+    """|A|^2(r) = a2/r^2."""
     r = _positive(r, "radius")
-    return (c.p + c.q) / r**2
+    return c.a2 / r**2
 
 
 def cone_scal(c: ConeSpec, r):

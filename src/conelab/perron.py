@@ -1,15 +1,17 @@
-"""Perron machinery on catalog cones: local solvability, supersolution
-lifts, minimal positive solutions, indicial exponents and crease smoothing.
+"""Perron machinery on cones: local solvability, supersolution lifts,
+minimal positive solutions, cutoffs and crease smoothing.
 
 The radial reduction of the operator is
 
-    (LO)  u'' + (n-1)/r u' + q(r) u = 0,   q(r) = (kappa + lambda)(p+q)/r^2,
+    (LO)  u'' + (n-1)/r u' + (kappa + lambda) a2/r^2 u = 0,
 
-an Euler equation whose exact solutions r^{alpha_+}, r^{alpha_-} provide
-closed-form oracles for every construction below.  All boundary-value
-solves work in the logarithmic variable s = ln r, where (LO) becomes the
-constant-coefficient equation u_ss + (n-2) u_s + (kappa + lambda)(p+q) u = 0,
-discretized at 2nd order and Richardson extrapolated.
+with a2 = |A|^2 r^2 (``ConeSpec.a2``): an Euler equation whose exact
+solutions r^{alpha_+}, r^{alpha_-} (``spectral.indicial_exponent``)
+provide closed-form oracles for every construction below.  All
+boundary-value solves work in the logarithmic variable s = ln r, where
+(LO) becomes the constant-coefficient equation
+u_ss + (n-2) u_s + (kappa + lambda) a2 u = 0, discretized at 2nd order
+and Richardson extrapolated.
 
 The problem grid is uniform in s, and (LO) in s is invariant under
 translation, so a sweep window's unit-data solutions on its own grid nodes
@@ -18,12 +20,12 @@ or the indicial Robin condition at the tip).  The Perron sweep therefore
 solves one window per (length, inner condition).
 
 Every window admits the comparison principle: with u = r^{-(n-2)/2} v, (LO)
-in s reads v_ss = disc v, disc = (n-2)^2/4 - (kappa + lambda)(p+q), and
-disc >= 0 on the whole band [1/8, lambda0) that ``PerronProblem`` accepts
-(lambda0 is the indicial threshold on catalog cones).  So the Dirichlet
-problem on a window of any width has a positive Green function (Protter &
-Weinberger, Maximum Principles in Differential Equations, ch. 1), and the
-sweep uses every window of its schedule.
+in s reads v_ss = disc v, disc = (n-2)^2/4 - (kappa + lambda) a2, and
+disc > 0 on the whole band [1/8, lambda0) that ``PerronProblem`` accepts
+(lambda0 is the indicial threshold ``spectral.indicial_lambda_max``).  So
+the Dirichlet problem on a window of any width has a positive Green
+function (Protter & Weinberger, Maximum Principles in Differential
+Equations, ch. 1), and the sweep uses every window of its schedule.
 """
 
 from __future__ import annotations
@@ -37,50 +39,16 @@ import numpy as np
 from .cones import ConeSpec, RadialProfile
 from .errors import (
     BallTooLargeError,
-    ComplexIndicialError,
     DomainError,
     IterationLimitError,
     NoCreaseError,
     NotSupersolutionError,
-    OutOfBandError,
     ParameterError,
     ResolutionError,
 )
 from .grids import _is_index, _positive_interval
 from .jets import Jet, jet_compose, jet_power
-from .spectral import lambda0_closed_form, operator_value_jet, radial_operator_residual
-
-
-# ---------------------------------------------------------------------------
-# indicial exponents
-# ---------------------------------------------------------------------------
-
-def indicial_lambda_max(c: ConeSpec):
-    """Largest lambda with real indicial roots: (n-2)^2/(4(p+q)) - kappa.
-
-    On catalog cones this threshold coincides with the weighted limit
-    eigenvalue (the Hardy-critical coupling)."""
-    n = c.n
-    return (n - 2.0) ** 2 / (4.0 * (c.p + c.q)) - c.kappa
-
-
-def indicial_exponent(c: ConeSpec, lam):
-    """Root alpha in (-(n-2)/2, 0] of alpha^2 + (n-2) alpha + (kappa+lam)(p+q) = 0.
-
-    Returns (alpha, conjugate_root).  lambda at the discriminant threshold
-    gives the double root -(n-2)/2."""
-    n = c.n
-    if not lam > 0:  # NaN too
-        raise OutOfBandError("lambda must be positive in the working band")
-    disc = (n - 2.0) ** 2 / 4.0 - (c.kappa + lam) * (c.p + c.q)
-    if not disc >= 0:
-        raise ComplexIndicialError(
-            f"complex indicial roots for lambda = {lam}",
-            lambda_max=indicial_lambda_max(c),
-        )
-    root = math.sqrt(disc)
-    half = (n - 2.0) / 2.0
-    return -half + root, -half - root
+from .spectral import _require_band, indicial_exponent, operator_value_jet, radial_operator_residual
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +76,7 @@ class PerronProblem:
         _positive_interval(self.domain, "domain")
         if not 0 < self.boundary_value < np.inf:
             raise DomainError(f"boundary value must be positive and finite, got {self.boundary_value!r}")
-        if not (0.125 <= self.lam < lambda0_closed_form(self.cone)):
-            raise OutOfBandError("lambda must lie in [1/8, lambda0)")
+        _require_band(self.cone, self.lam)
         if not _is_index(self.nodes) or self.nodes < 2:
             raise ParameterError(f"nodes must be an integer >= 2, got {self.nodes!r}")
         schedule = _window_schedule(self)
@@ -125,11 +92,6 @@ class PerronProblem:
         grid = np.geomspace(self.domain[0], self.domain[1], self.nodes)
         grid.setflags(write=False)
         return grid
-
-    @property
-    def coupling(self):
-        """(kappa + lambda)(p+q): coefficient of the 1/r^2 potential."""
-        return (self.cone.kappa + self.lam) * (self.cone.p + self.cone.q)
 
 
 @dataclass
@@ -208,13 +170,14 @@ def _solve_window(pp: PerronProblem, r0, r1, bc_inner, bc_outer, nodes=_WINDOW_N
     # unknowns are u_first..u_{npts-2}: a Dirichlet inner value is data,
     # a Robin inner value is solved for
     first = 1 if kind == "dirichlet" else 0
+    potential = (pp.cone.kappa + pp.lam) * pp.cone.a2
 
     def solve(npts):
         s = np.linspace(np.log(r0), np.log(r1), npts)
         h = s[1] - s[0]
         lower = 1.0 / h**2 - (pp.cone.n - 2.0) / (2.0 * h)
         upper = 1.0 / h**2 + (pp.cone.n - 2.0) / (2.0 * h)
-        center = -2.0 / h**2 + pp.coupling
+        center = -2.0 / h**2 + potential
         ns = npts - 1 - first
         ab = np.zeros((3, ns))
         ab[0, 1:] = upper

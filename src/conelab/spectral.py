@@ -1,31 +1,38 @@
-"""Weighted conformal-Laplacian eigenvalues on catalog cones.
+"""The radial reduction on cones and its weighted eigenvalues.
 
-The radially reduced problem on an annulus [r_in, r_out] is
+Every radial problem on a cone reduces to one Euler equation whose
+coefficients are n and a2 = |A|^2 r^2 (``ConeSpec.a2``).  The weighted
+problem on an annulus [r_in, r_out] is
 
-    -(r^{n-1} u')' + kappa * scal * r^{n-1} u = lambda * weight * r^{n-1} u
+    -(r^{n-1} u')' + kappa * scal * r^{n-1} u = lambda * |A|^2 * r^{n-1} u
 
-with weight(r) = (eps^2 + p + q)/r^2.  In the logarithmic variable
-s = ln r and with v = r^{(n-2)/2} u this becomes the constant-coefficient
-Schroedinger form
+with weight |A|^2 = a2/r^2 and scal = -|A|^2.  In the logarithmic
+variable s = ln r and with v = r^{(n-2)/2} u this becomes the
+constant-coefficient Schroedinger form
 
-    -v'' + [ (n-2)^2/4 - kappa (p+q) ] v = lambda (eps^2 + p + q) v,
+    -v'' + [ (n-2)^2/4 - kappa a2 ] v = lambda a2 v,
 
-which the finite-difference solver discretizes.  A ``WeightedProblem``
-fixes only the outer radius r_out: its Dirichlet problems run on the
-exhaustion annuli K_m = [r_out 4^{-m}, r_out], m = 1, 2, ..., whose inner
-radii tend to the tip.  The independent shooting cross-check lives with
-the tests (``tests/oracles.py``).
+which the finite-difference solver discretizes.  Its power solutions
+r^alpha solve the indicial equation alpha^2 + (n-2) alpha + (kappa +
+lambda) a2 = 0, whose roots are real up to (n-2)^2/(4 a2) - kappa: the
+weighted limit eigenvalue lambda0 and the upper end of the working band
+[1/8, lambda0).  A ``WeightedProblem`` fixes only the outer radius r_out:
+its Dirichlet problems run on the exhaustion annuli
+K_m = [r_out 4^{-m}, r_out], m = 1, 2, ..., whose inner radii tend to the
+tip.  The independent shooting cross-check lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
-from .errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
-from .grids import _is_index, _positive
+from .errors import ComplexIndicialError, ConvergenceError, DomainError, OutOfBandError, ParameterError
+from .grids import _is_index
 from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
@@ -38,18 +45,11 @@ class WeightedProblem:
     outer radius ``r_out`` (see ``exhaustion_annulus``)."""
 
     cone: ConeSpec
-    eps: float
     r_out: float
 
     def __post_init__(self):
         if not 0 < self.r_out < np.inf:
             raise DomainError(f"outer radius must be positive and finite, got {self.r_out!r}")
-        if not 0 <= self.eps < np.inf:
-            raise DomainError(f"eps must be finite and >= 0, got {self.eps!r}")
-
-    @property
-    def kappa(self):
-        return self.cone.kappa
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,50 @@ class EigenResult:
             raise DomainError("first eigenfunction must be interior-positive")
 
 
-def weight(c: ConeSpec, eps, r):
-    """Smoothed weight (eps^2 + p + q)/r^2 (distance to the tip is r)."""
-    r = _positive(r, "radius")
-    return (eps**2 + c.p + c.q) / r**2
+# ---------------------------------------------------------------------------
+# indicial exponents and the working band
+# ---------------------------------------------------------------------------
+
+def indicial_lambda_max(c: ConeSpec):
+    """Largest lambda with real indicial roots: (n-2)^2/(4 a2) - kappa.
+
+    This threshold is the weighted limit eigenvalue lambda0 (the
+    Hardy-critical coupling)."""
+    n = c.n
+    return (n - 2.0) ** 2 / (4.0 * c.a2) - c.kappa
 
 
-def rayleigh(c: ConeSpec, f: RadialProfile, eps):
+def indicial_exponent(c: ConeSpec, lam):
+    """Root alpha in (-(n-2)/2, 0] of alpha^2 + (n-2) alpha + (kappa+lam) a2 = 0.
+
+    Returns (alpha, conjugate_root).  lambda at the discriminant threshold
+    gives the double root -(n-2)/2."""
+    n = c.n
+    if not lam > 0:  # NaN too
+        raise OutOfBandError("lambda must be positive in the working band")
+    disc = (n - 2.0) ** 2 / 4.0 - (c.kappa + lam) * c.a2
+    if not disc >= 0:
+        raise ComplexIndicialError(
+            f"complex indicial roots for lambda = {lam}",
+            lambda_max=indicial_lambda_max(c),
+        )
+    root = math.sqrt(disc)
+    half = (n - 2.0) / 2.0
+    return -half + root, -half - root
+
+
+def _require_band(c: ConeSpec, lam):
+    """Raise OutOfBandError unless lam lies in the working band [1/8, lambda0)."""
+    lam0 = indicial_lambda_max(c)
+    if not 0.125 <= lam < lam0:  # NaN too
+        raise OutOfBandError(f"lambda must lie in [1/8, {lam0}), got {lam!r}")
+
+
+def rayleigh(c: ConeSpec, f: RadialProfile):
     """Weighted Rayleigh quotient of a compactly supported radial profile."""
     r, v = f.grid, f.values
+    if r.size < 3:
+        raise DomainError(f"test profile needs an interior node, got {r.size} nodes")
     if abs(v[0]) > 1e-13 * max(1.0, np.abs(v).max()) or abs(v[-1]) > 1e-13 * max(
         1.0, np.abs(v).max()
     ):
@@ -82,7 +117,7 @@ def rayleigh(c: ConeSpec, f: RadialProfile, eps):
     num = np.trapezoid(dv**2 * r ** (n - 1), r) + c.kappa * np.trapezoid(
         cone_scal(c, r) * v**2 * r ** (n - 1), r
     )
-    den = np.trapezoid(weight(c, eps, r) * v**2 * r ** (n - 1), r)
+    den = np.trapezoid(second_form_norm2(c, r) * v**2 * r ** (n - 1), r)
     if den <= 1e-300:
         raise DomainError("degenerate test function: zero weighted norm")
     return num / den
@@ -111,12 +146,11 @@ def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
     """Smallest Dirichlet eigenvalue/eigenfunction via the log-variable FD."""
     from scipy.linalg import eigh_tridiagonal
 
-    n = w.cone.n
-    pot = (n - 2.0) ** 2 / 4.0 - w.kappa * (w.cone.p + w.cone.q)
-    wgt = w.eps**2 + w.cone.p + w.cone.q
+    n, a2 = w.cone.n, w.cone.a2
+    pot = (n - 2.0) ** 2 / 4.0 - w.cone.kappa * a2
     s, diag, off = log_tridiagonal(r_in, r_out, nodes, pot)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = vals[0] / wgt
+    lam = vals[0] / a2
     v = np.zeros(nodes)
     v[1:-1] = vecs[:, 0]
     if v[1:-1].sum() < 0:
@@ -133,7 +167,7 @@ def dirichlet_eigen(w: WeightedProblem, m) -> EigenResult:
     lam, r, u = _fd_smallest(w, r_in, r_out)
     band = (r >= r_out / 2.0) & (r <= r_out)
     n = w.cone.n
-    mass = np.trapezoid(weight(w.cone, w.eps, r[band]) * u[band] ** 2 * r[band] ** (n - 1), r[band])
+    mass = np.trapezoid(second_form_norm2(w.cone, r[band]) * u[band] ** 2 * r[band] ** (n - 1), r[band])
     u = u / np.sqrt(mass)
     return EigenResult(lam=lam, profile=RadialProfile(r, u), m=m)
 
@@ -142,24 +176,16 @@ def dirichlet_eigen(w: WeightedProblem, m) -> EigenResult:
 # the limit eigenvalue lambda0
 # ---------------------------------------------------------------------------
 
-def lambda0_closed_form(c: ConeSpec):
-    """Catalog identity (n-2)(n-3)/(4(n-1)), valid because the link weight is
-    constant so the radial Hardy reduction is exact."""
-    n = c.n
-    return (n - 2.0) * (n - 3.0) / (4.0 * (n - 1.0))
-
-
 @dataclass(frozen=True)
 class Lambda0Result:
     cone: ConeSpec
-    eps: float
     schedule: tuple
     lambda_sequence: tuple
     lambda0: float
     error_estimate: float
 
 
-def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
+def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6) -> Lambda0Result:
     """Exhaustion limit with Richardson extrapolation in 1/m^2.
 
     The exhaustion eigenvalues obey lambda_m = lambda_inf + const/m^2 for the
@@ -170,7 +196,7 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
         raise ParameterError(
             f"m_max must be an integer >= 3, got {m_max!r}: the error estimate needs two extrapolants"
         )
-    w = WeightedProblem(cone=c, eps=eps, r_out=r_out)
+    w = WeightedProblem(cone=c, r_out=r_out)
     ms = list(range(1, m_max + 1))
     lams = [dirichlet_eigen(w, m).lam for m in ms]
     if np.any(np.diff(lams) > 1e-12):
@@ -183,7 +209,6 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
     err = abs(extr[-1] - extr[-2])
     return Lambda0Result(
         cone=c,
-        eps=eps,
         schedule=tuple(ms),
         lambda_sequence=tuple(lams),
         lambda0=float(extr[-1]),
@@ -192,22 +217,14 @@ def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6, eps=0.0) -> Lambda0Result:
 
 
 def lambda0(c: ConeSpec, r_out=1.0, m_max=6):
-    """The weighted limit eigenvalue at eps = 0.
-
-    On an exact cone the eps-smoothed weight is the constant multiple
-    (eps^2 + p + q)/(p + q) of the eps = 0 weight, so positive eps merely
-    rescales the limit; the reference value is the eps = 0 one."""
-    return lambda0_detailed(c, r_out=r_out, m_max=m_max, eps=0.0).lambda0
+    """The weighted limit eigenvalue, by exhaustion (``lambda0_detailed``)."""
+    return lambda0_detailed(c, r_out=r_out, m_max=m_max).lambda0
 
 
 def eigenfunction_below(c: ConeSpec, lam):
     """Positive radial solution r^alpha of -Delta u + kappa scal u = lam |A|^2 u
     for lam below lambda0, with exact-jet residual data attached."""
-    lam0 = lambda0_closed_form(c)
-    if not (0.125 <= lam < lam0):
-        raise OutOfBandError(f"lambda must lie in [1/8, {lam0})")
-    from .perron import indicial_exponent  # local import avoids a module cycle
-
+    _require_band(c, lam)
     alpha, _ = indicial_exponent(c, lam)
     r = np.geomspace(0.01, 1.0, 2000)
     return RadialProfile(r, r**alpha, jet_fn=lambda x: jet_power(x, alpha))
@@ -215,7 +232,7 @@ def eigenfunction_below(c: ConeSpec, lam):
 
 def operator_value_jet(c: ConeSpec, j: Jet, r):
     """-Delta f + kappa scal f evaluated from an analytic radial 2-jet."""
-    return -radial_laplacian(j, r, c.n) + c.kappa * (-(c.p + c.q) / r**2) * j.f
+    return -radial_laplacian(j, r, c.n) + c.kappa * cone_scal(c, r) * j.f
 
 
 def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
@@ -229,6 +246,8 @@ def radial_operator_residual(c: ConeSpec, lam, profile: RadialProfile):
     if profile.jet_fn is not None:
         j = profile.jet_fn(r)
     else:
+        if r.size < 5:
+            raise DomainError(f"stencil residual needs at least 5 nodes, got {r.size}")
         s = np.log(r)
         h = np.diff(s)
         if not np.allclose(h, h[0], rtol=1e-8):

@@ -9,18 +9,49 @@ from scipy.optimize import brentq
 
 from conelab.barrier import _FD_STEP, BarrierSpec, _orthonormal_complement, scal_quantity, sphere_distance
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric, build_h, scal_compare
+from conelab.cones import ConeSpec
 from conelab.errors import ConvergenceError, DomainError, IterationLimitError, ResampleError, SingularMetricError
 from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
 from conelab.grids import _PIVOT_TOL, Chart, _inverse, _lowered, central_jet, conformal_coupling
 from conelab.jets import Jet
 
 
+# ---------------------------------------------------------------------------
+# the radial reduction in (n, a2)
+# ---------------------------------------------------------------------------
+
+def lambda0_catalog(c):
+    """The catalog identity lambda0 = (n-2)(n-3)/(4(n-1)), written in n alone.
+
+    It equals the radial value (n-2)^2/(4 a2) - kappa only because
+    a2 = n - 1 on a product of spheres."""
+    n = c.n
+    return (n - 2.0) * (n - 3.0) / (4.0 * (n - 1.0))
+
+
+@dataclass(frozen=True)
+class CartanCone(ConeSpec):
+    """Radial data of Cartan's isoparametric cone with g = 3 and multiplicity
+    m: n = 3m + 1 and a2 = |A|^2 r^2 = 2(n - 1) (Cartan 1938; Ferus, Karcher
+    & Muenzner 1981), where a product of spheres has a2 = n - 1.
+
+    Only n, kappa and a2 mean anything: the link is not a product of
+    spheres, and the factors (p, q) = (3m, 0) only fix n."""
+
+    @property
+    def a2(self):
+        return 2 * (self.n - 1)
+
+
+def cartan_cone(m):
+    return CartanCone(p=3 * m, q=0, a=1.0, b=1.0)
+
+
 def shooting_eigen(w, r_in, r_out):
     """Independent eigenvalue solver for the weighted problem ``w``: shoot the
     radial ODE in log coords and root-find the outer Dirichlet value in lambda."""
-    n = w.cone.n
-    pot = (n - 2.0) ** 2 / 4.0 - w.kappa * (w.cone.p + w.cone.q)
-    wgt = w.eps**2 + w.cone.p + w.cone.q
+    n, wgt = w.cone.n, w.cone.a2
+    pot = (n - 2.0) ** 2 / 4.0 - w.cone.kappa * wgt
     s0, s1 = np.log(r_in), np.log(r_out)
 
     def end_value(lam):

@@ -14,7 +14,8 @@ from conelab.errors import (
     SingularPointError,
 )
 from conelab.grids import conformal_shape_shift
-from conelab.perron import indicial_exponent, indicial_lambda_max, make_cutoff
+from conelab.perron import make_cutoff
+from conelab.spectral import indicial_exponent, indicial_lambda_max
 from oracles import mu_h_bisection, tube_check_pointwise
 
 

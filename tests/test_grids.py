@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conelab import barrier, cones, grids, spectral
+from conelab import barrier, cones, grids
 from conelab.cones import DeformedCone, deformed_metric, make_cone
 from conelab.errors import (
     BoundaryMarginError,
@@ -1144,7 +1144,6 @@ _POSITIVE_INPUTS = {
     "barrier-jet": lambda x: _barrier().jet(x),
     "area_profile": lambda x: barrier.area_profile(_barrier(), x),
     "sphere_trace": lambda x: barrier.sphere_trace(_barrier(), x),
-    "weight": lambda x: spectral.weight(make_cone(3, 3), 0.0, x),
     "second_form_norm2": lambda x: cones.second_form_norm2(make_cone(3, 3), x),
     "cone_scal": lambda x: cones.cone_scal(make_cone(3, 3), x),
     "deformed_distance": lambda x: cones.deformed_distance(make_cone(3, 3), -0.5, x),

@@ -25,6 +25,7 @@ from conelab.errors import (
     ResolutionError,
 )
 from conelab.jets import jet_power
+from oracles import cartan_cone
 
 
 @pytest.fixture
@@ -48,54 +49,54 @@ def _nodes(pp, radii):
 
 class TestIndicial:
     def test_simons_eighth(self, simons):
-        alpha, beta = pn.indicial_exponent(simons, 0.125)
+        alpha, beta = sp.indicial_exponent(simons, 0.125)
         assert np.isclose(alpha, -2.5 + np.sqrt(6.25 - (5 / 24 + 0.125) * 6))
         assert np.isclose(alpha, -0.4384471871911697)
         assert np.isclose(alpha + beta, -(simons.n - 2))
 
     def test_defining_quadratic(self, simons):
         for lam in (0.125, 0.3, 0.7):
-            alpha, _ = pn.indicial_exponent(simons, lam)
+            alpha, _ = sp.indicial_exponent(simons, lam)
             coupling = (simons.kappa + lam) * 6
             assert abs(alpha**2 + (simons.n - 2) * alpha + coupling) < 1e-12
 
     def test_double_root_at_threshold(self, simons):
-        lam_max = pn.indicial_lambda_max(simons)
+        lam_max = sp.indicial_lambda_max(simons)
         assert np.isclose(lam_max, 5.0 / 6.0)  # coincides with the limit eigenvalue
-        alpha, beta = pn.indicial_exponent(simons, lam_max)
+        alpha, beta = sp.indicial_exponent(simons, lam_max)
         assert np.isclose(alpha, -2.5) and np.isclose(beta, -2.5)
 
     def test_complex_raises_with_threshold(self, simons):
         with pytest.raises(ComplexIndicialError) as exc:
-            pn.indicial_exponent(simons, 0.9)
+            sp.indicial_exponent(simons, 0.9)
         assert np.isclose(exc.value.lambda_max, 5.0 / 6.0)
 
     def test_band_lower_end(self, simons):
         with pytest.raises(OutOfBandError):
-            pn.indicial_exponent(simons, 0.0)
+            sp.indicial_exponent(simons, 0.0)
 
     def test_nan_lambda_rejected(self, simons):
         # NaN compares false both ways: it must not pass as a root pair
         with pytest.raises(OutOfBandError):
-            pn.indicial_exponent(simons, float("nan"))
+            sp.indicial_exponent(simons, float("nan"))
 
     def test_monotone_in_lambda(self, simons):
         lams = np.linspace(0.125, 0.8, 12)
-        alphas = [pn.indicial_exponent(simons, l)[0] for l in lams]
+        alphas = [sp.indicial_exponent(simons, l)[0] for l in lams]
         assert np.all(np.diff(alphas) < 0)
 
     @pytest.mark.parametrize("c, lam", [
         *(pytest.param(make_cone(3, 3), lam, id=str(lam)) for lam in (0.125, 0.25, 0.5)),
         # every catalog cone across its admissible band, up to the upper end
         *(pytest.param(c, float(lam), id=f"{c.p}x{c.q}-{i}") for c in catalog_cones()
-          for i, lam in enumerate(np.linspace(0.125, sp.lambda0_closed_form(c) - 1e-6, 9))),
+          for i, lam in enumerate(np.linspace(0.125, sp.indicial_lambda_max(c) - 1e-6, 9))),
     ])
     def test_shooting_oracle(self, c, lam):
         # integrate the radial ODE from r=1 with the r^alpha jet; the solution
         # must remain r^alpha to high accuracy
         from scipy.integrate import solve_ivp
 
-        alpha, alpha_minus = pn.indicial_exponent(c, lam)
+        alpha, alpha_minus = sp.indicial_exponent(c, lam)
         half = (c.n - 2.0) / 2.0
         assert -half < alpha < 0.0  # exactly one root in the band
         assert alpha_minus <= -half  # the other sits outside
@@ -119,7 +120,7 @@ class TestIndicial:
 
 class TestLocalSolve:
     def test_reproduces_power_solution(self, problem, simons):
-        alpha, _ = pn.indicial_exponent(simons, problem.lam)
+        alpha, _ = sp.indicial_exponent(simons, problem.lam)
         win = _nodes(problem, (0.25, 0.5))
         sol = pn.local_solve(problem, win, problem.grid[list(win)] ** alpha)
         np.testing.assert_array_equal(sol.grid, problem.grid[win[0]:win[1] + 1])
@@ -163,6 +164,9 @@ class TestLocalSolve:
             pn.PerronProblem(cone=simons, lam=0.125, domain=(1.0, 0.5), boundary_value=1.0)
         with pytest.raises(OutOfBandError):
             pn.PerronProblem(cone=simons, lam=0.9, domain=(0.1, 1.0), boundary_value=1.0)
+        for c in (cartan_cone(2), cartan_cone(4)):  # the band ends at the radial threshold
+            with pytest.raises(OutOfBandError):
+                pn.PerronProblem(cone=c, lam=sp.indicial_lambda_max(c), domain=(0.1, 1.0), boundary_value=1.0)
         with pytest.raises(DomainError):
             pn.PerronProblem(cone=simons, lam=0.125, domain=(0.1, 1.0), boundary_value=-1.0)
 
@@ -183,9 +187,9 @@ def test_every_scheduled_window_is_admissible(shape, frac, r_in, nodes):
     # positive Green function: each scheduled window solves, its basis is
     # nonnegative and it reproduces both power solutions r^{alpha+-}
     cone = make_cone(*shape)
-    lam = 0.125 + frac * (sp.lambda0_closed_form(cone) - 0.125)
+    lam = 0.125 + frac * (sp.indicial_lambda_max(cone) - 0.125)
     pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=nodes)
-    alphas = pn.indicial_exponent(cone, lam)
+    alphas = sp.indicial_exponent(cone, lam)
     for win in pn._window_schedule(pp):
         assert pn._window_basis(pp, win, False)[1].min() >= -1e-15
         for alpha in alphas:
@@ -200,7 +204,7 @@ def test_every_scheduled_window_is_admissible(shape, frac, r_in, nodes):
 
 class TestIsSupersolution:
     def test_exact_solution_passes(self, problem, simons):
-        alpha, _ = pn.indicial_exponent(simons, problem.lam)
+        alpha, _ = sp.indicial_exponent(simons, problem.lam)
         grid = problem.grid
         f = RadialProfile(grid, grid**alpha)
         ok, witness = pn.is_supersolution(problem, f)
@@ -221,7 +225,7 @@ class TestIsSupersolution:
     def test_shifted_power_fails(self, problem, simons):
         # r^alpha + c is *not* a supersolution: the zeroth-order term acts on
         # the constant with the wrong sign
-        alpha, _ = pn.indicial_exponent(simons, problem.lam)
+        alpha, _ = sp.indicial_exponent(simons, problem.lam)
         grid = problem.grid
         f = RadialProfile(grid, grid**alpha + 0.5)
         ok, witness = pn.is_supersolution(problem, f)
@@ -296,7 +300,7 @@ def _window_problems(draw):
     """(problem, window) with a catalog cone, lam up to 0.999 of the way from
     1/8 to lambda0 and a window of the sweep schedule."""
     cone = make_cone(*draw(st.sampled_from(CATALOG)))
-    lam0 = sp.lambda0_closed_form(cone)
+    lam0 = sp.indicial_lambda_max(cone)
     lam = 0.125 + draw(st.floats(0.0, 0.999)) * (lam0 - 0.125)
     r_in = draw(st.floats(0.005, 0.1))
     pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=400)
@@ -333,7 +337,7 @@ class TestWindowBasis:
         pp, _ = case
         tip = min(pn._window_schedule(pp))
         assert tip[0] == 0
-        alpha, _ = pn.indicial_exponent(pp.cone, pp.lam)
+        alpha, _ = sp.indicial_exponent(pp.cone, pp.lam)
         sl, rows = pn._window_basis(pp, tip, True)
         ref_sl, local = _reference_local(pp, tip, ("robin", alpha), b)
         assert sl == ref_sl
@@ -350,7 +354,7 @@ class TestWindowBasis:
         grid = pp.grid
         # r^beta is a supersolution iff beta lies between the indicial roots;
         # t outside [0, 1] and the ripple give both verdicts
-        alpha_p, alpha_m = pn.indicial_exponent(pp.cone, pp.lam)
+        alpha_p, alpha_m = sp.indicial_exponent(pp.cone, pp.lam)
         beta = alpha_m + t * (alpha_p - alpha_m)
         seed = RadialProfile(grid, grid**beta * (1.0 + wiggle * np.sin(7.0 * np.log(grid))))
         for f in (seed, pn.lift(pp, seed, win, check=False)):
@@ -410,7 +414,7 @@ class TestWindowBasis:
 
 class TestSupersolutionSet:
     def test_minimum_of_members(self, problem, simons):
-        alpha, _ = pn.indicial_exponent(simons, problem.lam)
+        alpha, _ = sp.indicial_exponent(simons, problem.lam)
         grid = problem.grid
         s = pn.SupersolutionSet(problem)
         s.add(pn.default_seed(problem))
@@ -466,7 +470,7 @@ class TestPerronMinimal:
         assert res.residual < 1e-8
 
     def test_below_all_seeds(self, problem, simons):
-        alpha, _ = pn.indicial_exponent(simons, problem.lam)
+        alpha, _ = sp.indicial_exponent(simons, problem.lam)
         grid = problem.grid
         seeds = [
             pn.default_seed(problem),
@@ -508,7 +512,7 @@ class TestPerronMinimal:
         # lifts and the comparison test share one window basis, so the
         # polished result is a supersolution of its own problem
         cone = make_cone(*shape)
-        lam = 0.125 + frac * (sp.lambda0_closed_form(cone) - 0.125)
+        lam = 0.125 + frac * (sp.indicial_lambda_max(cone) - 0.125)
         pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=400)
         res = pn.perron_minimal_detailed(pp)
         assert res.iterations < 400
@@ -520,7 +524,7 @@ class TestPerronMinimal:
         # across the band the result is a supersolution of its own problem,
         # below its seed and the exact minimal solution (r/r_out)^alpha
         cone = make_cone(*shape)
-        lam = 0.125 + frac * (sp.lambda0_closed_form(cone) - 0.125)
+        lam = 0.125 + frac * (sp.indicial_lambda_max(cone) - 0.125)
         pp = pn.PerronProblem(cone=cone, lam=lam, domain=(r_in, 1.0), boundary_value=1.0, nodes=400)
         res = pn.perron_minimal_detailed(pp)
         assert pn.is_supersolution(pp, res.profile) == (True, None)
@@ -539,6 +543,25 @@ class TestPerronMinimal:
         data["checks"] = [e for e in data["checks"] if e["check"] == "perron-minimal"]
         assert cli.run_scenario(data, output_root=tmp_path).status == "pass"
         assert len(calls) == 17
+
+
+# ---------------------------------------------------------------------------
+# a cone off the catalog: a2 = 2(n-1) where a product of spheres has n-1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, frac", [
+    *(pytest.param(m, frac, id=f"n{3 * m + 1}-{frac}") for m in (2, 4) for frac in (0.1, 0.3, 0.5)),
+    pytest.param(4, 0.7, id="n13-0.7", marks=pytest.mark.xfail(
+        strict=True, raises=IterationLimitError, reason="absolute decrement test: sweep cap")),
+])
+def test_cartan_sweep_recovers_power_solution(m, frac):
+    c = cartan_cone(m)
+    lam = 0.125 + frac * (sp.indicial_lambda_max(c) - 0.125)
+    pp = pn.PerronProblem(cone=c, lam=lam, domain=(0.01, 1.0), boundary_value=1.0, nodes=400)
+    res = pn.perron_minimal_detailed(pp)
+    exact = res.c * pp.grid**res.alpha
+    assert np.max(np.abs(res.profile.values - exact) / exact) < 1e-4
+    assert res.residual < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +656,7 @@ def _crossing_pair(c, rstar=0.3, r_lo=0.05, r_hi=1.0):
     """Two strict supersolution branches crossing transversally at rstar:
     the limit-exponent power and a slower mid-band power."""
     a_fast = -(c.n - 2.0) / 2.0
-    a_slow, _ = pn.indicial_exponent(c, pn.indicial_lambda_max(c) / 2.0)
+    a_slow, _ = sp.indicial_exponent(c, sp.indicial_lambda_max(c) / 2.0)
     scale = rstar ** (a_fast - a_slow)
     g = np.geomspace(r_lo, r_hi, 4000)
     f1 = RadialProfile(g, g**a_fast, jet_fn=lambda x: jet_power(x, a_fast))

@@ -1,13 +1,15 @@
 """Tests for the weighted eigenvalue machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conelab import spectral as sp
-from conelab.cones import RadialProfile, catalog_cones, make_cone
+from conelab.cones import RadialProfile, catalog_cones, make_cone, second_form_norm2
 from conelab.errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
 
-from oracles import shooting_eigen
+from oracles import cartan_cone, lambda0_catalog, shooting_eigen
 
 
 @pytest.fixture
@@ -16,22 +18,15 @@ def simons():
 
 
 class TestWeight:
-    def test_eps_zero(self, simons):
-        assert np.isclose(sp.weight(simons, 0.0, 1.0), 6.0)
-        assert np.isclose(sp.weight(simons, 0.0, 2.0), 1.5)
-
-    def test_eps_one(self, simons):
-        assert np.isclose(sp.weight(simons, 1.0, 1.0), 7.0)
+    """The weight of the eigenproblem is |A|^2 = a2/r^2."""
 
     def test_scaling(self, simons):
         r = np.logspace(-2, 2, 17)
-        np.testing.assert_allclose(
-            sp.weight(simons, 0.3, 2 * r), sp.weight(simons, 0.3, r) / 4.0
-        )
+        np.testing.assert_allclose(second_form_norm2(simons, 2 * r), second_form_norm2(simons, r) / 4.0)
 
     def test_rejects_zero_radius(self, simons):
         with pytest.raises(DomainError):
-            sp.weight(simons, 0.0, 0.0)
+            second_form_norm2(simons, 0.0)
 
 
 class TestRayleigh:
@@ -40,40 +35,41 @@ class TestRayleigh:
         r = np.geomspace(0.01, 1.0, 4000)
         s = np.log(r)
         hat = (s - s[0]) * (s[-1] - s) * r ** (-(simons.n - 2) / 2)
-        q = sp.rayleigh(simons, RadialProfile(r, hat), 0.0)
-        assert q > sp.lambda0_closed_form(simons) - 1e-12
+        q = sp.rayleigh(simons, RadialProfile(r, hat))
+        assert q > lambda0_catalog(simons) - 1e-12
 
     def test_scale_invariance(self, simons):
         r = np.geomspace(0.1, 1.0, 2000)
         s = np.log(r)
         v = np.sin(np.pi * (s - s[0]) / (s[-1] - s[0]))
-        q1 = sp.rayleigh(simons, RadialProfile(r, v), 0.0)
-        q2 = sp.rayleigh(simons, RadialProfile(7 * r, v), 0.0)
-        q3 = sp.rayleigh(simons, RadialProfile(r, 5 * v), 0.0)
+        q1 = sp.rayleigh(simons, RadialProfile(r, v))
+        q2 = sp.rayleigh(simons, RadialProfile(7 * r, v))
+        q3 = sp.rayleigh(simons, RadialProfile(r, 5 * v))
         assert np.isclose(q1, q2, rtol=1e-10)
         assert np.isclose(q1, q3, rtol=1e-12)
 
     def test_requires_vanishing_ends(self, simons):
         r = np.geomspace(0.1, 1.0, 100)
         with pytest.raises(DomainError):
-            sp.rayleigh(simons, RadialProfile(r, np.ones_like(r)), 0.0)
+            sp.rayleigh(simons, RadialProfile(r, np.ones_like(r)))
 
 
 class TestDirichletEigen:
     def test_positive_and_monotone_in_m(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
+        w = sp.WeightedProblem(cone=simons, r_out=1.0)
         lams = [sp.dirichlet_eigen(w, m).lam for m in (1, 2, 3, 4)]
         assert all(l > 0 for l in lams)
         assert np.all(np.diff(lams) < 0)
 
     def test_eigenfunction_positive(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
+        w = sp.WeightedProblem(cone=simons, r_out=1.0)
         res = sp.dirichlet_eigen(w, 2)
         assert res.profile.values[1:-1].min() > 0
 
     def test_fd_matches_shooting(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
-        for m in (1, 2):
+        # Cartan's cones have a2 = 2(n-1), where a product of spheres has n-1
+        for c, m in itertools.product((simons, cartan_cone(2), cartan_cone(4)), (1, 2)):
+            w = sp.WeightedProblem(cone=c, r_out=1.0)
             r_in, r_out = sp.exhaustion_annulus(w, m)
             fd = sp.dirichlet_eigen(w, m).lam
             shot = shooting_eigen(w, r_in, r_out)
@@ -81,7 +77,7 @@ class TestDirichletEigen:
 
     def test_closed_form_first_annulus(self, simons):
         # constant-coefficient log form: lambda_1 = (pot + (pi/ln 4)^2)/wgt
-        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
+        w = sp.WeightedProblem(cone=simons, r_out=1.0)
         pot = (simons.n - 2) ** 2 / 4 - simons.kappa * 6
         expected = (pot + (np.pi / np.log(4.0)) ** 2) / 6.0
         assert abs(sp.dirichlet_eigen(w, 1).lam - expected) < 2e-6
@@ -93,15 +89,14 @@ class TestDirichletEigen:
         # smallest eigenvalue is pot + (4/h^2) sin^2(pi/(2(N-1))) exactly
         n, N = c.n, sp._NODES
         pot = (n - 2.0) ** 2 / 4.0 - c.kappa * (c.p + c.q)
-        for eps in (0.0, 0.5):
-            w = sp.WeightedProblem(cone=c, eps=eps, r_out=1.0)
-            for m in range(1, 7):
-                h = m * np.log(4.0) / (N - 1)
-                exact = (pot + 4.0 / h**2 * np.sin(np.pi / (2.0 * (N - 1))) ** 2) / (eps**2 + c.p + c.q)
-                np.testing.assert_allclose(sp.dirichlet_eigen(w, m).lam, exact, rtol=1e-9, atol=0)
+        w = sp.WeightedProblem(cone=c, r_out=1.0)
+        for m in range(1, 7):
+            h = m * np.log(4.0) / (N - 1)
+            exact = (pot + 4.0 / h**2 * np.sin(np.pi / (2.0 * (N - 1))) ** 2) / (c.p + c.q)
+            np.testing.assert_allclose(sp.dirichlet_eigen(w, m).lam, exact, rtol=1e-9, atol=0)
 
     def test_annulus_validation(self, simons):
-        w = sp.WeightedProblem(cone=simons, eps=0.0, r_out=1.0)
+        w = sp.WeightedProblem(cone=simons, r_out=1.0)
         with pytest.raises(DomainError):
             sp.exhaustion_annulus(w, 0)
 
@@ -116,11 +111,8 @@ class TestLambda0:
 
     def test_catalog_closed_form(self):
         for c in catalog_cones():
-            n = c.n
-            assert np.isclose(
-                sp.lambda0_closed_form(c), (n - 2) * (n - 3) / (4 * (n - 1))
-            )
-            assert abs(sp.lambda0(c) - sp.lambda0_closed_form(c)) < 2e-3
+            assert np.isclose(sp.indicial_lambda_max(c), lambda0_catalog(c))
+            assert abs(sp.lambda0(c) - lambda0_catalog(c)) < 2e-3
 
     def test_scaling_invariance(self, simons):
         base = sp.lambda0(simons, r_out=1.0)
@@ -132,17 +124,14 @@ class TestLambda0:
         assert np.all(np.diff(res.lambda_sequence) <= 0)
         assert res.error_estimate < 1e-8
 
-    def test_eps_rescales_limit_exactly(self, simons):
-        # on an exact cone the eps-smoothed weight is a constant multiple of
-        # the eps = 0 weight, so the limit rescales by (p+q)/(eps^2+p+q) and
-        # is monotone decreasing in eps
-        base = sp.lambda0_detailed(simons, eps=0.0).lambda0
-        vals = []
-        for e in (0.5, 1.0):
-            v = sp.lambda0_detailed(simons, eps=e).lambda0
-            vals.append(v)
-            assert abs(v - base * 6.0 / (e**2 + 6.0)) < 1e-9
-        assert base > vals[0] > vals[1]
+    @pytest.mark.parametrize("m", [2, 4], ids=["n7", "n13"])
+    def test_radial_threshold_off_the_catalog(self, m):
+        # on Cartan's cones a2 = 2(n-1): the limit is the radial threshold
+        # (n-2)^2/(4 a2) - kappa, far below the catalog identity in n alone
+        c = cartan_cone(m)
+        assert abs(sp.lambda0_detailed(c).lambda0 - sp.indicial_lambda_max(c)) < 1e-9
+        assert sp.indicial_lambda_max(c) == {2: 0.3125, 4: 1.03125}[m]
+        assert lambda0_catalog(c) > 2 * sp.indicial_lambda_max(c)
 
     def test_exhaustion_record(self, simons):
         res = sp.lambda0_detailed(simons)
@@ -196,7 +185,7 @@ def test_residual_detects_wrong_lambda():
 
 
 def _problem(**change):
-    return sp.WeightedProblem(**{"cone": make_cone(3, 3), "eps": 0.0, "r_out": 1.0, **change})
+    return sp.WeightedProblem(**{"cone": make_cone(3, 3), "r_out": 1.0, **change})
 
 
 #: malformed input -> (call, the typed error it raises)
@@ -205,11 +194,14 @@ _MALFORMED = {
     "r-out-negative": (lambda: _problem(r_out=-1.0), DomainError),
     "r-out-inf": (lambda: _problem(r_out=np.inf), DomainError),
     "r-out-nan": (lambda: _problem(r_out=np.nan), DomainError),
-    "eps-nan": (lambda: _problem(eps=np.nan), DomainError),
-    "eps-inf": (lambda: _problem(eps=np.inf), DomainError),
     "index-nan": (lambda: sp.dirichlet_eigen(_problem(), np.nan), DomainError),
     "index-fraction": (lambda: sp.dirichlet_eigen(_problem(), 1.5), DomainError),
     "index-bool": (lambda: sp.dirichlet_eigen(_problem(), True), DomainError),
+    "rayleigh-one-node": (lambda: sp.rayleigh(make_cone(3, 3), RadialProfile([0.5], [0.0])), DomainError),
+    "residual-one-node": (lambda: sp.radial_operator_residual(
+        make_cone(3, 3), 0.3, RadialProfile([0.5], [1.0])), DomainError),
+    "residual-four-nodes": (lambda: sp.radial_operator_residual(
+        make_cone(3, 3), 0.3, RadialProfile(np.geomspace(0.5, 1.0, 4), np.ones(4))), DomainError),
 }
 
 
