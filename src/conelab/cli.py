@@ -120,7 +120,6 @@ def _conformal_errors(fields, n, count, coarse):
     {3, centre, coarse - 4} per axis, one per conformal factor in ``fields``."""
     chart = _cube_chart(n, 0.0, 1.0, count)
     m = flat_metric(chart)
-    mesh = chart.mesh()
     idx = sorted({3, coarse // 2, coarse - 4})
     nodes = np.stack(np.meshgrid(*[idx] * n, indexing="ij"), axis=-1) * ((count - 1) // (coarse - 1))
     x = chart.node_coords(nodes)
@@ -128,7 +127,7 @@ def _conformal_errors(fields, n, count, coarse):
     for u in fields:
         expected = conformal_scal(0.0, u.value(x), u.laplacian(x), n)
         # the deformed metric is dropped before the next factor's is built
-        errs.append(np.abs(scalar_curvature(conformal_deform(m, u.value(mesh)), nodes) - expected).max())
+        errs.append(np.abs(scalar_curvature(conformal_deform(m, u.on_chart(chart)), nodes) - expected).max())
     return errs
 
 
@@ -484,7 +483,7 @@ CHECKS = {
     "spectral-band": (check_spectral_band, {
         "spectral.rayleigh", "spectral.eigenfunction_below"}),
     "perron-minimal": (check_perron_minimal, {
-        "perron.perron_minimal", "perron.indicial_exponent", "perron.is_supersolution",
+        "perron.perron_minimal", "spectral.indicial_exponent", "perron.is_supersolution",
         "perron.lift", "perron.local_solve"}),
     "crease": (check_crease, {"perron.make_cutoff", "perron.crease_smooth"}),
     "green-identity": (check_green_identity, {

@@ -1,9 +1,10 @@
 """Analytic scalar fields and catalog test metrics.
 
 Provides randomized smooth positive conformal factors with exact
-derivatives (for transformation-law consistency tests) and builders of
-diagonal AnalyticMetrics (cylinders, warped tubes), which hold one exact
-jet callback and no samples.  A separable factor and a warp profile are
+derivatives (for transformation-law consistency tests), sampled over a
+whole chart by the addition theorem, and builders of diagonal
+AnalyticMetrics (cylinders, warped tubes), which hold one exact jet
+callback and no samples.  A separable factor and a warp profile are
 each one callable t -> Jet.
 """
 
@@ -27,7 +28,8 @@ class TrigField:
     """u(x) = base + sum_j amp_j cos(k_j . x + phase_j), kept positive.
 
     Exposes exact value/grad/hess/laplacian, all vectorized over trailing
-    coordinate axes of shape (..., n).
+    coordinate axes of shape (..., n), and on_chart, the value at every
+    node of a chart.
     """
 
     base: float
@@ -54,6 +56,23 @@ class TrigField:
     def value(self, x):
         args = self._args(x)
         return self.base + np.cos(args, out=args) @ self.amps
+
+    def on_chart(self, chart):
+        """u at every node of chart, shape chart.shape, by the addition
+        theorem cos(k.x + phi) = Re(e^{i phi} prod_c e^{i k_c x_c}): one
+        complex exponential per wave, axis and 1-D coordinate instead of a
+        cos per node and wave.  The leading axes are multiplied out by
+        broadcasting, times amp_j; the real parts along the last axis,
+        Re(z) cos(k x) - Im(z) sin(k x) summed over the waves, are one
+        matmul."""
+        *lead, last = (np.exp(1j * np.multiply.outer(self.waves[:, c], chart.coords_1d(c)))
+                       for c in range(chart.dim))
+        z = self.amps * np.exp(1j * self.phases)
+        for c, e in enumerate(lead):
+            z = z[..., None] * e.reshape(e.shape[:1] + (1,) * c + e.shape[1:])
+        z = z.reshape(len(z), -1)
+        u = np.concatenate([z.real, z.imag]).T @ np.concatenate([last.real, -last.imag])
+        return self.base + u.reshape(chart.shape)
 
     def grad(self, x):
         s = np.sin(self._args(x)) * self.amps  # (..., m)

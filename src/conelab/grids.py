@@ -11,7 +11,8 @@ the blocks (finite, symmetric, positive definite) that each give one value
 per node; a node's factor f decides on them, since the Cholesky factor of
 f g is sqrt(f) L_g.  So the product is never formed or factored, working
 memory does not grow with the node count, and the first failed test is
-the one a single pass over all nodes of the product would fail.
+the one a single pass over all nodes of the product would fail.  Along
+node axes on which g is one broadcast node, f enters by its extremes.
 Christoffel symbols and scalar curvature are assembled from the metric
 2-jet, which comes from 2nd-order central stencils of the samples or from
 the jet callback, at grid nodes of shape (..., n): one node is a batch of
@@ -170,7 +171,7 @@ def _per_node(g, test):
 def _check_metric(g, factor=1.0):
     """factor * g, factor[k] * g[k] at node k, is finite, symmetric to
     1e-12 and positive definite with Cholesky pivots above 1e-12 at every
-    node; factor broadcasts against the node axes of g.
+    node; factor is a scalar or has the node shape g.shape[:-2].
 
     Three passes over blocks of _BLOCK nodes of g give one value per node,
     and the node's factor f decides on it: f max|g| finite, then |f| times
@@ -182,25 +183,32 @@ def _check_metric(g, factor=1.0):
 
     A node axis of stride 0 in g or in factor is collapsed to its first
     index: each distinct node is validated once, and the decision is the
-    same as over the copy."""
+    same as over the copy.  Along a node axis on which g collapsed, the
+    factor enters by its extremes, max|f| in the finite and symmetry tests
+    and min f in the positivity and pivot tests: each test is monotone in
+    f (a NaN propagates into both), so it decides as over every node, in
+    two passes over the factor."""
     n = g.shape[-1]
     g = _distinct(g, g.ndim - 2)
     f = _distinct(np.asarray(factor, dtype=float), np.ndim(factor))
+    collapsed = tuple(k for k in range(f.ndim) if g.shape[k] == 1)
+    lo = f.min(collapsed, keepdims=True)
+    big = np.maximum(f.max(collapsed, keepdims=True), -lo)  # max|f|
     iu, ju = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # strict upper triangle
     # an overflow to inf, or 0 * inf, is what the first test detects
     with np.errstate(over="ignore", invalid="ignore"):
         # max|g| per node: a C-ordered |block| reduces over its leading
         # (entry) axes, one vector operation per entry
-        if not np.isfinite(f * _per_node(g, lambda a: np.abs(a, order="C").max((0, 1)))).all():
+        if not np.isfinite(big * _per_node(g, lambda a: np.abs(a, order="C").max((0, 1)))).all():
             raise DomainError("metric not finite at every node")
         asym = _per_node(g, lambda a: np.abs(a[iu, ju] - a[ju, iu]).max(0, initial=0.0))
-        if (np.abs(f) * asym > 1e-12).any():
+        if (big * asym > 1e-12).any():
             raise DomainError("metric not symmetric at every node")
-    if not (f > 0).all():
+    if not (lo > 0).all():
         raise SingularMetricError("metric not positive definite")
     scratch = np.zeros(min(g.size // (n * n), _BLOCK) * n * n)
     pivot = _per_node(g, lambda a: _cholesky_pivots(a, scratch))
-    if not (np.sqrt(f) * pivot > _PIVOT_TOL).all():
+    if not (np.sqrt(lo) * pivot > _PIVOT_TOL).all():
         raise SingularMetricError("metric pivot below tolerance 1e-12")
 
 
@@ -431,6 +439,8 @@ def conformal_deform(m, u, n=None):
     The output is a sampled MetricField (stencil path), since u is given by
     samples: the base g of m, shared, and the factor of m times u^{4/(n-2)},
     one float per node, validated without a second Cholesky factorization.
+    The product is formed over the distinct nodes of the two factors, so a
+    scalar u on a stride-0 factor keeps one float at every node.
     Deforming a deformed field multiplies the factors first, which may move
     a last bit against deforming the product g f1 by f2; no caller deforms
     twice.  An AnalyticMetric input is first sampled over its whole chart.
@@ -444,7 +454,8 @@ def conformal_deform(m, u, n=None):
     power = _node_values(m.chart, _positive(u, "conformal factor") ** (4.0 / (n - 2.0)), "conformal factor")
     if isinstance(m, AnalyticMetric):
         m = MetricField.from_function(m.chart, m.metric_fn)
-    return MetricField(m.chart, m.g, m.factor * power)
+    factor = _distinct(m.factor, m.chart.dim) * _distinct(power, m.chart.dim)
+    return MetricField(m.chart, m.g, np.broadcast_to(factor, m.chart.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,40 @@ def default_seed(pp: PerronProblem) -> RadialProfile:
     )
 
 
+def _sweep(pp: PerronProblem, vals, max_sweeps):
+    """Lift ``vals`` in place over every scheduled window, inner to outer,
+    until a sweep's sup-norm decrement drops below 1e-10 or ``max_sweeps``
+    sweeps have run; returns (sweeps, last decrement).
+
+    Each window's view of vals, its basis rows and its slices of two
+    scratch buffers are built once, so a sweep allocates no array: a lift
+    forms vals[i0] rows[0] + vals[i1] rows[1] (vals[i1] rows[0] on the
+    Robin tip window) in the scratch and takes the minimum into the view."""
+    windows = sorted(_window_schedule(pp), key=lambda w: w[0])
+    first, second = np.empty((2, max(i1 - i0 for i0, i1 in windows) + 1))
+    lifts = []
+    for i0, i1 in windows:
+        sl, rows = _window_basis(pp, (i0, i1), i0 == 0)
+        k = i1 - i0 + 1
+        lifts.append((i0, i1, vals[sl], tuple(rows), first[:k], second[:k]))
+    prev = np.empty_like(vals)
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        np.copyto(prev, vals)
+        for i0, i1, view, rows, local, term in lifts:
+            if len(rows) == 1:
+                np.multiply(vals[i1], rows[0], out=local)
+            else:
+                np.multiply(vals[i0], rows[0], out=local)
+                np.add(local, np.multiply(vals[i1], rows[1], out=term), out=local)
+            np.minimum(view, local, out=view)
+        dec = float(np.max(np.abs(np.subtract(prev, vals, out=prev), out=prev)))
+        if dec < 1e-10:
+            break
+    return sweeps, dec
+
+
 @dataclass(frozen=True)
 class PerronResult:
     profile: RadialProfile
@@ -381,21 +415,9 @@ def perron_minimal_detailed(pp: PerronProblem, seeds=None, max_sweeps=400) -> Pe
     for f in seeds if seeds is not None else [default_seed(pp)]:
         sset.add(f)
 
-    windows = sorted(_window_schedule(pp), key=lambda w: w[0])
-    lifts = [(win, win[0] == 0) + _window_basis(pp, win, win[0] == 0) for win in windows]
-
     vals = sset.minimum().values
-    sweeps = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        prev = vals.copy()
-        for (i0, i1), robin, sl, rows in lifts:
-            local = vals[i1] * rows[0] if robin else vals[i0] * rows[0] + vals[i1] * rows[1]
-            np.minimum(vals[sl], local, out=vals[sl])
-        dec = float(np.max(np.abs(prev - vals)))
-        if dec < 1e-10:
-            break
-    else:
+    sweeps, dec = _sweep(pp, vals, max_sweeps)
+    if not dec < 1e-10:
         raise IterationLimitError(
             f"perron sweeps did not converge in {max_sweeps} sweeps (last decrement {dec})"
         )

@@ -14,6 +14,7 @@ from conelab.errors import ConvergenceError, DomainError, IterationLimitError, R
 from conelab.fields import const_factor, diagonal_metric_field, func2_factor, round_sphere_factors
 from conelab.grids import _PIVOT_TOL, Chart, _inverse, _lowered, central_jet, conformal_coupling
 from conelab.jets import Jet
+from conelab.perron import _window_basis, _window_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,29 @@ def shooting_eigen(w, r_in, r_out):
         if tries > 32:
             raise ConvergenceError("shooting bracket did not converge", (lo, hi, flo, fhi))
     return brentq(end_value, lo, hi, xtol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the Perron sweep with a fresh array per lift
+# ---------------------------------------------------------------------------
+
+def perron_sweep_allocating(pp, vals, max_sweeps):
+    """``perron._sweep`` as the plain loop: each lift forms its local
+    solution in new arrays and each sweep copies the iterate.  Lifts
+    ``vals`` in place; returns (sweeps, last decrement)."""
+    windows = sorted(_window_schedule(pp), key=lambda w: w[0])
+    lifts = [(win, win[0] == 0) + _window_basis(pp, win, win[0] == 0) for win in windows]
+    sweeps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
+        prev = vals.copy()
+        for (i0, i1), robin, sl, rows in lifts:
+            local = vals[i1] * rows[0] if robin else vals[i0] * rows[0] + vals[i1] * rows[1]
+            np.minimum(vals[sl], local, out=vals[sl])
+        dec = float(np.max(np.abs(prev - vals)))
+        if dec < 1e-10:
+            break
+    return sweeps, dec
 
 
 # ---------------------------------------------------------------------------

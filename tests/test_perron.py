@@ -25,7 +25,7 @@ from conelab.errors import (
     ResolutionError,
 )
 from conelab.jets import jet_power
-from oracles import cartan_cone
+from oracles import cartan_cone, perron_sweep_allocating
 
 
 @pytest.fixture
@@ -496,6 +496,19 @@ class TestPerronMinimal:
     def test_sweep_record(self, problem):
         res = pn.perron_minimal_detailed(problem)
         assert 0 <= res.last_decrement < 1e-10
+
+    @pytest.mark.parametrize("frac", [None, 0.8])
+    def test_sweep_equals_the_allocating_loop(self, problem, frac):
+        # the bundled problem (69 sweeps), and the (3,3) problem at 0.8 of the
+        # band, which stops at the 400-sweep cap: same iterate to the bit
+        if frac is not None:
+            lam = 0.125 + frac * (sp.indicial_lambda_max(problem.cone) - 0.125)
+            problem = pn.PerronProblem(cone=problem.cone, lam=lam, domain=(0.01, 1.0), boundary_value=1.0)
+        start = pn.default_seed(problem).values
+        vals, ref = start.copy(), start.copy()
+        got, want = pn._sweep(problem, vals, 400), perron_sweep_allocating(problem, ref, 400)
+        assert got == want and got[0] == (69 if frac is None else 400)
+        assert vals.tobytes() == ref.tobytes()
 
     def test_zero_sweep_budget_rejected(self, problem):
         with pytest.raises(ParameterError):
