@@ -9,6 +9,11 @@ superposes elementary barriers along an axis Riemann--Stieltjes style over
 arrays of points (one anchor kernel gives the distances to every anchored
 axis), and runs tube mean-curvature checks on the superposition in one
 pass, one call per stencil offset.
+
+The two 1-D searches are vectorized ladders refined in plain Python: the
+deflection radius by Brent's method on the sphere trace, the obstacle
+minimizer by narrowing ladders of the area profile.  Only the quadrature
+oracle ``Superposition.segment_limit`` loads scipy (``scipy.integrate``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .cones import DeformedCone, RadialProfile
 from .errors import (
     DomainError,
+    IterationLimitError,
     NoBarrierError,
     ParameterError,
     ResampleError,
@@ -37,6 +43,11 @@ _WEIGHT_CAP = 10.0
 #: cap on the Riemann--Stieltjes stations of a superposition (8 MB of
 #: kernel values per evaluated point)
 _MAX_STATIONS = 2**20
+#: step cap of the two 1-D searches, as in scipy's brentq: bisection ends
+#: any root bracket in about 52 steps, and an area ladder narrows an
+#: interval about 31-fold a step
+_SEARCH_STEPS = 100
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +203,23 @@ class ObstacleProblem:
             raise DomainError("area profile must be positive")
 
     def minimizer_radius(self):
-        from scipy.optimize import minimize_scalar
+        """Radius of least sampled area on [inner, outer].
 
-        res = minimize_scalar(
-            self.area, bounds=(self.inner, self.outer), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return float(res.x)
+        A 64-rung geometric ladder over the obstacles is evaluated in one
+        area call and narrowed to the two rungs around its argmin, until
+        the interval is below 1e-10 + 4 eps rho.  Each narrower interval
+        gets an evenly spaced ladder: geomspace's interior rungs are off by
+        about eps |log rho| relative, more than that width.  The least rung
+        of the last ladder is returned, so a minimum at an obstacle stays
+        on it."""
+        rungs = np.geomspace(self.inner, self.outer, 64)  # endpoints exact
+        for _ in range(_SEARCH_STEPS):
+            k = int(np.argmin(self.area(rungs)))
+            lo, hi = rungs[max(k - 1, 0)], rungs[min(k + 1, 63)]
+            if hi - lo <= 1e-10 + 4.0 * _EPS * hi:
+                return float(rungs[k])
+            rungs = np.linspace(lo, hi, 64)
+        raise IterationLimitError(f"no minimizer to 1e-10 after {_SEARCH_STEPS} ladders")
 
 
 def area_profile(b: BarrierSpec, rho):
@@ -229,13 +250,52 @@ def sphere_trace(b: BarrierSpec, rho):
     return float(trace[0]) if np.ndim(rho) == 0 else trace.reshape(np.shape(rho))
 
 
+def _brent_root(f, a, b, fa, fb, xtol):
+    """Zero of f between a and b, given fa = f(a) and fb = f(b) of opposite
+    signs (or one of them zero), by Brent's method (Brent 1973, ch. 4).
+
+    Each step evaluates f once: at a secant or inverse quadratic step when
+    that step stays well inside the bracket, at the bisection point
+    otherwise.  The search ends when f vanishes at the best point or the
+    bracket is below xtol + 4 eps |x|; the relative part keeps the search
+    finite where ulp(x) exceeds xtol."""
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    if fpre == 0:
+        return xpre
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_SEARCH_STEPS):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur becomes the best point
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * _EPS * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            good = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise IterationLimitError(f"no root to {xtol} on [{a}, {b}] after {_SEARCH_STEPS} steps")
+
+
 def deflection_radius(b: BarrierSpec, bracket=(1e-6, 10.0)):
     """Smallest rho where the inward mean curvature of S_rho flips from
     positive (barrier side) to negative; agrees with the stationary radius
     of the area profile.  The 400-rung geometric ladder over the bracket is
-    traced in one call; brentq refines its first flip."""
-    from scipy.optimize import brentq
-
+    traced in one call; Brent's method refines its first flip from the two
+    rung traces, to 1e-14 + 4 eps rho, one scalar trace a step."""
     if b.mu <= 0:
         raise NoBarrierError("deflection radius needs mu > 0")
     lo, hi = _positive_interval(bracket, "deflection bracket")
@@ -247,7 +307,8 @@ def deflection_radius(b: BarrierSpec, bracket=(1e-6, 10.0)):
     if flips.size == 0:
         raise NoBarrierError(f"no sign change of the sphere trace on {bracket}")
     i = flips[0]
-    return float(brentq(lambda r: sphere_trace(b, r), ladder[i], ladder[i + 1], xtol=1e-14))
+    return _brent_root(lambda r: sphere_trace(b, r), float(ladder[i]), float(ladder[i + 1]),
+                       float(vals[i]), float(vals[i + 1]), xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +399,8 @@ def line_barrier(ls: LineBarrierSpec, x):
 def _axis_kernel_constant(e_line):
     """c(e) = integral (1+s^2)^{-(e+1)/2} ds, normalizing point kernels so the
     full-axis superposition reproduces the d^{-e} line kernel."""
-    from scipy.special import gamma as gamma_fn
-
     e_pt = e_line + 1.0
-    return math.sqrt(math.pi) * gamma_fn((e_pt - 1.0) / 2.0) / gamma_fn(e_pt / 2.0)
+    return math.sqrt(math.pi) * math.gamma((e_pt - 1.0) / 2.0) / math.gamma(e_pt / 2.0)
 
 
 @dataclass(frozen=True)

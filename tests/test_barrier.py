@@ -1,13 +1,19 @@
 """Tests for Green's-function barriers, superposition and tube checks."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conelab import barrier as br
 from conelab import cli
 from conelab.cones import CATALOG, DeformedCone, catalog_cones, make_cone
 from conelab.errors import (
     DomainError,
+    IterationLimitError,
     NoBarrierError,
     ParameterError,
     ResampleError,
@@ -204,6 +210,33 @@ class TestAreaProfile:
         n = deformed.base.n
         assert abs(ob.minimizer_radius() - mu ** (1.0 / (n - 2.0))) < 1e-7
 
+    @pytest.mark.parametrize("cone", catalog_cones(), ids=lambda c: f"n{c.n}")
+    def test_stationary_point_on_the_catalog(self, cone, cutoff):
+        d = DeformedCone(cone, alpha=-0.25 * (cone.n - 2.0))
+        for mu in (1e-6, 1e-4, 1e-3):
+            b = br.BarrierSpec(deformed=d, mu=mu, cutoff=cutoff)
+            ob = br.ObstacleProblem(inner=1e-4, outer=0.9, area=lambda r: br.area_profile(b, r))
+            assert abs(ob.minimizer_radius() - mu ** (1.0 / (cone.n - 2.0))) < 1e-7
+
+    def test_monotone_area_is_least_at_an_obstacle(self):
+        assert br.ObstacleProblem(inner=0.1, outer=0.9, area=lambda r: r).minimizer_radius() == 0.1
+        assert br.ObstacleProblem(inner=0.1, outer=0.9, area=lambda r: 1.0 / r).minimizer_radius() == 0.9
+
+    def test_minimizer_search_ends_where_ulp_exceeds_the_tolerance(self):
+        # ulp(3e7) = 3.7e-9 > 1e-10: the relative floor ends the search
+        ob = br.ObstacleProblem(inner=1.0, outer=1e8, area=lambda r: 1.0 + np.log(r / 3e7) ** 2)
+        assert abs(ob.minimizer_radius() - 3e7) < 1e-7 * 3e7
+
+    def test_minimizer_area_calls_are_ladders(self, deformed, cutoff):
+        b = br.BarrierSpec(deformed=deformed, mu=1e-5, cutoff=cutoff)
+        calls = []
+        ob = br.ObstacleProblem(inner=1e-4, outer=0.9,
+                                area=lambda r: calls.append(np.shape(r)) or br.area_profile(b, r))
+        ob.minimizer_radius()
+        # the 64 probes of the constructor, then one ladder per narrowing
+        assert set(calls) == {(64,)}
+        assert len(calls) <= 12
+
     def test_obstacle_validation(self):
         with pytest.raises(DomainError):
             br.ObstacleProblem(inner=1.0, outer=0.5, area=lambda r: r)
@@ -256,6 +289,65 @@ class TestDeflectionRadius:
         b = br.BarrierSpec(deformed=deformed, mu=0.0, cutoff=cutoff)
         with pytest.raises(NoBarrierError):
             br.deflection_radius(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, len(CATALOG) - 1), shrink=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           log_mu=st.floats(-6.0, -3.0))
+    def test_closed_form_on_the_catalog(self, cutoff, k, shrink, log_mu):
+        cone = make_cone(*CATALOG[k])
+        mu = 10.0**log_mu
+        b = br.BarrierSpec(deformed=DeformedCone(cone, alpha=-(cone.n - 2.0) / 2.0 * shrink),
+                           mu=mu, cutoff=cutoff)
+        exact = mu ** (1.0 / (cone.n - 2.0))
+        with _counted_traces() as traces:
+            theta = br.deflection_radius(b)
+        assert abs(theta - exact) <= 1e-13 * exact
+        # one ladder, then no more scalar traces than scipy's brentq needed
+        assert traces[0] == 400 and len(traces) <= 1 + _ROOT_TRACES
+        wide = br.deflection_radius(b, bracket=(1e-6, 1e3))
+        assert abs(wide - theta) <= 1e-13 * theta
+
+
+@contextlib.contextmanager
+def _counted_traces():
+    """Sizes of the sphere_trace calls made inside the block."""
+    sizes = []
+    trace = br.sphere_trace
+    br.sphere_trace = lambda b, rho: sizes.append(np.size(rho)) or trace(b, rho)
+    try:
+        yield sizes
+    finally:
+        br.sphere_trace = trace
+
+
+#: scalar traces after the ladder that scipy's brentq needed at most, its
+#: two endpoint traces included, over 80 draws of the geometry workload
+_ROOT_TRACES = 8
+
+
+class TestBrentRoot:
+    def test_linear_root_is_one_secant_step(self):
+        calls = []
+        f = lambda x: calls.append(x) or 0.25 - x
+        assert br._brent_root(f, 0.0, 1.0, 0.25, -0.75, xtol=1e-14) == 0.25
+        assert calls == [0.25]
+
+    def test_zero_at_an_end_is_returned_without_a_step(self):
+        fail = lambda x: pytest.fail("no step expected")
+        assert br._brent_root(fail, 0.2, 0.3, 0.0, -1.0, xtol=1e-14) == 0.2
+        assert br._brent_root(fail, 0.2, 0.3, 1.0, 0.0, xtol=1e-14) == 0.3
+
+    def test_ends_where_ulp_exceeds_xtol(self):
+        # ulp(700) = 1.1e-13 > xtol and the jump has no zero: a stopping test
+        # on the bracket width alone never ends; the 4 eps |x| floor does
+        jump = lambda x: 1.0 if x < 700.0 else -1.0
+        root = br._brent_root(jump, 1.0, 1e3, 1.0, -1.0, xtol=1e-14)
+        assert abs(root - 700.0) <= 4.0 * 4.0 * np.finfo(float).eps * 700.0
+
+    def test_steps_are_capped(self):
+        # a tolerance that no bracket meets raises instead of looping
+        with pytest.raises(IterationLimitError):
+            br._brent_root(lambda x: 1.0 if x < 1.0 / 3.0 else -1.0, 0.0, 1.0, 1.0, -1.0, xtol=-1.0)
 
 
 class TestBarrierKernel:
@@ -330,9 +422,12 @@ class TestBarrierKernel:
         scenario = {"schema_version": cli.SCHEMA_VERSION, "name": "theta", "seed": 16,
                     "checks": [{"check": "theta-scaling"}]}
         assert cli.run_scenario(scenario, output_root=tmp_path).status == "pass"
-        # ten radii: one 400-rung ladder each, then scalar brentq steps
-        assert calls.count(400) == 10
-        assert len(calls) < 100
+        # ten radii: one 400-rung ladder each, then the scalar root steps
+        # (none where a rung traces to exactly 0, as at mu = 1e-5)
+        starts = [k for k, size in enumerate(calls) if size == 400]
+        assert len(starts) == 10 and starts[0] == 0
+        assert set(calls) - {400} == {1}
+        assert np.all(np.diff(starts + [len(calls)]) - 1 <= _ROOT_TRACES)
 
 
 class TestLineBarrier:
@@ -399,6 +494,14 @@ class TestLineBarrier:
 
 
 class TestSuperposition:
+    @pytest.mark.parametrize("n", range(5, 12))
+    def test_axis_kernel_constant_is_the_axis_integral(self, n):
+        for beta in np.linspace(-1.5, 2.0, 8):
+            e = br.line_exponent(n, beta)
+            val, _ = quad(lambda s: (1.0 + s * s) ** (-(e + 1.0) / 2.0), -np.inf, np.inf,
+                          epsabs=0.0, epsrel=1e-13)
+            assert abs(br._axis_kernel_constant(e) - val) <= 1e-13 * val
+
     def test_single_point_level_one(self):
         n = 7
         pt = br.LinePoint(direction=tuple(_axis_point(n)), weight=0.5)

@@ -317,19 +317,26 @@ def test_result_off_by_1e_6_fails_its_bundled_check(target, scenario, check, tmp
 
 
 #: bundled scenarios whose checks call no scipy routine
-SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "metric-core")
+SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "metric-core", "theta-scaling")
 
 
 def test_import_loads_no_scipy(tmp_path):
     # scipy subpackages load on first use: importing the runner (and with it
     # every library module) loads none, and neither does running a scenario
-    # whose checks need numpy only
+    # whose checks need numpy only, nor a deflection radius on its own
+    # (scipy.optimize and what it pulls in are about 48 MB of peak RSS)
     code = (
         "import json, sys\n"
         "import conelab.cli as cli\n"
+        "from conelab import barrier, cones, perron\n"
         "def scipy():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "loaded = {'import conelab.cli': scipy()}\n"
+        "cone = cones.catalog_cones()[-1]\n"
+        "spec = barrier.BarrierSpec(deformed=cones.DeformedCone(cone, alpha=-1.0), mu=1e-4,\n"
+        "                           cutoff=perron.make_cutoff(4.0, 1.0))\n"
+        "barrier.deflection_radius(spec)\n"
+        "loaded['deflection_radius'] = scipy()\n"
         f"for name in {SCIPY_FREE!r}:\n"
         f"    cli.run_scenario(cli.bundled_scenarios()[name], {str(tmp_path)!r})\n"
         "    loaded[name] = scipy()\n"
@@ -339,7 +346,7 @@ def test_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=path))
     loaded = json.loads(out.stdout)
-    assert list(loaded) == ["import conelab.cli", *SCIPY_FREE]
+    assert list(loaded) == ["import conelab.cli", "deflection_radius", *SCIPY_FREE]
     assert loaded == dict.fromkeys(loaded, [])
 
 
