@@ -12,14 +12,15 @@ pass, one call per stencil offset.
 
 The two 1-D searches are vectorized ladders refined in plain Python: the
 deflection radius by Brent's method on the sphere trace, the obstacle
-minimizer by narrowing ladders of the area profile.  Only the quadrature
-oracle ``Superposition.segment_limit`` loads scipy (``scipy.integrate``).
+minimizer by narrowing ladders of the area profile.  The quadrature oracle
+``Superposition.segment_limit`` runs Gauss-Legendre panels, so the module
+loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,8 @@ _MAX_STATIONS = 2**20
 #: interval about 31-fold a step
 _SEARCH_STEPS = 100
 _EPS = float(np.finfo(float).eps)
+#: Gauss-Legendre rule of one panel of ``Superposition.segment_limit``
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +198,36 @@ class ObstacleProblem:
     inner: float
     outer: float
     area: object  # vectorized callable rho -> A(rho) > 0
+    #: the 64-rung geometric ladder over the obstacles and its areas, from
+    #: the positivity probe; ``minimizer_radius`` starts from it
+    _ladder: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _positive_interval((self.inner, self.outer), "obstacle radii")
-        probes = np.geomspace(self.inner, self.outer, 64)
-        if np.any(np.asarray(self.area(probes)) <= 0):
+        rungs = np.geomspace(self.inner, self.outer, 64)  # endpoints exact
+        areas = np.asarray(self.area(rungs))
+        if np.any(areas <= 0):
             raise DomainError("area profile must be positive")
+        object.__setattr__(self, "_ladder", (rungs, areas))
 
     def minimizer_radius(self):
         """Radius of least sampled area on [inner, outer].
 
-        A 64-rung geometric ladder over the obstacles is evaluated in one
-        area call and narrowed to the two rungs around its argmin, until
-        the interval is below 1e-10 + 4 eps rho.  Each narrower interval
-        gets an evenly spaced ladder: geomspace's interior rungs are off by
-        about eps |log rho| relative, more than that width.  The least rung
-        of the last ladder is returned, so a minimum at an obstacle stays
-        on it."""
-        rungs = np.geomspace(self.inner, self.outer, 64)  # endpoints exact
+        The 64-rung geometric ladder over the obstacles, whose areas the
+        positivity probe evaluated in one call, is narrowed to the two
+        rungs around its argmin, until the interval is below
+        1e-10 + 4 eps rho.  Each narrower interval gets an evenly spaced
+        ladder: geomspace's interior rungs are off by about eps |log rho|
+        relative, more than that width.  The least rung of the last ladder
+        is returned, so a minimum at an obstacle stays on it."""
+        rungs, areas = self._ladder
         for _ in range(_SEARCH_STEPS):
-            k = int(np.argmin(self.area(rungs)))
+            k = int(np.argmin(areas))
             lo, hi = rungs[max(k - 1, 0)], rungs[min(k + 1, 63)]
             if hi - lo <= 1e-10 + 4.0 * _EPS * hi:
                 return float(rungs[k])
             rungs = np.linspace(lo, hi, 64)
+            areas = self.area(rungs)
         raise IterationLimitError(f"no minimizer to 1e-10 after {_SEARCH_STEPS} ladders")
 
 
@@ -438,16 +447,25 @@ class Superposition:
 
     def segment_limit(self, omega, t):
         """Exact l -> infinity limit: quadrature of the same truncated kernel
-        (independent oracle for the Riemann-sum convergence order)."""
-        from scipy.integrate import quad
+        (independent oracle for the Riemann-sum convergence order).
 
+        With s = t + d sinh(u), an anchor at distance d contributes d^{-e}
+        times the integral of cosh(u)^{-e} over the image of the segment:
+        an integrand without a peak, analytic in |Im u| < pi/2.  Equal
+        panels in u are graded geometrically toward s = t in s.  Each
+        panel is at most 6/sqrt(1 + e) long, since cosh^{-e} narrows as e
+        grows, and carries 24 Gauss-Legendre nodes."""
+        a, b = self.segment
         total = 1.0
         for pt, dist in zip(self.spec.points, _anchor_distances(self.spec, omega).tolist()):
             e_line = line_exponent(self.spec.n, pt.beta)
-            cn = _axis_kernel_constant(e_line)
-            val, _ = quad(lambda s: (dist**2 + (t - s) ** 2) ** (-(e_line + 1.0) / 2.0),
-                          *self.segment, epsabs=1e-13, epsrel=1e-13)
-            total += pt.weight * val / cn
+            lo, hi = math.asinh((a - t) / dist), math.asinh((b - t) / dist)
+            edges = np.linspace(lo, hi, 1 + math.ceil((hi - lo) * math.sqrt(1.0 + e_line) / 6.0))
+            half = (edges[1:] - edges[:-1]) / 2.0
+            mid = (edges[1:] + edges[:-1]) / 2.0
+            u = mid[:, None] + half[:, None] * _PANEL_NODES
+            val = dist**-e_line * float(half @ (np.cosh(u) ** -e_line @ _PANEL_WEIGHTS))
+            total += pt.weight * val / _axis_kernel_constant(e_line)
         return total
 
 

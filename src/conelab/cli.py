@@ -240,12 +240,13 @@ def check_deformed_cone(params, seed, gate):
 
 
 def check_lambda0_simons(params, seed, gate):
-    """Limit eigenvalue on the minimal (3,3) cone: 5/6 within 1e-3, above
-    the Hardy threshold 1/4, exhaustion sequence non-increasing."""
+    """Limit eigenvalue on the minimal (3,3) cone: 5/6 within its derived
+    rounding bound, above the Hardy threshold 1/4, exhaustion sequence
+    non-increasing."""
     c = make_cone(3, 3)
     res = sp.lambda0_detailed(c)
     oracle = 5.0 / 6.0
-    gate.near("lambda0", res.lambda0, oracle=oracle, band=1e-3)
+    gate.near("lambda0", res.lambda0, oracle=oracle, band=res.error_estimate)
     gate.note(gap_to_oracle=abs(res.lambda0 - oracle))
     gate.above("lambda0", res.lambda0, hardy_floor=0.25)
     seq, slack = np.array(res.lambda_sequence), 1e-12

@@ -119,6 +119,13 @@ def _first_bad_ball(centers, radii):
     return k, "ball center and radius must be finite" if not finite[k] else "ball radius must be positive"
 
 
+def _tied(radii):
+    """Whether two radii are equal, from one sort and a comparison of
+    neighbours (``np.unique`` imports ``numpy.ma`` on its first call)."""
+    ordered = np.sort(radii)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 class BallSet:
     """Finite ball collection with target points to cover.
 
@@ -141,7 +148,7 @@ class BallSet:
         bad = _first_bad_ball(centers, radii)
         if bad is not None:
             raise DomainError(bad[1])
-        if np.unique(radii).size != radii.size:
+        if _tied(radii):
             raise DomainError("radii must be pairwise distinct (perturb on input)")
         if len(set(ids.tolist())) != ids.size:
             raise DomainError("ball ids must be unique")
@@ -204,7 +211,7 @@ def make_ball_set(centers, radii, target=(), seed=0) -> BallSet:
     rng = np.random.default_rng(seed)
     # a radius the perturbation cannot separate (0, inf, nan) is left for
     # the validation to reject, not looped on
-    while np.unique(radii).size != radii.size and np.all((radii > 0) & np.isfinite(radii)):
+    while _tied(radii) and np.all((radii > 0) & np.isfinite(radii)):
         radii = radii * (1.0 + 1e-9 * rng.random(len(radii)))
     return BallSet(centers, radii, np.arange(len(radii)), target)
 

@@ -95,3 +95,7 @@ class DataIntegrityError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed scenario/configuration input."""
+
+
+class CertificateError(RuntimeError):
+    """A computed result failed the independent check that certifies it."""

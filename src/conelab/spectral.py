@@ -12,7 +12,11 @@ constant-coefficient Schroedinger form
 
     -v'' + [ (n-2)^2/4 - kappa a2 ] v = lambda a2 v,
 
-which the finite-difference solver discretizes.  Its power solutions
+which the finite-difference solver discretizes.  On a log grid that
+discretization is a tridiagonal Toeplitz matrix, whose smallest eigenpair
+is known in closed form; the solver returns that pair after certifying
+it in numpy (``_fd_smallest``), so the module needs no eigensolver and
+loads no scipy.  Its power solutions
 r^alpha solve the indicial equation alpha^2 + (n-2) alpha + (kappa +
 lambda) a2 = 0, whose roots are real up to (n-2)^2/(4 a2) - kappa: the
 weighted limit eigenvalue lambda0 and the upper end of the working band
@@ -31,12 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import ConeSpec, RadialProfile, cone_scal, second_form_norm2
-from .errors import ComplexIndicialError, ConvergenceError, DomainError, OutOfBandError, ParameterError
+from .errors import (
+    CertificateError,
+    ComplexIndicialError,
+    ConvergenceError,
+    DomainError,
+    OutOfBandError,
+    ParameterError,
+)
 from .grids import _is_index
 from .jets import Jet, jet_power, radial_laplacian
 
 #: nodes per finite-difference eigensolve
 _NODES = 2000
+#: unit roundoff
+_U = float(np.finfo(float).eps) / 2.0
 
 
 @dataclass(frozen=True)
@@ -135,29 +148,64 @@ def exhaustion_annulus(w: WeightedProblem, m):
 
 
 def log_tridiagonal(r0, r1, nodes, c):
-    """Log grid s on [ln r0, ln r1] and the interior (diagonal, off-diagonal)
-    of -d^2/ds^2 + c with Dirichlet ends, at second order."""
-    s = np.linspace(np.log(r0), np.log(r1), nodes)
-    h = s[1] - s[0]
-    return s, np.full(nodes - 2, 2.0 / h**2 + c), np.full(nodes - 3, -1.0 / h**2)
+    """Log grid s on [ln r0, ln r1] and the interior (diagonal,
+    off-diagonal) entries of -d^2/ds^2 + c with Dirichlet ends,
+    at second order.  The matrix is Toeplitz, so each entry is one number.
+
+    h is the annulus length ln(r1/r0) over nodes - 1, not s[1] - s[0]: the
+    difference of two nearby logarithms loses about nodes ulps of h."""
+    h = math.log(r1 / r0) / (nodes - 1)
+    h2 = h * h
+    return np.linspace(math.log(r0), math.log(r1), nodes), 2.0 / h2 + c, -1.0 / h2
+
+
+def _certify_smallest(diag, off, mu, v):
+    """Raise CertificateError unless mu and v (zero at both ends) are the
+    smallest eigenpair, up to rounding, of the interior Toeplitz matrix T
+    with ``diag`` on the diagonal and ``off`` beside it.
+
+    Two checks that share no formula with a closed form:
+    - the residual |T v - mu v|, four vector operations, is at most
+      32 u ||T|| max|v| (u the unit roundoff, ||T|| the row-sum norm).
+      For a closed-form pair with each entry of v to 5 u relative and mu
+      to 4 u ||T|| the exact residual is at most 14 u ||T|| max|v|, and
+      forming it adds at most 9 u ||T|| max|v|.
+    - v > 0 on the interior.  d I - T is non-negative and irreducible, so
+      by Perron-Frobenius its only positive eigenvector belongs to its
+      largest eigenvalue: mu is the smallest eigenvalue of T."""
+    inner = v[1:-1]
+    res = (diag - mu) * inner + off * (v[:-2] + v[2:])
+    bound = 32.0 * _U * (abs(diag) + 2.0 * abs(off)) * np.abs(inner).max()
+    worst = np.abs(res).max()
+    if not worst <= bound:  # NaN too
+        raise CertificateError(f"eigenpair residual {worst} exceeds its rounding bound {bound}")
+    if not inner.min() > 0:
+        raise CertificateError("eigenvector not positive on the interior: not the smallest eigenpair")
 
 
 def _fd_smallest(w: WeightedProblem, r_in, r_out, nodes=_NODES):
-    """Smallest Dirichlet eigenvalue/eigenfunction via the log-variable FD."""
-    from scipy.linalg import eigh_tridiagonal
+    """Smallest Dirichlet eigenvalue/eigenfunction of the log-variable
+    finite-difference operator (``log_tridiagonal``), in closed form.
 
+    The N - 2 interior nodes carry the Toeplitz matrix tridiag(-1/h^2,
+    2/h^2 + pot, -1/h^2), whose smallest eigenvalue is
+    pot + (4/h^2) sin^2(pi/(2(N-1))) with eigenvector sin(pi j/(N-1))
+    (Boettcher & Grudsky, Spectral Properties of Banded Toeplitz Matrices,
+    SIAM 2005).  The closed form reads the matrix's own off-diagonal
+    -1/h^2, so both share one step h, and ``_certify_smallest`` certifies
+    the pair before it is returned.  The eigenvector is sampled at
+    min(j, N-1-j), an argument of at most pi/2, so that each entry is good
+    to 5 u relative and the vector is exactly symmetric."""
     n, a2 = w.cone.n, w.cone.a2
     pot = (n - 2.0) ** 2 / 4.0 - w.cone.kappa * a2
     s, diag, off = log_tridiagonal(r_in, r_out, nodes, pot)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    lam = vals[0] / a2
-    v = np.zeros(nodes)
-    v[1:-1] = vecs[:, 0]
-    if v[1:-1].sum() < 0:
-        v = -v
+    theta = math.pi / (nodes - 1)
+    mu = pot - 4.0 * off * math.sin(theta / 2.0) ** 2
+    j = np.arange(nodes)
+    v = np.sin(np.minimum(j, nodes - 1 - j) * theta)
+    _certify_smallest(diag, off, mu, v)
     r = np.exp(s)
-    u = v * r ** (-(n - 2.0) / 2.0)
-    return lam, r, u
+    return mu / a2, r, v * r ** (-(n - 2.0) / 2.0)
 
 
 def dirichlet_eigen(w: WeightedProblem, m) -> EigenResult:
@@ -186,33 +234,42 @@ class Lambda0Result:
 
 
 def lambda0_detailed(c: ConeSpec, r_out=1.0, m_max=6) -> Lambda0Result:
-    """Exhaustion limit with Richardson extrapolation in 1/m^2.
+    """Exhaustion limit with Richardson extrapolation in 1/m^2, with a
+    derived rounding bound as its error estimate.
 
-    The exhaustion eigenvalues obey lambda_m = lambda_inf + const/m^2 for the
-    geometric schedule, so pairwise extrapolants converge fast; the error
-    estimate is the gap between the last two.
+    On K_m the step is h = m ln 4/(N-1), so the closed-form eigenvalues are
+    lambda_m = (pot + K/m^2)/a2 with K independent of m, and every
+    extrapolant (m^2 lambda_m - (m-1)^2 lambda_{m-1})/(2m-1) equals
+    pot/a2 = ``indicial_lambda_max`` in exact arithmetic: its error is
+    rounding alone.  Each lambda_m carries at most 22 u (u the unit
+    roundoff) of the magnitudes it sums, which S_m = |lambda_m| + 2 kappa
+    bounds, and the extrapolant 3 u more, so the estimate
+    32 u (m^2 S_m + (m-1)^2 S_{m-1})/(2m-1) bounds |lambda0 - pot/a2| with
+    room for the two roundings of ``indicial_lambda_max``.  The last two
+    extrapolants must agree within their two bounds.
     """
     if not _is_index(m_max) or m_max < 3:
         raise ParameterError(
-            f"m_max must be an integer >= 3, got {m_max!r}: the error estimate needs two extrapolants"
+            f"m_max must be an integer >= 3, got {m_max!r}: the last two extrapolants are compared"
         )
     w = WeightedProblem(cone=c, r_out=r_out)
     ms = list(range(1, m_max + 1))
     lams = [dirichlet_eigen(w, m).lam for m in ms]
     if np.any(np.diff(lams) > 1e-12):
         raise ConvergenceError("exhaustion eigenvalues not non-increasing", lams)
-    extr = [
-        (ms[i] ** 2 * lams[i] - ms[i - 1] ** 2 * lams[i - 1])
-        / (ms[i] ** 2 - ms[i - 1] ** 2)
-        for i in range(1, len(ms))
-    ]
-    err = abs(extr[-1] - extr[-2])
+    sizes = [abs(lam) + 2.0 * abs(c.kappa) for lam in lams]  # the S_m
+    extr, bounds = [], []
+    for m in (m_max - 1, m_max):
+        extr.append((m**2 * lams[m - 1] - (m - 1) ** 2 * lams[m - 2]) / (2 * m - 1))
+        bounds.append(32.0 * _U * (m**2 * sizes[m - 1] + (m - 1) ** 2 * sizes[m - 2]) / (2 * m - 1))
+    if not abs(extr[1] - extr[0]) <= bounds[0] + bounds[1]:
+        raise ConvergenceError("the last two extrapolants differ beyond their rounding bounds", extr)
     return Lambda0Result(
         cone=c,
         schedule=tuple(ms),
         lambda_sequence=tuple(lams),
-        lambda0=float(extr[-1]),
-        error_estimate=float(err),
+        lambda0=float(extr[1]),
+        error_estimate=float(bounds[1]),
     )
 
 

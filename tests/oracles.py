@@ -4,10 +4,20 @@ tests use."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from conelab.barrier import _FD_STEP, BarrierSpec, _orthonormal_complement, scal_quantity, sphere_distance
+from conelab.barrier import (
+    _FD_STEP,
+    BarrierSpec,
+    _anchor_distances,
+    _axis_kernel_constant,
+    _orthonormal_complement,
+    line_exponent,
+    scal_quantity,
+    sphere_distance,
+)
 from conelab.bending import _GAUSS_NODES, _GAUSS_WEIGHTS, TubeMetric, build_h, scal_compare
 from conelab.cones import ConeSpec
 from conelab.errors import ConvergenceError, DomainError, IterationLimitError, ResampleError, SingularMetricError
@@ -79,6 +89,15 @@ def shooting_eigen(w, r_in, r_out):
         if tries > 32:
             raise ConvergenceError("shooting bracket did not converge", (lo, hi, flo, fhi))
     return brentq(end_value, lo, hi, xtol=1e-13)
+
+
+def fd_smallest_bisection(diag, off, nodes):
+    """Smallest eigenvalue of the interior Toeplitz matrix that
+    ``spectral.log_tridiagonal`` describes, by LAPACK's bisection
+    (``eigh_tridiagonal``, to its default tolerance)."""
+    vals = eigh_tridiagonal(np.full(nodes - 2, diag), np.full(nodes - 3, off),
+                            select="i", select_range=(0, 0), eigvals_only=True)
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +211,20 @@ def stiffness_search_certify_each(tm, delta, cap=2.0**20, samples=201):
             return k, {**rep, "profile": bp}
         k *= 2.0
     raise IterationLimitError(f"no certified stiffness below the cap {cap}")
+
+
+def segment_limit_quad(superposition, omega, t):
+    """``barrier.Superposition.segment_limit`` by adaptive quadrature in s
+    (QUADPACK through ``scipy.integrate.quad``), split at s = t when t
+    lies inside the segment."""
+    a, b = superposition.segment
+    total = 1.0
+    for pt, dist in zip(superposition.spec.points, _anchor_distances(superposition.spec, omega).tolist()):
+        e_line = line_exponent(superposition.spec.n, pt.beta)
+        val, _ = quad(lambda s: (dist**2 + (t - s) ** 2) ** (-(e_line + 1.0) / 2.0), a, b,
+                      points=[t] if a < t < b else None, epsabs=0.0, epsrel=1e-13, limit=200)
+        total += pt.weight * val / _axis_kernel_constant(e_line)
+    return total
 
 
 def tube_check_pointwise(superposition, tube_radius, axial_samples=64,

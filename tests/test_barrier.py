@@ -22,7 +22,7 @@ from conelab.errors import (
 from conelab.grids import conformal_shape_shift
 from conelab.perron import make_cutoff
 from conelab.spectral import indicial_exponent, indicial_lambda_max
-from oracles import mu_h_bisection, tube_check_pointwise
+from oracles import mu_h_bisection, segment_limit_quad, tube_check_pointwise
 
 
 @pytest.fixture(scope="module")
@@ -245,8 +245,16 @@ class TestAreaProfile:
 
     def test_area_probed_in_one_call(self):
         calls = []
-        br.ObstacleProblem(inner=0.1, outer=1.0, area=lambda r: calls.append(np.shape(r)) or r)
-        assert calls == [(64,)]
+        area = lambda r: calls.append(np.array(r)) or abs(r - 0.3) + 1.0
+        ob = br.ObstacleProblem(inner=0.1, outer=1.0, area=area)
+        assert [c.shape for c in calls] == [(64,)]
+        # the minimizer search starts from the probe's ladder: the geometric
+        # ladder is evaluated once, then only narrower even ladders
+        radius = ob.minimizer_radius()
+        ladder = np.geomspace(0.1, 1.0, 64)
+        assert sum(np.array_equal(c, ladder) for c in calls) == 1
+        assert len(calls) > 1 and all(c.shape == (64,) and np.ptp(c) < 0.1 for c in calls[1:])
+        assert abs(radius - 0.3) < 1e-9
 
 
 class TestDeflectionRadius:
@@ -574,6 +582,32 @@ class TestSuperposition:
         assert table.shape == batch + (5,)
         for idx in np.ndindex(*table.shape):
             assert table[idx] == sup(om[idx[:-1]], ts.ravel()[idx[-1]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(dist=st.floats(1e-3, 2.0), t=st.floats(0.0, 1.0), beta=st.sampled_from([0.0, -1.5, 2.0]))
+    def test_segment_limit_matches_adaptive_quadrature(self, dist, t, beta):
+        # the kernel part of the limit, to 1e-12 relative, from the peaked
+        # case at distance 1e-3 to the flat one at 2
+        n = 7
+        pt = br.LinePoint(direction=tuple(_axis_point(n)), weight=0.5, beta=beta)
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=(pt,), level=8))
+        om = np.zeros(n)
+        om[0], om[2] = np.cos(dist), np.sin(dist)
+        want = segment_limit_quad(sup, om, t) - 1.0
+        assert abs(sup.segment_limit(om, t) - 1.0 - want) <= 1e-12 * want
+
+    def test_segment_limit_off_the_segment(self):
+        # heights beyond the segment, two anchors, a long segment
+        n = 9
+        sup = br.stieltjes_superpose(br.LineBarrierSpec(n=n, points=_generic_anchors(n), level=4),
+                                     segment=(-0.5, 3.0))
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            om = rng.normal(size=n)
+            om /= np.linalg.norm(om)
+            for t in (-2.0, -0.5, 1.0, 3.5):
+                want = segment_limit_quad(sup, om, t) - 1.0
+                assert abs(sup.segment_limit(om, t) - 1.0 - want) <= 1e-12 * want
 
     def test_segment_limit_on_axis_raises(self):
         n = 7

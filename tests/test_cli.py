@@ -316,8 +316,9 @@ def test_result_off_by_1e_6_fails_its_bundled_check(target, scenario, check, tmp
     assert record["status"] == "fail", record["measured"]
 
 
-#: bundled scenarios whose checks call no scipy routine
-SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "metric-core", "theta-scaling")
+#: bundled scenarios whose checks call no scipy routine: all but perron
+SCIPY_FREE = ("bending", "cone-catalog", "covering", "green-truncation", "lambda0-simons", "metric-core",
+              "superposition", "theta-scaling")
 
 
 def test_import_loads_no_scipy(tmp_path):

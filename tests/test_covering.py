@@ -1,7 +1,11 @@
 """Tests for the greedy ball-family selection."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,25 @@ def _random_instance(trial, n=150, n_targets=20):
 
 
 class TestBallSet:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.0 + 2.0**-52, 3.0, 1e300]), max_size=8))
+    def test_tie_test_matches_unique(self, radii):
+        radii = np.array(radii, dtype=float)
+        assert cv._tied(radii) == (np.unique(radii).size != radii.size)
+
+    def test_make_ball_set_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call (about 9 ms and 1.3 MB)
+        code = (
+            "import sys\n"
+            "from conelab import covering as cv\n"
+            "cv.make_ball_set([[0, 0], [1, 0], [2, 0]], [1.0, 2.0, 1.0], target=[[0.5, 0]])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(Path(cv.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.split() == ["False"]
+
     def test_tied_radii_perturbed_deterministically(self):
         centers = np.zeros((4, 2)) + np.arange(4)[:, None]
         bs1 = cv.make_ball_set(centers, [1.0, 1.0, 1.0, 1.0], seed=5)

@@ -1,15 +1,21 @@
 """Tests for the weighted eigenvalue machinery."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conelab import spectral as sp
 from conelab.cones import RadialProfile, catalog_cones, make_cone, second_form_norm2
-from conelab.errors import ConvergenceError, DomainError, OutOfBandError, ParameterError
+from conelab.errors import CertificateError, ConvergenceError, DomainError, OutOfBandError, ParameterError
 
-from oracles import cartan_cone, lambda0_catalog, shooting_eigen
+from oracles import cartan_cone, fd_smallest_bisection, lambda0_catalog, shooting_eigen
+
+#: the product catalog and Cartan's isoparametric cones (a2 = 2(n-1))
+_CONES = (*catalog_cones(), *(cartan_cone(m) for m in (1, 2, 4, 8)))
 
 
 @pytest.fixture
@@ -101,6 +107,78 @@ class TestDirichletEigen:
             sp.exhaustion_annulus(w, 0)
 
 
+def _matrix(c, m, nodes):
+    """The interior Toeplitz entries (diagonal, off-diagonal) of K_m."""
+    pot = (c.n - 2.0) ** 2 / 4.0 - c.kappa * c.a2
+    _, diag, off = sp.log_tridiagonal(*sp.exhaustion_annulus(sp.WeightedProblem(c, 1.0), m), nodes, pot)
+    return diag, off
+
+
+def _sine_pair(diag, off, nodes, k=1):
+    """The k-th eigenpair of tridiag(off, diag, off), written as the
+    textbook formula: d + 2 off cos(k pi/(N-1)) and sin(k pi j/(N-1))."""
+    theta = k * np.pi / (nodes - 1)
+    return diag + 2.0 * off * np.cos(theta), np.sin(theta * np.arange(nodes))
+
+
+class TestCertifiedPair:
+    """``_fd_smallest`` returns the closed-form pair only after the residual
+    and positivity certificate accepts it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.sampled_from(_CONES), m=st.integers(1, 6), nodes=st.integers(50, 4000))
+    def test_certified_on_exhaustion_annuli(self, c, m, nodes):
+        w = sp.WeightedProblem(c, 1.0)
+        lam, r, u = sp._fd_smallest(w, *sp.exhaustion_annulus(w, m), nodes=nodes)
+        assert r.shape == u.shape == (nodes,) and u[0] == u[-1] == 0 and u[1:-1].min() > 0
+        # bisection on the same matrix agrees to its own tolerance
+        diag, off = _matrix(c, m, nodes)
+        assert abs(lam * c.a2 - fd_smallest_bisection(diag, off, nodes)) <= 1e-9 * lam * c.a2
+        # the textbook pair passes, with its residual far inside the bound
+        mu, v = _sine_pair(diag, off, nodes)
+        sp._certify_smallest(diag, off, mu, v)
+        res = np.abs((diag - mu) * v[1:-1] + off * (v[:-2] + v[2:])).max()
+        assert res <= 8.0 * sp._U * (abs(diag) + 2.0 * abs(off))
+
+    @pytest.fixture
+    def coarse(self, simons):
+        # 50 nodes on K_6: here 32 u ||T|| is a tenth of 1e-12 mu, so the
+        # residual resolves a relative shift of 1e-12 (at 2000 nodes the
+        # bound is 1.6e-10 to 2.9e-9 of mu, K_6 to K_1, and hides it)
+        diag, off = _matrix(simons, 6, 50)
+        mu, v = _sine_pair(diag, off, 50)
+        assert 32.0 * sp._U * (abs(diag) + 2.0 * abs(off)) < 0.2e-12 * mu
+        sp._certify_smallest(diag, off, mu, v)
+        return diag, off, mu, v
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-12, 1.0 - 1e-12])
+    def test_rejects_shifted_eigenvalue(self, coarse, scale):
+        diag, off, mu, v = coarse
+        with pytest.raises(CertificateError, match="residual"):
+            sp._certify_smallest(diag, off, mu * scale, v)
+
+    @pytest.mark.parametrize("j", [1, 24, 48])
+    def test_rejects_one_flipped_sign(self, coarse, j):
+        diag, off, mu, v = coarse
+        flipped = v.copy()
+        flipped[j] = -flipped[j]
+        with pytest.raises(CertificateError):
+            sp._certify_smallest(diag, off, mu, flipped)
+
+    def test_rejects_an_eigenpair_that_is_not_the_smallest(self, coarse):
+        # the second pair has a residual as small as the first: only the
+        # sign test tells them apart
+        diag, off, _, _ = coarse
+        mu2, v2 = _sine_pair(diag, off, 50, k=2)
+        with pytest.raises(CertificateError, match="positive"):
+            sp._certify_smallest(diag, off, mu2, v2)
+
+    def test_rejects_nan(self, coarse):
+        diag, off, _, v = coarse
+        with pytest.raises(CertificateError):
+            sp._certify_smallest(diag, off, math.nan, v)
+
+
 class TestLambda0:
     def test_simons_value(self, simons):
         assert abs(sp.lambda0(simons) - 5.0 / 6.0) < 1e-3
@@ -132,6 +210,13 @@ class TestLambda0:
         assert abs(sp.lambda0_detailed(c).lambda0 - sp.indicial_lambda_max(c)) < 1e-9
         assert sp.indicial_lambda_max(c) == {2: 0.3125, 4: 1.03125}[m]
         assert lambda0_catalog(c) > 2 * sp.indicial_lambda_max(c)
+
+    @pytest.mark.parametrize("c", _CONES, ids=lambda c: f"n{c.n}-a2{c.a2}")
+    def test_error_estimate_covers_the_threshold(self, c):
+        # the extrapolants equal pot/a2 in exact arithmetic, so the rounding
+        # bound covers the distance to the threshold, and is no loose band
+        res = sp.lambda0_detailed(c)
+        assert abs(res.lambda0 - sp.indicial_lambda_max(c)) <= res.error_estimate < 1e-12
 
     def test_exhaustion_record(self, simons):
         res = sp.lambda0_detailed(simons)
